@@ -1,21 +1,24 @@
 package coord
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
+
+	"repro/internal/durable"
 )
 
 // The ledger's write-ahead log. Every claim-state transition is
 // appended as one fsynced NDJSON record before it is applied, so a
 // coordinator restarted over the same store replays the file and
 // resumes the sweep with live leases, permanent claim-ID fences,
-// per-index attempt counts, and quarantine verdicts intact. The replay
-// discipline mirrors internal/jobstore: a record is durable only once
-// its trailing newline is on disk, a torn final line is dropped and
-// truncated so the next append starts clean, and a malformed line with
-// durable successors fails loudly as corruption.
+// per-index attempt counts, and quarantine verdicts intact. Replay and
+// append go through internal/durable, the same discipline as the job
+// store: a record is durable only once its trailing newline is on disk,
+// a torn final line is dropped and truncated so the next append starts
+// clean, and a malformed line with durable successors fails loudly as
+// corruption.
 
 // WAL record operations.
 const (
@@ -45,94 +48,43 @@ type WALRecord struct {
 
 // WAL is an append-only, fsynced NDJSON file of ledger transitions.
 // Appends are serialized by the ledger's mutex; the WAL itself adds no
-// locking.
+// locking and holds no file handle between appends.
 type WAL struct {
 	path string
-	f    *os.File
 }
 
-// OpenWAL reads the WAL at path — tolerating a torn final line, which
-// is truncated, and failing loudly on mid-file corruption — and opens
-// it for appending. A missing file yields an empty record slice and a
-// fresh WAL.
+// OpenWAL replays the WAL at path — tolerating a torn final line, which
+// is truncated, and failing loudly on mid-file corruption (see
+// durable.Replay) — and returns it ready for appending. A missing file
+// yields an empty record slice and a fresh WAL.
 func OpenWAL(path string) (*WAL, []WALRecord, error) {
-	recs, err := readWAL(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("coord: wal: %w", err)
-	}
-	return &WAL{path: path, f: f}, recs, nil
-}
-
-func readWAL(path string) ([]WALRecord, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("coord: wal: %w", err)
-	}
 	var recs []WALRecord
-	good := 0 // byte offset just past the last durable line
-	var pendingErr error
-	for pos := 0; pos < len(raw); {
-		nl := bytes.IndexByte(raw[pos:], '\n')
-		if nl < 0 {
-			break // newline-less tail: torn by definition
-		}
-		line := raw[pos : pos+nl]
-		pos += nl + 1
-		if len(bytes.TrimSpace(line)) == 0 {
-			good = pos
-			continue
-		}
-		if pendingErr != nil {
-			return nil, fmt.Errorf("coord: wal %s: corrupt mid-file record: %w", path, pendingErr)
-		}
+	err := durable.Replay(path, func(line []byte) error {
 		var rec WALRecord
-		err := json.Unmarshal(line, &rec)
-		if err == nil && rec.Op == "" {
-			err = fmt.Errorf("record has no op")
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
-		if err != nil {
-			pendingErr = err // torn write if this turns out to be the tail
-			continue
+		if rec.Op == "" {
+			return errors.New("record has no op")
 		}
 		recs = append(recs, rec)
-		good = pos
+		return nil
+	})
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, fmt.Errorf("coord: wal: %w", err)
 	}
-	if good < len(raw) {
-		if err := os.Truncate(path, int64(good)); err != nil {
-			return nil, fmt.Errorf("coord: wal: truncating torn tail: %w", err)
-		}
-	}
-	return recs, nil
+	return &WAL{path: path}, recs, nil
 }
 
-// Append durably writes one record: marshal, write with newline, fsync.
-// The record is the transition's durability point — the ledger applies
-// a transition only after its record is on disk.
+// Append durably writes one record (durable.Append). The record is the
+// transition's durability point — the ledger applies a transition only
+// after its record is on disk.
 func (w *WAL) Append(rec WALRecord) error {
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("coord: wal: %w", err)
-	}
-	if _, err := w.f.Write(append(raw, '\n')); err != nil {
-		return fmt.Errorf("coord: wal: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
+	if err := durable.Append(w.path, rec); err != nil {
 		return fmt.Errorf("coord: wal: %w", err)
 	}
 	return nil
 }
 
-// Close releases the append handle. Safe on a nil WAL.
-func (w *WAL) Close() error {
-	if w == nil || w.f == nil {
-		return nil
-	}
-	return w.f.Close()
-}
+// Close is a no-op: every Append opens and closes the file itself.
+func (w *WAL) Close() error { return nil }

@@ -22,7 +22,8 @@ type Worker struct {
 	Base string
 	// Name identifies the worker in claims and logs.
 	Name string
-	// Max bounds the indices leased per claim (0 selects 8).
+	// Max bounds the indices leased per claim (0 selects 1; simw's -max
+	// defaults to 8).
 	Max int
 	// SweepWorkers is the local pool width within one claim
 	// (0 selects 1: one claim, one core — scale out with processes).
@@ -190,13 +191,7 @@ func (w *Worker) executeClaim(ctx context.Context, cl *ClaimResponse) error {
 	}
 	runs := make([]sim.Run, n)
 	for i := range runs {
-		if n == 1 {
-			// Mirror the service's local path: a 1-run job executes
-			// under exactly the base seed.
-			runs[i] = sim.Pin(simu, sp.Seed)
-		} else {
-			runs[i] = sim.Run{Sim: simu}
-		}
+		runs[i] = sim.Pin(simu, sp.RunSeed(i)) // the seed rule the cache keys use
 	}
 	only := make([]int, 0, cl.End-cl.Start)
 	for i := cl.Start; i < cl.End; i++ {
@@ -235,7 +230,6 @@ func (w *Worker) executeClaim(ctx context.Context, cl *ClaimResponse) error {
 
 	pub := &publisher{w: w, cl: cl, cancel: cancel}
 	_, sweepErr := sim.RunSweep(claimCtx, runs, sim.SweepOptions{
-		BaseSeed:    sp.Seed,
 		Workers:     w.sweepWorkers(),
 		OnlyIndices: only,
 		Observer:    pub,

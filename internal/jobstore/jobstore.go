@@ -22,7 +22,6 @@
 package jobstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,6 +32,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // State is a job lifecycle state.
@@ -180,7 +181,7 @@ func (s *Store) replay(id string) (*job, error) {
 		return nil, err
 	}
 	j := &job{id: id, spec: spec, runs: make(map[int]string)}
-	err = readNDJSON(filepath.Join(dir, "log.ndjson"), func(line []byte) error {
+	err = durable.Replay(filepath.Join(dir, "log.ndjson"), func(line []byte) error {
 		var ev Event
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return err
@@ -202,7 +203,7 @@ func (s *Store) replay(id string) (*job, error) {
 	if len(j.events) == 0 {
 		return nil, errors.New("empty transition log")
 	}
-	err = readNDJSON(filepath.Join(dir, "runs.ndjson"), func(line []byte) error {
+	err = durable.Replay(filepath.Join(dir, "runs.ndjson"), func(line []byte) error {
 		var rr RunRecord
 		if err := json.Unmarshal(line, &rr); err != nil {
 			return err
@@ -216,68 +217,6 @@ func (s *Store) replay(id string) (*job, error) {
 	return j, nil
 }
 
-// readNDJSON feeds each complete line of an append-only NDJSON file to
-// fn. A record is durable only once its trailing newline is on disk: a
-// final line that is missing its newline or fails to parse is a torn
-// write — it is dropped AND truncated from the file, so the next append
-// starts on a clean line boundary instead of fusing with the partial
-// record (which would read as mid-file corruption one restart later). A
-// malformed line with durable successors is real corruption and aborts
-// the replay. A missing file yields os.ErrNotExist.
-func readNDJSON(path string, fn func(line []byte) error) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	good := 0 // byte offset just past the last durable line
-	var pendingErr error
-	for pos := 0; pos < len(raw); {
-		nl := bytes.IndexByte(raw[pos:], '\n')
-		if nl < 0 {
-			break // newline-less tail: torn by definition
-		}
-		line := raw[pos : pos+nl]
-		pos += nl + 1
-		if len(strings.TrimSpace(string(line))) == 0 {
-			good = pos
-			continue
-		}
-		if pendingErr != nil {
-			return pendingErr // a malformed line had successors: corruption
-		}
-		if err := fn(line); err != nil {
-			pendingErr = err // torn write if this turns out to be the tail
-			continue
-		}
-		good = pos
-	}
-	if good < len(raw) {
-		if err := os.Truncate(path, int64(good)); err != nil {
-			return fmt.Errorf("truncating torn tail: %w", err)
-		}
-	}
-	return nil
-}
-
-// appendLine durably appends one JSON document plus newline: the write
-// is flushed with fsync before returning, so an acknowledged event
-// survives a crash.
-func appendLine(path string, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.Write(append(raw, '\n')); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
 // Create allocates a job, durably writes its spec, and records the
 // creation transition into Queued.
 func (s *Store) Create(spec json.RawMessage) (Job, error) {
@@ -288,11 +227,11 @@ func (s *Store) Create(spec json.RawMessage) (Job, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "spec.json"), spec, 0o644); err != nil {
+	if err := durable.WriteFile(filepath.Join(dir, "spec.json"), spec); err != nil {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
 	ev := Event{Seq: 1, Time: time.Now().UTC(), To: Queued, Reason: "submitted"}
-	if err := appendLine(filepath.Join(dir, "log.ndjson"), ev); err != nil {
+	if err := durable.Append(filepath.Join(dir, "log.ndjson"), ev); err != nil {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
 	s.nextID++
@@ -315,7 +254,7 @@ func (s *Store) Transition(id string, to State, reason string) (Job, error) {
 		return Job{}, fmt.Errorf("jobstore: illegal transition %q→%q for %s", j.state, to, id)
 	}
 	ev := Event{Seq: len(j.events) + 1, Time: time.Now().UTC(), From: j.state, To: to, Reason: reason}
-	if err := appendLine(filepath.Join(s.jobDir(id), "log.ndjson"), ev); err != nil {
+	if err := durable.Append(filepath.Join(s.jobDir(id), "log.ndjson"), ev); err != nil {
 		return Job{}, fmt.Errorf("jobstore: %w", err)
 	}
 	j.events = append(j.events, ev)
@@ -336,7 +275,7 @@ func (s *Store) RecordRun(id string, index int, key string) error {
 		return nil
 	}
 	rr := RunRecord{Index: index, Key: key}
-	if err := appendLine(filepath.Join(s.jobDir(id), "runs.ndjson"), rr); err != nil {
+	if err := durable.Append(filepath.Join(s.jobDir(id), "runs.ndjson"), rr); err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
 	j.runs[index] = key
@@ -344,34 +283,14 @@ func (s *Store) RecordRun(id string, index int, key string) error {
 }
 
 // SetResult writes the job's merged result document atomically
-// (temp file + rename), so readers never observe a partial report.
+// (durable.WriteFile), so readers never observe a partial report.
 func (s *Store) SetResult(id string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.jobs[id]; !ok {
 		return fmt.Errorf("jobstore: unknown job %q", id)
 	}
-	dir := s.jobDir(id)
-	tmp, err := os.CreateTemp(dir, "result-*.tmp")
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, "result.json")); err != nil {
-		os.Remove(tmp.Name())
+	if err := durable.WriteFile(filepath.Join(s.jobDir(id), "result.json"), data); err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
 	return nil

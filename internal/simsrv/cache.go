@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/durable"
 )
 
 // Cache is a content-addressed result store: immutable JSON documents
-// filed under their RunKey. Writes are atomic (temp file + rename) and
+// filed under their RunKey. Writes are atomic (durable.WriteFile) and
 // idempotent — two workers caching the same key race harmlessly because
 // the content is identical by construction.
 type Cache struct {
@@ -47,26 +49,7 @@ func (c *Cache) Put(key string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("simsrv: cache: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("simsrv: cache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("simsrv: cache: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("simsrv: cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("simsrv: cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := durable.WriteFile(path, data); err != nil {
 		return fmt.Errorf("simsrv: cache: %w", err)
 	}
 	return nil

@@ -17,11 +17,19 @@ import (
 const maxResultBytes = 64 << 20
 
 // dist returns the claim-serving state of a distributed job, when it is
-// currently accepting claims.
-func (s *Server) dist(id string) *distJob {
+// currently accepting claims, and a release func the caller must call
+// once it stops using it: the coordinator waits for every holder after it
+// stops serving claims, so no request writes to the store once the job
+// has left running.
+func (s *Server) dist(id string) (*distJob, func()) {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()
-	return s.coords[id]
+	d := s.coords[id]
+	if d == nil {
+		return nil, nil
+	}
+	d.handlers.Add(1)
+	return d, d.handlers.Done
 }
 
 // noCoordinator writes the verdict for a claim-scoped request that
@@ -37,7 +45,7 @@ func (s *Server) noCoordinator(w http.ResponseWriter, id string) {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	var sp JobSpec
+	var sp sim.JobSpec
 	if err := json.Unmarshal(j.Spec, &sp); err == nil && sp.Normalize().Distributed {
 		switch j.State {
 		case jobstore.Queued, jobstore.Running:
@@ -60,11 +68,13 @@ func (s *Server) handleWork(w http.ResponseWriter, r *http.Request) {
 	s.cmu.Unlock()
 	sort.Strings(ids)
 	for _, id := range ids {
-		d := s.dist(id)
+		d, release := s.dist(id)
 		if d == nil {
 			continue
 		}
-		if _, _, available := d.ledger.Counts(); available > 0 {
+		_, _, available := d.ledger.Counts()
+		release()
+		if available > 0 {
 			jobs = append(jobs, id)
 		}
 	}
@@ -87,7 +97,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "engine version mismatch: server %s, worker %q", sim.Version, req.EngineVersion)
 		return
 	}
-	d := s.dist(id)
+	d, release := s.dist(id)
 	if d == nil {
 		if _, ok := s.store.Get(id); !ok {
 			writeError(w, http.StatusNotFound, "unknown job %q", id)
@@ -96,6 +106,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s is not accepting claims", id)
 		return
 	}
+	defer release()
 	cl, ok := d.ledger.Claim(req.Worker, req.Max)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
@@ -118,11 +129,12 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 // (expired, completed, job terminally done with claims).
 func (s *Server) handleClaimRenew(w http.ResponseWriter, r *http.Request) {
 	id, claim := r.PathValue("id"), r.PathValue("claim")
-	d := s.dist(id)
+	d, release := s.dist(id)
 	if d == nil {
 		s.noCoordinator(w, id)
 		return
 	}
+	defer release()
 	cl, err := d.ledger.Renew(claim)
 	if err != nil {
 		writeError(w, http.StatusGone, "%v", err)
@@ -139,11 +151,12 @@ func (s *Server) handleClaimRenew(w http.ResponseWriter, r *http.Request) {
 // already returned them.
 func (s *Server) handleClaimComplete(w http.ResponseWriter, r *http.Request) {
 	id, claim := r.PathValue("id"), r.PathValue("claim")
-	d := s.dist(id)
+	d, release := s.dist(id)
 	if d == nil {
 		s.noCoordinator(w, id)
 		return
 	}
+	defer release()
 	if err := d.ledger.Complete(claim); err != nil {
 		writeError(w, http.StatusGone, "%v", err)
 		return
@@ -152,11 +165,11 @@ func (s *Server) handleClaimComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePublishRun accepts one run's result bytes from the claim
-// holder. The durability order is the same as the local path: cache
-// bytes first, checkpoint record second, ledger completion last — a
-// crash or lost lease between any two steps heals on the next claim via
-// the cache probe, and the checkpoint log records each index at most
-// once. A zombie claim is fenced with 410 before anything is written.
+// holder. A zombie claim is fenced with 410 before anything is written;
+// then persist stores the bytes exactly as the local path does, and the
+// ledger completion comes last — a crash or lost lease between any two
+// steps heals on the next claim via the cache probe, and the checkpoint
+// log records each index at most once.
 func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 	id, claim := r.PathValue("id"), r.URL.Query().Get("claim")
 	index, err := strconv.Atoi(r.PathValue("index"))
@@ -164,19 +177,8 @@ func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad run index %q", r.PathValue("index"))
 		return
 	}
-	d := s.dist(id)
-	if d == nil {
-		s.noCoordinator(w, id)
-		return
-	}
-	if err := d.ledger.Owns(claim, index); err != nil {
-		status := http.StatusConflict
-		if errors.Is(err, coord.ErrLeaseLost) {
-			status = http.StatusGone
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
+	// The body is read before the lookup, so a slow upload never holds
+	// up a coordinator waiting for its handlers.
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxResultBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading result: %v", err)
@@ -186,11 +188,21 @@ func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "result document empty or over %d bytes", maxResultBytes)
 		return
 	}
-	if err := s.cache.Put(d.keys[index], data); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	d, release := s.dist(id)
+	if d == nil {
+		s.noCoordinator(w, id)
 		return
 	}
-	if err := s.store.RecordRun(id, index, d.keys[index]); err != nil {
+	defer release()
+	if err := d.ledger.Owns(claim, index); err != nil {
+		status := http.StatusConflict
+		if errors.Is(err, coord.ErrLeaseLost) {
+			status = http.StatusGone
+		}
+		writeError(w, status, "%v", err)
+		return
+	}
+	if err := s.persist(id, index, d.keys[index], data); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -224,11 +236,12 @@ func (s *Server) handleRunFailed(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding failure report: %v", err)
 		return
 	}
-	d := s.dist(id)
+	d, release := s.dist(id)
 	if d == nil {
 		s.noCoordinator(w, id)
 		return
 	}
+	defer release()
 	if err := d.ledger.Fail(claim, index, req.Reason); err != nil {
 		status := http.StatusConflict
 		if errors.Is(err, coord.ErrLeaseLost) {
@@ -247,10 +260,11 @@ func (s *Server) handleRunFailed(w http.ResponseWriter, r *http.Request) {
 // first place to look when a distributed sweep is stuck or dying.
 func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	d := s.dist(id)
+	d, release := s.dist(id)
 	if d == nil {
 		s.noCoordinator(w, id)
 		return
 	}
+	defer release()
 	writeJSON(w, http.StatusOK, d.ledger.View())
 }

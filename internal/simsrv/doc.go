@@ -16,16 +16,3 @@
 // simw worker processes, with the merged report still assembled
 // exclusively from the content-addressed cache.
 package simsrv
-
-import (
-	"repro/sim"
-)
-
-// MaxRuns caps a single job's sweep width.
-const MaxRuns = sim.MaxSpecRuns
-
-// JobSpec is the submitted description of one job. It is the public
-// sim.JobSpec: the simw worker resolves the same spec bytes through the
-// same type, so both processes derive identical simulations, seeds, and
-// cache keys.
-type JobSpec = sim.JobSpec

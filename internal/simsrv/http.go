@@ -26,7 +26,7 @@ type JobView struct {
 }
 
 func (s *Server) view(j jobstore.Job, withTransitions bool) JobView {
-	var sp JobSpec
+	var sp sim.JobSpec
 	_ = json.Unmarshal(j.Spec, &sp)
 	v := JobView{
 		ID:            j.ID,
@@ -100,7 +100,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	var sp JobSpec
+	var sp sim.JobSpec
 	if err := dec.Decode(&sp); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding spec: %v", err)
 		return

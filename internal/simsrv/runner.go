@@ -64,7 +64,7 @@ func (s *Server) execute(ctx context.Context, id string, a *activeJob) error {
 	if !ok {
 		return fmt.Errorf("job %s vanished", id)
 	}
-	var sp JobSpec
+	var sp sim.JobSpec
 	if err := json.Unmarshal(j.Spec, &sp); err != nil {
 		return fmt.Errorf("bad stored spec: %w", err)
 	}
@@ -85,53 +85,47 @@ func (s *Server) execute(ctx context.Context, id string, a *activeJob) error {
 	// indices whose results another job already cached. Cache hits are
 	// promoted into the checkpoint log so the job's own record is
 	// complete.
-	skip := make([]int, 0, n)
+	var done, missing []int
 	for i := 0; i < n; i++ {
-		if _, done := j.Runs[i]; done {
-			skip = append(skip, i)
-			continue
-		}
-		if _, hit := s.cache.Get(keys[i]); hit {
+		if _, ok := j.Runs[i]; !ok {
+			if _, hit := s.cache.Get(keys[i]); !hit {
+				missing = append(missing, i)
+				continue
+			}
 			if err := s.store.RecordRun(id, i, keys[i]); err != nil {
 				return err
 			}
-			skip = append(skip, i)
 		}
+		done = append(done, i)
 	}
-	if len(skip) > 0 {
-		s.logf("%s: resuming with %d/%d runs already complete", id, len(skip), n)
+	if len(done) > 0 {
+		s.logf("%s: resuming with %d/%d runs already complete", id, len(done), n)
 	}
 
 	if sp.Distributed {
-		return s.executeDistributed(ctx, id, a, sp, j.Spec, keys, skip)
+		return s.executeDistributed(ctx, id, a, sp, j.Spec, keys, done)
 	}
 
-	if len(skip) < n {
+	// An empty OnlyIndices means no filter, so a job whose runs are all
+	// durable already must not reach the sweep at all.
+	if len(missing) > 0 {
+		// Every run is pinned to RunSeed, the one seed rule the cache
+		// keys and the distributed worker share.
 		runs := make([]sim.Run, n)
 		for i := range runs {
-			if n == 1 {
-				// A 1-run job executes under exactly the base seed, so
-				// its result matches a direct Simulation.Run of the spec.
-				runs[i] = sim.Pin(simu, sp.Seed)
-			} else {
-				runs[i] = sim.Run{Sim: simu}
-			}
+			runs[i] = sim.Pin(simu, sp.RunSeed(i))
 		}
-		p := &runPersister{srv: s, job: id, a: a, keys: keys, total: n, lastEvents: make([]uint64, n), putErr: make([]error, n)}
-		p.done = len(skip) // resumed runs count toward runs_completed
-
+		p := &runPersister{srv: s, job: id, a: a, keys: keys, total: n, lastEvents: make([]uint64, n), done: len(done)}
 		_, err := sim.RunSweep(ctx, runs, sim.SweepOptions{
-			BaseSeed:    sp.Seed,
 			Workers:     s.sweepWorkers,
-			SkipIndices: skip,
+			OnlyIndices: missing,
 			Observer:    p,
-			Completed:   p.completed,
 		})
 		if err != nil {
 			return err
 		}
-		if err := p.firstPutErr(); err != nil {
-			return err
+		if p.err != nil { // the pool has drained: no observer call is in flight
+			return p.err
 		}
 	}
 	return s.merge(id, sp, keys)
@@ -151,7 +145,7 @@ func (s *Server) execute(ctx context.Context, id string, a *activeJob) error {
 // transition with everything already published still durable. On
 // completion the report is merged exclusively from cache bytes, exactly
 // like a local run.
-func (s *Server) executeDistributed(ctx context.Context, id string, a *activeJob, sp JobSpec, raw json.RawMessage, keys []string, skip []int) error {
+func (s *Server) executeDistributed(ctx context.Context, id string, a *activeJob, sp sim.JobSpec, raw json.RawMessage, keys []string, done []int) error {
 	led := coord.NewLedger(sp.Runs, s.lease)
 	led.SetMaxAttempts(s.maxAttempts)
 	wal, recs, err := coord.OpenWAL(filepath.Join(s.store.JobDir(id), "claims.ndjson"))
@@ -167,7 +161,7 @@ func (s *Server) executeDistributed(ctx context.Context, id string, a *activeJob
 	}
 	// Checkpointed/cached indices override replayed claim state: bytes
 	// already durable trump any stale lease over them.
-	led.MarkDone(skip...)
+	led.MarkDone(done...)
 	d := &distJob{ledger: led, spec: sp, raw: raw, keys: keys, a: a}
 	s.cmu.Lock()
 	s.coords[id] = d
@@ -176,8 +170,9 @@ func (s *Server) executeDistributed(ctx context.Context, id string, a *activeJob
 		s.cmu.Lock()
 		delete(s.coords, id)
 		s.cmu.Unlock()
+		d.handlers.Wait() // a publish past its lookup lands before the job moves on
 	}()
-	s.logf("%s: accepting claims (%d/%d runs already complete, lease %s)", id, len(skip), sp.Runs, s.lease)
+	s.logf("%s: accepting claims (%d/%d runs already complete, lease %s)", id, len(done), sp.Runs, s.lease)
 	// A fully-recovered sweep may be done (or fatal) already; prefer
 	// done — every index durable means the poison verdict is moot.
 	select {
@@ -216,7 +211,7 @@ type ReportRun struct {
 // merge assembles the job's report purely from the content-addressed
 // cache — never from in-memory outcomes — so resumed and uninterrupted
 // sweeps serialize from the same source bytes.
-func (s *Server) merge(id string, sp JobSpec, keys []string) error {
+func (s *Server) merge(id string, sp sim.JobSpec, keys []string) error {
 	j, _ := s.store.Get(id)
 	h, err := sp.SpecHash()
 	if err != nil {
@@ -242,11 +237,21 @@ func (s *Server) merge(id string, sp JobSpec, keys []string) error {
 	return s.store.SetResult(id, out)
 }
 
-// runPersister is the sweep observer that makes runs durable: the
-// result bytes go to the content-addressed cache in RunFinished, and
-// only then does the Completed hook append the index to the job's
-// checkpoint log — a crash between the two is repaired by the cache
-// probe on resume.
+// persist makes one finished run durable, in the order every crash
+// window depends on: the result bytes go to the content-addressed cache
+// first, and only then is the index checkpointed in the job's log. A
+// crash between the two leaves cached bytes without a record, which the
+// cache probe on resume (or on the next claim) promotes without
+// re-running. Local runs and published remote runs both persist here.
+func (s *Server) persist(job string, index int, key string, data []byte) error {
+	if err := s.cache.Put(key, data); err != nil {
+		return err
+	}
+	return s.store.RecordRun(job, index, key)
+}
+
+// runPersister is the local sweep's observer: it persists each run as
+// it finishes and streams progress to the job's subscribers.
 type runPersister struct {
 	srv   *Server
 	job   string
@@ -255,9 +260,9 @@ type runPersister struct {
 	total int
 
 	mu         sync.Mutex
-	lastEvents []uint64
+	lastEvents []uint64 // latest progress per run; a.events is their sum
 	done       int
-	putErr     []error
+	err        error // first persist failure; it fails the job
 }
 
 func (p *runPersister) RunStarted(info sim.RunInfo) {
@@ -267,14 +272,11 @@ func (p *runPersister) RunStarted(info sim.RunInfo) {
 
 func (p *runPersister) RunProgress(info sim.RunInfo, prog sim.Progress) {
 	p.mu.Lock()
+	delta := prog.Events - p.lastEvents[info.Index]
 	p.lastEvents[info.Index] = prog.Events
-	var total uint64
-	for _, e := range p.lastEvents {
-		total += e
-	}
 	p.mu.Unlock()
 	p.a.mu.Lock()
-	p.a.events = total
+	p.a.events += delta
 	p.a.mu.Unlock()
 	idx := info.Index
 	p.srv.publishEvent(p.job, p.a, event{
@@ -289,44 +291,20 @@ func (p *runPersister) RunFinished(info sim.RunInfo, out sim.Outcome) {
 	}
 	data, err := json.Marshal(out.Result)
 	if err == nil {
-		err = p.srv.cache.Put(p.keys[info.Index], data)
+		err = p.srv.persist(p.job, info.Index, p.keys[info.Index], data)
 	}
 	if err != nil {
 		p.mu.Lock()
-		p.putErr[info.Index] = err
+		if p.err == nil {
+			p.err = fmt.Errorf("run %d: persisting result: %w", info.Index, err)
+		}
 		p.mu.Unlock()
-		p.srv.logf("%s: run %d: persisting result: %v", p.job, info.Index, err)
-	}
-}
-
-// completed is the sweep's Completed hook: it runs on the same worker
-// goroutine after RunFinished, so the cache write is already done.
-func (p *runPersister) completed(i int) {
-	p.mu.Lock()
-	failed := p.putErr[i] != nil
-	p.mu.Unlock()
-	if failed {
-		return // nothing durable to record; the job will fail at merge
-	}
-	if err := p.srv.store.RecordRun(p.job, i, p.keys[i]); err != nil {
-		p.srv.logf("%s: run %d: checkpoint: %v", p.job, i, err)
 		return
 	}
 	p.mu.Lock()
 	p.done++
 	done := p.done
 	p.mu.Unlock()
-	idx := i
+	idx := info.Index
 	p.srv.publishEvent(p.job, p.a, event{Type: "run_finished", Index: &idx, Completed: done, Total: p.total})
-}
-
-func (p *runPersister) firstPutErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, err := range p.putErr {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/jobstore"
+	"repro/sim"
 )
 
 // Config assembles a Server.
@@ -73,10 +74,12 @@ type Server struct {
 // per request.
 type distJob struct {
 	ledger *coord.Ledger
-	spec   JobSpec
+	spec   sim.JobSpec
 	raw    json.RawMessage // normalized spec bytes, as stored
 	keys   []string        // per-index content-address keys
 	a      *activeJob
+	// handlers counts the claim requests holding this distJob (see dist).
+	handlers sync.WaitGroup
 }
 
 // activeJob is the in-memory side of one running (or watched) job:
@@ -152,7 +155,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 func runsTotal(j jobstore.Job) string {
-	var sp JobSpec
+	var sp sim.JobSpec
 	if err := json.Unmarshal(j.Spec, &sp); err != nil {
 		return "?"
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // TestSkipIndicesExcludesRunsAndCallbacks checks the resume hook at the
-// scenario-sweep level: skipped indices execute nothing, receive no
-// callbacks, and are marked Skipped, while their siblings behave as in
-// an ordinary sweep.
+// scenario-sweep level: indices outside Options.Only execute nothing,
+// receive no callbacks, and are marked Skipped, while their siblings
+// behave as in an ordinary sweep.
 func TestSkipIndicesExcludesRunsAndCallbacks(t *testing.T) {
 	sc := scenario.Scenario{Name: "skip", Workload: scenario.Workload{Jobs: 15}}
 	runs := []Run{{Scenario: sc}, {Scenario: sc}, {Scenario: sc}, {Scenario: sc}}
@@ -19,11 +19,10 @@ func TestSkipIndicesExcludesRunsAndCallbacks(t *testing.T) {
 	var mu sync.Mutex
 	started := map[int]bool{}
 	done := map[int]bool{}
-	completed := map[int]bool{}
 	outs := ScenariosContext(context.Background(), runs, Options{
-		BaseSeed:    11,
-		Workers:     2,
-		SkipIndices: map[int]bool{1: true, 3: true},
+		BaseSeed: 11,
+		Workers:  2,
+		Only:     map[int]bool{0: true, 2: true},
 		OnRunStart: func(i int, _ string, _ uint64) {
 			mu.Lock()
 			started[i] = true
@@ -32,11 +31,6 @@ func TestSkipIndicesExcludesRunsAndCallbacks(t *testing.T) {
 		OnRunDone: func(i int, _ Outcome) {
 			mu.Lock()
 			done[i] = true
-			mu.Unlock()
-		},
-		Completed: func(i int) {
-			mu.Lock()
-			completed[i] = true
 			mu.Unlock()
 		},
 	})
@@ -50,7 +44,7 @@ func TestSkipIndicesExcludesRunsAndCallbacks(t *testing.T) {
 			if out.Result != nil || out.Err != nil {
 				t.Errorf("run %d: skipped run has Result/Err (%v, %v)", i, out.Result != nil, out.Err)
 			}
-			if started[i] || done[i] || completed[i] {
+			if started[i] || done[i] {
 				t.Errorf("run %d: callbacks fired for skipped run", i)
 			}
 			continue
@@ -61,9 +55,8 @@ func TestSkipIndicesExcludesRunsAndCallbacks(t *testing.T) {
 		if out.Result == nil {
 			t.Fatalf("run %d: no result", i)
 		}
-		if !started[i] || !done[i] || !completed[i] {
-			t.Errorf("run %d: missing callbacks (start %v, done %v, completed %v)",
-				i, started[i], done[i], completed[i])
+		if !started[i] || !done[i] {
+			t.Errorf("run %d: missing callbacks (start %v, done %v)", i, started[i], done[i])
 		}
 	}
 
@@ -80,8 +73,8 @@ func TestSkipIndicesExcludesRunsAndCallbacks(t *testing.T) {
 func TestSkipAllIndices(t *testing.T) {
 	sc := scenario.Scenario{Name: "skip-all", Workload: scenario.Workload{Jobs: 10}}
 	outs := ScenariosContext(context.Background(), []Run{{Scenario: sc}, {Scenario: sc}}, Options{
-		SkipIndices: map[int]bool{0: true, 1: true},
-		Completed:   func(i int) { t.Errorf("Completed(%d) fired", i) },
+		Only:      map[int]bool{},
+		OnRunDone: func(i int, _ Outcome) { t.Errorf("OnRunDone(%d) fired", i) },
 	})
 	for i, out := range outs {
 		if !out.Skipped || out.Result != nil || out.Err != nil {

@@ -83,70 +83,17 @@ func MapChunkedContext[T any](ctx context.Context, n, workers, chunk int, fn fun
 	if chunk <= 0 {
 		chunk = AutoChunk(n, w)
 	}
-	return MapClaimedContext(ctx, n, w, &counterClaimer{n: n, chunk: chunk}, fn)
-}
-
-// A Claimer hands out half-open index ranges [start, end) to sweep
-// workers. Next is called concurrently from worker goroutines and must
-// be safe for concurrent use; it returns ok == false when no further
-// range will ever be available to this worker (the sweep's index space
-// is exhausted). Ranges must be disjoint: every index is handed out at
-// most once.
-//
-// The local implementation is an atomic counter cut into chunks (see
-// MapChunkedContext); internal/coord generalizes the same protocol to
-// leased remote claims over HTTP, where a crashed worker's range is
-// re-issued after its lease expires.
-type Claimer interface {
-	Next() (start, end int, ok bool)
-}
-
-// counterClaimer is the in-process Claimer: an atomic cursor over
-// [0, n) advanced chunk indices at a time.
-type counterClaimer struct {
-	next  atomic.Int64
-	n     int
-	chunk int
-}
-
-func (c *counterClaimer) Next() (int, int, bool) {
-	end := int(c.next.Add(int64(c.chunk)))
-	start := end - c.chunk
-	if start >= c.n {
-		return 0, 0, false
-	}
-	if end > c.n {
-		end = c.n
-	}
-	return start, end, true
-}
-
-// MapClaimedContext runs fn over the index ranges a Claimer hands out,
-// across a pool of `workers` goroutines, writing results into
-// index-addressed slots of an n-sized slice. Indices the claimer never
-// issues stay zero-valued with a nil error — the claimer owns coverage.
-// Cancellation is per-index: workers keep draining the claimer after
-// ctx is done (so a local counter claimer records ctx.Err() on every
-// remaining index, exactly as MapContext documents), but fn is never
-// called for them. A claimer backed by a remote lease should observe
-// ctx itself and report exhaustion instead of issuing further ranges.
-func MapClaimedContext[T any](ctx context.Context, n, workers int, claim Claimer, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
 	results := make([]T, n)
 	errs := make([]error, n)
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
+	var next atomic.Int64 // the shared claim counter
 	body := func() {
 		for {
-			start, end, ok := claim.Next()
-			if !ok {
+			end := int(next.Add(int64(chunk)))
+			start := end - chunk
+			if start >= n {
 				return
 			}
-			for i := start; i < end; i++ {
+			for i := start; i < min(end, n); i++ {
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					continue
@@ -215,10 +162,9 @@ type Outcome struct {
 	Seed   uint64
 	Result *engine.Result
 	Err    error
-	// Skipped reports that the run was excluded by Options.SkipIndices:
-	// nothing executed, Result and Err are nil, and the caller is
-	// expected to fill the slot from its own records (see sweep resume
-	// in internal/simsrv).
+	// Skipped reports that Options.Only excluded the run: nothing
+	// executed, Result and Err are nil, and the caller fills the slot
+	// from its own records or leaves it to another worker.
 	Skipped bool
 
 	index int // position in the sweep, for progress streaming
@@ -251,21 +197,19 @@ type Options struct {
 	// ProgressEvery is the event stride between Progress calls
 	// (0 means the engine default).
 	ProgressEvery uint64
-	// SkipIndices marks runs to leave unexecuted — the sweep-resume
-	// hook. A skipped index gets an Outcome with Skipped set and no
-	// Result; its trace and estimator are not materialized (unless a
-	// non-skipped sibling shares them), and none of the run callbacks
-	// fire for it. Because per-run seeds derive only from (BaseSeed,
-	// index), re-running just the missing indices of an interrupted
-	// sweep produces results identical to the uninterrupted run.
-	SkipIndices map[int]bool
-	// Completed, when non-nil, is called with the run's index after a
-	// run finishes without error and its outcome slot is fully written
-	// (after OnRunDone). Checkpointing sweeps persist the index durably
-	// here, so a later resume can pass it in SkipIndices. Called
-	// concurrently from worker goroutines; must not block for long.
-	Completed func(index int)
+	// Only, when non-nil, restricts the sweep to the indices it maps to
+	// true — the resume and remote-claim hook. An excluded index gets an
+	// Outcome with Skipped set and no Result; its trace and estimator
+	// are not materialized (unless an included sibling shares them), and
+	// none of the run callbacks fire for it. Because per-run seeds derive
+	// only from (BaseSeed, index), running just the missing indices of
+	// an interrupted sweep produces results identical to the
+	// uninterrupted run.
+	Only map[int]bool
 }
+
+// skipped reports whether Only excludes index i.
+func (o Options) skipped(i int) bool { return o.Only != nil && !o.Only[i] }
 
 // traceKey identifies a materialized trace: workloads are comparable
 // value types, so identical (seed, workload) pairs share one trace.
@@ -330,7 +274,7 @@ func ScenariosContext(ctx context.Context, runs []Run, opt Options) []Outcome {
 	var traceOrder []traceKey
 	traceIdx := make(map[traceKey]int, n)
 	for i, r := range runs {
-		if r.Trace != nil || opt.SkipIndices[i] {
+		if r.Trace != nil || opt.skipped(i) {
 			continue
 		}
 		k := traceKey{seed: seeds[i], w: r.Scenario.Workload}
@@ -350,7 +294,7 @@ func ScenariosContext(ctx context.Context, runs []Run, opt Options) []Outcome {
 	var estOrder []estKey
 	estIdx := make(map[estKey]int, n)
 	for i, r := range runs {
-		if opt.SkipIndices[i] || !wantsSharedEstimator(r) {
+		if opt.skipped(i) || !wantsSharedEstimator(r) {
 			continue
 		}
 		k := estKey{
@@ -364,7 +308,7 @@ func ScenariosContext(ctx context.Context, runs []Run, opt Options) []Outcome {
 	}
 	estLimits := make([][]float64, len(estOrder))
 	for i, r := range runs {
-		if opt.SkipIndices[i] || !wantsSharedEstimator(r) {
+		if opt.skipped(i) || !wantsSharedEstimator(r) {
 			continue
 		}
 		k := estKey{
@@ -384,7 +328,7 @@ func ScenariosContext(ctx context.Context, runs []Run, opt Options) []Outcome {
 
 	// Phase 3: fan the engine runs across the pool, batched per worker.
 	MapChunkedContext(ctx, n, opt.Workers, opt.Batch, func(i int) (struct{}, error) {
-		if opt.SkipIndices[i] {
+		if opt.skipped(i) {
 			outs[i].Skipped = true
 			return struct{}{}, nil
 		}
@@ -395,16 +339,13 @@ func ScenariosContext(ctx context.Context, runs []Run, opt Options) []Outcome {
 		if opt.OnRunDone != nil {
 			opt.OnRunDone(i, outs[i])
 		}
-		if outs[i].Err == nil && opt.Completed != nil {
-			opt.Completed(i)
-		}
 		return struct{}{}, nil
 	})
 	// Runs the pool never reached (cancellation) still owe an outcome;
 	// skipped runs owe nothing — their slots stay empty by design.
 	if err := ctx.Err(); err != nil {
 		for i := range outs {
-			if opt.SkipIndices[i] {
+			if opt.skipped(i) {
 				outs[i].Skipped = true // cancellation may beat the pool to the slot
 				continue
 			}

@@ -89,10 +89,10 @@ func TestRunKeyMatchesSweepSeeds(t *testing.T) {
 	}
 }
 
-// TestSweepOnlyIndicesPartition is the remote-claim seam: executing a
-// sweep as disjoint OnlyIndices partitions must produce, slot for slot,
-// exactly the serialized outcomes of the full sweep — with every
-// out-of-partition slot skipped, not erred.
+// TestSweepOnlyIndicesPartition is the resume and remote-claim seam:
+// executing a sweep as disjoint OnlyIndices partitions must produce,
+// slot for slot, exactly the serialized outcomes of the full sweep —
+// with every out-of-partition slot skipped, not erred.
 func TestSweepOnlyIndicesPartition(t *testing.T) {
 	mk := func() []sim.Run {
 		runs := make([]sim.Run, 6)
@@ -144,13 +144,5 @@ func TestSweepOnlyIndicesPartition(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("partitioned sweep outcomes diverge from the full sweep")
-	}
-
-	// The two index filters cannot be combined.
-	bad := opts
-	bad.OnlyIndices = []int{0}
-	bad.SkipIndices = []int{1}
-	if _, err := sim.RunSweep(context.Background(), mk(), bad); err == nil {
-		t.Fatal("SkipIndices+OnlyIndices accepted together")
 	}
 }

@@ -34,10 +34,9 @@ type Outcome struct {
 	Seed   uint64
 	Result *Result
 	Err    error
-	// Skipped reports that the run was excluded via
-	// SweepOptions.SkipIndices: nothing executed and Result is nil. The
-	// caller resumes an interrupted sweep by filling skipped slots from
-	// its own persisted results.
+	// Skipped reports that the run was outside SweepOptions.OnlyIndices:
+	// nothing executed and Result is nil. The caller fills skipped slots
+	// from its own persisted results or leaves them to another worker.
 	Skipped bool
 }
 
@@ -132,25 +131,15 @@ type SweepOptions struct {
 	// 0 falls back to the first WithProgressEvery among the runs, then
 	// to the engine default.
 	ProgressEvery uint64
-	// SkipIndices lists run indices to leave unexecuted — the sweep
-	// resume hook. Skipped runs get an Outcome with Skipped set, no
-	// Result, no Observer events, and their traces are not
-	// materialized. Seeds derive only from (BaseSeed, index), so
-	// re-running exactly the missing indices of an interrupted sweep
-	// reproduces the uninterrupted results bit-for-bit.
-	SkipIndices []int
-	// OnlyIndices restricts the sweep to exactly the listed run
-	// indices, skipping every other slot — the remote-claim hook: a
-	// worker that has leased an index range executes just those indices
-	// while seeds, traces, and results stay addressed by position in
-	// the full sweep. Mutually exclusive with SkipIndices.
+	// OnlyIndices, when non-empty, restricts the sweep to exactly the
+	// listed run indices and skips every other slot — the resume and
+	// remote-claim hook. Seeds, traces, and results stay addressed by
+	// position in the full sweep, and skipped runs get an Outcome with
+	// Skipped set, no Result, and no Observer events. Seeds derive only
+	// from (BaseSeed, index), so running exactly the missing indices of
+	// an interrupted sweep reproduces the uninterrupted results
+	// bit-for-bit. An empty list means no filter.
 	OnlyIndices []int
-	// Completed, when non-nil, is called with a run's index after that
-	// run finishes without error and RunFinished has been delivered.
-	// Checkpointing callers persist the index durably here and pass it
-	// back via SkipIndices on resume. Called concurrently from worker
-	// goroutines; must not block for long.
-	Completed func(index int)
 }
 
 // RunSweep executes the runs across a deterministic worker pool:
@@ -198,31 +187,11 @@ func RunSweep(ctx context.Context, runs []Run, opts SweepOptions) ([]Outcome, er
 		BaseSeed:    opts.BaseSeed,
 		DefaultJobs: opts.DefaultJobs,
 		Workers:     opts.Workers,
-		Completed:   opts.Completed,
-	}
-	if len(opts.SkipIndices) > 0 && len(opts.OnlyIndices) > 0 {
-		return nil, fmt.Errorf("sim: RunSweep: SkipIndices and OnlyIndices are mutually exclusive")
-	}
-	if len(opts.SkipIndices) > 0 {
-		sopts.SkipIndices = make(map[int]bool, len(opts.SkipIndices))
-		for _, i := range opts.SkipIndices {
-			if i >= 0 && i < n {
-				sopts.SkipIndices[i] = true
-			}
-		}
 	}
 	if len(opts.OnlyIndices) > 0 {
-		only := make(map[int]bool, len(opts.OnlyIndices))
+		sopts.Only = make(map[int]bool, len(opts.OnlyIndices))
 		for _, i := range opts.OnlyIndices {
-			if i >= 0 && i < n {
-				only[i] = true
-			}
-		}
-		sopts.SkipIndices = make(map[int]bool, n-len(only))
-		for i := 0; i < n; i++ {
-			if !only[i] {
-				sopts.SkipIndices[i] = true
-			}
+			sopts.Only[i] = true
 		}
 	}
 	outs := make([]Outcome, n)
