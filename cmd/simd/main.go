@@ -98,6 +98,9 @@ func run(addr, storeDir string, jobs, sweepWorkers int, drainTimeout, lease time
 	if err := srv.Drain(ctx); err != nil {
 		return err
 	}
+	if err := store.Close(); err != nil {
+		return err
+	}
 	log.Printf("drained cleanly; interrupted jobs are requeued and resume on restart")
 	return nil
 }

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -46,13 +47,13 @@ func TestEndToEndPipeline(t *testing.T) {
 	est := trace.BuildEstimator(reloaded, trace.DefaultLengthLimits)
 	replay := reloaded.BatchJobs()
 
-	f3, err := engine.RunWithEstimator(engine.Config{
+	f3, err := engine.RunWithEstimatorContext(context.Background(), engine.Config{
 		Seed: 777, Policy: core.MNOFPolicy{},
 	}, replay, est)
 	if err != nil {
 		t.Fatal(err)
 	}
-	young, err := engine.RunWithEstimator(engine.Config{
+	young, err := engine.RunWithEstimatorContext(context.Background(), engine.Config{
 		Seed: 777, Policy: core.YoungPolicy{},
 	}, replay, est)
 	if err != nil {
@@ -108,7 +109,7 @@ func TestWorkloadPredictionPipeline(t *testing.T) {
 	}
 
 	est := trace.BuildEstimator(applyTrace, trace.DefaultLengthLimits)
-	res, err := engine.RunWithEstimator(engine.Config{
+	res, err := engine.RunWithEstimatorContext(context.Background(), engine.Config{
 		Seed: 200, Policy: core.MNOFPolicy{}, Predictor: parser,
 	}, applyTrace.BatchJobs(), est)
 	if err != nil {

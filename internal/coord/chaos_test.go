@@ -54,6 +54,7 @@ func startServer(t *testing.T, lease time.Duration) *testServer {
 		defer cancel()
 		srv.Drain(ctx)
 		ts.Close()
+		store.Close()
 	})
 	return &testServer{store: store, srv: srv, ts: ts}
 }

@@ -5,7 +5,7 @@
 // A sweep of n runs is index-addressed — per-run seeds derive only from
 // (base seed, index) — so distributing it is purely a question of who
 // executes which indices. The Ledger generalizes the in-process chunked
-// claim counter (sweep.MapChunkedContext) to remote claims: a worker
+// claim counter (sweep.MapContext) to remote claims: a worker
 // leases a contiguous range [start, end) for a bounded time, renews the
 // lease while it computes, publishes each run's result bytes into the
 // content-addressed cache as it finishes, and finally completes the

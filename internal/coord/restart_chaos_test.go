@@ -45,11 +45,16 @@ func openServer(t *testing.T, dir string, cfg simsrv.Config) (*jobstore.Store, *
 	return store, srv
 }
 
-func drainServer(t *testing.T, srv *simsrv.Server) {
+// drainServer drains srv and then closes its store, releasing the
+// store directory for a restart.
+func drainServer(t *testing.T, store *jobstore.Store, srv *simsrv.Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,7 +183,7 @@ func TestCoordinatorRestartPreservesFencesAndLeases(t *testing.T) {
 	dir := t.TempDir()
 	const lease = 1500 * time.Millisecond
 
-	_, srv1 := openServer(t, dir, simsrv.Config{Workers: 1, SweepWorkers: 1, Lease: lease})
+	store1, srv1 := openServer(t, dir, simsrv.Config{Workers: 1, SweepWorkers: 1, Lease: lease})
 	var swap swapHandler
 	swap.Set(srv1.Handler())
 	ts := httptest.NewServer(&swap)
@@ -214,9 +219,9 @@ func TestCoordinatorRestartPreservesFencesAndLeases(t *testing.T) {
 	// requests now answer 503 "warming up") and reopen over the same
 	// store. The new coordinator replays the claim ledger's WAL.
 	waitRunsRecorded(t, ts.URL, id, 2)
-	drainServer(t, srv1)
+	drainServer(t, store1, srv1)
 	store2, srv2 := openServer(t, dir, simsrv.Config{Workers: 1, SweepWorkers: 1, Lease: lease})
-	defer drainServer(t, srv2)
+	defer drainServer(t, store2, srv2)
 	swap.Set(srv2.Handler())
 
 	// The pre-restart zombie must still be fenced by the replayed
@@ -344,7 +349,7 @@ func TestFlakyTransportChaosMatrix(t *testing.T) {
 				Lease:       800 * time.Millisecond,
 				MaxAttempts: 100,
 			})
-			defer drainServer(t, srv)
+			defer drainServer(t, store, srv)
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			id := submitTo(t, ts.URL, chaosSpec)
@@ -394,7 +399,7 @@ func TestPoisonedRunQuarantinesLoudly(t *testing.T) {
 		Lease:       250 * time.Millisecond,
 		MaxAttempts: 2,
 	})
-	defer drainServer(t, srv)
+	defer drainServer(t, store, srv)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	id := submitTo(t, ts.URL, chaosSpec)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestRunAllocBudget(t *testing.T) {
 
 	var events uint64
 	allocs := testing.AllocsPerRun(3, func() {
-		res, err := RunWithEstimator(cfg, replay, est)
+		res, err := RunWithEstimatorContext(context.Background(), cfg, replay, est)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestRunBytesAndPeakHeapBudget(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := RunWithEstimator(cfg, replay, est)
+	res, err := RunWithEstimatorContext(context.Background(), cfg, replay, est)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestNonBlockingAllocBudget(t *testing.T) {
 
 	var events uint64
 	allocs := testing.AllocsPerRun(3, func() {
-		res, err := RunWithEstimator(cfg, replay, est)
+		res, err := RunWithEstimatorContext(context.Background(), cfg, replay, est)
 		if err != nil {
 			t.Fatal(err)
 		}

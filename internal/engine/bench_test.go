@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -43,7 +44,7 @@ func benchRunGen(b *testing.B, gen trace.GenConfig) {
 	b.ResetTimer()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		res, err := RunWithEstimator(cfg, replay, est)
+		res, err := RunWithEstimatorContext(context.Background(), cfg, replay, est)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestDispatchSaturatedAllocBudget(t *testing.T) {
 
 	var events uint64
 	allocs := testing.AllocsPerRun(3, func() {
-		res, err := RunWithEstimator(cfg, replay, est)
+		res, err := RunWithEstimatorContext(context.Background(), cfg, replay, est)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,18 +158,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Run executes the trace under the configuration and returns per-job
-// results. The estimator, when EstimatePriority is selected, is built
-// from the same trace's failure history (the paper estimates MNOF/MTBF
-// from the trace it replays).
-func Run(cfg Config, tr *trace.Trace) (*Result, error) {
-	return RunContext(context.Background(), cfg, tr)
-}
-
-// RunContext is Run with cooperative cancellation: the event loop polls
-// ctx between event chunks and returns ctx.Err() (with a nil Result) as
-// soon as the context is done. The simulation runs entirely on the
-// calling goroutine, so cancellation leaks nothing.
+// RunContext executes the trace under the configuration and returns
+// per-job results. The estimator, when EstimatePriority is selected, is
+// built from the same trace's failure history (the paper estimates
+// MNOF/MTBF from the trace it replays).
+//
+// Cancellation is cooperative: the event loop polls ctx between event
+// chunks and returns ctx.Err() (with a nil Result) as soon as the
+// context is done. The simulation runs entirely on the calling
+// goroutine, so cancellation leaks nothing.
 func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Policy == nil {
@@ -186,14 +183,9 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 	return runWithEstimator(ctx, cfg, tr, est)
 }
 
-// RunWithEstimator is Run with a caller-provided history estimator,
-// allowing history to come from a different (training) trace.
-func RunWithEstimator(cfg Config, tr *trace.Trace, est *core.HistoryEstimator) (*Result, error) {
-	return RunWithEstimatorContext(context.Background(), cfg, tr, est)
-}
-
-// RunWithEstimatorContext is RunWithEstimator with cooperative
-// cancellation (see RunContext).
+// RunWithEstimatorContext is RunContext with a caller-provided history
+// estimator, allowing history to come from a different (training) trace
+// or to be shared across runs.
 func RunWithEstimatorContext(ctx context.Context, cfg Config, tr *trace.Trace, est *core.HistoryEstimator) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Policy == nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,7 +25,7 @@ func smallTrace(t *testing.T, seed uint64, jobs int) *trace.Trace {
 
 func mustRun(t *testing.T, cfg Config, tr *trace.Trace) *Result {
 	t.Helper()
-	res, err := Run(cfg, tr)
+	res, err := RunContext(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestNFSBackendRuns(t *testing.T) {
 
 func TestRunRejectsMissingPolicy(t *testing.T) {
 	tr := smallTrace(t, 11, 5)
-	if _, err := Run(Config{}, tr); err == nil {
+	if _, err := RunContext(context.Background(), Config{}, tr); err == nil {
 		t.Fatal("missing policy accepted")
 	}
 }
@@ -353,7 +354,7 @@ func TestFiltersAndAggregates(t *testing.T) {
 
 func TestMaxSimSecondsGuard(t *testing.T) {
 	tr := smallTrace(t, 15, 50)
-	if _, err := Run(Config{Seed: 15, Policy: core.MNOFPolicy{}, MaxSimSeconds: 1}, tr); err == nil {
+	if _, err := RunContext(context.Background(), Config{Seed: 15, Policy: core.MNOFPolicy{}, MaxSimSeconds: 1}, tr); err == nil {
 		t.Fatal("1-second budget should abort a 50-job run")
 	}
 }

@@ -90,7 +90,7 @@ func AblationStorage(o Opts) (*AblationStorageResult, error) {
 	runs := make([]sweep.Run, 0, len(modes))
 	for _, m := range modes {
 		runs = append(runs, pinned(o, scenario.Scenario{
-			Name: m.name, Workload: w, Policy: "formula3", Storage: m.mode,
+			Name: m.name, Workload: w, Policy: "formula3", Engine: engine.Config{Mode: m.mode},
 		}))
 	}
 	results, err := runSweep(o, runs)

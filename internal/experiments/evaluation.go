@@ -528,7 +528,7 @@ type Fig14Result struct {
 func Fig14(o Opts) (*Fig14Result, error) {
 	w := scenario.Workload{Jobs: o.jobs(1500), PriorityChangeFraction: 1.0}
 	results, err := runSweep(o, []sweep.Run{
-		pinned(o, scenario.Scenario{Name: "dynamic", Workload: w, Policy: "formula3", Dynamic: true}),
+		pinned(o, scenario.Scenario{Name: "dynamic", Workload: w, Policy: "formula3", Engine: engine.Config{Dynamic: true}}),
 		pinned(o, scenario.Scenario{Name: "static", Workload: w, Policy: "formula3"}),
 	})
 	if err != nil {
@@ -603,9 +603,9 @@ func Table6(o Opts) (*Table6Result, error) {
 	w := scenario.Workload{Jobs: o.jobs(2000)}
 	results, err := runSweep(o, []sweep.Run{
 		pinned(o, scenario.Scenario{Name: "oracle-formula3", Workload: w, Policy: "formula3",
-			Estimates: engine.EstimateOracle}),
+			Engine: engine.Config{Estimates: engine.EstimateOracle}}),
 		pinned(o, scenario.Scenario{Name: "oracle-young", Workload: w, Policy: "young",
-			Estimates: engine.EstimateOracle}),
+			Engine: engine.Config{Estimates: engine.EstimateOracle}}),
 	})
 	if err != nil {
 		return nil, err

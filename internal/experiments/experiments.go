@@ -135,10 +135,15 @@ func Run(id string, o Opts) (fmt.Stringer, error) {
 // runSweep executes scenario runs through the sweep worker pool sized
 // by Opts.Parallel and unwraps the results in run order.
 func runSweep(o Opts, runs []sweep.Run) ([]*engine.Result, error) {
-	return sweep.Results(sweep.ScenariosContext(o.ctx(), runs, sweep.Options{
-		BaseSeed: o.Seed,
-		Workers:  o.Parallel,
-	}))
+	outs, err := sweep.ScenariosContext(o.ctx(), runs, sweep.Options{Workers: o.Parallel})
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*engine.Result, len(outs))
+	for i, out := range outs {
+		results[i] = out.Result
+	}
+	return results, nil
 }
 
 // pinned wraps a scenario into a sweep run that replays the
@@ -146,7 +151,7 @@ func runSweep(o Opts, runs []sweep.Run) ([]*engine.Result, error) {
 // identical trace and failure processes — the paper's paired-comparison
 // methodology.
 func pinned(o Opts, sc scenario.Scenario) sweep.Run {
-	return sweep.Pin(sc, o.Seed)
+	return sweep.Run{Scenario: sc, Seed: o.Seed}
 }
 
 // runBothFormulas executes the same workload under Formula 3 and
@@ -165,8 +170,8 @@ func runBothFormulas(o Opts, w scenario.Workload, limits []float64) (f3, young *
 		limits = trace.DefaultLengthLimits
 	}
 	results, err := runSweep(o, []sweep.Run{
-		pinned(o, scenario.Scenario{Name: "formula3", Workload: w, Policy: "formula3", Limits: limits}),
-		pinned(o, scenario.Scenario{Name: "young", Workload: w, Policy: "young", Limits: limits}),
+		pinned(o, scenario.Scenario{Name: "formula3", Workload: w, Policy: "formula3", Engine: engine.Config{Limits: limits}}),
+		pinned(o, scenario.Scenario{Name: "young", Workload: w, Policy: "young", Engine: engine.Config{Limits: limits}}),
 	})
 	if err != nil {
 		return nil, nil, err

@@ -39,11 +39,11 @@ func AblationHostFailures(o Opts) (*AblationHostFailuresResult, error) {
 		runs = append(runs,
 			pinned(o, scenario.Scenario{
 				Name:     fmt.Sprintf("formula3/host-mtbf=%g", mtbf),
-				Workload: w, Policy: "formula3", HostMTBF: mtbf,
+				Workload: w, Policy: "formula3", Engine: engine.Config{HostMTBF: mtbf},
 			}),
 			pinned(o, scenario.Scenario{
 				Name:     fmt.Sprintf("none/host-mtbf=%g", mtbf),
-				Workload: w, Policy: "none", HostMTBF: mtbf,
+				Workload: w, Policy: "none", Engine: engine.Config{HostMTBF: mtbf},
 			}))
 	}
 	results, err := runSweep(o, runs)

@@ -29,7 +29,7 @@ func AblationNonBlocking(o Opts) (*AblationNonBlockingResult, error) {
 	results, err := runSweep(o, []sweep.Run{
 		pinned(o, scenario.Scenario{Name: "blocking", Workload: w, Policy: "formula3"}),
 		pinned(o, scenario.Scenario{Name: "non-blocking", Workload: w, Policy: "formula3",
-			NonBlocking: true}),
+			Engine: engine.Config{NonBlockingCheckpoints: true}}),
 	})
 	if err != nil {
 		return nil, err

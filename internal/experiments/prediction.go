@@ -63,11 +63,11 @@ func AblationPrediction(o Opts) (*AblationPredictionResult, error) {
 		runs = append(runs,
 			pinned(o, scenario.Scenario{
 				Name:     fmt.Sprintf("formula3/%s", p.Name()),
-				Workload: w, Policy: "formula3", Predictor: p,
+				Workload: w, Policy: "formula3", Engine: engine.Config{Predictor: p},
 			}),
 			pinned(o, scenario.Scenario{
 				Name:     fmt.Sprintf("young/%s", p.Name()),
-				Workload: w, Policy: "young", Predictor: p,
+				Workload: w, Policy: "young", Engine: engine.Config{Predictor: p},
 			}))
 	}
 	results, err := runSweep(o, runs)

@@ -19,6 +19,10 @@
 // indices are the sweep checkpoint: per-run seeds derive only from
 // (base seed, index), so a job requeued mid-sweep resumes by re-running
 // exactly the missing indices.
+//
+// A store has one writer: an open Store holds an exclusive flock on the
+// directory's LOCK file, so a second Store or simd process over the same
+// directory fails at Open instead of interleaving appends.
 package jobstore
 
 import (
@@ -31,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/durable"
@@ -118,10 +123,12 @@ type job struct {
 	runs   map[int]string
 }
 
-// Store is a durable job collection rooted at one directory. All
-// methods are safe for concurrent use.
+// Store is a durable job collection rooted at one directory, and that
+// directory's only writer: it holds an exclusive lock on <dir>/LOCK
+// from Open until Close. All methods are safe for concurrent use.
 type Store struct {
 	dir    string
+	lock   *os.File
 	mu     sync.Mutex
 	jobs   map[string]*job
 	order  []string
@@ -132,15 +139,40 @@ type Store struct {
 // log and run records. Truncated trailing lines — the signature of a
 // crash mid-append — are discarded; the job resumes from its last fully
 // written event.
+//
+// Open first takes an exclusive, non-blocking flock on <dir>/LOCK, so a
+// second Open of the same directory — from this process or another —
+// fails until the first store is closed or its process exits.
 func Open(dir string) (*Store, error) {
 	jobsDir := filepath.Join(dir, "jobs")
 	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	s := &Store{dir: dir, jobs: make(map[string]*job)}
-	entries, err := os.ReadDir(jobsDir)
+	lock, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
+	}
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		lock.Close()
+		return nil, fmt.Errorf("jobstore: %s is held by another open store: %w", dir, err)
+	}
+	s := &Store{dir: dir, lock: lock, jobs: make(map[string]*job)}
+	if err := s.load(jobsDir); err != nil {
+		lock.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// Close releases the directory lock. The store must not be written
+// after Close.
+func (s *Store) Close() error { return s.lock.Close() }
+
+// load replays every job directory under jobsDir in creation order.
+func (s *Store) load(jobsDir string) error {
+	entries, err := os.ReadDir(jobsDir)
+	if err != nil {
+		return fmt.Errorf("jobstore: %w", err)
 	}
 	var ids []string
 	for _, e := range entries {
@@ -152,7 +184,7 @@ func Open(dir string) (*Store, error) {
 	for _, id := range ids {
 		j, err := s.replay(id)
 		if err != nil {
-			return nil, fmt.Errorf("jobstore: replaying %s: %w", id, err)
+			return fmt.Errorf("jobstore: replaying %s: %w", id, err)
 		}
 		s.jobs[id] = j
 		s.order = append(s.order, id)
@@ -160,7 +192,7 @@ func Open(dir string) (*Store, error) {
 			s.nextID = n + 1
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Dir returns the store's root directory.

@@ -47,6 +47,9 @@ func TestLifecycleAndReplay(t *testing.T) {
 	}
 
 	// Reopen: everything must replay identically.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +149,7 @@ func TestCrashRecoveryTruncatedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	s.Close()
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen after torn writes: %v", err)
@@ -204,6 +208,7 @@ func TestAppendAfterTornTailStaysClean(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	s.Close()
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +217,7 @@ func TestAppendAfterTornTailStaysClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The restart after the restart: the log must still replay cleanly.
+	s2.Close()
 	s3, err := Open(dir)
 	if err != nil {
 		t.Fatalf("second reopen after post-torn append: %v", err)
@@ -250,8 +256,13 @@ func TestMidFileCorruptionFails(t *testing.T) {
 	if err := os.WriteFile(logPath, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Error("mid-file corruption replayed silently")
+	s.Close()
+	// Twice: a failed Open must release the lock it took, so the second
+	// attempt fails on the corruption again, not on the lock.
+	for i := 0; i < 2; i++ {
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "replaying") {
+			t.Errorf("open %d: want a replay error for mid-file corruption, got %v", i+1, err)
+		}
 	}
 }
 
@@ -353,6 +364,7 @@ func TestConcurrentRequeueAndDuplicatePublish(t *testing.T) {
 	// Exactly-once on disk: reopen and count one durable record per
 	// index, with the runs.ndjson line count matching (no duplicate
 	// appends hidden behind the in-memory dedup).
+	s.Close()
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -388,6 +400,7 @@ func TestIDsSurviveReopen(t *testing.T) {
 	if a.ID == b.ID {
 		t.Fatal("duplicate IDs")
 	}
+	s.Close()
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -405,5 +418,29 @@ func TestIDsSurviveReopen(t *testing.T) {
 			ids[i] = j.ID
 		}
 		t.Errorf("List order %v", ids)
+	}
+}
+
+// TestOpenLocksDirectory: a store is its directory's only writer. A
+// second Open fails, naming the directory, while the first store is
+// open, and succeeds once it is closed.
+func TestOpenLocksDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("second Open of a locked directory: %v, want an error naming %s", err, dir)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

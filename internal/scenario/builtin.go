@@ -31,7 +31,7 @@ func init() {
 			Name:        "oracle-f3",
 			Description: "Formula 3 fed each task's exact failure statistics (Table 6's precise prediction)",
 			Policy:      "formula3",
-			Estimates:   engine.EstimateOracle,
+			Engine:      engine.Config{Estimates: engine.EstimateOracle},
 		},
 		{
 			Name:        "short-tasks-f3",
@@ -43,7 +43,7 @@ func init() {
 			Name:        "priority-flip-dynamic",
 			Description: "every task flips priority mid-run; adaptive MNOF replanning (Figure 14 dynamic)",
 			Policy:      "formula3",
-			Dynamic:     true,
+			Engine:      engine.Config{Dynamic: true},
 			Workload:    Workload{PriorityChangeFraction: 1},
 		},
 		{
@@ -56,13 +56,13 @@ func init() {
 			Name:        "hostfail-storm",
 			Description: "a host crash every 300 s on average on top of task-level failures",
 			Policy:      "formula3",
-			HostMTBF:    300,
+			Engine:      engine.Config{HostMTBF: 300},
 		},
 		{
 			Name:        "nonblocking-f3",
 			Description: "Formula 3 with checkpoint writes overlapped in a separate thread (Algorithm 1 line 7)",
 			Policy:      "formula3",
-			NonBlocking: true,
+			Engine:      engine.Config{NonBlockingCheckpoints: true},
 		},
 		{
 			Name: "spot-market",
@@ -74,7 +74,7 @@ func init() {
 				MaxTaskLength:   2 * 3600,
 				ServiceFraction: -1,
 			},
-			HostMTBF: 1800,
+			Engine: engine.Config{HostMTBF: 1800},
 		},
 		{
 			Name: "mapreduce-burst",
@@ -118,7 +118,7 @@ func init() {
 				BoTFraction:   -1,
 				MinTaskLength: 3600,
 			},
-			Storage: engine.StorageShared,
+			Engine: engine.Config{Mode: engine.StorageShared},
 		},
 	} {
 		Register(s)

@@ -5,7 +5,7 @@
 // compiles down to the trace.GenConfig / engine.Config pair that
 // internal/sweep materializes and executes.
 //
-// The declarative form buys three things over hand-rolled engine.Run
+// The declarative form buys three things over hand-rolled engine
 // calls: experiments become sweeps over scenario lists (one code path,
 // arbitrary fan-out), the named registry opens workloads beyond the
 // paper's figures to the CLI and tests without new Go code at call

@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/failure"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -91,59 +89,17 @@ type Scenario struct {
 	// trace — the paper's sampled-job methodology.
 	ReplayAll bool
 	// Policy names the checkpoint policy: "formula3" (default),
-	// "young", "daly", "random", or "none". See PolicyByName.
+	// "young", "daly", "random", or "none". See PolicyByName. A
+	// non-nil Engine.Policy supersedes it.
 	Policy string
-	// Dynamic enables Algorithm 1's adaptive replanning on mid-run
-	// priority changes.
-	Dynamic bool
-	// Storage selects the checkpoint device rule.
-	Storage engine.StorageMode
-	// SharedKind selects the shared backend (default DM-NFS).
-	SharedKind storage.Kind
-	// Estimates selects the statistics source.
-	Estimates engine.EstimateMode
-	// Limits are the task-length limits for priority-based estimation;
-	// nil means trace.DefaultLengthLimits.
-	Limits []float64
-	// Hosts and HostMemMB size the cluster (0 keeps engine defaults).
-	Hosts     int
-	HostMemMB float64
-	// HostMTBF/HostRepair configure whole-host crashes (0 disables /
-	// default repair).
-	HostMTBF   float64
-	HostRepair float64
-	// DetectionDelay/ScheduleDelay override the liveness-polling and
-	// dispatch latencies when positive.
-	DetectionDelay float64
-	ScheduleDelay  float64
-	// NonBlocking writes checkpoints in a separate thread
-	// (Algorithm 1 line 7).
-	NonBlocking bool
-	// Predictor optionally supplies planned task lengths (the job
-	// parser). It is attached at runtime because predictors may need
-	// training; nil plans with exact lengths.
-	Predictor engine.Predictor
-	// MaxSimSeconds aborts runaway simulations; 0 means no limit.
-	MaxSimSeconds float64
-
-	// The remaining fields carry caller-supplied implementations into
-	// the engine — the extension points the public repro/sim package
-	// fronts. They are runtime values, not data: scenarios using them
-	// are not directly serializable or cache-comparable.
-
-	// CustomPolicy, when non-nil, supersedes the Policy name.
-	CustomPolicy core.Policy
-	// CustomEstimator, when non-nil, supersedes Estimates/Limits as the
-	// planner's statistics source.
-	CustomEstimator engine.TaskEstimator
-	// FailureModel, when non-nil, replaces the trace-driven failure
-	// processes (see engine.Config.FailureModel for the determinism
-	// contract).
-	FailureModel func(t *trace.Task) failure.Process
-	// LocalBackend / SharedBackend, when non-nil, replace the built-in
-	// checkpoint storage devices.
-	LocalBackend  storage.Backend
-	SharedBackend storage.Backend
+	// Engine holds every engine setting of the run (see engine.Config).
+	// Seed, Progress and ProgressEvery are per-run settings: EngineConfig
+	// sets Seed and the sweep sets the other two, so leave them zero
+	// here. The plug-in fields (Policy, Predictor, CustomEstimator,
+	// FailureModel and the storage backends) are runtime values, not
+	// data: scenarios using them are not directly serializable or
+	// cache-comparable.
+	Engine engine.Config
 }
 
 // PolicyByName resolves a scenario policy name to the core policy.
@@ -166,48 +122,28 @@ func PolicyByName(name string) (core.Policy, error) {
 }
 
 // EngineConfig compiles the scenario to an engine configuration for the
-// given seed. The trace itself is materialized separately (see
-// Workload.Materialize and internal/sweep) so several scenarios can
-// share one trace.
+// given seed: a copy of Engine with Seed set and, when Engine.Policy is
+// nil, the policy resolved from its name. The trace itself is
+// materialized separately (see Workload.Materialize and internal/sweep)
+// so several scenarios can share one trace.
 func (s Scenario) EngineConfig(seed uint64) (engine.Config, error) {
-	policy := s.CustomPolicy
-	if policy == nil {
+	cfg := s.Engine
+	cfg.Seed = seed
+	if cfg.Policy == nil {
 		var err error
-		policy, err = PolicyByName(s.Policy)
-		if err != nil {
+		if cfg.Policy, err = PolicyByName(s.Policy); err != nil {
 			return engine.Config{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 	}
-	return engine.Config{
-		Seed:                   seed,
-		Hosts:                  s.Hosts,
-		HostMemMB:              s.HostMemMB,
-		Policy:                 policy,
-		Dynamic:                s.Dynamic,
-		Mode:                   s.Storage,
-		SharedKind:             s.SharedKind,
-		Estimates:              s.Estimates,
-		Limits:                 s.Limits,
-		DetectionDelay:         s.DetectionDelay,
-		ScheduleDelay:          s.ScheduleDelay,
-		MaxSimSeconds:          s.MaxSimSeconds,
-		HostMTBF:               s.HostMTBF,
-		HostRepair:             s.HostRepair,
-		Predictor:              s.Predictor,
-		NonBlockingCheckpoints: s.NonBlocking,
-		CustomEstimator:        s.CustomEstimator,
-		FailureModel:           s.FailureModel,
-		LocalBackend:           s.LocalBackend,
-		SharedBackend:          s.SharedBackend,
-	}, nil
+	return cfg, nil
 }
 
 // EffectiveLimits returns the estimation limits the scenario runs with.
 func (s Scenario) EffectiveLimits() []float64 {
-	if s.Limits == nil {
+	if s.Engine.Limits == nil {
 		return trace.DefaultLengthLimits
 	}
-	return s.Limits
+	return s.Engine.Limits
 }
 
 // registry is the named scenario catalog. Guarded by a mutex so tests
@@ -224,7 +160,7 @@ func Register(s Scenario) {
 	if s.Name == "" {
 		panic("scenario: Register requires a name")
 	}
-	if s.CustomPolicy == nil {
+	if s.Engine.Policy == nil {
 		if _, err := PolicyByName(s.Policy); err != nil {
 			panic(err)
 		}

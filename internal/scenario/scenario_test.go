@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/trace"
 )
@@ -67,13 +68,16 @@ func TestPolicyByName(t *testing.T) {
 
 func TestEngineConfigCompiles(t *testing.T) {
 	s := Scenario{
-		Name:        "x",
-		Policy:      "young",
-		Dynamic:     true,
-		Storage:     engine.StorageShared,
-		HostMTBF:    500,
-		NonBlocking: true,
-		Hosts:       8,
+		Name:   "x",
+		Policy: "young",
+		Engine: engine.Config{
+			Seed:                   3, // overwritten per run
+			Dynamic:                true,
+			Mode:                   engine.StorageShared,
+			HostMTBF:               500,
+			NonBlockingCheckpoints: true,
+			Hosts:                  8,
+		},
 	}
 	cfg, err := s.EngineConfig(42)
 	if err != nil {
@@ -83,6 +87,14 @@ func TestEngineConfigCompiles(t *testing.T) {
 		cfg.Mode != engine.StorageShared || cfg.HostMTBF != 500 ||
 		!cfg.NonBlockingCheckpoints || cfg.Hosts != 8 {
 		t.Fatalf("config lost fields: %+v", cfg)
+	}
+	if s.Engine.Policy != nil || s.Engine.Seed != 3 {
+		t.Fatal("EngineConfig mutated the scenario")
+	}
+	// A plugged-in policy supersedes the name, even an unresolvable one.
+	s.Policy, s.Engine.Policy = "nope", core.DalyPolicy{}
+	if cfg, err := s.EngineConfig(1); err != nil || cfg.Policy.Name() != "Daly" {
+		t.Fatalf("Engine.Policy not used: %v, %v", cfg.Policy, err)
 	}
 	if _, err := (Scenario{Name: "bad", Policy: "nope"}).EngineConfig(1); err == nil {
 		t.Fatal("unresolvable policy accepted")

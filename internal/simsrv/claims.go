@@ -89,7 +89,7 @@ func (s *Server) handleWork(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req coord.ClaimRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding claim request: %v", err)
 		return
 	}
@@ -164,8 +164,9 @@ func (s *Server) handleClaimComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "completed"})
 }
 
-// handlePublishRun accepts one run's result bytes from the claim
-// holder. A zombie claim is fenced with 410 before anything is written;
+// handlePublishRun accepts one run's result document from the claim
+// holder. A body that is not JSON gets 400 and a zombie claim is fenced
+// with 410, both before anything is written;
 // then persist stores the bytes exactly as the local path does, and the
 // ledger completion comes last — a crash or lost lease between any two
 // steps heals on the next claim via the cache probe, and the checkpoint
@@ -184,8 +185,11 @@ func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading result: %v", err)
 		return
 	}
-	if len(data) == 0 || len(data) > maxResultBytes {
-		writeError(w, http.StatusBadRequest, "result document empty or over %d bytes", maxResultBytes)
+	// Only a JSON document may reach the cache: merge embeds the bytes
+	// verbatim, and a rejected document under the run's content address
+	// would fail every later job that shares it.
+	if len(data) > maxResultBytes || !json.Valid(data) {
+		writeError(w, http.StatusBadRequest, "result document is not JSON of at most %d bytes", maxResultBytes)
 		return
 	}
 	d, release := s.dist(id)
@@ -232,7 +236,7 @@ func (s *Server) handleRunFailed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req coord.FailRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding failure report: %v", err)
 		return
 	}

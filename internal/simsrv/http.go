@@ -79,9 +79,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// readJSON strictly decodes a request body into out.
-func readJSON(r *http.Request, out any) error {
-	dec := json.NewDecoder(r.Body)
+// maxRequestBytes bounds a JSON request body: a job spec, a claim
+// request or a failure report.
+const maxRequestBytes = 1 << 20
+
+// readJSON strictly decodes a request body of at most maxRequestBytes
+// into out.
+func readJSON(w http.ResponseWriter, r *http.Request, out any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	return dec.Decode(out)
 }
@@ -98,10 +103,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var sp sim.JobSpec
-	if err := dec.Decode(&sp); err != nil {
+	if err := readJSON(w, r, &sp); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding spec: %v", err)
 		return
 	}

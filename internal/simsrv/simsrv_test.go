@@ -23,21 +23,7 @@ func newTestServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Drain(ctx); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	})
-	return srv, ts
+	return newTestServerWithStore(t, store)
 }
 
 func submit(t *testing.T, ts *httptest.Server, spec string) JobView {
@@ -237,6 +223,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"scenario":"baseline-f3","policy":"bogus"}`,
 		`{"scenario":"baseline-f3","unknown_field":1}`,
 		`{"scenario":"baseline-f3","runs":1000000}`,
+		`{"scenario":"baseline-f3"` + strings.Repeat(" ", maxRequestBytes) + `}`, // valid, but over the body cap
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
 		if err != nil {
@@ -244,7 +231,7 @@ func TestSubmitValidation(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("spec %s: status %d, want 400", spec, resp.StatusCode)
+			t.Errorf("spec %.80s: status %d, want 400", spec, resp.StatusCode)
 		}
 	}
 }
@@ -334,7 +321,11 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 			j, _ := store.Get(v.ID)
 			t.Logf("interrupted with %d/6 runs complete in state %s", len(j.Runs), j.State)
 
-			// "Restart": a fresh store + server over the same directory.
+			// "Restart": a fresh store + server over the same directory,
+			// once the drained store has released it.
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
 			store2, err := jobstore.Open(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -356,6 +347,8 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// newTestServerWithStore assembles a started server over store; the
+// cleanup drains it and then closes the store.
 func newTestServerWithStore(t *testing.T, store *jobstore.Store) (*Server, *httptest.Server) {
 	t.Helper()
 	srv, err := New(Config{Store: store, Logf: t.Logf})
@@ -370,6 +363,9 @@ func newTestServerWithStore(t *testing.T, store *jobstore.Store) (*Server, *http
 		defer cancel()
 		if err := srv.Drain(ctx); err != nil {
 			t.Errorf("drain: %v", err)
+		}
+		if err := store.Close(); err != nil {
+			t.Errorf("closing store: %v", err)
 		}
 	})
 	return srv, ts

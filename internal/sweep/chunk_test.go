@@ -8,13 +8,16 @@ import (
 )
 
 // TestMapChunkedRunsEachIndexOnce hammers the shared claim counter
-// from many goroutines with a chunk that does not divide n: fn must run
-// exactly once on every index of [0, n).
+// from many goroutines at a size whose chunk does not divide n: fn must
+// run exactly once on every index of [0, n).
 func TestMapChunkedRunsEachIndexOnce(t *testing.T) {
-	const n, chunk, workers = 1000, 7, 8
+	const n, workers = 1000, 8
+	if chunk := autoChunk(n, workers); chunk <= 1 || n%chunk == 0 {
+		t.Fatalf("autoChunk(%d, %d) = %d: want a chunk above 1 that does not divide n", n, workers, chunk)
+	}
 	var mu sync.Mutex
 	ran := make([]int, n)
-	_, err := MapChunkedContext(context.Background(), n, workers, chunk, func(i int) (struct{}, error) {
+	_, err := MapContext(context.Background(), n, workers, func(i int) (struct{}, error) {
 		mu.Lock()
 		ran[i]++
 		mu.Unlock()
@@ -31,24 +34,30 @@ func TestMapChunkedRunsEachIndexOnce(t *testing.T) {
 }
 
 // TestMapChunkedIdenticalAcrossChunkAndWorkers is the batching
-// contract: chunk size and worker count change scheduling, never
-// outputs.
+// contract: the chunk size (which autoChunk derives from n and the
+// worker count) and the worker count change scheduling, never outputs.
 func TestMapChunkedIdenticalAcrossChunkAndWorkers(t *testing.T) {
-	const n = 101
 	fn := func(i int) (int, error) { return i*i + 3, nil }
-	want, err := Map(n, 1, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3, 8} {
-		for _, chunk := range []int{0, 1, 5, 64, 1000} {
-			got, err := MapChunkedContext(context.Background(), n, workers, chunk, fn)
+	chunks := map[int]bool{}
+	for _, n := range []int{101, 1000, 5000} {
+		want, err := MapContext(context.Background(), n, 1, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3, 8} {
+			chunks[autoChunk(n, workers)] = true
+			got, err := MapContext(context.Background(), n, workers, fn)
 			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d chunk=%d diverged from serial output", workers, chunk)
+				t.Fatalf("n=%d workers=%d (chunk %d) diverged from serial output", n, workers, autoChunk(n, workers))
 			}
 		}
+	}
+	// The sizes must reach single-index claims, multi-index chunks and
+	// the 64-index cap.
+	if !chunks[1] || !chunks[64] || len(chunks) < 4 {
+		t.Fatalf("chunk sizes exercised: %v", chunks)
 	}
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,19 +12,19 @@ import (
 // TestSkipIndicesExcludesRunsAndCallbacks checks the resume hook at the
 // scenario-sweep level: indices outside Options.Only execute nothing,
 // receive no callbacks, and are marked Skipped, while their siblings
-// behave as in an ordinary sweep.
+// compute exactly what they compute in the unfiltered sweep.
 func TestSkipIndicesExcludesRunsAndCallbacks(t *testing.T) {
 	sc := scenario.Scenario{Name: "skip", Workload: scenario.Workload{Jobs: 15}}
-	runs := []Run{{Scenario: sc}, {Scenario: sc}, {Scenario: sc}, {Scenario: sc}}
+	runs := []Run{{Scenario: sc, Seed: 11}, {Scenario: sc, Seed: 12}, {Scenario: sc, Seed: 13}, {Scenario: sc, Seed: 14}}
+	full := results(t, runs, Options{Workers: 2})
 
 	var mu sync.Mutex
 	started := map[int]bool{}
 	done := map[int]bool{}
-	outs := ScenariosContext(context.Background(), runs, Options{
-		BaseSeed: 11,
-		Workers:  2,
-		Only:     map[int]bool{0: true, 2: true},
-		OnRunStart: func(i int, _ string, _ uint64) {
+	outs, err := ScenariosContext(context.Background(), runs, Options{
+		Workers: 2,
+		Only:    map[int]bool{0: true, 2: true},
+		OnRunStart: func(i int) {
 			mu.Lock()
 			started[i] = true
 			mu.Unlock()
@@ -34,6 +35,9 @@ func TestSkipIndicesExcludesRunsAndCallbacks(t *testing.T) {
 			mu.Unlock()
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for i, out := range outs {
 		skip := i == 1 || i == 3
@@ -52,18 +56,11 @@ func TestSkipIndicesExcludesRunsAndCallbacks(t *testing.T) {
 		if out.Err != nil {
 			t.Fatalf("run %d: %v", i, out.Err)
 		}
-		if out.Result == nil {
-			t.Fatalf("run %d: no result", i)
+		if !reflect.DeepEqual(fingerprint(out.Result), fingerprint(full[i])) {
+			t.Errorf("run %d: result differs from the unfiltered sweep", i)
 		}
 		if !started[i] || !done[i] {
 			t.Errorf("run %d: missing callbacks (start %v, done %v)", i, started[i], done[i])
-		}
-	}
-
-	// Seeds must be assigned by index regardless of skips.
-	for i, out := range outs {
-		if out.Seed != DeriveSeed(11, i) {
-			t.Errorf("run %d: seed %d, want %d", i, out.Seed, DeriveSeed(11, i))
 		}
 	}
 }
@@ -72,10 +69,13 @@ func TestSkipIndicesExcludesRunsAndCallbacks(t *testing.T) {
 // and nothing executes.
 func TestSkipAllIndices(t *testing.T) {
 	sc := scenario.Scenario{Name: "skip-all", Workload: scenario.Workload{Jobs: 10}}
-	outs := ScenariosContext(context.Background(), []Run{{Scenario: sc}, {Scenario: sc}}, Options{
+	outs, err := ScenariosContext(context.Background(), []Run{{Scenario: sc}, {Scenario: sc}}, Options{
 		Only:      map[int]bool{},
 		OnRunDone: func(i int, _ Outcome) { t.Errorf("OnRunDone(%d) fired", i) },
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, out := range outs {
 		if !out.Skipped || out.Result != nil || out.Err != nil {
 			t.Errorf("run %d: not cleanly skipped", i)

@@ -1,17 +1,21 @@
 package sweep
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 func TestMapOrderAndErrors(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
-		vals, err := Map(10, workers, func(i int) (int, error) {
+		vals, err := MapContext(context.Background(), 10, workers, func(i int) (int, error) {
 			if i == 4 {
 				return 0, fmt.Errorf("boom at %d", i)
 			}
@@ -33,26 +37,9 @@ func TestMapOrderAndErrors(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	vals, err := Map(0, 4, func(i int) (int, error) { return 1, nil })
+	vals, err := MapContext(context.Background(), 0, 4, func(i int) (int, error) { return 1, nil })
 	if err != nil || vals != nil {
 		t.Fatalf("empty map: %v, %v", vals, err)
-	}
-}
-
-func TestDeriveSeedDeterministicAndDistinct(t *testing.T) {
-	seen := make(map[uint64]int)
-	for i := 0; i < 1000; i++ {
-		s := DeriveSeed(42, i)
-		if s != DeriveSeed(42, i) {
-			t.Fatal("DeriveSeed not deterministic")
-		}
-		if j, dup := seen[s]; dup {
-			t.Fatalf("seed collision between indices %d and %d", j, i)
-		}
-		seen[s] = i
-	}
-	if DeriveSeed(1, 0) == DeriveSeed(2, 0) {
-		t.Fatal("base seed ignored")
 	}
 }
 
@@ -76,92 +63,118 @@ func fingerprint(r *engine.Result) []string {
 // with 1 worker and with N workers yields identical engine.Results.
 func TestScenariosSerialParallelIdentical(t *testing.T) {
 	runs := []Run{
-		// A pinned-seed pair sharing one trace (the paired-comparison
+		// A same-seed pair sharing one trace (the paired-comparison
 		// shape used by the figures)...
-		Pin(scenario.Scenario{Name: "f3", Policy: "formula3", Workload: scenario.Workload{Jobs: 300}}, 7),
-		Pin(scenario.Scenario{Name: "young", Policy: "young", Workload: scenario.Workload{Jobs: 300}}, 7),
-		// ...plus derived-seed runs over distinct workloads and modes.
-		{Scenario: scenario.Scenario{Name: "flip", Policy: "formula3", Dynamic: true,
-			Workload: scenario.Workload{Jobs: 200, PriorityChangeFraction: 1}}},
-		{Scenario: scenario.Scenario{Name: "oracle", Policy: "formula3", Estimates: engine.EstimateOracle,
-			Workload: scenario.Workload{Jobs: 200}}},
-		{Scenario: scenario.Scenario{Name: "crash", Policy: "none", HostMTBF: 2000,
-			Workload: scenario.Workload{Jobs: 150}}},
+		{Scenario: scenario.Scenario{Name: "f3", Policy: "formula3", Workload: scenario.Workload{Jobs: 300}}, Seed: 7},
+		{Scenario: scenario.Scenario{Name: "young", Policy: "young", Workload: scenario.Workload{Jobs: 300}}, Seed: 7},
+		// ...plus runs over distinct seeds, workloads and modes.
+		{Scenario: scenario.Scenario{Name: "flip", Policy: "formula3", Engine: engine.Config{Dynamic: true},
+			Workload: scenario.Workload{Jobs: 200, PriorityChangeFraction: 1}}, Seed: 123},
+		{Scenario: scenario.Scenario{Name: "oracle", Policy: "formula3", Engine: engine.Config{Estimates: engine.EstimateOracle},
+			Workload: scenario.Workload{Jobs: 200}}, Seed: 124},
+		{Scenario: scenario.Scenario{Name: "crash", Policy: "none", Engine: engine.Config{HostMTBF: 2000},
+			Workload: scenario.Workload{Jobs: 150}}, Seed: 125},
 	}
-	opts := func(workers int) Options {
-		return Options{BaseSeed: 123, DefaultJobs: 200, Workers: workers}
+	sweepWith := func(workers int) []Outcome {
+		outs, err := ScenariosContext(context.Background(), runs, Options{DefaultJobs: 200, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return outs
 	}
-	serial := Scenarios(runs, opts(1))
+	serial := sweepWith(1)
+	// Shared materialization never hands a run another run's inputs:
+	// each run computes exactly what it computes swept alone.
+	for i, r := range runs {
+		alone := results(t, []Run{r}, Options{DefaultJobs: 200})
+		if !reflect.DeepEqual(fingerprint(serial[i].Result), fingerprint(alone[0])) {
+			t.Fatalf("run %s differs from the same run swept alone", r.Scenario.Name)
+		}
+	}
 	for _, workers := range []int{2, 8} {
-		parallel := Scenarios(runs, opts(workers))
+		parallel := sweepWith(workers)
 		if len(parallel) != len(serial) {
 			t.Fatalf("workers=%d: %d outcomes, want %d", workers, len(parallel), len(serial))
 		}
 		for i := range serial {
-			if serial[i].Err != nil || parallel[i].Err != nil {
-				t.Fatalf("run %s errored: %v / %v", serial[i].Name, serial[i].Err, parallel[i].Err)
-			}
-			if serial[i].Seed != parallel[i].Seed {
-				t.Fatalf("run %s: seed %d vs %d", serial[i].Name, serial[i].Seed, parallel[i].Seed)
-			}
 			a, b := fingerprint(serial[i].Result), fingerprint(parallel[i].Result)
 			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("workers=%d: run %s diverged from serial execution", workers, serial[i].Name)
+				t.Fatalf("workers=%d: run %s diverged from serial execution", workers, runs[i].Scenario.Name)
 			}
 		}
 	}
 }
 
-// Pinned-seed runs over the same workload must replay the same trace:
+// results runs a sweep that must succeed and unwraps its results.
+func results(t *testing.T, runs []Run, opt Options) []*engine.Result {
+	t.Helper()
+	outs, err := ScenariosContext(context.Background(), runs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := make([]*engine.Result, len(outs))
+	for i, out := range outs {
+		res[i] = out.Result
+	}
+	return res
+}
+
+// Same-seed runs over the same workload must replay the same trace:
 // the job sets of the two results must align pairwise.
 func TestScenariosSharedTraceAligns(t *testing.T) {
-	runs := []Run{
-		Pin(scenario.Scenario{Name: "a", Policy: "formula3", Workload: scenario.Workload{Jobs: 250}}, 11),
-		Pin(scenario.Scenario{Name: "b", Policy: "young", Workload: scenario.Workload{Jobs: 250}}, 11),
-	}
-	outs := Scenarios(runs, Options{Workers: 2})
-	res, err := Results(outs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := results(t, []Run{
+		{Scenario: scenario.Scenario{Name: "a", Policy: "formula3", Workload: scenario.Workload{Jobs: 250}}, Seed: 11},
+		{Scenario: scenario.Scenario{Name: "b", Policy: "young", Workload: scenario.Workload{Jobs: 250}}, Seed: 11},
+	}, Options{Workers: 2})
 	if _, err := engine.PairJobs(res[0], res[1]); err != nil {
-		t.Fatalf("pinned-seed runs diverged: %v", err)
+		t.Fatalf("same-seed runs diverged: %v", err)
 	}
 }
 
-// Pinned seed 0 must be honored verbatim — 0 is a valid seed, not a
-// derive-me sentinel — and both pinned-0 runs must share one trace.
+// Seed 0 must be honored verbatim — 0 is a valid seed, not a
+// derive-me sentinel — and both seed-0 runs must share one trace.
 func TestScenariosPinnedZeroSeed(t *testing.T) {
-	runs := []Run{
-		Pin(scenario.Scenario{Name: "a", Policy: "formula3", Workload: scenario.Workload{Jobs: 120}}, 0),
-		Pin(scenario.Scenario{Name: "b", Policy: "young", Workload: scenario.Workload{Jobs: 120}}, 0),
+	w := scenario.Workload{Jobs: 120}
+	res := results(t, []Run{
+		{Scenario: scenario.Scenario{Name: "a", Policy: "formula3", Workload: w}, Seed: 0},
+		{Scenario: scenario.Scenario{Name: "b", Policy: "young", Workload: w}, Seed: 0},
+	}, Options{Workers: 2})
+	if _, err := engine.PairJobs(res[0], res[1]); err != nil {
+		t.Fatalf("seed-0 runs replayed different traces: %v", err)
 	}
-	outs := Scenarios(runs, Options{BaseSeed: 99, Workers: 2})
-	res, err := Results(outs)
+
+	// The first run is exactly a direct engine run under seed 0.
+	sc := scenario.Scenario{Policy: "formula3", Workload: w}
+	cfg, err := sc.EngineConfig(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].Seed != 0 || outs[1].Seed != 0 {
-		t.Fatalf("pinned seed 0 rewritten to %d/%d", outs[0].Seed, outs[1].Seed)
+	tr := w.Materialize(0, DefaultJobs)
+	direct, err := engine.RunWithEstimatorContext(context.Background(), cfg, tr.BatchJobs(),
+		trace.BuildEstimator(tr, sc.EffectiveLimits()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := engine.PairJobs(res[0], res[1]); err != nil {
-		t.Fatalf("pinned-0 runs replayed different traces: %v", err)
+	if !reflect.DeepEqual(fingerprint(res[0]), fingerprint(direct)) {
+		t.Fatal("seed 0 was not used verbatim")
 	}
 }
 
+// A failing run is a per-run error: its sibling still succeeds, and the
+// joined error names the failing run.
 func TestScenariosBadPolicyIsPerRunError(t *testing.T) {
 	runs := []Run{
-		{Scenario: scenario.Scenario{Name: "ok", Policy: "formula3", Workload: scenario.Workload{Jobs: 100}}},
-		{Scenario: scenario.Scenario{Name: "bad", Policy: "quantum", Workload: scenario.Workload{Jobs: 100}}},
+		{Scenario: scenario.Scenario{Name: "ok", Policy: "formula3", Workload: scenario.Workload{Jobs: 100}}, Seed: 5},
+		{Scenario: scenario.Scenario{Name: "bad", Policy: "quantum", Workload: scenario.Workload{Jobs: 100}}, Seed: 6},
 	}
-	outs := Scenarios(runs, Options{BaseSeed: 5, Workers: 2})
-	if outs[0].Err != nil {
+	outs, err := ScenariosContext(context.Background(), runs, Options{Workers: 2})
+	if outs[0].Err != nil || outs[0].Result == nil {
 		t.Fatalf("healthy run poisoned: %v", outs[0].Err)
 	}
 	if outs[1].Err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := Results(outs); err == nil {
-		t.Fatal("Results swallowed the per-run error")
+	if err == nil || !strings.HasPrefix(err.Error(), "bad: ") || !errors.Is(err, outs[1].Err) {
+		t.Fatalf("joined error %v does not wrap the run error as \"bad: <err>\"", err)
 	}
 }

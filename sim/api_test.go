@@ -28,13 +28,13 @@ func TestRunMatchesInternalSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	outs := sweep.Scenarios(
-		[]sweep.Run{sweep.Pin(scenario.Scenario{Workload: scenario.Workload{Jobs: jobs}}, seed)},
+	outs, err := sweep.ScenariosContext(context.Background(),
+		[]sweep.Run{{Scenario: scenario.Scenario{Workload: scenario.Workload{Jobs: jobs}}, Seed: seed}},
 		sweep.Options{})
-	want, err := sweep.Results(outs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := []*engine.Result{outs[0].Result}
 
 	if got.Events != want[0].Events {
 		t.Errorf("events: sim %d vs engine %d", got.Events, want[0].Events)

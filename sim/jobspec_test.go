@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -145,4 +146,65 @@ func TestSweepOnlyIndicesPartition(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("partitioned sweep outcomes diverge from the full sweep")
 	}
+}
+
+// decodeSpec decodes a job spec strictly, as the simd service does.
+func decodeSpec(data []byte) (sim.JobSpec, error) {
+	var sp sim.JobSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&sp)
+	return sp, err
+}
+
+// FuzzJobSpec: Validate never panics on a decoded spec, and every spec
+// that validates has a stable stored form. Its normalized bytes survive
+// a decode and re-marshal unchanged, and its spec hash and first run key
+// are the same before and after, so a replayed job addresses the cache
+// exactly as its submission did.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"scenario":"baseline-f3"}`,
+		`{"scenario":"baseline-f3","seed":18446744073709551615,"jobs":10,"runs":3,"policy":"Young","distributed":true}`,
+		`{"scenario":"spot-market","workload":{"Jobs":5,"BoTFraction":-1,"ArrivalRate":1e-300}}`,
+		`{"scenario":"hpc-long-jobs","seed":0,"runs":-4,"workload":{"MaxTaskLengthSec":10,"MinTaskLengthSec":20}}`,
+		`{"scenario":"baseline-f3","runs":100001}`,
+		`{"scenario":"nope"}`,
+		`{"scenario":"baseline-f3","extra":1}`,
+		`{"scenario":1}`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := decodeSpec(data)
+		if err != nil || sp.Validate() != nil {
+			return
+		}
+		raw, err := sp.MarshalNormalized()
+		if err != nil {
+			t.Fatalf("valid spec %s does not marshal: %v", data, err)
+		}
+		back, err := decodeSpec(raw)
+		if err != nil {
+			t.Fatalf("stored form %s does not decode: %v", raw, err)
+		}
+		if again, err := back.MarshalNormalized(); err != nil || !bytes.Equal(again, raw) {
+			t.Fatalf("stored form changed on a round trip: %s -> %s (%v)", raw, again, err)
+		}
+		for _, c := range []struct {
+			name string
+			of   func(sim.JobSpec) (string, error)
+		}{
+			{"SpecHash", sim.JobSpec.SpecHash},
+			{"RunKey(0)", func(sp sim.JobSpec) (string, error) { return sp.RunKey(0) }},
+		} {
+			want, err1 := c.of(sp)
+			got, err2 := c.of(back)
+			if err1 != nil || err2 != nil || got != want {
+				t.Fatalf("%s changed on a round trip of %s: %s (%v) -> %s (%v)", c.name, raw, want, err1, got, err2)
+			}
+		}
+	})
 }

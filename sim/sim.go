@@ -74,7 +74,7 @@ func New(opts ...Option) (*Simulation, error) {
 	if cfg.jobs > 0 && cfg.sc.Workload.Jobs == 0 {
 		cfg.sc.Workload.Jobs = cfg.jobs
 	}
-	if cfg.sc.CustomPolicy == nil {
+	if cfg.sc.Engine.Policy == nil {
 		if _, err := scenario.PolicyByName(cfg.sc.Policy); err != nil {
 			cfg.errs = append(cfg.errs, err)
 		}
@@ -161,7 +161,7 @@ func WithPolicy(p Policy) Option {
 			c.errs = append(c.errs, errors.New("WithPolicy: nil policy"))
 			return
 		}
-		c.sc.CustomPolicy = corePolicy{p}
+		c.sc.Engine.Policy = corePolicy{p}
 	}
 }
 
@@ -169,7 +169,7 @@ func WithPolicy(p Policy) Option {
 // "young", "daly", "random", "none").
 func WithPolicyName(name string) Option {
 	return func(c *config) {
-		c.sc.CustomPolicy = nil
+		c.sc.Engine.Policy = nil
 		c.sc.Policy = name
 	}
 }
@@ -180,11 +180,11 @@ func WithStorage(mode StorageMode) Option {
 	return func(c *config) {
 		switch mode {
 		case StorageAuto:
-			c.sc.Storage = engine.StorageAuto
+			c.sc.Engine.Mode = engine.StorageAuto
 		case StorageLocal:
-			c.sc.Storage = engine.StorageLocal
+			c.sc.Engine.Mode = engine.StorageLocal
 		case StorageShared:
-			c.sc.Storage = engine.StorageShared
+			c.sc.Engine.Mode = engine.StorageShared
 		default:
 			c.errs = append(c.errs, fmt.Errorf("WithStorage: unknown mode %d", mode))
 		}
@@ -197,9 +197,9 @@ func WithSharedStorage(kind SharedStorage) Option {
 	return func(c *config) {
 		switch kind {
 		case SharedDMNFS:
-			c.sc.SharedKind = storage.KindDMNFS
+			c.sc.Engine.SharedKind = storage.KindDMNFS
 		case SharedNFS:
-			c.sc.SharedKind = storage.KindNFS
+			c.sc.Engine.SharedKind = storage.KindNFS
 		default:
 			c.errs = append(c.errs, fmt.Errorf("WithSharedStorage: unknown kind %d", kind))
 		}
@@ -212,10 +212,10 @@ func WithSharedStorage(kind SharedStorage) Option {
 func WithStorageBackends(local, shared StorageBackend) Option {
 	return func(c *config) {
 		if local != nil {
-			c.sc.LocalBackend = backendAdapter{local}
+			c.sc.Engine.LocalBackend = backendAdapter{local}
 		}
 		if shared != nil {
-			c.sc.SharedBackend = backendAdapter{shared}
+			c.sc.Engine.SharedBackend = backendAdapter{shared}
 		}
 	}
 }
@@ -228,7 +228,7 @@ func WithFailureModel(m FailureModel) Option {
 			c.errs = append(c.errs, errors.New("WithFailureModel: nil model"))
 			return
 		}
-		c.sc.FailureModel = failureModelFunc(m)
+		c.sc.Engine.FailureModel = failureModelFunc(m)
 	}
 }
 
@@ -240,14 +240,14 @@ func WithEstimator(e Estimator) Option {
 			c.errs = append(c.errs, errors.New("WithEstimator: nil estimator"))
 			return
 		}
-		c.sc.CustomEstimator = taskEstimator{e}
+		c.sc.Engine.CustomEstimator = taskEstimator{e}
 	}
 }
 
 // WithOracleEstimates feeds each task its own realized failure
 // statistics — the paper's "precise prediction" scenario (Table 6).
 func WithOracleEstimates() Option {
-	return func(c *config) { c.sc.Estimates = engine.EstimateOracle }
+	return func(c *config) { c.sc.Engine.Estimates = engine.EstimateOracle }
 }
 
 // WithEstimationLimits sets the task-length limits that stratify
@@ -258,7 +258,7 @@ func WithEstimationLimits(limits ...float64) Option {
 			c.errs = append(c.errs, errors.New("WithEstimationLimits: no limits"))
 			return
 		}
-		c.sc.Limits = append([]float64(nil), limits...)
+		c.sc.Engine.Limits = append([]float64(nil), limits...)
 	}
 }
 
@@ -270,7 +270,7 @@ func WithPredictor(p Predictor) Option {
 			c.errs = append(c.errs, errors.New("WithPredictor: nil predictor"))
 			return
 		}
-		c.sc.Predictor = enginePredictor{p}
+		c.sc.Engine.Predictor = enginePredictor{p}
 	}
 }
 
@@ -282,8 +282,8 @@ func WithCluster(hosts int, hostMemMB float64) Option {
 			c.errs = append(c.errs, fmt.Errorf("WithCluster: negative size (%d hosts, %g MB)", hosts, hostMemMB))
 			return
 		}
-		c.sc.Hosts = hosts
-		c.sc.HostMemMB = hostMemMB
+		c.sc.Engine.Hosts = hosts
+		c.sc.Engine.HostMemMB = hostMemMB
 	}
 }
 
@@ -293,8 +293,8 @@ func WithCluster(hosts int, hostMemMB float64) Option {
 // last checkpoints.
 func WithHostFailures(mtbfSec, repairSec float64) Option {
 	return func(c *config) {
-		c.sc.HostMTBF = mtbfSec
-		c.sc.HostRepair = repairSec
+		c.sc.Engine.HostMTBF = mtbfSec
+		c.sc.Engine.HostRepair = repairSec
 	}
 }
 
@@ -302,8 +302,8 @@ func WithHostFailures(mtbfSec, repairSec float64) Option {
 // delay, in seconds (defaults 0.5 and 0.2).
 func WithDelays(detectionSec, scheduleSec float64) Option {
 	return func(c *config) {
-		c.sc.DetectionDelay = detectionSec
-		c.sc.ScheduleDelay = scheduleSec
+		c.sc.Engine.DetectionDelay = detectionSec
+		c.sc.Engine.ScheduleDelay = scheduleSec
 	}
 }
 
@@ -311,20 +311,20 @@ func WithDelays(detectionSec, scheduleSec float64) Option {
 // mid-run priority changes; off, the initial plan is kept (the paper's
 // static baseline).
 func WithDynamicReplanning(on bool) Option {
-	return func(c *config) { c.sc.Dynamic = on }
+	return func(c *config) { c.sc.Engine.Dynamic = on }
 }
 
 // WithNonBlockingCheckpoints writes checkpoints in a separate thread
 // (Algorithm 1 line 7): the write cost is hidden from the task's
 // wall-clock; the saved position lags until the write completes.
 func WithNonBlockingCheckpoints(on bool) Option {
-	return func(c *config) { c.sc.NonBlocking = on }
+	return func(c *config) { c.sc.Engine.NonBlockingCheckpoints = on }
 }
 
 // WithMaxSimTime aborts runaway simulations after the given simulated
 // seconds; 0 means no limit.
 func WithMaxSimTime(seconds float64) Option {
-	return func(c *config) { c.sc.MaxSimSeconds = seconds }
+	return func(c *config) { c.sc.Engine.MaxSimSeconds = seconds }
 }
 
 // WithObserver streams per-run lifecycle and progress events to o (see
@@ -346,10 +346,7 @@ func WithProgressEvery(events uint64) Option {
 func (s *Simulation) Run(ctx context.Context) (*Result, error) {
 	// The simulation's own observer and progress stride are picked up
 	// per-run by RunSweep.
-	outs, err := RunSweep(ctx, []Run{Pin(s, s.cfg.seed)}, SweepOptions{
-		BaseSeed: s.cfg.seed,
-		Workers:  1,
-	})
+	outs, err := RunSweep(ctx, []Run{Pin(s, s.cfg.seed)}, SweepOptions{Workers: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/sweep"
@@ -166,25 +165,20 @@ func RunSweep(ctx context.Context, runs []Run, opts SweepOptions) ([]Outcome, er
 		}
 		seed := r.Seed
 		if !r.Pinned {
-			seed = sweep.DeriveSeed(opts.BaseSeed, i)
+			seed = DeriveSeed(opts.BaseSeed, i)
 		}
-		name := r.Sim.cfg.sc.Name
-		if name == "" {
-			name = fmt.Sprintf("run-%d", i)
+		sc := r.Sim.cfg.sc
+		if sc.Name == "" {
+			sc.Name = fmt.Sprintf("run-%d", i)
 		}
-		infos[i] = RunInfo{Index: i, Name: name, Seed: seed}
-		sruns[i] = sweep.Run{
-			Scenario: r.Sim.cfg.sc,
-			Seed:     seed,
-			Pinned:   true,
-		}
+		infos[i] = RunInfo{Index: i, Name: sc.Name, Seed: seed}
+		sruns[i] = sweep.Run{Scenario: sc, Seed: seed}
 		if r.Sim.cfg.trace != nil {
 			sruns[i].Trace = r.Sim.cfg.trace.tr
 		}
 	}
 
 	sopts := sweep.Options{
-		BaseSeed:    opts.BaseSeed,
 		DefaultJobs: opts.DefaultJobs,
 		Workers:     opts.Workers,
 	}
@@ -194,7 +188,6 @@ func RunSweep(ctx context.Context, runs []Run, opts SweepOptions) ([]Outcome, er
 			sopts.Only[i] = true
 		}
 	}
-	outs := make([]Outcome, n)
 
 	// Each run notifies the sweep-level observer plus its Simulation's
 	// own WithObserver observer. Conversions performed for RunFinished
@@ -222,7 +215,7 @@ func RunSweep(ctx context.Context, runs []Run, opts SweepOptions) ([]Outcome, er
 	sopts.ProgressEvery = progressEvery
 	converted := make([]*Outcome, n)
 	if anyObserver {
-		sopts.OnRunStart = func(i int, _ string, _ uint64) {
+		sopts.OnRunStart = func(i int) {
 			for _, obs := range observers[i] {
 				obs.RunStarted(infos[i])
 			}
@@ -241,19 +234,16 @@ func RunSweep(ctx context.Context, runs []Run, opts SweepOptions) ([]Outcome, er
 		}
 	}
 
-	souts := sweep.ScenariosContext(ctx, sruns, sopts)
-	errs := make([]error, n)
+	souts, err := sweep.ScenariosContext(ctx, sruns, sopts)
+	outs := make([]Outcome, n)
 	for i, out := range souts {
 		if converted[i] != nil {
 			outs[i] = *converted[i]
 		} else {
 			outs[i] = convertOutcome(infos[i], out)
 		}
-		if outs[i].Err != nil {
-			errs[i] = fmt.Errorf("%s: %w", outs[i].Name, outs[i].Err)
-		}
 	}
-	return outs, errors.Join(errs...)
+	return outs, err
 }
 
 func convertOutcome(info RunInfo, out sweep.Outcome) Outcome {

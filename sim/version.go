@@ -7,8 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"repro/internal/sweep"
 )
 
 // Version identifies the simulation engine and its result schema. It is
@@ -106,10 +104,19 @@ func writeCanonical(buf *bytes.Buffer, v any) error {
 	}
 }
 
-// DeriveSeed is the sweep's per-run seed derivation — two SplitMix64
-// finalization rounds over (baseSeed, runIndex) — exported so external
-// schedulers (the simd service, distributed workers) can address runs
-// by index and reproduce exactly the seed RunSweep would assign.
+// DeriveSeed is RunSweep's per-run seed derivation: two SplitMix64
+// finalization rounds over (baseSeed, runIndex). Parallel and serial
+// sweeps therefore assign identical seeds regardless of scheduling, and
+// adjacent indices land in statistically independent streams. It is
+// exported so external schedulers (the simd service, distributed
+// workers) can address runs by index and reproduce exactly the seed
+// RunSweep would assign.
 func DeriveSeed(baseSeed uint64, runIndex int) uint64 {
-	return sweep.DeriveSeed(baseSeed, runIndex)
+	mix := func(z uint64) uint64 {
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z ^ (z >> 31)
+	}
+	z := mix(baseSeed + 0x9e3779b97f4a7c15)
+	return mix(z + (uint64(runIndex)+1)*0x9e3779b97f4a7c15)
 }

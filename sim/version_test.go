@@ -95,11 +95,50 @@ func TestDeriveSeedMatchesRunSweepAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, out := range outs {
-		if want := DeriveSeed(99, i); out.Seed != want {
+		want := DeriveSeed(99, i)
+		if out.Seed != want {
 			t.Errorf("run %d: sweep assigned seed %d, DeriveSeed says %d", i, out.Seed, want)
+		}
+		// The derived seed is the one the run executed under.
+		pinned, err := RunSweep(context.Background(), []Run{Pin(s, want)}, SweepOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(out.Result)
+		b, _ := json.Marshal(pinned[0].Result)
+		if string(a) != string(b) {
+			t.Errorf("run %d: result differs from a run pinned to DeriveSeed(99, %d)", i, i)
 		}
 	}
 	if len(seeds) != 3 {
 		t.Errorf("observer saw %d runs, want 3", len(seeds))
+	}
+}
+
+func TestDeriveSeedDeterministicAndDistinct(t *testing.T) {
+	seen := make(map[uint64]int)
+	for i := 0; i < 1000; i++ {
+		s := DeriveSeed(42, i)
+		if s != DeriveSeed(42, i) {
+			t.Fatal("DeriveSeed not deterministic")
+		}
+		if j, dup := seen[s]; dup {
+			t.Fatalf("seed collision between indices %d and %d", j, i)
+		}
+		seen[s] = i
+	}
+	if DeriveSeed(1, 0) == DeriveSeed(2, 0) {
+		t.Fatal("base seed ignored")
+	}
+	// Cached results and resumed sweeps are addressed by these seeds, so
+	// the rule itself is pinned.
+	for _, c := range []struct {
+		base  uint64
+		index int
+		want  uint64
+	}{{42, 0, 0x57e1faba65107204}, {42, 1, 0xf4abd143feb24055}, {0, 0, 0xa706dd2f4d197e6f}} {
+		if got := DeriveSeed(c.base, c.index); got != c.want {
+			t.Errorf("DeriveSeed(%d, %d) = %#x, want %#x", c.base, c.index, got, c.want)
+		}
 	}
 }
