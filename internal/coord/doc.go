@@ -10,14 +10,18 @@
 // lease while it computes, publishes each run's result bytes into the
 // content-addressed cache as it finishes, and finally completes the
 // claim. A lease that expires — worker crash, SIGKILL, network
-// partition — silently returns the range's unfinished indices to the
-// available pool, where the next claim re-issues them under a fresh
-// claim ID; the dead claim's ID is invalidated, so a zombie that comes
-// back after expiry is fenced off with ErrLeaseLost (exactly one live
-// leaseholder per index, ever). Indices the zombie already published
-// are durable in the cache and heal by probe: re-running them produces
-// byte-identical bytes, and the checkpoint log records each index at
-// most once.
+// partition — silently returns the indices the claim still leases to
+// the available pool, where the next claim re-issues them under a
+// fresh claim ID; the dead claim's ID is invalidated, so a zombie that
+// comes back after expiry is fenced off with ErrLeaseLost. The ledger
+// records the one claim leasing each index, and a claim answers only
+// for the indices it still leases: an index it failed and another claim
+// leased is no longer its to publish, release or charge (exactly one
+// live leaseholder per index, ever). Indices the zombie already
+// published are durable in the cache and heal by probe: re-running
+// them produces byte-identical bytes, and the checkpoint log records
+// each index at most once — it is the only record of completions, so
+// the ledger's write-ahead log never repeats them.
 //
 // Because results land in a content-addressed cache keyed by (spec
 // hash, run seed, engine version) and the merged report is assembled

@@ -48,10 +48,15 @@ type Claim struct {
 }
 
 type claimRec struct {
+	num     int // the number in the claim's ID, recorded as the owner of each index it leases
 	worker  string
 	start   int
 	end     int
 	expires time.Time
+}
+
+func (c *claimRec) claim(id string) Claim {
+	return Claim{ID: id, Worker: c.worker, Start: c.start, End: c.end, Expires: c.expires}
 }
 
 // Ledger tracks one sweep's index space through the claim state
@@ -62,30 +67,37 @@ type claimRec struct {
 //	    └──lease expiry────┘  └─K failures─→ quarantined  (job fails)
 //	       (per unfinished index; attempts++, claim ID fenced)
 //
+// Each leased index has exactly one owning claim, and a release, fence
+// or reported failure touches only the indices its claim still leases.
 // All methods are safe for concurrent use. Expired leases are reaped
 // lazily on every call that inspects claim state, so correctness never
 // depends on a background timer: a range held by a dead worker is
 // re-issued the moment a live worker asks for work after the expiry
 // instant.
 //
-// A ledger bound to a WAL (see Recover) appends every transition as an
-// fsynced NDJSON record before applying it, so a coordinator restarted
-// over the same store resumes mid-flight: live leases keep their
-// deadlines, every claim ID ever fenced still answers ErrLeaseLost
-// (IDs are never reissued — the WAL carries the counter), and attempt
-// counts survive toward the quarantine budget.
+// Every change of state is one WALRecord applied by applyLocked: a live
+// method checks its preconditions, builds the record, appends it to the
+// WAL when one is attached (see Recover), and applies it; replay
+// applies the same records. A coordinator restarted over the same store
+// therefore resumes mid-flight: live leases keep their deadlines, every
+// claim ID ever fenced still answers ErrLeaseLost (IDs are never
+// reissued — the WAL carries the counter), and attempt counts survive
+// toward the quarantine budget. Completions are the one transition not
+// appended: the job's checkpoint log holds them, and the coordinator
+// marks its indices done (MarkDone) after every replay.
 type Ledger struct {
 	mu          sync.Mutex
 	lease       time.Duration
 	maxAttempts int
 	now         func() time.Time // injectable clock for fault-injection tests
 	state       []uint8
+	owner       []int    // number of the claim leasing each index; 0 unless leased
 	attempts    []int    // failed attempts per index (expiry or reported failure)
 	lastFail    []string // most recent failure diagnosis per index
+	count       [4]int   // indices per state
 	claims      map[string]*claimRec
 	wal         *WAL
 	nextID      int
-	doneCount   int
 	cursor      int // lowest index that might be available
 	doneCh      chan struct{}
 	closed      bool
@@ -105,12 +117,14 @@ func NewLedger(n int, lease time.Duration) *Ledger {
 		maxAttempts: DefaultMaxAttempts,
 		now:         time.Now,
 		state:       make([]uint8, n),
+		owner:       make([]int, n),
 		attempts:    make([]int, n),
 		lastFail:    make([]string, n),
 		claims:      make(map[string]*claimRec),
 		doneCh:      make(chan struct{}),
 		fatalCh:     make(chan struct{}),
 	}
+	l.count[idxAvailable] = n
 	if n == 0 {
 		l.closed = true
 		close(l.doneCh)
@@ -135,10 +149,11 @@ func (l *Ledger) SetMaxAttempts(k int) {
 // Recover replays previously logged transitions into the ledger and
 // attaches the WAL for future appends. Must be called before the
 // ledger is shared. Replay applies each record without re-logging it;
-// a record referencing an index outside the ledger's space fails
-// loudly (the WAL belongs to a different sweep geometry). If replay
-// restores a quarantined index, the ledger is immediately fatal — the
-// poison verdict survives the restart.
+// a record that cannot belong to this ledger (an index outside its
+// space, a claim ID it could not have issued) fails loudly — the WAL
+// belongs to a different sweep. If replay restores a quarantined index,
+// the ledger is immediately fatal — the poison verdict survives the
+// restart.
 func (l *Ledger) Recover(wal *WAL, recs []WALRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -148,104 +163,129 @@ func (l *Ledger) Recover(wal *WAL, recs []WALRecord) error {
 		}
 	}
 	l.wal = wal
-	l.cursor = 0
 	if diag := l.diagnosisLocked(); diag != nil {
 		l.fatalLocked(diag)
 	}
-	l.checkDoneLocked()
 	return nil
 }
 
-// applyLocked replays one WAL record into ledger state. Attempt bumps
-// from fence/fail records never trigger quarantine here — quarantine
-// transitions are driven only by their own explicit records, so replay
-// reproduces exactly the state that was logged.
+// applyLocked applies one transition record; it is the only code that
+// changes claim state, for live transitions and replay alike. It never
+// decides quarantine: that is a live decision (quarantineLocked), logged
+// as a record of its own, so replay reproduces exactly the state that
+// was logged.
 func (l *Ledger) applyLocked(rec WALRecord) error {
 	switch rec.Op {
+	case opDone, opFail, opQuarantine:
+		if rec.Index < 0 || rec.Index >= len(l.state) {
+			return fmt.Errorf("coord: wal: %s record index %d outside ledger of %d runs", rec.Op, rec.Index, len(l.state))
+		}
+	}
+	i, c := rec.Index, l.claims[rec.Claim]
+	switch rec.Op {
 	case opClaim:
+		num, err := strconv.Atoi(strings.TrimPrefix(rec.Claim, "c"))
+		if err != nil || num <= 0 {
+			return fmt.Errorf("coord: wal: claim record has malformed id %q", rec.Claim)
+		}
 		if rec.Start < 0 || rec.End > len(l.state) || rec.Start > rec.End {
 			return fmt.Errorf("coord: wal: claim %s range [%d,%d) outside ledger of %d runs", rec.Claim, rec.Start, rec.End, len(l.state))
 		}
-		for i := rec.Start; i < rec.End; i++ {
-			if l.state[i] == idxAvailable {
-				l.state[i] = idxLeased
+		l.claims[rec.Claim] = &claimRec{num: num, worker: rec.Worker, start: rec.Start, end: rec.End, expires: time.UnixMilli(rec.Expires)}
+		for j := rec.Start; j < rec.End; j++ {
+			if l.state[j] == idxAvailable {
+				l.moveLocked(j, idxLeased, num)
 			}
 		}
-		l.claims[rec.Claim] = &claimRec{
-			worker:  rec.Worker,
-			start:   rec.Start,
-			end:     rec.End,
-			expires: time.UnixMilli(rec.Expires),
-		}
-		if n, err := strconv.Atoi(strings.TrimPrefix(rec.Claim, "c")); err == nil && n > l.nextID {
-			l.nextID = n
-		}
+		l.nextID = max(l.nextID, num)
 	case opRenew:
-		if c, ok := l.claims[rec.Claim]; ok {
+		if c != nil {
 			c.expires = time.UnixMilli(rec.Expires)
 		}
-	case opDone:
-		if rec.Index < 0 || rec.Index >= len(l.state) {
-			return fmt.Errorf("coord: wal: done record index %d outside ledger of %d runs", rec.Index, len(l.state))
+	case opRelease, opFence:
+		if c == nil {
+			break
 		}
-		if l.state[rec.Index] != idxDone {
-			l.state[rec.Index] = idxDone
-			l.doneCount++
-		}
-	case opRelease:
-		if c, ok := l.claims[rec.Claim]; ok {
-			l.releaseLocked(c)
-			delete(l.claims, rec.Claim)
-		}
-	case opFence:
-		if c, ok := l.claims[rec.Claim]; ok {
-			for i := c.start; i < c.end; i++ {
-				if l.state[i] == idxLeased {
-					l.attempts[i]++
-					l.lastFail[i] = rec.Reason
+		for j := c.start; j < c.end; j++ {
+			if l.owner[j] == c.num {
+				if rec.Op == opFence {
+					l.attempts[j]++
+					l.lastFail[j] = rec.Reason
 				}
+				l.moveLocked(j, idxAvailable, 0)
 			}
-			l.releaseLocked(c)
-			delete(l.claims, rec.Claim)
+		}
+		delete(l.claims, rec.Claim)
+	case opDone:
+		if l.state[i] != idxDone {
+			l.moveLocked(i, idxDone, 0)
 		}
 	case opFail:
-		if rec.Index < 0 || rec.Index >= len(l.state) {
-			return fmt.Errorf("coord: wal: fail record index %d outside ledger of %d runs", rec.Index, len(l.state))
+		if c != nil && l.owner[i] == c.num {
+			l.attempts[i]++
+			l.lastFail[i] = rec.Reason
+			l.moveLocked(i, idxAvailable, 0)
 		}
-		if l.state[rec.Index] == idxLeased {
-			l.state[rec.Index] = idxAvailable
-		}
-		l.attempts[rec.Index]++
-		l.lastFail[rec.Index] = rec.Reason
 	case opQuarantine:
-		if rec.Index < 0 || rec.Index >= len(l.state) {
-			return fmt.Errorf("coord: wal: quarantine record index %d outside ledger of %d runs", rec.Index, len(l.state))
+		if l.state[i] != idxDone {
+			l.moveLocked(i, idxQuarantined, 0)
 		}
-		if l.state[rec.Index] != idxDone {
-			l.state[rec.Index] = idxQuarantined
-		}
-		if rec.Attempts > l.attempts[rec.Index] {
-			l.attempts[rec.Index] = rec.Attempts
-		}
-		l.lastFail[rec.Index] = rec.Reason
+		l.attempts[i] = max(l.attempts[i], rec.Attempts)
+		l.lastFail[i] = rec.Reason
 	default:
 		return fmt.Errorf("coord: wal: unknown op %q", rec.Op)
 	}
 	return nil
 }
 
-// logLocked appends one record to the attached WAL (a no-op without
-// one). An append failure — disk gone, store unwritable — is fatal for
-// the sweep: the coordinator can no longer promise durability, so the
-// job must fail loudly rather than continue with a silent hole in its
-// recovery record. The in-memory transition still applies so live
-// workers observe a consistent ledger while the job winds down.
-func (l *Ledger) logLocked(rec WALRecord) {
-	if l.wal == nil {
-		return
+// moveLocked moves index i to state st, leased by claim number owner (0
+// for every other state), and keeps in step what follows from the move:
+// the per-state counts, the claim cursor and the Done signal.
+func (l *Ledger) moveLocked(i int, st uint8, owner int) {
+	l.count[l.state[i]]--
+	l.count[st]++
+	l.state[i], l.owner[i] = st, owner
+	if st == idxAvailable && i < l.cursor {
+		l.cursor = i
 	}
-	if err := l.wal.Append(rec); err != nil {
-		l.fatalLocked(fmt.Errorf("coord: ledger wal append failed: %w", err))
+	if !l.closed && l.count[idxDone] == len(l.state) {
+		l.closed = true
+		close(l.doneCh)
+	}
+}
+
+// commitLocked is the last step of every live transition: it appends
+// rec to the attached WAL, if any, and applies it. A done record is
+// applied but never appended — persist checkpoints the index in
+// runs.ndjson before the ledger hears of it, so that log is the one
+// completion record. An append failure — disk gone, store unwritable —
+// is fatal for the sweep: the coordinator can no longer promise
+// durability, so the job must fail loudly rather than continue with a
+// silent hole in its recovery record. The transition still applies so
+// live workers observe a consistent ledger while the job winds down.
+func (l *Ledger) commitLocked(rec WALRecord) {
+	if l.wal != nil && rec.Op != opDone {
+		if err := l.wal.Append(rec); err != nil {
+			l.fatalLocked(fmt.Errorf("coord: ledger wal append failed: %w", err))
+		}
+	}
+	if err := l.applyLocked(rec); err != nil {
+		panic(err) // live records are built from ledger state and always apply
+	}
+}
+
+// quarantineLocked is the live quarantine decision after a fence or a
+// failure: each index of [lo, hi) back in the pool with its attempt
+// budget spent is quarantined by a record of its own, and the ledger
+// turns fatal with the per-index diagnosis.
+func (l *Ledger) quarantineLocked(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if l.state[i] == idxAvailable && l.attempts[i] >= l.maxAttempts {
+			l.commitLocked(WALRecord{Op: opQuarantine, Index: i, Attempts: l.attempts[i], Reason: l.lastFail[i]})
+		}
+	}
+	if l.fatalErr == nil && l.count[idxQuarantined] > 0 {
+		l.fatalLocked(l.diagnosisLocked())
 	}
 }
 
@@ -254,18 +294,6 @@ func (l *Ledger) fatalLocked(err error) {
 	if l.fatalErr == nil {
 		l.fatalErr = err
 		close(l.fatalCh)
-	}
-}
-
-// bumpAttemptLocked charges one failed attempt against an index and
-// quarantines it when the budget is exhausted.
-func (l *Ledger) bumpAttemptLocked(i int, reason string) {
-	l.attempts[i]++
-	l.lastFail[i] = reason
-	if l.attempts[i] >= l.maxAttempts && l.state[i] != idxDone && l.state[i] != idxQuarantined {
-		l.logLocked(WALRecord{Op: opQuarantine, Index: i, Attempts: l.attempts[i], Reason: reason})
-		l.state[i] = idxQuarantined
-		l.fatalLocked(l.diagnosisLocked())
 	}
 }
 
@@ -286,20 +314,16 @@ func (l *Ledger) diagnosisLocked() error {
 
 // MarkDone records indices as complete without a claim — the
 // registration path for indices already durable in the checkpoint log
-// or the result cache. Derived state (runs.ndjson is replayed on every
-// startup) is not re-logged to the WAL. Out-of-range and already-done
-// indices are ignored.
+// or the result cache, which override any replayed lease over them.
+// Out-of-range and already-done indices are ignored.
 func (l *Ledger) MarkDone(indices ...int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, i := range indices {
-		if i < 0 || i >= len(l.state) || l.state[i] == idxDone {
-			continue
+		if i >= 0 && i < len(l.state) {
+			l.commitLocked(WALRecord{Op: opDone, Index: i})
 		}
-		l.state[i] = idxDone
-		l.doneCount++
 	}
-	l.checkDoneLocked()
 }
 
 // Claim leases up to max contiguous available indices (max <= 0 selects
@@ -317,31 +341,21 @@ func (l *Ledger) Claim(worker string, max int) (Claim, bool) {
 	if l.fatalErr != nil {
 		return Claim{}, false
 	}
-	start := -1
-	for i := l.cursor; i < len(l.state); i++ {
-		if l.state[i] == idxAvailable {
-			start = i
-			break
-		}
+	start := l.cursor
+	for start < len(l.state) && l.state[start] != idxAvailable {
+		start++
 	}
-	if start < 0 {
+	if start == len(l.state) {
 		return Claim{}, false
 	}
-	end := start
+	end := start + 1
 	for end < len(l.state) && end-start < max && l.state[end] == idxAvailable {
 		end++
 	}
-	l.nextID++
-	id := fmt.Sprintf("c%06d", l.nextID)
-	expires := l.now().Add(l.lease)
-	l.logLocked(WALRecord{Op: opClaim, Claim: id, Worker: worker, Start: start, End: end, Expires: expires.UnixMilli()})
-	for i := start; i < end; i++ {
-		l.state[i] = idxLeased
-	}
+	id := fmt.Sprintf("c%06d", l.nextID+1)
+	l.commitLocked(WALRecord{Op: opClaim, Claim: id, Worker: worker, Start: start, End: end, Expires: l.now().Add(l.lease).UnixMilli()})
 	l.cursor = end
-	rec := &claimRec{worker: worker, start: start, end: end, expires: expires}
-	l.claims[id] = rec
-	return Claim{ID: id, Worker: worker, Start: start, End: end, Expires: rec.expires}, true
+	return l.claims[id].claim(id), true
 }
 
 // Renew extends a live claim's lease by the ledger's lease duration.
@@ -349,162 +363,116 @@ func (l *Ledger) Renew(id string) (Claim, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.expireLocked()
-	rec, ok := l.claims[id]
-	if !ok {
+	c := l.claims[id]
+	if c == nil {
 		return Claim{}, fmt.Errorf("renewing claim %s: %w", id, ErrLeaseLost)
 	}
-	expires := l.now().Add(l.lease)
-	l.logLocked(WALRecord{Op: opRenew, Claim: id, Expires: expires.UnixMilli()})
-	rec.expires = expires
-	return Claim{ID: id, Worker: rec.worker, Start: rec.start, End: rec.end, Expires: rec.expires}, nil
+	l.commitLocked(WALRecord{Op: opRenew, Claim: id, Expires: l.now().Add(l.lease).UnixMilli()})
+	return c.claim(id), nil
 }
 
-// Owns verifies that claim id is live and its range covers index — the
-// pre-publish fence. A zombie claim (expired, completed, or never
-// issued) gets ErrLeaseLost.
-func (l *Ledger) Owns(id string, index int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// coverLocked returns live claim id, reaping expired leases first,
+// provided its range covers index. A zombie claim (expired, completed,
+// or never issued) gets ErrLeaseLost.
+func (l *Ledger) coverLocked(id string, index int) (*claimRec, error) {
 	l.expireLocked()
-	rec, ok := l.claims[id]
-	if !ok {
-		return fmt.Errorf("claim %s: %w", id, ErrLeaseLost)
+	c := l.claims[id]
+	if c == nil {
+		return nil, fmt.Errorf("claim %s: %w", id, ErrLeaseLost)
 	}
-	if index < rec.start || index >= rec.end {
-		return fmt.Errorf("claim %s does not cover index %d [%d,%d)", id, index, rec.start, rec.end)
+	if index < c.start || index >= c.end {
+		return nil, fmt.Errorf("claim %s does not cover index %d [%d,%d)", id, index, c.start, c.end)
+	}
+	return c, nil
+}
+
+// ownsLocked is the publish fence: claim id is live and still leases
+// index, or the index is already done, so a repeated publish stays
+// idempotent. An index its claim failed, or that expired into another
+// claim's lease, is no longer the claim's to publish.
+func (l *Ledger) ownsLocked(id string, index int) error {
+	c, err := l.coverLocked(id, index)
+	if err != nil {
+		return err
+	}
+	if l.owner[index] != c.num && l.state[index] != idxDone {
+		return fmt.Errorf("claim %s no longer leases index %d", id, index)
 	}
 	return nil
 }
 
+// Owns verifies that claim id may publish index (see CompleteIndex) —
+// the pre-publish fence. A zombie claim gets ErrLeaseLost.
+func (l *Ledger) Owns(id string, index int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ownsLocked(id, index)
+}
+
 // CompleteIndex marks one index of a live claim done, after its result
-// bytes are durable. Completing an index twice under the same live
-// claim is idempotent; completing under a lost lease returns
-// ErrLeaseLost (the durable bytes still heal by cache probe); a
-// quarantined index can no longer be completed.
+// bytes are durable. The claim must still lease the index; completing
+// an index already done is idempotent. Completing under a lost lease
+// returns ErrLeaseLost (the durable bytes still heal by cache probe).
 func (l *Ledger) CompleteIndex(id string, index int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.expireLocked()
-	rec, ok := l.claims[id]
-	if !ok {
-		return fmt.Errorf("completing index %d: claim %s: %w", index, id, ErrLeaseLost)
+	if err := l.ownsLocked(id, index); err != nil {
+		return fmt.Errorf("completing index %d: %w", index, err)
 	}
-	if index < rec.start || index >= rec.end {
-		return fmt.Errorf("claim %s does not cover index %d [%d,%d)", id, index, rec.start, rec.end)
-	}
-	if l.state[index] == idxQuarantined {
-		return fmt.Errorf("claim %s: index %d is quarantined", id, index)
-	}
-	if l.state[index] != idxDone {
-		l.logLocked(WALRecord{Op: opDone, Claim: id, Index: index})
-		l.state[index] = idxDone
-		l.doneCount++
-		l.checkDoneLocked()
-	}
+	l.commitLocked(WALRecord{Op: opDone, Index: index})
 	return nil
 }
 
 // Fail reports that one index of a live claim failed to execute — the
-// worker survived and diagnosed the run rather than crashing with it.
-// The index returns to the pool for another attempt and is charged
-// against its quarantine budget. Failing under a lost lease returns
-// ErrLeaseLost.
+// worker survived and diagnosed the run rather than crashing with it,
+// or the server refused its result. The index returns to the pool for
+// another attempt and is charged against its quarantine budget; an
+// index the claim no longer leases is charged nothing. Failing under a
+// lost lease returns ErrLeaseLost.
 func (l *Ledger) Fail(id string, index int, reason string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.expireLocked()
-	rec, ok := l.claims[id]
-	if !ok {
-		return fmt.Errorf("failing index %d: claim %s: %w", index, id, ErrLeaseLost)
+	c, err := l.coverLocked(id, index)
+	if err != nil {
+		return fmt.Errorf("failing index %d: %w", index, err)
 	}
-	if index < rec.start || index >= rec.end {
-		return fmt.Errorf("claim %s does not cover index %d [%d,%d)", id, index, rec.start, rec.end)
-	}
-	if l.state[index] != idxLeased {
-		return nil // already done, failed, or quarantined — nothing to charge
+	if l.owner[index] != c.num {
+		return nil // done, failed before, or leased by another claim — nothing to charge
 	}
 	if reason == "" {
 		reason = "worker reported failure"
 	}
-	reason = fmt.Sprintf("worker %q: %s", rec.worker, reason)
-	l.logLocked(WALRecord{Op: opFail, Claim: id, Index: index, Reason: reason})
-	l.state[index] = idxAvailable
-	if index < l.cursor {
-		l.cursor = index
-	}
-	l.bumpAttemptLocked(index, reason)
+	l.commitLocked(WALRecord{Op: opFail, Claim: id, Index: index, Reason: fmt.Sprintf("worker %q: %s", c.worker, reason)})
+	l.quarantineLocked(index, index+1)
 	return nil
 }
 
-// Complete retires a claim whose work is finished. Indices of the range
-// not individually completed return to the available pool (a worker
-// that discovered it cannot finish hands the rest back early).
+// Complete retires a claim whose work is finished. Indices it still
+// leases return to the available pool uncharged (a worker that
+// discovered it cannot finish hands the rest back early).
 func (l *Ledger) Complete(id string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.expireLocked()
-	rec, ok := l.claims[id]
-	if !ok {
+	if l.claims[id] == nil {
 		return fmt.Errorf("completing claim %s: %w", id, ErrLeaseLost)
 	}
-	l.logLocked(WALRecord{Op: opRelease, Claim: id, Reason: "completed"})
-	l.releaseLocked(rec)
-	delete(l.claims, id)
+	l.commitLocked(WALRecord{Op: opRelease, Claim: id, Reason: "completed"})
 	return nil
 }
 
-// Release abandons a claim explicitly (a worker shutting down cleanly),
-// returning its unfinished indices to the pool immediately instead of
-// waiting out the lease. A voluntary hand-back is not a failure: no
-// attempt is charged. Releasing a lost lease is a no-op.
-func (l *Ledger) Release(id string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if rec, ok := l.claims[id]; ok {
-		l.logLocked(WALRecord{Op: opRelease, Claim: id, Reason: "released"})
-		l.releaseLocked(rec)
-		delete(l.claims, id)
-	}
-}
-
-// releaseLocked returns a claim's unfinished indices to available.
-func (l *Ledger) releaseLocked(rec *claimRec) {
-	for i := rec.start; i < rec.end; i++ {
-		if l.state[i] == idxLeased {
-			l.state[i] = idxAvailable
-			if i < l.cursor {
-				l.cursor = i
-			}
-		}
-	}
-}
-
-// expireLocked reaps every claim past its lease deadline, returning
-// unfinished indices to the pool, fencing the claim's ID forever, and
-// charging each unfinished index one attempt — a claimant that stopped
-// renewing is presumed dead, and a run that kills every claimant must
-// eventually quarantine instead of livelocking the fleet.
+// expireLocked reaps every claim past its lease deadline, returning the
+// indices it still leases to the pool, fencing the claim's ID forever,
+// and charging each of those indices one attempt — a claimant that
+// stopped renewing is presumed dead, and a run that kills every
+// claimant must eventually quarantine instead of livelocking the fleet.
 func (l *Ledger) expireLocked() {
 	now := l.now()
-	for id, rec := range l.claims {
-		if now.After(rec.expires) {
-			reason := fmt.Sprintf("lease %s expired (worker %q stopped renewing)", id, rec.worker)
-			l.logLocked(WALRecord{Op: opFence, Claim: id, Reason: reason})
-			for i := rec.start; i < rec.end; i++ {
-				if l.state[i] == idxLeased {
-					l.bumpAttemptLocked(i, reason)
-				}
-			}
-			l.releaseLocked(rec)
-			delete(l.claims, id)
+	for id, c := range l.claims {
+		if now.After(c.expires) {
+			l.commitLocked(WALRecord{Op: opFence, Claim: id, Reason: fmt.Sprintf("lease %s expired (worker %q stopped renewing)", id, c.worker)})
+			l.quarantineLocked(c.start, c.end)
 		}
-	}
-}
-
-func (l *Ledger) checkDoneLocked() {
-	if !l.closed && l.doneCount == len(l.state) {
-		l.closed = true
-		close(l.doneCh)
 	}
 }
 
@@ -530,17 +498,7 @@ func (l *Ledger) Counts() (done, leased, available int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.expireLocked()
-	for _, st := range l.state {
-		switch st {
-		case idxDone:
-			done++
-		case idxLeased:
-			leased++
-		case idxAvailable:
-			available++
-		}
-	}
-	return done, leased, available
+	return l.count[idxDone], l.count[idxLeased], l.count[idxAvailable]
 }
 
 // ClaimView is one live claim in a ledger snapshot.
@@ -586,26 +544,18 @@ func (l *Ledger) View() LedgerView {
 	l.expireLocked()
 	v := LedgerView{
 		Runs:        len(l.state),
+		Done:        l.count[idxDone],
+		Leased:      l.count[idxLeased],
+		Available:   l.count[idxAvailable],
+		Quarantined: l.count[idxQuarantined],
 		MaxAttempts: l.maxAttempts,
+		Fenced:      l.nextID - len(l.claims),
 		Claims:      make([]ClaimView, 0, len(l.claims)),
 	}
-	for _, st := range l.state {
-		switch st {
-		case idxDone:
-			v.Done++
-		case idxLeased:
-			v.Leased++
-		case idxAvailable:
-			v.Available++
-		case idxQuarantined:
-			v.Quarantined++
-		}
-	}
-	for id, rec := range l.claims {
-		v.Claims = append(v.Claims, ClaimView{ID: id, Worker: rec.worker, Start: rec.start, End: rec.end, Expires: rec.expires})
+	for id, c := range l.claims {
+		v.Claims = append(v.Claims, ClaimView{ID: id, Worker: c.worker, Start: c.start, End: c.end, Expires: c.expires})
 	}
 	sort.Slice(v.Claims, func(i, j int) bool { return v.Claims[i].ID < v.Claims[j].ID })
-	v.Fenced = l.nextID - len(l.claims)
 	for i, n := range l.attempts {
 		if n > 0 || l.state[i] == idxQuarantined {
 			v.Troubled = append(v.Troubled, IndexView{Index: i, State: stateNames[l.state[i]], Attempts: n, LastFailure: l.lastFail[i]})

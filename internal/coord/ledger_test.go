@@ -214,12 +214,63 @@ func TestReleaseReturnsIndicesImmediately(t *testing.T) {
 	l, _ := newTestLedger(3, time.Hour)
 	cl, _ := l.Claim("w", 3)
 	l.CompleteIndex(cl.ID, 0)
-	l.Release(cl.ID)
+	if err := l.Complete(cl.ID); err != nil {
+		t.Fatal(err)
+	}
 	done, leased, avail := l.Counts()
 	if done != 1 || leased != 0 || avail != 2 {
 		t.Fatalf("counts after release: done=%d leased=%d avail=%d", done, leased, avail)
 	}
-	l.Release(cl.ID) // idempotent
+	if err := l.Complete(cl.ID); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("second hand-back: %v, want ErrLeaseLost", err)
+	}
+}
+
+// TestFailedIndexHasOneOwner: an index its claim failed belongs to the
+// next claim that leases it. The failing claim may no longer publish
+// it, and neither its completion nor its lease expiry may hand the
+// index back or charge it — otherwise a third claim leases an index
+// the second still holds.
+func TestFailedIndexHasOneOwner(t *testing.T) {
+	for _, end := range []string{"complete", "expire"} {
+		t.Run(end, func(t *testing.T) {
+			l, clk := newTestLedger(4, time.Second)
+			a, _ := l.Claim("a", 4)
+			if err := l.Fail(a.ID, 1, "boom"); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(500 * time.Millisecond)
+			b, ok := l.Claim("b", 1)
+			if !ok || b.Start != 1 || b.End != 2 {
+				t.Fatalf("re-claim got %+v, want [1,2)", b)
+			}
+			if err := l.Owns(a.ID, 1); err == nil || errors.Is(err, ErrLeaseLost) {
+				t.Fatalf("Owns(a, 1) = %v, want a live claim that no longer leases index 1", err)
+			}
+			if err := l.CompleteIndex(a.ID, 1); err == nil {
+				t.Fatal("claim a completed index 1, which b leases")
+			}
+			if end == "complete" {
+				if err := l.Complete(a.ID); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				clk.Advance(600 * time.Millisecond) // past a's deadline, not b's
+			}
+			c, ok := l.Claim("c", 4)
+			if !ok || c.Start != 0 || c.End != 1 {
+				t.Fatalf("claim c got %+v, want [0,1): index 1 is still b's", c)
+			}
+			if err := l.Owns(b.ID, 1); err != nil {
+				t.Fatalf("b lost index 1: %v", err)
+			}
+			for _, ix := range l.View().Troubled {
+				if ix.Index == 1 && ix.Attempts != 1 {
+					t.Fatalf("index 1 charged %d attempts, want only a's reported failure", ix.Attempts)
+				}
+			}
+		})
+	}
 }
 
 // TestLeaseExpiryQuarantinesAfterBudget: a run that kills every
@@ -263,7 +314,9 @@ func TestVoluntaryReleaseChargesNoAttempt(t *testing.T) {
 	l, _ := newTestLedger(2, time.Minute)
 	l.SetMaxAttempts(1)
 	cl, _ := l.Claim("w", 2)
-	l.Release(cl.ID)
+	if err := l.Complete(cl.ID); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-l.Fatal():
 		t.Fatal("voluntary release charged an attempt")

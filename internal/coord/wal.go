@@ -9,11 +9,12 @@ import (
 	"repro/internal/durable"
 )
 
-// The ledger's write-ahead log. Every claim-state transition is
-// appended as one fsynced NDJSON record before it is applied, so a
-// coordinator restarted over the same store replays the file and
-// resumes the sweep with live leases, permanent claim-ID fences,
-// per-index attempt counts, and quarantine verdicts intact. Replay and
+// The ledger's write-ahead log. Every claim-state transition but an
+// index completion is appended as one fsynced NDJSON record before it
+// is applied, so a coordinator restarted over the same store replays
+// the file and resumes the sweep with live leases, permanent claim-ID
+// fences, per-index attempt counts, and quarantine verdicts intact;
+// completions come from the job's checkpoint log instead. Replay and
 // append go through internal/durable, the same discipline as the job
 // store: a record is durable only once its trailing newline is on disk,
 // a torn final line is dropped and truncated so the next append starts
@@ -24,10 +25,10 @@ import (
 const (
 	opClaim      = "claim"      // a range was leased: Claim, Worker, Start, End, Expires
 	opRenew      = "renew"      // a lease was extended: Claim, Expires
-	opDone       = "done"       // one index completed under a claim: Claim, Index
-	opRelease    = "release"    // a claim retired voluntarily; unfinished indices returned
-	opFence      = "fence"      // a lease expired; unfinished indices returned, attempts bumped
-	opFail       = "fail"       // a worker reported one index failed: Claim, Index, Reason
+	opDone       = "done"       // one index completed: Index; applied, never appended, replayed from older WALs
+	opRelease    = "release"    // a claim retired voluntarily; indices it still leases returned
+	opFence      = "fence"      // a lease expired; indices it still leased returned, attempts bumped
+	opFail       = "fail"       // one index its claim leases failed: Claim, Index, Reason
 	opQuarantine = "quarantine" // an index hit the attempt budget: Index, Attempts, Reason
 )
 

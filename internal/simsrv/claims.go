@@ -3,6 +3,7 @@ package simsrv
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -165,12 +166,12 @@ func (s *Server) handleClaimComplete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePublishRun accepts one run's result document from the claim
-// holder. A body that is not JSON gets 400 and a zombie claim is fenced
-// with 410, both before anything is written;
-// then persist stores the bytes exactly as the local path does, and the
-// ledger completion comes last — a crash or lost lease between any two
-// steps heals on the next claim via the cache probe, and the checkpoint
-// log records each index at most once.
+// holder. A zombie claim is fenced with 410 and a body that is not JSON
+// gets 400, both before anything is written; then persist stores the
+// bytes exactly as the local path does, and the ledger completion comes
+// last — a crash or lost lease between any two steps heals on the next
+// claim via the cache probe, and the checkpoint log records each index
+// at most once.
 func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 	id, claim := r.PathValue("id"), r.URL.Query().Get("claim")
 	index, err := strconv.Atoi(r.PathValue("index"))
@@ -179,17 +180,11 @@ func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The body is read before the lookup, so a slow upload never holds
-	// up a coordinator waiting for its handlers.
+	// up a coordinator waiting for its handlers. A body the server could
+	// not finish reading says nothing about the run and charges nothing.
 	data, err := io.ReadAll(io.LimitReader(r.Body, maxResultBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading result: %v", err)
-		return
-	}
-	// Only a JSON document may reach the cache: merge embeds the bytes
-	// verbatim, and a rejected document under the run's content address
-	// would fail every later job that shares it.
-	if len(data) > maxResultBytes || !json.Valid(data) {
-		writeError(w, http.StatusBadRequest, "result document is not JSON of at most %d bytes", maxResultBytes)
 		return
 	}
 	d, release := s.dist(id)
@@ -204,6 +199,19 @@ func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusGone
 		}
 		writeError(w, status, "%v", err)
+		return
+	}
+	// Only a JSON document may reach the cache: merge embeds the bytes
+	// verbatim, and a rejected document under the run's content address
+	// would fail every later job that shares it. A refusal charges the
+	// index an attempt, as an engine failure does: a run whose result is
+	// always refused fails the job with the quarantine diagnosis instead
+	// of being claimed and recomputed forever.
+	if len(data) > maxResultBytes || !json.Valid(data) {
+		reason := fmt.Sprintf("result refused: not a JSON document of at most %d bytes", maxResultBytes)
+		// An error here is a lease lost since Owns; its fence charged the index.
+		_ = d.ledger.Fail(claim, index, reason)
+		writeError(w, http.StatusBadRequest, "%s", reason)
 		return
 	}
 	if err := s.persist(id, index, d.keys[index], data); err != nil {

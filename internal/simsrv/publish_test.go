@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,16 +34,8 @@ func leaseRuns(t testing.TB, h http.Handler, spec string, max int) (id string, c
 	if err := json.Unmarshal(rec.Body.Bytes(), &v); rec.Code != http.StatusAccepted || err != nil {
 		t.Fatalf("submit: status %d: %s", rec.Code, rec.Body)
 	}
-	req, err := json.Marshal(coord.ClaimRequest{Worker: "w", Max: max, EngineVersion: sim.Version})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
-		rec := post(h, "/v1/jobs/"+v.ID+"/claims", req)
-		if rec.Code == http.StatusOK {
-			if err := json.Unmarshal(rec.Body.Bytes(), &cl); err != nil {
-				t.Fatal(err)
-			}
+		if code, cl := claimRuns(t, h, v.ID, max); code == http.StatusOK {
 			return v.ID, cl
 		}
 	}
@@ -50,20 +43,78 @@ func leaseRuns(t testing.TB, h http.Handler, spec string, max int) (id string, c
 	return "", cl
 }
 
+// claimRuns asks a job for a claim on up to max indices, returning the
+// response status and, on 200, the claim.
+func claimRuns(t testing.TB, h http.Handler, id string, max int) (int, coord.ClaimResponse) {
+	t.Helper()
+	req, err := json.Marshal(coord.ClaimRequest{Worker: "w", Max: max, EngineVersion: sim.Version})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cl coord.ClaimResponse
+	rec := post(h, "/v1/jobs/"+id+"/claims", req)
+	if rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), &cl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rec.Code, cl
+}
+
+// startServer starts a server with cfg over a fresh store, draining
+// both when the test ends.
+func startServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	store, err := jobstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = store
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		store.Close()
+	})
+	return srv
+}
+
 // TestPublishRejectsNonJSON: under a live claim, a result body that is
 // not JSON gets 400 before anything is persisted, so it cannot poison
-// the run's content address. The real publish then succeeds, and the
-// merged report is byte-identical to one assembled from a direct run.
+// the run's content address, and the refusal charges the index one
+// attempt and takes it from the claim. The real publish then succeeds
+// under a fresh claim, and the merged report is byte-identical to one
+// assembled from a direct run.
 func TestPublishRejectsNonJSON(t *testing.T) {
 	const spec = `{"scenario":"baseline-f3","jobs":40,"runs":2,"seed":5,"distributed":true}`
 	srv, ts := newTestServer(t, t.TempDir())
 	h := srv.Handler()
 	id, cl := leaseRuns(t, h, spec, 2)
-	publish := func(index int, body []byte) int {
-		return post(h, fmt.Sprintf("/v1/jobs/%s/runs/%d?claim=%s", id, index, cl.ClaimID), body).Code
+	publish := func(claim string, index int, body []byte) int {
+		return post(h, fmt.Sprintf("/v1/jobs/%s/runs/%d?claim=%s", id, index, claim), body).Code
 	}
-	if code := publish(0, []byte("not json")); code != http.StatusBadRequest {
+	if code := publish(cl.ClaimID, 0, []byte("not json")); code != http.StatusBadRequest {
 		t.Fatalf("non-JSON publish: status %d, want 400", code)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/claims", nil))
+	var lv coord.LedgerView
+	if err := json.Unmarshal(rec.Body.Bytes(), &lv); err != nil {
+		t.Fatalf("claims view: status %d: %v", rec.Code, err)
+	}
+	if len(lv.Troubled) != 1 || lv.Troubled[0].Index != 0 || lv.Troubled[0].Attempts != 1 {
+		t.Fatalf("after a refused publish, troubled indices %+v, want index 0 with 1 attempt", lv.Troubled)
+	}
+	code, fresh := claimRuns(t, h, id, 1)
+	if code != http.StatusOK || fresh.Start != 0 || fresh.End != 1 {
+		t.Fatalf("re-claim of the refused index: status %d, claim %+v", code, fresh)
 	}
 	var sp sim.JobSpec
 	if err := json.Unmarshal([]byte(spec), &sp); err != nil {
@@ -102,7 +153,11 @@ func TestPublishRejectsNonJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if code := publish(i, data); code != http.StatusOK {
+		claim := cl.ClaimID
+		if i == 0 {
+			claim = fresh.ClaimID
+		}
+		if code := publish(claim, i, data); code != http.StatusOK {
 			t.Fatalf("publish %d: status %d", i, code)
 		}
 		rep.Runs = append(rep.Runs, ReportRun{Index: i, Seed: sp.RunSeed(i), Result: data})
@@ -118,31 +173,57 @@ func TestPublishRejectsNonJSON(t *testing.T) {
 	}
 }
 
+// TestRefusedPublishFailsTheJob: a run whose result the server always
+// refuses is charged an attempt per refusal, so the job fails with the
+// quarantine diagnosis within its attempt budget instead of the run
+// being claimed and recomputed forever.
+func TestRefusedPublishFailsTheJob(t *testing.T) {
+	srv := startServer(t, Config{MaxAttempts: 2})
+	h := srv.Handler()
+	id, cl := leaseRuns(t, h, `{"scenario":"baseline-f3","jobs":10,"runs":1,"distributed":true}`, 1)
+	claims := 1
+	for {
+		if code := post(h, fmt.Sprintf("/v1/jobs/%s/runs/0?claim=%s", id, cl.ClaimID), []byte("not json")).Code; code != http.StatusBadRequest {
+			t.Fatalf("refused publish %d: status %d, want 400", claims, code)
+		}
+		post(h, fmt.Sprintf("/v1/jobs/%s/claims/%s/complete", id, cl.ClaimID), nil)
+		var code int
+		if code, cl = claimRuns(t, h, id, 1); code != http.StatusOK {
+			break
+		}
+		if claims++; claims > 10 {
+			t.Fatalf("run 0 claimed %d times and the job still accepts claims", claims)
+		}
+	}
+	if claims > 2 {
+		t.Fatalf("run 0 claimed %d times under an attempt budget of 2", claims)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		j, _ := srv.store.Get(id)
+		if j.State == jobstore.Failed {
+			last := j.Events[len(j.Events)-1].Reason
+			for _, want := range []string{"run 0 quarantined", "result refused"} {
+				if !strings.Contains(last, want) {
+					t.Fatalf("failure reason %q missing %q", last, want)
+				}
+			}
+			return
+		}
+		if j.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job %s is %s, want failed", id, j.State)
+		}
+	}
+}
+
 // FuzzClaimRoutes sends fuzzed bodies to the claim, publish and failed
 // routes of one server holding a distributed job, under a claim that
 // leases every index. No request may panic or get a 500, and whatever
 // the server accepts into the cache must be a JSON document.
 func FuzzClaimRoutes(f *testing.F) {
 	const spec = `{"scenario":"baseline-f3","jobs":10,"runs":64,"seed":3,"distributed":true}`
-	store, err := jobstore.Open(f.TempDir())
-	if err != nil {
-		f.Fatal(err)
-	}
 	// A lease and attempt budget no fuzz run exhausts keep the job
 	// accepting claims.
-	srv, err := New(Config{Store: store, Lease: time.Hour, MaxAttempts: 1 << 30})
-	if err != nil {
-		f.Fatal(err)
-	}
-	srv.Start()
-	f.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Drain(ctx); err != nil {
-			f.Errorf("drain: %v", err)
-		}
-		store.Close()
-	})
+	srv := startServer(f, Config{Lease: time.Hour, MaxAttempts: 1 << 30})
 	h := srv.Handler()
 	id, cl := leaseRuns(f, h, spec, 64)
 	var sp sim.JobSpec

@@ -159,8 +159,8 @@ func (s *Server) executeDistributed(ctx context.Context, id string, a *activeJob
 	if len(recs) > 0 {
 		s.logf("%s: replayed %d claim-ledger records", id, len(recs))
 	}
-	// Checkpointed/cached indices override replayed claim state: bytes
-	// already durable trump any stale lease over them.
+	// The WAL holds no completions: the checkpointed and cached indices
+	// are the done set, and they override any replayed lease over them.
 	led.MarkDone(done...)
 	d := &distJob{ledger: led, spec: sp, raw: raw, keys: keys, a: a}
 	s.cmu.Lock()

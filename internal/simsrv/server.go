@@ -17,9 +17,6 @@ import (
 type Config struct {
 	// Store is the durable job store; required.
 	Store *jobstore.Store
-	// CacheDir roots the content-addressed result cache (default
-	// <store dir>/cache).
-	CacheDir string
 	// Workers is the number of jobs executed concurrently (default 1;
 	// each job's sweep already fans across GOMAXPROCS).
 	Workers int
@@ -103,11 +100,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("simsrv: Config.Store is required")
 	}
-	cacheDir := cfg.CacheDir
-	if cacheDir == "" {
-		cacheDir = filepath.Join(cfg.Store.Dir(), "cache")
-	}
-	cache, err := NewCache(cacheDir)
+	cache, err := NewCache(filepath.Join(cfg.Store.Dir(), "cache"))
 	if err != nil {
 		return nil, err
 	}
