@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -88,11 +89,7 @@ func (s *testServer) waitDone(t *testing.T, id string, timeout time.Duration) []
 		}
 		switch j.State {
 		case jobstore.Done:
-			data, err := s.store.Result(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return data
+			return fetchReport(t, s.ts.URL, id)
 		case jobstore.Failed, jobstore.Canceled:
 			t.Fatalf("job %s ended %s: %+v", id, j.State, j.Events)
 		}
@@ -100,6 +97,24 @@ func (s *testServer) waitDone(t *testing.T, id string, timeout time.Duration) []
 	}
 	t.Fatalf("job %s never finished", id)
 	return nil
+}
+
+// fetchReport GETs a done job's report.
+func fetchReport(t *testing.T, base, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET result of %s: status %d: %s", id, resp.StatusCode, data)
+	}
+	return data
 }
 
 // checkpointIndices reads a job's runs.ndjson and returns every

@@ -146,7 +146,9 @@ func getLedgerView(t *testing.T, base, id string) coord.LedgerView {
 	return v
 }
 
-func waitDoneStore(t *testing.T, store *jobstore.Store, id string, timeout time.Duration) []byte {
+// waitDoneStore waits for the job to be done in store, then fetches its
+// report from the server at base.
+func waitDoneStore(t *testing.T, store *jobstore.Store, base, id string, timeout time.Duration) []byte {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -156,11 +158,7 @@ func waitDoneStore(t *testing.T, store *jobstore.Store, id string, timeout time.
 		}
 		switch j.State {
 		case jobstore.Done:
-			data, err := store.Result(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return data
+			return fetchReport(t, base, id)
 		case jobstore.Failed, jobstore.Canceled:
 			t.Fatalf("job %s ended %s: %+v", id, j.State, j.Events)
 		}
@@ -247,7 +245,7 @@ func TestCoordinatorRestartPreservesFencesAndLeases(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	got := waitDoneStore(t, store2, id, 2*time.Minute)
+	got := waitDoneStore(t, store2, ts.URL, id, 2*time.Minute)
 	if !bytes.Equal(got, want) {
 		t.Error("merged report differs from the uninterrupted run after coordinator restart")
 	}
@@ -376,7 +374,7 @@ func TestFlakyTransportChaosMatrix(t *testing.T) {
 				wg.Add(1)
 				go func() { defer wg.Done(); w.Run(ctx) }()
 			}
-			got := waitDoneStore(t, store, id, 2*time.Minute)
+			got := waitDoneStore(t, store, ts.URL, id, 2*time.Minute)
 			cancel()
 			wg.Wait()
 			if !bytes.Equal(got, want) {

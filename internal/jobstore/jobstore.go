@@ -1,10 +1,11 @@
 // Package jobstore persists the simd service's job lifecycle on disk.
 //
 // Every job is a directory holding an immutable spec, an append-only
-// transition log, an append-only record of completed sweep-run indices,
-// and (once terminal) the merged result document. State is never stored
-// directly: it is derived by replaying the transition log, so a store
-// reopened after a crash — even one that cut a log line in half —
+// transition log, and an append-only record of completed sweep-run
+// indices, each naming the result-cache entry that holds the run's
+// result; the store keeps no other copy of a result. State is never
+// stored directly: it is derived by replaying the transition log, so a
+// store reopened after a crash — even one that cut a log line in half —
 // reconstructs exactly the last durably recorded state. The state
 // machine is
 //
@@ -103,17 +104,6 @@ type Job struct {
 	Updated time.Time       `json:"updated"`
 }
 
-// CompletedIndices returns the job's durably completed run indices in
-// ascending order.
-func (j Job) CompletedIndices() []int {
-	out := make([]int, 0, len(j.Runs))
-	for i := range j.Runs {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // job is the store's mutable record.
 type job struct {
 	id     string
@@ -199,8 +189,8 @@ func (s *Store) load(jobsDir string) error {
 func (s *Store) Dir() string { return s.dir }
 
 // JobDir returns the directory holding one job's durable records —
-// spec, transition log, run checkpoints, result document, and (for
-// distributed jobs) the coordinator's claim-ledger WAL.
+// spec, transition log, run checkpoints, and (for distributed jobs) the
+// coordinator's claim-ledger WAL.
 func (s *Store) JobDir(id string) string { return s.jobDir(id) }
 
 func (s *Store) jobDir(id string) string { return filepath.Join(s.dir, "jobs", id) }
@@ -314,8 +304,11 @@ func (s *Store) RecordRun(id string, index int, key string) error {
 	return nil
 }
 
-// SetResult writes the job's merged result document atomically
-// (durable.WriteFile), so readers never observe a partial report.
+// SetResult writes a document as the job's result.json atomically
+// (durable.WriteFile). Nothing in simd calls it or reads the file: a
+// job's report is streamed from the result cache. It stays only because
+// perfbench times it (jobstore.set_result_ms); delete it once the
+// benchmark drops that call.
 func (s *Store) SetResult(id string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -326,19 +319,6 @@ func (s *Store) SetResult(id string, data []byte) error {
 		return fmt.Errorf("jobstore: %w", err)
 	}
 	return nil
-}
-
-// Result returns the job's merged result document, or os.ErrNotExist
-// while the job has none.
-func (s *Store) Result(id string) ([]byte, error) {
-	s.mu.Lock()
-	dir := s.jobDir(id)
-	_, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("jobstore: unknown job %q", id)
-	}
-	return os.ReadFile(filepath.Join(dir, "result.json"))
 }
 
 // Get returns a copy of one job's state.

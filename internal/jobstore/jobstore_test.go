@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,8 +62,8 @@ func TestLifecycleAndReplay(t *testing.T) {
 	if got.State != Done {
 		t.Errorf("replayed state %q, want done", got.State)
 	}
-	if want := []int{0, 2}; !reflect.DeepEqual(got.CompletedIndices(), want) {
-		t.Errorf("replayed runs %v, want %v", got.CompletedIndices(), want)
+	if want := []int{0, 2}; !reflect.DeepEqual(runIndices(got), want) {
+		t.Errorf("replayed runs %v, want %v", runIndices(got), want)
 	}
 	if got.Runs[2] != "key2" {
 		t.Errorf("replayed run key %q, want key2", got.Runs[2])
@@ -75,10 +76,20 @@ func TestLifecycleAndReplay(t *testing.T) {
 			t.Errorf("event %d has seq %d", i, ev.Seq)
 		}
 	}
-	res, err := s2.Result(j.ID)
+	res, err := os.ReadFile(filepath.Join(dir, "jobs", j.ID, "result.json"))
 	if err != nil || string(res) != `{"ok":true}` {
-		t.Errorf("replayed result %q (%v)", res, err)
+		t.Errorf("result.json holds %q (%v)", res, err)
 	}
+}
+
+// runIndices returns the job's recorded run indices in ascending order.
+func runIndices(j Job) []int {
+	out := make([]int, 0, len(j.Runs))
+	for i := range j.Runs {
+		out = append(out, i)
+	}
+	sort.Ints(out)
+	return out
 }
 
 func TestIllegalTransitionsRejected(t *testing.T) {
@@ -161,8 +172,8 @@ func TestCrashRecoveryTruncatedLog(t *testing.T) {
 	if got.State != Running {
 		t.Errorf("state %q after torn tail, want running (last durable)", got.State)
 	}
-	if want := []int{0, 1}; !reflect.DeepEqual(got.CompletedIndices(), want) {
-		t.Errorf("completed %v, want %v (torn record dropped)", got.CompletedIndices(), want)
+	if want := []int{0, 1}; !reflect.DeepEqual(runIndices(got), want) {
+		t.Errorf("completed %v, want %v (torn record dropped)", runIndices(got), want)
 	}
 
 	// The requeue edge lets the recovered job resume.
@@ -383,8 +394,8 @@ func TestConcurrentRequeueAndDuplicatePublish(t *testing.T) {
 	// If the requeue edge won, the healed job must still resume: its
 	// checkpoint already covers every index.
 	if got.State == Queued {
-		if want := n; len(got.CompletedIndices()) != want {
-			t.Fatalf("requeued job lost checkpoint: %d indices", len(got.CompletedIndices()))
+		if want := n; len(got.Runs) != want {
+			t.Fatalf("requeued job lost checkpoint: %d indices", len(got.Runs))
 		}
 	}
 }

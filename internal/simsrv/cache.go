@@ -1,6 +1,7 @@
 package simsrv
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,10 @@ import (
 // filed under their RunKey. Writes are atomic (durable.WriteFile) and
 // idempotent — two workers caching the same key race harmlessly because
 // the content is identical by construction.
+//
+// The cache holds the only copy of a run's result, and every entry is
+// canonical: the compact, HTML-escaped form encoding/json emits, so a
+// report embeds entries as is (see writeReport).
 type Cache struct {
 	dir string
 }
@@ -22,6 +27,13 @@ func NewCache(dir string) (*Cache, error) {
 		return nil, fmt.Errorf("simsrv: cache: %w", err)
 	}
 	return &Cache{dir: dir}, nil
+}
+
+// canonical returns a published result document in the form every cache
+// entry takes, or an error for anything json.Valid rejects. The local
+// path needs no call: it caches json.Marshal output.
+func canonical(doc []byte) ([]byte, error) {
+	return json.Marshal(json.RawMessage(doc))
 }
 
 // path shards entries by the first two hash bytes to keep directories
@@ -41,6 +53,23 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return data, true
+}
+
+// Has reports whether key has an entry, without reading it.
+func (c *Cache) Has(key string) bool {
+	_, err := os.Stat(c.path(key))
+	return err == nil
+}
+
+// requireAll returns an error naming the first run whose entry is
+// missing, where run i's entry is keys[i].
+func (c *Cache) requireAll(keys []string) error {
+	for i, key := range keys {
+		if !c.Has(key) {
+			return fmt.Errorf("run %d: result missing from cache (key %s)", i, key)
+		}
+	}
+	return nil
 }
 
 // Put files data under key, durably and atomically.

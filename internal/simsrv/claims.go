@@ -168,10 +168,10 @@ func (s *Server) handleClaimComplete(w http.ResponseWriter, r *http.Request) {
 // handlePublishRun accepts one run's result document from the claim
 // holder. A zombie claim is fenced with 410 and a body that is not JSON
 // gets 400, both before anything is written; then persist stores the
-// bytes exactly as the local path does, and the ledger completion comes
-// last — a crash or lost lease between any two steps heals on the next
-// claim via the cache probe, and the checkpoint log records each index
-// at most once.
+// body in canonical form, as the local path stores json.Marshal output,
+// and the ledger completion comes last — a crash or lost lease between
+// any two steps heals on the next claim via the cache probe, and the
+// checkpoint log records each index at most once.
 func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 	id, claim := r.PathValue("id"), r.URL.Query().Get("claim")
 	index, err := strconv.Atoi(r.PathValue("index"))
@@ -201,13 +201,17 @@ func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	// Only a JSON document may reach the cache: merge embeds the bytes
-	// verbatim, and a rejected document under the run's content address
-	// would fail every later job that shares it. A refusal charges the
-	// index an attempt, as an engine failure does: a run whose result is
-	// always refused fails the job with the quarantine diagnosis instead
-	// of being claimed and recomputed forever.
-	if len(data) > maxResultBytes || !json.Valid(data) {
+	// Only a canonical JSON document may reach the cache: reports embed
+	// entries verbatim, and a rejected document under the run's content
+	// address would fail every later job that shares it. HTML escapes can
+	// grow a body up to 6x, so the cap applies after re-encoding too. A
+	// refusal charges the index an attempt, as an engine failure does: a
+	// run whose result is always refused fails the job with the
+	// quarantine diagnosis instead of being claimed and recomputed forever.
+	if len(data) <= maxResultBytes {
+		data, err = canonical(data)
+	}
+	if len(data) > maxResultBytes || err != nil {
 		reason := fmt.Sprintf("result refused: not a JSON document of at most %d bytes", maxResultBytes)
 		// An error here is a lease lost since Owns; its fence charged the index.
 		_ = d.ledger.Fail(claim, index, reason)

@@ -2,10 +2,8 @@ package simsrv
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"time"
 
 	"repro/internal/jobstore"
@@ -194,6 +192,11 @@ func (s *Server) cancelRunning(id string) {
 	}
 }
 
+// handleResult streams a done job's report from the cache: 404 for an
+// unknown job, 409 before it is done, 410 when its runs were computed
+// under another engine version, and 500 naming a run whose cache entry
+// is missing. A failure once streaming has begun aborts the response,
+// so a client never takes a truncated body for a report.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.store.Get(id)
@@ -205,26 +208,40 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s is %s, not done", id, j.State)
 		return
 	}
-	data, err := s.store.Result(id)
+	sp, keys, err := runKeys(j.Spec)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			writeError(w, http.StatusNotFound, "job %s has no result document", id)
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	for i, key := range keys {
+		if j.Runs[i] != key {
+			writeError(w, http.StatusGone, "job %s was computed under another engine version than this server's %s; resubmit its spec", id, sim.Version)
 			return
 		}
+	}
+	if err := s.cache.requireAll(keys); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	if err := s.cache.writeReport(w, sp, j.Spec, keys); err != nil {
+		s.logf("%s: streaming report: %v", id, err)
+		panic(http.ErrAbortHandler)
+	}
 }
 
-// handleEvents streams the job's lifecycle as NDJSON: first the durable
-// transition history, then live run progress until the job reaches a
-// terminal state or the client disconnects. Delivery is at-least-once —
-// a transition may appear both in the replayed history and live.
+// handleEvents streams the job's lifecycle as NDJSON: each durable
+// transition once, in order, interleaved with live run events until the
+// job reaches a terminal state or the client disconnects. Run events are
+// best-effort: a stream that falls behind drops them, never a transition.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	// Subscribe before reading the job log: a transition after the read
+	// leaves a token, so none falls between the log and the live stream.
+	a := s.watch(id)
+	defer s.unwatch(id, a)
+	sub, unsubscribe := a.subscribe()
+	defer unsubscribe()
 	j, ok := s.store.Get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
@@ -238,13 +255,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 
-	// Subscribe before replaying history so no live event falls in the
-	// gap between the two.
-	a := s.watch(id)
-	defer s.unwatch(id, a)
-	ch, unsubscribe := a.subscribe()
-	defer unsubscribe()
-
 	writeLine := func(line []byte) bool {
 		if _, err := w.Write(append(line, '\n')); err != nil {
 			return false
@@ -252,30 +262,33 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		return true
 	}
-	for _, ev := range j.Events {
-		line, err := json.Marshal(event{Type: "transition", Job: id, State: string(ev.To), Reason: ev.Reason})
-		if err != nil {
-			continue
+	for sent := 0; ; {
+		for ; sent < len(j.Events); sent++ {
+			ev := j.Events[sent]
+			line, err := json.Marshal(event{Type: "transition", Job: id, State: string(ev.To), Reason: ev.Reason})
+			if err != nil || !writeLine(line) {
+				return
+			}
 		}
-		if !writeLine(line) {
+		if j.State.Terminal() {
 			return
 		}
-	}
-	if j.State.Terminal() {
-		return
-	}
-	for {
 		select {
 		case <-r.Context().Done():
 			return
-		case line := <-ch:
+		case line := <-sub.lines:
 			if !writeLine(line) {
 				return
 			}
-			var ev event
-			if json.Unmarshal(line, &ev) == nil && ev.Type == "transition" && jobstore.State(ev.State).Terminal() {
+			continue
+		case <-sub.changed:
+		}
+		// Run events published before the transition go out before it.
+		for buffered := len(sub.lines); buffered > 0; buffered-- {
+			if !writeLine(<-sub.lines) {
 				return
 			}
 		}
+		j, _ = s.store.Get(id)
 	}
 }

@@ -128,7 +128,7 @@ func TestPublishRejectsNonJSON(t *testing.T) {
 		t.Fatal("non-JSON publish left a cache entry")
 	}
 	if j, _ := srv.store.Get(id); len(j.Runs) != 0 {
-		t.Fatalf("non-JSON publish checkpointed runs %v", j.CompletedIndices())
+		t.Fatalf("non-JSON publish checkpointed runs %v", j.Runs)
 	}
 
 	// The direct run: the same spec through the public sweep API.
@@ -215,10 +215,31 @@ func TestRefusedPublishFailsTheJob(t *testing.T) {
 	}
 }
 
+// TestPublishCachesCanonicalJSON: the publish route caches a result in
+// the form encoding/json emits, compact and HTML-escaped, as the local
+// path does, so a report embeds every cache entry as is.
+func TestPublishCachesCanonicalJSON(t *testing.T) {
+	const spec = `{"scenario":"baseline-f3","jobs":10,"runs":1,"seed":4,"distributed":true}`
+	srv := startServer(t, Config{})
+	h := srv.Handler()
+	id, cl := leaseRuns(t, h, spec, 1)
+	if rec := post(h, fmt.Sprintf("/v1/jobs/%s/runs/0?claim=%s", id, cl.ClaimID), []byte(`{ "a" : "<b>" }`)); rec.Code != http.StatusOK {
+		t.Fatalf("publish: status %d: %s", rec.Code, rec.Body)
+	}
+	_, keys, err := runKeys([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := srv.cache.Get(keys[0]); string(got) != `{"a":"\u003cb\u003e"}` {
+		t.Errorf("cache entry %q, want the canonical encoding", got)
+	}
+}
+
 // FuzzClaimRoutes sends fuzzed bodies to the claim, publish and failed
 // routes of one server holding a distributed job, under a claim that
 // leases every index. No request may panic or get a 500, and whatever
-// the server accepts into the cache must be a JSON document.
+// the server accepts into the cache must be a canonical JSON document:
+// re-encoding it with encoding/json leaves it unchanged.
 func FuzzClaimRoutes(f *testing.F) {
 	const spec = `{"scenario":"baseline-f3","jobs":10,"runs":64,"seed":3,"distributed":true}`
 	// A lease and attempt budget no fuzz run exhausts keep the job
@@ -272,8 +293,11 @@ func FuzzClaimRoutes(f *testing.F) {
 		if rec.Code == http.StatusOK && !ok {
 			t.Fatalf("publish of run %d accepted but not cached", index)
 		}
-		if ok && !json.Valid(data) {
-			t.Fatalf("cache holds non-JSON bytes %q for run %d after publishing %q (status %d)", data, index, body, rec.Code)
+		if !ok {
+			return
+		}
+		if canon, err := json.Marshal(json.RawMessage(data)); err != nil || !bytes.Equal(canon, data) {
+			t.Fatalf("cache holds non-canonical bytes %q for run %d after publishing %q (status %d)", data, index, body, rec.Code)
 		}
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/coord"
 	"repro/internal/jobstore"
@@ -28,7 +27,6 @@ func (s *Server) runJob(id string) {
 	defer cancel()
 	a.mu.Lock()
 	a.cancel = cancel
-	a.startedAt = time.Now()
 	a.mu.Unlock()
 
 	if err := s.transition(id, a, jobstore.Running, "picked up by worker"); err != nil {
@@ -56,30 +54,42 @@ func (s *Server) runJob(id string) {
 	}
 }
 
+// runKeys decodes a job's stored spec, normalized, and the cache key of
+// each of its runs.
+func runKeys(raw json.RawMessage) (sim.JobSpec, []string, error) {
+	var sp sim.JobSpec
+	if err := json.Unmarshal(raw, &sp); err != nil {
+		return sp, nil, fmt.Errorf("bad stored spec: %w", err)
+	}
+	sp = sp.Normalize()
+	keys := make([]string, sp.Runs)
+	for i := range keys {
+		var err error
+		if keys[i], err = sp.RunKey(i); err != nil {
+			return sp, nil, err
+		}
+	}
+	return sp, keys, nil
+}
+
 // execute runs the job's sweep, skipping every index that is already
-// durably complete (checkpoint record or cache hit), persisting each
-// run as it finishes, and finally merging the report from the cache.
+// durably complete (checkpoint record or cache hit), and persists each
+// run as it finishes. The job is done once every run's result is in the
+// cache, from which each GET of its report streams.
 func (s *Server) execute(ctx context.Context, id string, a *activeJob) error {
 	j, ok := s.store.Get(id)
 	if !ok {
 		return fmt.Errorf("job %s vanished", id)
 	}
-	var sp sim.JobSpec
-	if err := json.Unmarshal(j.Spec, &sp); err != nil {
-		return fmt.Errorf("bad stored spec: %w", err)
+	sp, keys, err := runKeys(j.Spec)
+	if err != nil {
+		return err
 	}
-	sp = sp.Normalize()
 	simu, err := sp.Simulation()
 	if err != nil {
 		return err
 	}
 	n := sp.Runs
-	keys := make([]string, n)
-	for i := range keys {
-		if keys[i], err = sp.RunKey(i); err != nil {
-			return err
-		}
-	}
 
 	// Resume point: indices recorded in the job's checkpoint log plus
 	// indices whose results another job already cached. Cache hits are
@@ -88,7 +98,7 @@ func (s *Server) execute(ctx context.Context, id string, a *activeJob) error {
 	var done, missing []int
 	for i := 0; i < n; i++ {
 		if _, ok := j.Runs[i]; !ok {
-			if _, hit := s.cache.Get(keys[i]); !hit {
+			if !s.cache.Has(keys[i]) {
 				missing = append(missing, i)
 				continue
 			}
@@ -128,7 +138,7 @@ func (s *Server) execute(ctx context.Context, id string, a *activeJob) error {
 			return p.err
 		}
 	}
-	return s.merge(id, sp, keys)
+	return s.cache.requireAll(keys)
 }
 
 // executeDistributed serves one distributed job: instead of running the
@@ -143,8 +153,7 @@ func (s *Server) execute(ctx context.Context, id string, a *activeJob) error {
 // unregisters the ledger so outstanding claims are fenced (their
 // publishes get 410) and the job takes its normal requeue/cancel
 // transition with everything already published still durable. On
-// completion the report is merged exclusively from cache bytes, exactly
-// like a local run.
+// completion every result is in the cache, exactly as after a local run.
 func (s *Server) executeDistributed(ctx context.Context, id string, a *activeJob, sp sim.JobSpec, raw json.RawMessage, keys []string, done []int) error {
 	led := coord.NewLedger(sp.Runs, s.lease)
 	led.SetMaxAttempts(s.maxAttempts)
@@ -177,64 +186,17 @@ func (s *Server) executeDistributed(ctx context.Context, id string, a *activeJob
 	// done — every index durable means the poison verdict is moot.
 	select {
 	case <-led.Done():
-		return s.merge(id, sp, keys)
+		return s.cache.requireAll(keys)
 	default:
 	}
 	select {
 	case <-led.Done():
-		return s.merge(id, sp, keys)
+		return s.cache.requireAll(keys)
 	case <-led.Fatal():
 		return led.FatalErr()
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Report is the merged result document of one job. It carries no
-// job-local identity (no ID, no timestamps): the same spec merged from
-// the same per-run results is byte-identical whether the sweep ran
-// uninterrupted or resumed across any number of restarts.
-type Report struct {
-	SpecHash      string          `json:"spec_hash"`
-	EngineVersion string          `json:"engine_version"`
-	Spec          json.RawMessage `json:"spec"`
-	Runs          []ReportRun     `json:"runs"`
-}
-
-// ReportRun is one run's slot in the merged report.
-type ReportRun struct {
-	Index  int             `json:"index"`
-	Seed   uint64          `json:"seed"`
-	Result json.RawMessage `json:"result"`
-}
-
-// merge assembles the job's report purely from the content-addressed
-// cache — never from in-memory outcomes — so resumed and uninterrupted
-// sweeps serialize from the same source bytes.
-func (s *Server) merge(id string, sp sim.JobSpec, keys []string) error {
-	j, _ := s.store.Get(id)
-	h, err := sp.SpecHash()
-	if err != nil {
-		return err
-	}
-	rep := Report{
-		SpecHash:      h,
-		EngineVersion: sim.Version,
-		Spec:          j.Spec,
-		Runs:          make([]ReportRun, len(keys)),
-	}
-	for i, key := range keys {
-		data, ok := s.cache.Get(key)
-		if !ok {
-			return fmt.Errorf("run %d: result missing from cache (key %s)", i, key)
-		}
-		rep.Runs[i] = ReportRun{Index: i, Seed: sp.RunSeed(i), Result: data}
-	}
-	out, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	return s.store.SetResult(id, out)
 }
 
 // persist makes one finished run durable, in the order every crash

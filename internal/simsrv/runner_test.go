@@ -10,7 +10,7 @@ import (
 // of order: after every callback the job's events counter must equal the
 // sum of each run's latest progress, kept by per-run deltas.
 func TestRunProgressKeepsRunningTotal(t *testing.T) {
-	a := &activeJob{subs: make(map[chan []byte]struct{})}
+	a := &activeJob{}
 	p := &runPersister{srv: &Server{}, job: "j000001", a: a, total: 3, lastEvents: make([]uint64, 3)}
 	latest := make([]uint64, 3)
 	for _, step := range []struct {

@@ -86,11 +86,18 @@ type activeJob struct {
 	cancel     context.CancelFunc
 	userCancel bool
 
-	mu        sync.Mutex
-	events    uint64 // fired events across all runs, monotonic
-	startedAt time.Time
-	subs      map[chan []byte]struct{}
-	refs      int
+	mu     sync.Mutex
+	events uint64 // fired events across all runs, monotonic
+	subs   map[*subscriber]struct{}
+	refs   int
+}
+
+// subscriber is one events stream's inbox. Run events arrive as lines,
+// best-effort; a transition leaves a token in changed, whose one slot
+// keeps it until the stream re-reads the job log, so none is lost.
+type subscriber struct {
+	lines   chan []byte
+	changed chan struct{}
 }
 
 // New opens the cache and recovers the store: jobs left running by a
@@ -225,7 +232,7 @@ func (s *Server) watch(id string) *activeJob {
 	defer s.amu.Unlock()
 	a := s.active[id]
 	if a == nil {
-		a = &activeJob{subs: make(map[chan []byte]struct{})}
+		a = &activeJob{subs: make(map[*subscriber]struct{})}
 		s.active[id] = a
 	}
 	a.refs++
@@ -242,28 +249,43 @@ func (s *Server) unwatch(id string, a *activeJob) {
 	}
 }
 
-// publish fans an event line out to the job's subscribers. Slow
-// subscribers drop events rather than stall the sweep pool.
+// publish fans a run event line out to the job's subscribers. Slow
+// subscribers drop run events rather than stall the sweep pool.
 func (a *activeJob) publish(line []byte) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for ch := range a.subs {
+	for sub := range a.subs {
 		select {
-		case ch <- line:
+		case sub.lines <- line:
 		default:
 		}
 	}
 }
 
-// subscribe registers an event channel; the returned func removes it.
-func (a *activeJob) subscribe() (chan []byte, func()) {
-	ch := make(chan []byte, 256)
+// notify tells every subscriber the job log has grown. A token already
+// waiting covers this change too.
+func (a *activeJob) notify() {
 	a.mu.Lock()
-	a.subs[ch] = struct{}{}
+	defer a.mu.Unlock()
+	for sub := range a.subs {
+		select {
+		case sub.changed <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// subscribe registers a subscriber; the returned func removes it.
+func (a *activeJob) subscribe() (*subscriber, func()) {
+	// The line buffer lets a stream fall a few progress ticks behind a
+	// sweep before its run events are dropped.
+	sub := &subscriber{lines: make(chan []byte, 256), changed: make(chan struct{}, 1)}
+	a.mu.Lock()
+	a.subs[sub] = struct{}{}
 	a.mu.Unlock()
-	return ch, func() {
+	return sub, func() {
 		a.mu.Lock()
-		delete(a.subs, ch)
+		delete(a.subs, sub)
 		a.mu.Unlock()
 	}
 }
@@ -293,15 +315,13 @@ func (s *Server) publishEvent(id string, a *activeJob, ev event) {
 	a.publish(line)
 }
 
-// transition moves a job's state durably and publishes the change to
-// stream subscribers.
+// transition moves a job's state durably and then notifies stream
+// subscribers, which read the new transition from the store.
 func (s *Server) transition(id string, a *activeJob, to jobstore.State, reason string) error {
 	if _, err := s.store.Transition(id, to, reason); err != nil {
 		return err
 	}
 	s.logf("%s → %s (%s)", id, to, reason)
-	if a != nil {
-		s.publishEvent(id, a, event{Type: "transition", State: string(to), Reason: reason})
-	}
+	a.notify()
 	return nil
 }
