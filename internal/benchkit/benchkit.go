@@ -161,16 +161,24 @@ type Measurement struct {
 	// outcome: identical code must reproduce them bit-for-bit.
 	MakespanSec float64 `json:"makespan_sec"`
 	MeanWPR     float64 `json:"mean_wpr"`
-	// Event-core calendar-queue health (additive since the PR-6 queue):
-	// peak live queue depth, final bucket count/width, the largest
-	// single-bucket batch sorted, and structural-maintenance counts.
+	// Event-core queue shape (see simeng.QueueStats): peak live queue
+	// depth, the fine bucket count/width last tuned, the largest bucket
+	// sorted whole, and redistribution/compaction counts.
 	QueuePeakPending int     `json:"queue_peak_pending"`
 	QueueBuckets     int     `json:"queue_buckets"`
 	QueueWidthSec    float64 `json:"queue_width_sec"`
 	QueuePeakBucket  int     `json:"queue_peak_bucket"`
 	QueueRebuilds    uint64  `json:"queue_rebuilds"`
 	QueueCompactions uint64  `json:"queue_compactions"`
-	Error            string  `json:"error,omitempty"`
+	// Event-core queue work: rung-bucket appends, top appends, entries
+	// moved by redistributions, spill-heap pushes and entries sorted.
+	// Divided by Events they give the per-event cost of each path.
+	QueueBucketAppends uint64 `json:"queue_bucket_appends"`
+	QueueTopAppends    uint64 `json:"queue_top_appends"`
+	QueueReplaced      uint64 `json:"queue_replaced"`
+	QueueSpillPushes   uint64 `json:"queue_spill_pushes"`
+	QueueSorted        uint64 `json:"queue_sorted"`
+	Error              string `json:"error,omitempty"`
 }
 
 // AllocBaseline records the allocation-budget comparison at the pinned
@@ -518,6 +526,11 @@ func measure(ctx context.Context, sc scenario.Scenario, name string, jobs int, s
 			m.QueuePeakBucket = res.Queue.PeakBucket
 			m.QueueRebuilds = res.Queue.Rebuilds
 			m.QueueCompactions = res.Queue.Compactions
+			m.QueueBucketAppends = res.Queue.BucketAppends
+			m.QueueTopAppends = res.Queue.TopAppends
+			m.QueueReplaced = res.Queue.Replaced
+			m.QueueSpillPushes = res.Queue.SpillPushes
+			m.QueueSorted = res.Queue.Sorted
 		}
 	}
 	if m.NsPerOp > 0 {

@@ -11,7 +11,7 @@
 // host the scan would have chosen. The package also provides the
 // simulator's PendingQueue (queue.go), demand-indexed for O(log queue)
 // first-fit pops, and retains the pre-index reference implementations
-// (naive.go) as differential-test oracles.
+// (naive_test.go) as differential-test oracles.
 package cluster
 
 import (

@@ -7,7 +7,7 @@ import (
 )
 
 // The differential tests drive the indexed Cluster/PendingQueue and
-// the retained naive implementations (naive.go) through identical
+// the retained naive implementations (naive_test.go) through identical
 // randomized operation sequences and require identical answers at
 // every step. This is the byte-identical-placement contract: the index
 // is an acceleration structure, never a semantic change. Demands and

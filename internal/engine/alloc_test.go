@@ -136,3 +136,34 @@ func TestNonBlockingAllocBudget(t *testing.T) {
 		t.Errorf("non-blocking path allocates %.4f per event, budget %.2f", perEvent, 2*maxAllocsPerEvent)
 	}
 }
+
+// maxSmallRunBytes bounds the bytes one small run allocates: a 20-job
+// run (132 tasks, the size of a service run) allocates about 110 KB
+// once its run state is sized to its task count; a full 4096-slot
+// run-state chunk alone is about 1.1 MB. ~4x headroom.
+const maxSmallRunBytes = 512 << 10
+
+// TestSmallRunBytesBudget guards small runs against paying for run state
+// sized for large ones.
+func TestSmallRunBytesBudget(t *testing.T) {
+	full := trace.Generate(trace.DefaultGenConfig(3, 20))
+	replay := full.BatchJobs()
+	est := trace.BuildEstimator(full, nil)
+	cfg := Config{Seed: 3, Policy: core.MNOFPolicy{}}
+
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := RunWithEstimatorContext(context.Background(), cfg, replay, est); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d tasks: %d bytes per run", len(replay.Tasks()), perRun)
+	if perRun > maxSmallRunBytes {
+		t.Errorf("a %d-task run allocates %d bytes, budget %d — small runs pay for full-size run state",
+			len(replay.Tasks()), perRun, maxSmallRunBytes)
+	}
+}

@@ -232,6 +232,10 @@ type engineState struct {
 	runChunks  [][]taskRun
 	chunkLive  []int32
 	freeChunks [][]taskRun
+	// chunkLen is the length of every run chunk: runChunkSize, or the
+	// task count when the whole run fits one chunk, so a small run does
+	// not allocate and zero a full chunk.
+	chunkLen int
 	// taskResults/jobResults are the contiguous result slabs; JobResult
 	// pointer slices are carved from one backing array at setup.
 	taskResults []TaskResult
@@ -327,6 +331,7 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 		tab:         tab,
 		runChunks:   make([][]taskRun, nChunks),
 		chunkLive:   make([]int32, nChunks),
+		chunkLen:    min(runChunkSize, nTasks),
 		taskResults: make([]TaskResult, nTasks),
 		jobResults:  make([]JobResult, nJobs),
 		result:      &Result{PolicyName: cfg.Policy.Name(), Jobs: make([]*JobResult, nJobs)},
@@ -459,7 +464,7 @@ func (e *engineState) submitTask(h uint32) {
 			e.freeChunks[n-1] = nil
 			e.freeChunks = e.freeChunks[:n-1]
 		} else {
-			e.runChunks[c] = make([]taskRun, runChunkSize)
+			e.runChunks[c] = make([]taskRun, e.chunkLen)
 		}
 	}
 	e.chunkLive[c]++

@@ -55,6 +55,9 @@ const (
 	flagComputing
 	// flagShared: checkpoints go to the engine's shared backend.
 	flagShared
+	// flagRenewal: proc is the slab-resident renewal process, whose last
+	// answer failRel caches (see nextFailureAbs).
+	flagRenewal
 )
 
 // taskRun is the per-task execution state machine, stored in the
@@ -105,6 +108,11 @@ type taskRun struct {
 	// nextCkpt is the productive position of the next planned
 	// checkpoint (+Inf when none).
 	nextCkpt float64
+	// startAt is the wall time the task first started (its failure
+	// process's origin); failRel is the renewal process's last answer,
+	// relative to startAt.
+	startAt float64
+	failRel float64
 
 	h           uint32 // own handle
 	excludeHost int32  // host to avoid on (re)placement, -1 = none
@@ -372,12 +380,16 @@ func (e *engineState) start(r *taskRun, p *cluster.Placement, at float64) {
 	if r.flags&flagStarted == 0 {
 		r.flags |= flagStarted
 		res.StartAt = at
+		r.startAt, r.failRel = at, math.Inf(-1)
 		if e.cfg.FailureModel != nil {
 			r.proc = e.cfg.FailureModel(e.tab.Task(r.h))
 		} else {
 			h := r.h
 			r.proc = trace.InitFailureProcess(int(e.tab.Prio[h]), e.tab.Len[h], e.tab.Seed[h],
 				int(e.tab.ChangePrio[h]), e.tab.ChangeFrac[h], &r.renewal, &r.procRNG, &r.pareto)
+			if r.proc == &r.renewal {
+				r.flags |= flagRenewal
+			}
 		}
 	} else if r.flags&flagHasImage != 0 {
 		// Restore from the checkpoint image: restart cost by migration
@@ -394,20 +406,25 @@ func (e *engineState) start(r *taskRun, p *cluster.Placement, at float64) {
 // nextFailureAbs returns the absolute simulation time of the next
 // failure event after `now`.
 func (e *engineState) nextFailureAbs(r *taskRun, now float64) float64 {
-	startAt := e.taskResults[r.h].StartAt
+	t := now - r.startAt
 	var rel float64
-	// Most tasks keep their priority, so proc is the slab-resident
-	// renewal process; calling it through the concrete type skips the
-	// interface dispatch on the hot path.
-	if r.proc == &r.renewal {
-		rel = r.renewal.NextAfter(now - startAt)
+	if r.flags&flagRenewal != 0 {
+		// Most tasks keep their priority, so proc is the slab-resident
+		// renewal process. Its answer stays the first failure after t
+		// while t, which only moves forward, stays below it, and
+		// NextAfter draws only when t passes its cursor — so asking again
+		// only when t reaches the last answer skips no draw.
+		if t >= r.failRel {
+			r.failRel = r.renewal.NextAfter(t)
+		}
+		rel = r.failRel
 	} else {
-		rel = r.proc.NextAfter(now - startAt)
+		rel = r.proc.NextAfter(t)
 	}
 	if math.IsInf(rel, 1) {
 		return math.Inf(1)
 	}
-	return startAt + rel
+	return r.startAt + rel
 }
 
 // stepTask runs the task from the current instant to its next

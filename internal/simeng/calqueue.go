@@ -5,49 +5,52 @@ import (
 	"slices"
 )
 
-// The calendar queue: the simulator's pending-event structure.
+// The ladder queue: the simulator's pending-event structure (Tang, Goh &
+// Thng, "Ladder Queue: An O(1) priority queue structure for large-scale
+// discrete event simulation", ACM TOMACS 2005), with a calendar of small
+// time buckets as its finest rung.
 //
-// Events live in an array of time buckets covering the near-future
-// window [base, base+width*nb); an event's bucket is
-// int((at-base)/width). Inserting is an append; the queue sorts a
-// bucket by the engine's total order (at, priority, seq) only when the
-// drain cursor reaches it, so push and pop are O(1) amortized — the
-// per-event share of one pdqsort — instead of the O(log n)
-// pointer-chasing sift of the binary heap this replaced (see naive.go,
-// retained as the differential-test oracle).
+// A pending event sits in exactly one of four places:
 //
-// Three auxiliary stores keep the bucket invariant airtight:
+//   - top: an unsorted list of events at or beyond the coarsest rung's
+//     limit. Appending is O(1); the list is spread into a new rung only
+//     once every rung has drained, so a far-future event is touched once
+//     on its way in, not at every window advance.
+//   - rungs: rungs[0] is the coarsest, the last one the finest. A rung is
+//     an array of time buckets over [start, limit); each bucket is an
+//     unsorted list of events linked through Event.next, so an append
+//     writes only the event and the bucket head. A rung spawned from a
+//     parent bucket covers exactly that bucket's time range.
+//   - cur: the finest rung's current bucket, copied out as inline
+//     (at, priority, seq) keys, sorted, and drained front to back.
+//   - spill: a small binary heap for events that land behind the finest
+//     rung's drain cursor, most commonly events scheduled at exactly the
+//     current instant (coalesced dispatch passes). The head of the queue
+//     is min(cur head, spill head).
 //
-//   - spill: a small binary heap for events inserted into the region
-//     the cursor has already passed or is currently draining — most
-//     commonly events scheduled at exactly the current timestamp
-//     (coalesced dispatch passes, chained same-time arrivals). The
-//     head of the queue is always min(sorted-bucket head, spill head).
-//   - overflow: the ladder rung for far-future events (at >= horizon),
-//     e.g. a lazily-chained arrival parked beyond the window. When the
-//     window drains, the queue jumps base to the earliest overflow
-//     event and redistributes the rung.
-//   - scratch: a reusable staging slice for rebuilds, so steady-state
-//     window advances allocate nothing.
+// Draining takes the finest rung's next non-empty bucket. A bucket wider
+// than splitWidthFactor fine widths, or holding more than splitThreshold
+// events, is split into a finer rung instead of being sorted whole, so
+// near-future inserts keep landing in small buckets and no bucket sort
+// grows with the queue. A drained rung is dropped; when none is left the
+// top is spread into a new coarsest rung whose buckets are one fine
+// window (fineNB fine buckets) wide. The fine width is retuned at every
+// spread to bucketOccupancy times the mean observed inter-event gap, and
+// fineNB to four buckets per pending event, so a fine window spans most
+// of the delays the workload schedules and few events are moved twice.
 //
-// Sizing: the bucket count doubles when occupancy exceeds
-// bucketOccupancy events per bucket (checked on insert) and halves
-// toward the live count at window advances; the width is retuned at
-// rebuilds to bucketOccupancy times the mean observed inter-event gap,
-// so the window tracks the workload's actual event density. All
-// structural moves (growth, shrink, window advance, cancellation
-// compaction) funnel through one rebuild path.
-//
-// Ordering stays byte-identical to the heap's: the comparator is the
-// same strict total order (at, priority, seq), seq is unique, and
-// bucket boundaries only partition that order (everything in an
-// earlier bucket sorts before everything in a later one), so the pop
-// sequence — and therefore every downstream simulation artifact — is
-// exactly the heap's.
+// Ordering stays byte-identical to a binary heap's: the comparator is the
+// strict total order (at, priority, seq), seq is unique, and every
+// placement decision — rung limits, bucket indices, the drain cursor —
+// is a monotone function of at, so everything in an earlier bucket,
+// rung or the spill sorts before everything later. The randomized tests
+// in calqueue_test.go check the pop order against the heap in
+// naive_test.go.
 
-// qent is a bucket entry: the event's sort key by value plus the event
-// pointer. Sorting compares the inline key only, so a bucket sort
-// touches contiguous memory instead of chasing *Event pointers.
+// qent is a drain-slice or spill-heap entry: the event's sort key by
+// value plus the event pointer. Sorting compares the inline key only, so
+// a bucket sort touches contiguous memory instead of chasing *Event
+// pointers.
 type qent struct {
 	at   Time
 	seq  uint64
@@ -55,8 +58,8 @@ type qent struct {
 	prio int32
 }
 
-// qless is the queue's total order: (at, priority, seq), identical to
-// the replaced heap's comparator. seq is unique, so it is strict.
+// qless is the queue's total order: (at, priority, seq). seq is unique,
+// so it is strict.
 func qless(a, b qent) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -78,10 +81,11 @@ func cmpQent(a, b qent) int {
 
 // sortBucket sorts one bucket into (at, priority, seq) order. Buckets
 // are small by construction (the width tuner targets bucketOccupancy
-// events each), so the common case is a hand-rolled insertion sort
-// whose qless calls inline — measurably cheaper than the indirect
-// comparator calls of slices.SortFunc, which handles the rare large
-// bucket (e.g. a t=0 submission storm).
+// events each and larger ones are split), so the common case is a
+// hand-rolled insertion sort whose qless calls inline — measurably
+// cheaper than the indirect comparator calls of slices.SortFunc, which
+// handles the rare large bucket (e.g. a t=0 submission storm, whose
+// equal timestamps cannot be split).
 func sortBucket(b []qent) {
 	if len(b) > 32 {
 		slices.SortFunc(b, cmpQent)
@@ -99,27 +103,34 @@ func sortBucket(b []qent) {
 }
 
 const (
-	// minCalBuckets/maxCalBuckets bound the bucket array; the occupancy
-	// policy moves nb inside this range by doubling/halving.
+	// minCalBuckets is the smallest fine window, maxCalBuckets the most
+	// buckets any rung gets.
 	minCalBuckets = 64
-	maxCalBuckets = 1 << 20
-	// defaultCalWidth seeds the bucket width before any inter-event gaps
-	// have been observed (simulated seconds).
+	maxCalBuckets = 1 << 14
+	// defaultCalWidth seeds the fine bucket width before any inter-event
+	// gaps have been observed (simulated seconds).
 	defaultCalWidth = 1.0
 	// minCalWidth/maxCalWidth clamp the retuned width so degenerate gap
-	// statistics (all-zero or enormous) cannot wedge the window.
+	// statistics (all-zero or enormous) cannot wedge the rungs.
 	minCalWidth = 1e-9
 	maxCalWidth = 1e12
 	// widthTuneSamples is the number of observed gaps required before a
-	// rebuild retunes the width.
+	// spread retunes the width.
 	widthTuneSamples = 32
-	// bucketOccupancy is the width tuner's target events-per-bucket.
-	// Wider buckets mean fewer distinct slice headers touched by the
-	// random-index appends in place — much friendlier to the cache than
-	// one-event buckets — while runs of this size still sort in a few
-	// comparisons each. The growth threshold in enqueue matches it, so
-	// the window span tracks the pending-event span.
+	// bucketOccupancy is the width tuner's target events per fine bucket:
+	// runs of this size sort in a few comparisons each, while the rung
+	// stays few enough buckets that its drain scan is cheap.
 	bucketOccupancy = 4
+	// splitThreshold is the largest bucket sorted whole; a fuller one is
+	// split into a finer rung when the drain reaches it.
+	splitThreshold = 48
+	// splitWidthFactor: a bucket wider than this many fine widths is
+	// split even when sparse, so the events scheduled into its range
+	// while it drains land in fine buckets rather than the spill heap.
+	splitWidthFactor = 2
+	// maxRungs bounds the ladder's depth. A bucket at the deepest rung is
+	// sorted whole whatever its size.
+	maxRungs = 8
 	// compactMinCanceled gates cancellation compaction: a sweep runs
 	// only once at least this many canceled events are queued AND they
 	// make up at least half the queue, so bucket scans never degrade to
@@ -127,153 +138,351 @@ const (
 	compactMinCanceled = 64
 )
 
-// QueueStats reports the calendar queue's internal health counters,
+// rung is one level of the ladder: len(heads) buckets of equal width
+// from start. An event at time at belongs to bucket
+// int((at-start)*inv), clamped to the last bucket. Events before next
+// belong to finer structures.
+type rung struct {
+	start, width, inv float64
+	// limit is the smallest time beyond the rung: for the coarsest rung
+	// the top's threshold, for a spawned rung the first time its parent
+	// maps past the split bucket. It is exact, so routing by limit and
+	// routing by the parent's bucket index always agree.
+	limit Time
+	// heads are the bucket lists, linked through Event.next. A retired
+	// rung leaves every head nil, so its storage is reused as is.
+	heads []*Event
+	// next is the first bucket not yet drained.
+	next int
+	// n counts the events in the buckets.
+	n int
+}
+
+// boundary returns the smallest time t with (t-start)*inv >= i: the
+// first time the rung's bucket arithmetic maps to bucket i or later.
+// Rounding makes start+i*width only an estimate, so it searches for the
+// exact float. Times are non-negative, so their bit patterns order like
+// their values: it gallops out from the estimate to bracket the answer,
+// then bisects.
+func (g *rung) boundary(i int) Time {
+	fi := float64(i)
+	in := func(b uint64) bool { return (math.Float64frombits(b)-g.start)*g.inv >= fi }
+	t := g.start + fi*g.width
+	if math.IsInf(t, 1) {
+		return t
+	}
+	const inf = 0x7ff0000000000000 // math.Float64bits(+Inf)
+	lo, hi := math.Float64bits(t), math.Float64bits(t)
+	for d := uint64(1); in(lo); d *= 2 {
+		hi = lo
+		if lo < d {
+			lo = 0
+			break
+		}
+		lo -= d
+	}
+	for d := uint64(1); !in(hi); d *= 2 {
+		lo = hi
+		hi = min(hi+d, inf)
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; in(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
+}
+
+// QueueStats reports the ladder queue's shape and work counters,
 // surfaced through benchkit into the BENCH reports.
 type QueueStats struct {
 	// PeakPending is the largest number of live (non-canceled) events
 	// queued at once.
 	PeakPending int `json:"peak_pending"`
-	// Buckets and Width are the bucket-array size and bucket width
-	// (simulated seconds) at sampling time.
+	// Buckets and Width are the fine bucket count and width (simulated
+	// seconds) the tuner last chose.
 	Buckets int     `json:"buckets"`
 	Width   float64 `json:"width"`
-	// PeakBucket is the largest single bucket ever sorted — the queue's
+	// PeakBucket is the largest bucket ever sorted whole — the queue's
 	// worst-case batch, e.g. the t=0 submission storm of a batch replay.
 	PeakBucket int `json:"peak_bucket"`
-	// PeakOverflow is the deepest the far-future overflow rung got.
-	PeakOverflow int `json:"peak_overflow"`
-	// Rebuilds counts structural reorganizations (growth, shrink, and
-	// window advances); Compactions counts cancellation sweeps.
+	// PeakTop is the longest the unsorted top list got.
+	PeakTop int `json:"peak_top"`
+	// Rebuilds counts redistributions: top spreads, bucket splits and
+	// compactions. Compactions counts the cancellation sweeps alone.
 	Rebuilds    uint64 `json:"rebuilds"`
 	Compactions uint64 `json:"compactions"`
+	// The work counters: appends to a rung bucket, appends to the top,
+	// entries moved by a redistribution, pushes onto the spill heap
+	// (events scheduled at or behind the drain cursor, mostly at the
+	// current instant), and entries sorted into the drain slice.
+	BucketAppends uint64 `json:"bucket_appends"`
+	TopAppends    uint64 `json:"top_appends"`
+	Replaced      uint64 `json:"replaced"`
+	SpillPushes   uint64 `json:"spill_pushes"`
+	Sorted        uint64 `json:"sorted"`
 }
 
 // Stats returns the queue counters accumulated since construction (or
-// the last Reset), with the current bucket geometry filled in.
+// the last Reset), with the fine geometry filled in.
 func (s *Simulator) Stats() QueueStats {
 	st := s.stats
-	st.Buckets = s.nb
+	st.Buckets = s.fineNB
 	st.Width = s.width
 	return st
 }
 
-// initCalendar lazily sizes the bucket array at the first enqueue.
-func (s *Simulator) initCalendar(at Time) {
-	s.nb = minCalBuckets
-	s.buckets = make([][]qent, s.nb)
-	s.setWindow(defaultCalWidth, at)
-}
-
-// setWindow points the bucket window at [base, base+width*nb).
-func (s *Simulator) setWindow(width float64, base Time) {
-	s.width = width
-	s.invWidth = 1 / width
-	s.base = base
-	s.horizon = base + width*float64(s.nb)
-	s.cursor = 0
-	s.cur = nil
-	s.curIdx = 0
-}
-
-// enqueue places a freshly scheduled event. When the queue just
-// drained, the window snaps to the new event's time so steady-state
-// schedule/fire loops stay in bucket 0 and never touch the overflow
-// rung.
+// enqueue places a freshly scheduled event. When the queue just drained,
+// the ladder restarts as one fine rung anchored at the new event's time,
+// so steady-state schedule/fire loops stay in its first buckets.
 func (s *Simulator) enqueue(e *Event) {
-	if s.nb == 0 {
-		s.initCalendar(e.at)
-	} else if s.count == 0 {
-		s.canceled = 0 // self-heal any cancel-after-fire miscount
-		if s.cur != nil {
-			// Release a fully drained bucket the cursor still aliases, so
-			// the window snap below cannot leave its spent entries behind
-			// for a later scan.
-			s.buckets[s.cursor] = s.cur[:0]
-		}
-		s.setWindow(s.width, e.at)
+	if s.count == 0 {
+		s.restart(e.at)
 	}
 	s.count++
 	if live := s.count - s.canceled; live > s.stats.PeakPending {
 		s.stats.PeakPending = live
 	}
-	s.place(qent{at: e.at, seq: e.seq, e: e, prio: e.priority})
-	if s.count > bucketOccupancy*s.nb && s.nb < maxCalBuckets {
-		s.rebuild(s.nb*2, s.width, false)
+	s.place(e)
+}
+
+// restart empties the ladder and, for a finite anchor, opens one fine
+// rung at it. Only called with no event queued, so every bucket head is
+// already nil.
+func (s *Simulator) restart(at Time) {
+	s.canceled = 0 // self-heal any cancel-after-fire miscount
+	if s.width == 0 {
+		s.width = defaultCalWidth
+		s.fineNB = minCalBuckets
+		s.rungs = make([]rung, 0, maxRungs)
+	}
+	s.rungs = s.rungs[:0]
+	if !math.IsInf(at, 1) {
+		s.pushRung(at, s.width, s.fineNB)
 	}
 }
 
-// place routes one entry to its bucket, the spill heap (already-passed
-// region, including the currently draining bucket), or the overflow
-// rung (at or beyond the window horizon).
-func (s *Simulator) place(q qent) {
-	if q.at >= s.horizon {
-		s.overflow = append(s.overflow, q)
-		if len(s.overflow) > s.stats.PeakOverflow {
-			s.stats.PeakOverflow = len(s.overflow)
-		}
-		return
+// pushRung opens a finer rung of nb buckets of the given width from
+// start, ending at its own bucket boundary.
+func (s *Simulator) pushRung(start Time, width float64, nb int) *rung {
+	s.rungs = s.rungs[:len(s.rungs)+1]
+	g := &s.rungs[len(s.rungs)-1]
+	if cap(g.heads) < nb {
+		g.heads = make([]*Event, nb)
 	}
-	if q.at < s.base {
-		// Behind the window (the window jumped ahead of the clock at the
-		// last advance); interleaves through the spill heap.
-		s.spillPush(q)
-		return
-	}
-	idx := int((q.at - s.base) * s.invWidth)
-	if idx >= s.nb {
-		// Floating-point rounding at the horizon boundary.
-		s.overflow = append(s.overflow, q)
-		if len(s.overflow) > s.stats.PeakOverflow {
-			s.stats.PeakOverflow = len(s.overflow)
-		}
-		return
-	}
-	if idx < s.cursor || (idx == s.cursor && s.cur != nil) {
-		// The cursor already passed (or is draining) this bucket's time
-		// range; the sorted slice must not be disturbed.
-		s.spillPush(q)
-		return
-	}
-	s.buckets[idx] = append(s.buckets[idx], q)
+	g.heads = g.heads[:nb]
+	g.start, g.width, g.inv = start, width, 1/width
+	g.next, g.n = 0, 0
+	g.limit = g.boundary(nb)
+	return g
 }
 
-// advanceBucket moves the drain cursor to the next non-empty bucket,
-// sorting it into the current drain slice. It advances the window over
-// the overflow rung when the near-future buckets are exhausted, and
-// reports false only when the whole queue is empty.
-func (s *Simulator) advanceBucket() bool {
-	if s.count == 0 {
-		return false
+// place routes one event to the finest rung whose limit lies beyond it,
+// the spill heap when that bucket has already been drained, or the top.
+func (s *Simulator) place(e *Event) {
+	at := e.at
+	for r := len(s.rungs) - 1; r >= 0; r-- {
+		g := &s.rungs[r]
+		if at >= g.limit {
+			continue
+		}
+		i := int((at - g.start) * g.inv)
+		if i >= len(g.heads) {
+			// A spawned rung ends at its parent's boundary, which its own
+			// arithmetic may round past.
+			i = len(g.heads) - 1
+		}
+		if i < g.next {
+			// The drain cursor already passed (or is draining) this
+			// bucket's range; only the finest rung has such a range,
+			// since a coarser rung's passed range is its child's.
+			s.spillPush(qent{at: at, seq: e.seq, e: e, prio: e.priority})
+			return
+		}
+		e.next = g.heads[i]
+		g.heads[i] = e
+		g.n++
+		s.stats.BucketAppends++
+		return
 	}
-	if s.cur != nil {
-		// Release the drained bucket's storage for reuse.
-		s.buckets[s.cursor] = s.cur[:0]
-		s.cur = nil
-		s.curIdx = 0
-		s.cursor++
+	if len(s.rungs) == 0 {
+		// Only +Inf events are queued, all in the bottom; anything new
+		// sorts among them.
+		s.spillPush(qent{at: at, seq: e.seq, e: e, prio: e.priority})
+		return
 	}
+	s.pushTop(e)
+}
+
+// pushTop appends to the unsorted top list.
+func (s *Simulator) pushTop(e *Event) {
+	if s.top == nil || e.at < s.topMin {
+		s.topMin = e.at
+	}
+	if s.top == nil || e.at > s.topMax {
+		s.topMax = e.at
+	}
+	e.next = s.top
+	s.top = e
+	s.topN++
+	s.stats.TopAppends++
+	if s.topN > s.stats.PeakTop {
+		s.stats.PeakTop = s.topN
+	}
+}
+
+// advance refills the drain slice from the finest rung's next non-empty
+// bucket, splitting wide or crowded buckets into finer rungs, dropping
+// drained rungs and spreading the top when the rungs run out. It is
+// called with the drain slice and spill heap empty and reports false
+// only when the whole queue is.
+func (s *Simulator) advance() bool {
 	for {
-		for ; s.cursor < s.nb; s.cursor++ {
-			if b := s.buckets[s.cursor]; len(b) > 0 {
-				sortBucket(b)
-				if len(b) > s.stats.PeakBucket {
-					s.stats.PeakBucket = len(b)
-				}
-				s.cur = b
-				s.curIdx = 0
+		n := len(s.rungs)
+		if n == 0 {
+			if s.top == nil {
+				return false
+			}
+			s.spreadTop()
+			if len(s.spill) > 0 {
 				return true
 			}
+			continue
 		}
-		// Window exhausted: everything left is in the overflow rung
-		// (count > 0 guarantees it is non-empty). Jump the window to the
-		// earliest far-future event and redistribute.
-		s.rebuild(s.shrunkNB(), s.tunedWidth(), false)
+		g := &s.rungs[n-1]
+		if g.n == 0 {
+			s.rungs = s.rungs[:n-1]
+			continue
+		}
+		i := g.next
+		for g.heads[i] == nil {
+			i++
+		}
+		g.next = i + 1
+		list := g.heads[i]
+		g.heads[i] = nil
+		buf := s.cur[:0]
+		for e := list; e != nil; e = e.next {
+			buf = append(buf, qent{at: e.at, seq: e.seq, e: e, prio: e.priority})
+		}
+		g.n -= len(buf)
+		s.cur, s.curIdx = buf, 0
+		if n < maxRungs && (len(buf) > splitThreshold || g.width > splitWidthFactor*s.width) && s.split(g, i) {
+			if len(s.spill) > 0 {
+				return true
+			}
+			continue
+		}
+		sortBucket(buf)
+		s.stats.Sorted += uint64(len(buf))
+		if len(buf) > s.stats.PeakBucket {
+			s.stats.PeakBucket = len(buf)
+		}
+		return true
 	}
 }
 
-// tunedWidth derives the bucket width from the mean observed
-// inter-event gap (targeting ~2 events per bucket), keeping the
-// current width until enough gaps accumulate.
+// split spreads bucket i of rung g, already copied into the drain slice,
+// over a new finer rung covering the bucket's time range. Buckets are
+// fine-width by default and narrower when crowded. It reports false,
+// leaving the slice to be sorted whole, when the bucket cannot be split:
+// all its events share one instant, or its range is too narrow.
+func (s *Simulator) split(g *rung, i int) bool {
+	buf := s.cur
+	lo, hi := buf[0].at, buf[0].at
+	for _, q := range buf[1:] {
+		lo = math.Min(lo, q.at)
+		hi = math.Max(hi, q.at)
+	}
+	wide := g.width > splitWidthFactor*s.width
+	if lo == hi && !wide {
+		return false
+	}
+	start := math.Min(g.start+float64(i)*g.width, lo)
+	// The child ends exactly where the parent's next bucket begins (the
+	// parent's own limit after its last bucket, which absorbs anything
+	// its arithmetic rounds past), so routing by limit and by the
+	// parent's index agree.
+	limit := g.limit
+	if i+1 < len(g.heads) {
+		limit = g.boundary(i + 1)
+	}
+	span := limit - start
+	nb := 2
+	if wide {
+		// One fine window at most; wider buckets split again in turn.
+		nb = int(min(math.Ceil(span/s.tunedWidth()), float64(s.fineNB)))
+	}
+	if c := len(buf) / bucketOccupancy; c > nb {
+		nb = min(c, maxCalBuckets)
+	}
+	// No narrower than minCalWidth or the float spacing at the limit:
+	// finer buckets would be unreachable and only slow the drain scan.
+	minWidth := max(minCalWidth, math.Nextafter(limit, math.Inf(1))-limit)
+	if f := span / minWidth; f < float64(nb) {
+		nb = int(f)
+	}
+	if nb < 2 || math.IsInf(span, 1) {
+		return false
+	}
+	width := span / float64(nb)
+	s.stats.Rebuilds++
+	s.stats.Replaced += uint64(len(buf))
+	s.pushRung(start, width, nb).limit = limit
+	for _, q := range buf {
+		s.place(q.e)
+	}
+	clear(buf)
+	s.cur = buf[:0]
+	return true
+}
+
+// spreadTop turns the top list into a new coarsest rung whose buckets
+// are one fine window wide. Events beyond the rung's bucket budget stay
+// in the top; when every topped event is at +Inf they go straight to
+// the spill heap, which orders them by (priority, seq).
+func (s *Simulator) spreadTop() {
+	list, n := s.top, s.topN
+	lo, hi := s.topMin, s.topMax
+	s.top, s.topN = nil, 0
+	s.stats.Rebuilds++
+	s.stats.Replaced += uint64(n)
+	if math.IsInf(lo, 1) {
+		for e := list; e != nil; e = e.next {
+			s.spillPush(qent{at: e.at, seq: e.seq, e: e, prio: e.priority})
+		}
+		return
+	}
+	if math.IsInf(hi, 1) {
+		hi = lo
+		for e := list; e != nil; e = e.next {
+			if !math.IsInf(e.at, 1) {
+				hi = math.Max(hi, e.at)
+			}
+		}
+	}
+	s.fineNB = minCalBuckets
+	for s.fineNB < 4*n && s.fineNB < maxCalBuckets {
+		s.fineNB *= 2
+	}
+	// At most one bucket per event, as in the original ladder: a sparse,
+	// far-spread top leaves its tail in the top rather than paying for
+	// empty buckets.
+	width := s.tunedWidth() * float64(s.fineNB)
+	nb := int(min((hi-lo)/width, float64(max(n, minCalBuckets)-1))) + 1
+	s.pushRung(lo, width, nb)
+	for e := list; e != nil; {
+		next := e.next
+		s.place(e)
+		e = next
+	}
+}
+
+// tunedWidth derives the fine bucket width from the mean observed
+// inter-event gap, keeping the current width until enough gaps
+// accumulate.
 func (s *Simulator) tunedWidth() float64 {
 	if s.gapCnt < widthTuneSamples {
 		return s.width
@@ -281,114 +490,13 @@ func (s *Simulator) tunedWidth() float64 {
 	w := bucketOccupancy * s.gapSum / float64(s.gapCnt)
 	s.gapSum, s.gapCnt = 0, 0
 	if !(w >= minCalWidth) { // also catches NaN
-		return minCalWidth
+		w = minCalWidth
 	}
 	if w > maxCalWidth {
-		return maxCalWidth
+		w = maxCalWidth
 	}
+	s.width = w
 	return w
-}
-
-// shrunkNB halves the bucket count toward the current occupancy (the
-// growth direction is handled on insert).
-func (s *Simulator) shrunkNB() int {
-	nb := s.nb
-	for nb > minCalBuckets && s.count < bucketOccupancy*nb/4 {
-		nb /= 2
-	}
-	return nb
-}
-
-// rebuild is the single structural-maintenance path: it gathers every
-// pending entry, optionally drops canceled ones (compaction), resizes
-// the bucket array, re-anchors the window at the earliest pending
-// event, and redistributes. With an unchanged bucket count it reuses
-// every backing array, so steady-state window advances allocate
-// nothing.
-func (s *Simulator) rebuild(nb int, width float64, dropCanceled bool) {
-	s.stats.Rebuilds++
-	s.scratch = s.gather(s.scratch[:0])
-	if dropCanceled {
-		kept := s.scratch[:0]
-		for _, q := range s.scratch {
-			if q.e.canceled {
-				s.recycle(q.e)
-				continue
-			}
-			kept = append(kept, q)
-		}
-		// Zero the dropped tail so stale *Event pointers are not retained
-		// past the pool.
-		for i := len(kept); i < len(s.scratch); i++ {
-			s.scratch[i] = qent{}
-		}
-		s.scratch = kept
-		s.count = len(kept)
-		s.canceled = 0
-	}
-	if nb != s.nb {
-		s.nb = nb
-		s.buckets = make([][]qent, nb)
-	}
-	// Anchor the window at the earliest pending event (never behind the
-	// clock: pending timestamps are always >= now), so bucket 0 is
-	// guaranteed non-empty after redistribution and the window always
-	// makes progress over the overflow rung.
-	base := s.now
-	if len(s.scratch) > 0 {
-		base = s.scratch[0].at
-		for _, q := range s.scratch[1:] {
-			if q.at < base {
-				base = q.at
-			}
-		}
-	}
-	if len(s.scratch) > 0 && math.IsInf(s.scratch[0].at, 1) && math.IsInf(base, 1) {
-		// Degenerate corner: every pending event sits at +Inf (the heap
-		// fired these in order too). Bucket arithmetic is NaN there, so
-		// park them all in bucket 0 directly.
-		s.setWindow(width, 0)
-		s.base = math.Inf(1)
-		s.horizon = math.Inf(1)
-		s.buckets[0] = append(s.buckets[0][:0], s.scratch...)
-		return
-	}
-	s.setWindow(width, base)
-	for _, q := range s.scratch {
-		s.place(q)
-	}
-}
-
-// gather drains every pending entry — current drain slice, buckets,
-// spill heap, and overflow rung — into dst, truncating the sources in
-// place so their capacity is reused.
-func (s *Simulator) gather(dst []qent) []qent {
-	if s.cur != nil {
-		dst = append(dst, s.cur[s.curIdx:]...)
-		s.buckets[s.cursor] = s.cur[:0]
-		s.cur = nil
-		s.curIdx = 0
-	}
-	for i := range s.buckets {
-		if b := s.buckets[i]; len(b) > 0 {
-			dst = append(dst, b...)
-			s.buckets[i] = b[:0]
-		}
-	}
-	dst = append(dst, s.spill...)
-	clearQents(s.spill)
-	s.spill = s.spill[:0]
-	dst = append(dst, s.overflow...)
-	clearQents(s.overflow)
-	s.overflow = s.overflow[:0]
-	s.cursor = 0
-	return dst
-}
-
-func clearQents(qs []qent) {
-	for i := range qs {
-		qs[i] = qent{}
-	}
 }
 
 // maybeCompact sweeps canceled events out of the queue once they pass
@@ -397,12 +505,63 @@ func clearQents(qs []qent) {
 func (s *Simulator) maybeCompact() {
 	if s.canceled >= compactMinCanceled && 2*s.canceled >= s.count {
 		s.stats.Compactions++
-		s.rebuild(s.nb, s.width, true)
+		s.compact()
 	}
+}
+
+// compact drops every canceled event and re-queues the live ones
+// through the top into a fresh rung.
+func (s *Simulator) compact() {
+	top := s.top
+	s.top, s.topN = nil, 0
+	s.count, s.canceled = 0, 0
+	for _, q := range s.cur[s.curIdx:] {
+		s.requeue(q.e)
+	}
+	clear(s.cur)
+	s.cur, s.curIdx = s.cur[:0], 0
+	for _, q := range s.spill {
+		s.requeue(q.e)
+	}
+	clear(s.spill)
+	s.spill = s.spill[:0]
+	for r := range s.rungs {
+		g := &s.rungs[r]
+		for i := g.next; i < len(g.heads); i++ {
+			for e := g.heads[i]; e != nil; {
+				next := e.next
+				s.requeue(e)
+				e = next
+			}
+			g.heads[i] = nil
+		}
+	}
+	s.rungs = s.rungs[:0]
+	for e := top; e != nil; {
+		next := e.next
+		s.requeue(e)
+		e = next
+	}
+	if s.top != nil {
+		// Spread right away: until a rung exists, a new event would be
+		// taken for one sorting among +Inf events in the spill heap.
+		s.spreadTop()
+	}
+}
+
+// requeue recycles a canceled event or moves a live one to the top.
+func (s *Simulator) requeue(e *Event) {
+	if e.canceled {
+		s.recycle(e)
+		return
+	}
+	s.count++
+	s.pushTop(e)
 }
 
 // spillPush inserts into the spill min-heap (ordered by qless).
 func (s *Simulator) spillPush(q qent) {
+	s.stats.SpillPushes++
 	s.spill = append(s.spill, q)
 	i := len(s.spill) - 1
 	for i > 0 {
@@ -439,95 +598,53 @@ func (s *Simulator) spillPop() {
 	}
 }
 
-// discardCur drops the canceled event at the drain-slice head,
-// recycling it into the pool.
-func (s *Simulator) discardCur() {
-	e := s.cur[s.curIdx].e
-	s.cur[s.curIdx] = qent{}
-	s.curIdx++
-	s.count--
-	s.canceled--
-	s.recycle(e)
-}
-
-// discardSpill drops the canceled event at the spill-heap top.
-func (s *Simulator) discardSpill() {
-	e := s.spill[0].e
-	s.spillPop()
-	s.count--
-	s.canceled--
-	s.recycle(e)
-}
-
-// peekLive returns the earliest live event without removing it,
-// discarding canceled entries encountered at the head (exactly as the
-// heap's peek did). It returns nil when the queue is empty.
-func (s *Simulator) peekLive() *Event {
-	for {
-		for s.curIdx < len(s.cur) && s.cur[s.curIdx].e.canceled {
-			s.discardCur()
-		}
-		for len(s.spill) > 0 && s.spill[0].e.canceled {
-			s.discardSpill()
-		}
-		if s.curIdx < len(s.cur) {
-			if len(s.spill) == 0 || qless(s.cur[s.curIdx], s.spill[0]) {
-				return s.cur[s.curIdx].e
-			}
-			return s.spill[0].e
-		}
-		if len(s.spill) > 0 {
-			return s.spill[0].e
-		}
-		if !s.advanceBucket() {
-			return nil
-		}
-	}
-}
-
-// removeHead removes the event peekLive just returned. The head is by
-// construction live and at the front of either the drain slice or the
-// spill heap; the same comparator re-picks it.
-func (s *Simulator) removeHead() {
-	if s.curIdx < len(s.cur) && (len(s.spill) == 0 || qless(s.cur[s.curIdx], s.spill[0])) {
+// discardCanceled drops canceled events at the heads of the drain slice
+// and the spill heap, recycling them into the pool.
+func (s *Simulator) discardCanceled() {
+	for s.curIdx < len(s.cur) && s.cur[s.curIdx].e.canceled {
+		e := s.cur[s.curIdx].e
 		s.cur[s.curIdx] = qent{}
 		s.curIdx++
-	} else {
-		s.spillPop()
+		s.count--
+		s.canceled--
+		s.recycle(e)
 	}
-	s.count--
+	for len(s.spill) > 0 && s.spill[0].e.canceled {
+		e := s.spill[0].e
+		s.spillPop()
+		s.count--
+		s.canceled--
+		s.recycle(e)
+	}
 }
 
-// popAt removes and returns the next live event due exactly at `at`,
-// or nil when the next live event is due later (or the structure needs
-// a bucket advance — the general pop path then picks it up). It is the
-// same-timestamp batch-dispatch fast path: equal timestamps are
-// adjacent in the drain slice or spill heap, so draining a run costs
-// one comparison per event with no bucket-advance machinery.
-func (s *Simulator) popAt(at Time) *Event {
+// popNext removes and returns the earliest live event, or nil when the
+// queue is empty or that event is due after deadline (it then stays
+// queued). Canceled entries met at the head are discarded.
+func (s *Simulator) popNext(deadline Time) *Event {
 	for {
-		for s.curIdx < len(s.cur) && s.cur[s.curIdx].e.canceled {
-			s.discardCur()
-		}
-		for len(s.spill) > 0 && s.spill[0].e.canceled {
-			s.discardSpill()
+		if s.canceled > 0 {
+			s.discardCanceled()
 		}
 		if s.curIdx < len(s.cur) {
-			if len(s.spill) == 0 || qless(s.cur[s.curIdx], s.spill[0]) {
-				if s.cur[s.curIdx].at != at {
+			q := &s.cur[s.curIdx]
+			if len(s.spill) == 0 || qless(*q, s.spill[0]) {
+				if q.at > deadline {
 					return nil
 				}
-				e := s.cur[s.curIdx].e
-				s.cur[s.curIdx] = qent{}
+				e := q.e
+				*q = qent{}
 				s.curIdx++
 				s.count--
 				return e
 			}
-			// fall through to spill head below
 		} else if len(s.spill) == 0 {
-			return nil
+			if !s.advance() {
+				return nil
+			}
+			continue
 		}
-		if s.spill[0].at != at {
+		if s.spill[0].at > deadline {
 			return nil
 		}
 		e := s.spill[0].e

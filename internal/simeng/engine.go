@@ -37,7 +37,10 @@ type Event struct {
 	// owner is the simulator whose queue holds the event; Cancel uses it
 	// to keep the live-event count and compaction threshold current.
 	owner *Simulator
-	arg   uint32
+	// next links the event into its rung bucket or the top list while
+	// it waits there (see calqueue.go).
+	next *Event
+	arg  uint32
 	// priority breaks ties between events scheduled at the same time;
 	// lower values fire first.
 	priority int32
@@ -75,12 +78,12 @@ const eventBlock = 64
 // event callbacks run sequentially in timestamp order on the goroutine
 // that calls Run or Step.
 //
-// Pending events live in a calendar queue (see calqueue.go): an array
-// of time buckets sorted on demand, with a spill heap for events landing
-// behind the drain cursor and an overflow rung for events beyond the
-// bucket window. Events fire in strict (at, priority, seq) order —
-// identical to the binary heap this replaced (naive.go keeps that heap
-// as the differential-test oracle).
+// Pending events live in a ladder queue (see calqueue.go): rungs of
+// time buckets sorted on demand, an unsorted top list for events beyond
+// the rungs, and a spill heap for events landing behind the drain
+// cursor. Events fire in strict (at, priority, seq) order — identical
+// to a binary heap (naive_test.go keeps one as the differential-test
+// oracle).
 type Simulator struct {
 	now   Time
 	seq   uint64
@@ -90,25 +93,23 @@ type Simulator struct {
 	// them, keeping the steady-state event loop allocation-free.
 	free []*Event
 
-	// Calendar queue (calqueue.go). count includes canceled events not
+	// Ladder queue (calqueue.go). count includes canceled events not
 	// yet discarded; canceled tracks how many of those there are.
-	buckets  [][]qent
-	nb       int
-	width    float64
-	invWidth float64
-	base     Time
-	horizon  Time
-	cursor   int
-	// cur aliases buckets[cursor] once that bucket has been sorted for
-	// draining; curIdx is the drain position within it. nil between
-	// buckets.
+	rungs          []rung
+	top            *Event
+	topN           int
+	topMin, topMax Time
+	// cur is the sorted drain slice of the finest rung's current bucket;
+	// curIdx is the drain position within it.
 	cur      []qent
 	curIdx   int
 	spill    []qent
-	overflow []qent
-	scratch  []qent
 	count    int
 	canceled int
+	// width is the tuned fine bucket width and fineNB the fine bucket
+	// count the last top spread chose.
+	width  float64
+	fineNB int
 	// gapSum/gapCnt sample inter-event gaps to retune the bucket width.
 	gapSum float64
 	gapCnt int
@@ -214,31 +215,27 @@ func (s *Simulator) After(delay Time, fn func()) *Event {
 // it fires live events due at or before deadline, at most limit of
 // them, and returns how many fired.
 //
-// Events at the same timestamp are dispatched as a batch: the loop
-// advances the clock (and samples the inter-event gap for bucket-width
-// tuning) once per distinct timestamp, then drains the rest of the
-// equal-`at` run through popAt — a single comparison against the drain
-// position per event, skipping the deadline re-check (the batch sits at
-// one instant, already proven <= deadline) and the bucket-advance
-// machinery. Callbacks may keep extending the batch: a same-time event
-// scheduled mid-batch lands in the spill heap and is picked up in
-// (priority, seq) position, exactly where the heap would have fired it.
-// The fired-count limit still applies per event, so RunLimit cuts a
-// batch mid-run precisely like the old one-pop-per-Step loop did.
+// Events at the same timestamp are dispatched as a batch: the clock
+// moves, and the inter-event gap is sampled for bucket-width tuning,
+// only when the timestamp changes. The rest of an equal-`at` run sits at
+// the head of the drain slice or the spill heap, so each of its events
+// costs popNext one comparison and never reaches the rung machinery.
+// Callbacks may keep extending the batch: a same-time event scheduled
+// mid-batch lands in the spill heap and is picked up in (priority, seq)
+// position, exactly where a heap would have fired it. The fired-count
+// limit applies per event, so RunLimit can cut a batch mid-run.
 func (s *Simulator) runCore(deadline Time, limit uint64) uint64 {
 	var done uint64
 	for done < limit {
-		e := s.peekLive()
-		if e == nil || e.at > deadline {
+		e := s.popNext(deadline)
+		if e == nil {
 			break
 		}
-		at := e.at
-		if at > s.now {
+		if at := e.at; at > s.now {
 			s.gapSum += at - s.now
 			s.gapCnt++
+			s.now = at
 		}
-		s.removeHead()
-		s.now = at
 		s.fired++
 		done++
 		fn, fnIdx, arg := e.fn, e.fnIdx, e.arg
@@ -251,21 +248,6 @@ func (s *Simulator) runCore(deadline Time, limit uint64) uint64 {
 			fnIdx(arg)
 		} else {
 			fn()
-		}
-		for done < limit {
-			e = s.popAt(at)
-			if e == nil {
-				break
-			}
-			s.fired++
-			done++
-			fn, fnIdx, arg = e.fn, e.fnIdx, e.arg
-			s.recycle(e)
-			if fnIdx != nil {
-				fnIdx(arg)
-			} else {
-				fn()
-			}
 		}
 	}
 	return done

@@ -1,13 +1,13 @@
 package simeng
 
-// The binary min-heap event queue the calendar queue (calqueue.go)
-// replaced, retained as the differential-test oracle: the randomized
-// tests in calqueue_test.go drive schedule/cancel/pop sequences through
-// both structures and assert bit-identical pop order, including
-// (at, priority, seq) tie-breaks and post-cancel behavior. Same
-// pattern as internal/cluster's naive dispatch-index references. It is
-// deliberately simple — O(log n) sifts, no pooling, no batching — so a
-// disagreement always indicts the calendar queue.
+// The binary min-heap event queue the simulator started with, retained
+// as the differential-test oracle: the randomized and fuzzed tests in
+// calqueue_test.go drive schedule/cancel/pop sequences through it and
+// the ladder queue (calqueue.go) and assert bit-identical pop order,
+// including (at, priority, seq) tie-breaks and post-cancel behavior.
+// Same pattern as internal/cluster's naive dispatch-index references.
+// It is deliberately simple — O(log n) sifts, no pooling, no batching —
+// so a disagreement always indicts the ladder queue.
 
 // naiveItem is one queued key in the oracle; id identifies the
 // scheduled event to the test harness.

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -49,62 +52,144 @@ func observationWindow(lengthSec float64) float64 {
 // derives MNOF and MTBF "based on historical task events in the trace".
 // Group keys are core.GroupKey(priority, limitIdx). For each limit
 // index i, only tasks with LengthSec <= limits[i] contribute.
+//
+// The replays are independent, so a trace of more than one
+// estimatorChunk of tasks is walked on up to GOMAXPROCS goroutines, a
+// chunk at a time; the calling goroutine still folds every task's
+// observations in task order, so each group's float sums accumulate
+// exactly as a one-goroutine walk would.
 func BuildEstimator(tr *Trace, limits []float64) *core.HistoryEstimator {
+	tasks := tr.Tasks()
+	chunks := (len(tasks) + estimatorChunk - 1) / estimatorChunk
+	return buildEstimator(tasks, limits, min(runtime.GOMAXPROCS(0), chunks))
+}
+
+// estimatorChunk is the number of tasks one goroutine replays at a time.
+// A chunk's results buffer is about 430 KB, and at most fan-out + 1 are
+// alive.
+const estimatorChunk = 4096
+
+// taskHistory is what one task's replay contributes to the estimator.
+type taskHistory struct {
+	intervals [maxIntervalsPerTask]float64
+	failures  int32
+	n         uint8
+}
+
+// buildEstimator is BuildEstimator over tasks at the given fan-out; at
+// fan-out 1 the walk stays on the calling goroutine.
+func buildEstimator(tasks []*Task, limits []float64, fanout int) *core.HistoryEstimator {
 	if len(limits) == 0 {
 		limits = DefaultLengthLimits
 	}
 	est := core.NewHistoryEstimator()
-	// One walk per task collects both statistics, and stops as soon as
-	// the count horizon is passed and the interval quota is full — the
-	// estimator keeps at most maxIntervalsPerTask samples, so replaying
-	// the full observation window (25x the task length) would discard
-	// almost every draw it generates. The buffer is reused across tasks;
-	// ObserveTask copies what it keeps.
-	intervals := make([]float64, 0, maxIntervalsPerTask)
-	// Slab-resident process state, reinitialized per task: the common
-	// no-priority-change task then replays without allocating (the
-	// recorded-times backing is reused), exactly as the engine's runner
-	// slabs do. InitFailureProcess's draw sequence matches
-	// NewFailureProcess bit for bit.
-	var (
-		ren failure.Renewal
-		rng simeng.RNG
-		par dist.Pareto
-	)
-	for _, task := range tr.Tasks() {
-		changePrio, changeFrac := 0, 0.0
-		if task.Change.Active() {
-			changePrio, changeFrac = task.Change.NewPriority, task.Change.AtFraction
-		}
-		proc := InitFailureProcess(task.Priority, task.LengthSec, task.FailureSeed,
-			changePrio, changeFrac, &ren, &rng, &par)
-		window := observationWindow(task.LengthSec)
-		nFailures := 0
-		intervals = intervals[:0]
-		prev, t := 0.0, 0.0
-		for {
-			next := proc.NextAfter(t)
-			if math.IsInf(next, 1) || next > window {
-				break
-			}
-			if next <= task.LengthSec {
-				nFailures++
-			}
-			if len(intervals) < maxIntervalsPerTask {
-				intervals = append(intervals, next-prev)
-			} else if next > task.LengthSec {
-				break
-			}
-			prev, t = next, next
-		}
+	observe := func(task *Task, h *taskHistory) {
 		for li, limit := range limits {
-			if task.LengthSec > limit {
-				continue
+			if task.LengthSec <= limit {
+				est.ObserveTask(core.GroupKey(task.Priority, li), int(h.failures), h.intervals[:h.n])
 			}
-			est.ObserveTask(core.GroupKey(task.Priority, li), nFailures, intervals)
 		}
 	}
+	if fanout <= 1 {
+		var w historyWalker
+		var h taskHistory
+		for _, task := range tasks {
+			w.replay(task, &h)
+			observe(task, &h)
+		}
+		return est
+	}
+
+	// Workers claim chunks in order, each into a free buffer, and hand
+	// it over on the chunk's own channel; the fold takes the chunks in
+	// order and frees their buffers. A claimed chunk always holds a
+	// buffer, so the chunk the fold waits for is always in progress.
+	// free has room for every buffer, so returning one never blocks.
+	chunks := (len(tasks) + estimatorChunk - 1) / estimatorChunk
+	done := make([]chan []taskHistory, chunks)
+	for i := range done {
+		done[i] = make(chan []taskHistory, 1)
+	}
+	free := make(chan []taskHistory, fanout+1)
+	for i := 0; i < fanout+1; i++ {
+		free <- make([]taskHistory, estimatorChunk)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(fanout)
+	for i := 0; i < fanout; i++ {
+		go func() {
+			defer wg.Done()
+			var w historyWalker
+			for {
+				buf := <-free
+				c := int(next.Add(1)) - 1
+				if c >= chunks {
+					free <- buf
+					return
+				}
+				part := tasks[c*estimatorChunk : min((c+1)*estimatorChunk, len(tasks))]
+				for k, task := range part {
+					w.replay(task, &buf[k])
+				}
+				done[c] <- buf
+			}
+		}()
+	}
+	for c := range done {
+		buf := <-done[c]
+		part := tasks[c*estimatorChunk : min((c+1)*estimatorChunk, len(tasks))]
+		for k, task := range part {
+			observe(task, &buf[k])
+		}
+		free <- buf
+	}
+	wg.Wait()
 	return est
+}
+
+// historyWalker replays tasks' failure processes in slab-resident state,
+// reinitialized per task: the common no-priority-change task then
+// replays without allocating (the recorded-times backing is reused),
+// exactly as the engine's runner slabs do. InitFailureProcess's draw
+// sequence matches NewFailureProcess bit for bit.
+type historyWalker struct {
+	ren failure.Renewal
+	rng simeng.RNG
+	par dist.Pareto
+}
+
+// replay walks one task's failure process into h, collecting both
+// statistics in one pass, and stops as soon as the count horizon is
+// passed and the interval quota is full — the estimator keeps at most
+// maxIntervalsPerTask samples, so replaying the full observation window
+// (25x the task length) would discard almost every draw it generates.
+func (w *historyWalker) replay(task *Task, h *taskHistory) {
+	changePrio, changeFrac := 0, 0.0
+	if task.Change.Active() {
+		changePrio, changeFrac = task.Change.NewPriority, task.Change.AtFraction
+	}
+	proc := InitFailureProcess(task.Priority, task.LengthSec, task.FailureSeed,
+		changePrio, changeFrac, &w.ren, &w.rng, &w.par)
+	window := observationWindow(task.LengthSec)
+	h.failures, h.n = 0, 0
+	prev, t := 0.0, 0.0
+	for {
+		next := proc.NextAfter(t)
+		if math.IsInf(next, 1) || next > window {
+			return
+		}
+		if next <= task.LengthSec {
+			h.failures++
+		}
+		if h.n < maxIntervalsPerTask {
+			h.intervals[h.n] = next - prev
+			h.n++
+		} else if next > task.LengthSec {
+			return
+		}
+		prev, t = next, next
+	}
 }
 
 // EstimateFor returns the Estimate for a task under the given estimator

@@ -3,9 +3,11 @@ package trace
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/stats"
 )
 
@@ -397,5 +399,52 @@ func TestFailureIntervalsByPriority(t *testing.T) {
 func BenchmarkGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Generate(DefaultGenConfig(uint64(i), 1000))
+	}
+}
+
+// TestBuildEstimatorChunkedMatchesSerial checks the chunked estimator
+// build against a plain one-goroutine fold: on a trace of more than
+// three chunks with priority changes, every group's task count, failure
+// count, interval sum and interval count must match bit for bit at
+// fan-outs 1, 2 and 8.
+func TestBuildEstimatorChunkedMatchesSerial(t *testing.T) {
+	cfg := DefaultGenConfig(5, 2500)
+	cfg.PriorityChangeFraction = 0.3
+	tr := Generate(cfg)
+	tasks := tr.Tasks()
+	changed := 0
+	for _, task := range tasks {
+		if task.Change.Active() {
+			changed++
+		}
+	}
+	if len(tasks) <= 3*estimatorChunk || changed == 0 {
+		t.Fatalf("trace has %d tasks (%d changed), want over %d with changes", len(tasks), changed, 3*estimatorChunk)
+	}
+
+	// The reference replays each task's whole observation window on a
+	// freshly built process.
+	want := core.NewHistoryEstimator()
+	for _, task := range tasks {
+		window := observationWindow(task.LengthSec)
+		ivs := failure.IntervalsIn(NewFailureProcess(task), window)
+		failures, at := 0, 0.0
+		for _, iv := range ivs {
+			if at += iv; at <= task.LengthSec {
+				failures++
+			}
+		}
+		ivs = ivs[:min(len(ivs), maxIntervalsPerTask)]
+		for li, limit := range DefaultLengthLimits {
+			if task.LengthSec <= limit {
+				want.ObserveTask(core.GroupKey(task.Priority, li), failures, ivs)
+			}
+		}
+	}
+	for _, fanout := range []int{1, 2, 8} {
+		// DeepEqual compares each group's counts and float sums exactly.
+		if got := buildEstimator(tasks, nil, fanout); !reflect.DeepEqual(got, want) {
+			t.Errorf("fan-out %d: estimator differs from the one-goroutine fold", fanout)
+		}
 	}
 }
