@@ -479,7 +479,7 @@ func measure(ctx context.Context, sc scenario.Scenario, name string, jobs int, s
 		return m
 	}
 	var est *core.HistoryEstimator
-	if cfg.Estimates == engine.EstimatePriority && cfg.CustomEstimator == nil {
+	if cfg.NeedsHistory() {
 		est = trace.BuildEstimator(tr, sc.EffectiveLimits())
 	}
 

@@ -179,35 +179,3 @@ func mustPositiveMem(memMB float64) {
 		panic(fmt.Sprintf("blcr: memory size must be positive, got %v MB", memMB))
 	}
 }
-
-// Image is a simulated BLCR checkpoint image: the saved state of a task
-// at a known point of productive progress.
-type Image struct {
-	// TaskID identifies the checkpointed task.
-	TaskID string
-	// MemMB is the memory footprint captured in the image.
-	MemMB float64
-	// Progress is the productive execution time (seconds) the image
-	// preserves; restoring the task resumes from this offset.
-	Progress float64
-	// TakenAt is the simulation time the checkpoint completed.
-	TakenAt float64
-	// HostID is the host whose local ramdisk holds the image, or -1 if
-	// the image lives on a shared disk.
-	HostID int
-}
-
-// OnSharedDisk reports whether the image is directly reachable from any
-// host (migration type B applies).
-func (im Image) OnSharedDisk() bool { return im.HostID < 0 }
-
-// MigrationTypeTo returns the migration type needed to restart the image
-// on the given host: B if the image is on a shared disk, A otherwise
-// (even to the same host, BLCR must stage the ramdisk image, matching
-// the paper's benchmark environment where VM ramdisk space is limited).
-func (im Image) MigrationTypeTo(hostID int) MigrationType {
-	if im.OnSharedDisk() {
-		return MigrationB
-	}
-	return MigrationA
-}

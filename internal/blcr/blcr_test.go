@@ -142,26 +142,6 @@ func TestMigrationTypeString(t *testing.T) {
 	}
 }
 
-func TestImageMigrationType(t *testing.T) {
-	local := Image{TaskID: "t", MemMB: 100, HostID: 3}
-	shared := Image{TaskID: "t", MemMB: 100, HostID: -1}
-	if local.OnSharedDisk() {
-		t.Fatal("local image claims shared disk")
-	}
-	if !shared.OnSharedDisk() {
-		t.Fatal("shared image claims local disk")
-	}
-	if local.MigrationTypeTo(3) != MigrationA {
-		t.Fatal("local image to same host should still be migration A (limited ramdisk)")
-	}
-	if local.MigrationTypeTo(5) != MigrationA {
-		t.Fatal("local image to other host should be migration A")
-	}
-	if shared.MigrationTypeTo(5) != MigrationB {
-		t.Fatal("shared image should be migration B")
-	}
-}
-
 // Property: interpolation stays within the envelope of neighboring
 // anchors for in-range memory sizes.
 func TestPropertyInterpolationWithinAnchors(t *testing.T) {

@@ -17,7 +17,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Host is one physical machine.
@@ -28,15 +27,6 @@ type Host struct {
 	tasks int
 	alive bool
 }
-
-// FreeMem returns the host's unallocated memory.
-func (h *Host) FreeMem() float64 { return h.MemMB - h.used }
-
-// Tasks returns the number of tasks currently placed on the host.
-func (h *Host) Tasks() int { return h.tasks }
-
-// Alive reports whether the host is up.
-func (h *Host) Alive() bool { return h.alive }
 
 // Placement is a granted resource reservation: a VM instance isolated
 // (in the paper, by the hypervisor's credit scheduler) to the task's
@@ -183,28 +173,6 @@ func (c *Cluster) Release(p *Placement) {
 	c.free = append(c.free, p)
 }
 
-// FreeMem returns the total free memory across live hosts. It is an
-// observability helper off the dispatch path, so it keeps the plain
-// in-order sum (an incremental total would accumulate float error).
-func (c *Cluster) FreeMem() float64 {
-	var sum float64
-	for _, h := range c.hosts {
-		if h.alive {
-			sum += h.FreeMem()
-		}
-	}
-	return sum
-}
-
-// RunningTasks returns the number of active placements.
-func (c *Cluster) RunningTasks() int {
-	var n int
-	for _, h := range c.hosts {
-		n += h.tasks
-	}
-	return n
-}
-
 // SetAlive marks a host up or down. Tasks on a downed host are the
 // engine's responsibility to fail over; the cluster only stops placing
 // new work there.
@@ -212,36 +180,4 @@ func (c *Cluster) SetAlive(hostID int, alive bool) {
 	h := c.Host(hostID)
 	h.alive = alive
 	c.touch(h)
-}
-
-// Utilization returns the fraction of total memory in use.
-func (c *Cluster) Utilization() float64 {
-	var used, total float64
-	for _, h := range c.hosts {
-		used += h.used
-		total += h.MemMB
-	}
-	if total == 0 {
-		return 0
-	}
-	return used / total
-}
-
-// Snapshot returns per-host (id, freeMem) sorted by id, for tests and
-// observability.
-func (c *Cluster) Snapshot() []HostInfo {
-	out := make([]HostInfo, len(c.hosts))
-	for i, h := range c.hosts {
-		out[i] = HostInfo{ID: h.ID, FreeMB: h.FreeMem(), Tasks: h.tasks, Alive: h.alive}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// HostInfo is an observability snapshot row.
-type HostInfo struct {
-	ID     int
-	FreeMB float64
-	Tasks  int
-	Alive  bool
 }

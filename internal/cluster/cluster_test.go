@@ -17,7 +17,7 @@ func TestNewCluster(t *testing.T) {
 	if c.MaxFreeMem() != 7168 {
 		t.Fatalf("MaxFreeMem = %v", c.MaxFreeMem())
 	}
-	if c.RunningTasks() != 0 || c.Utilization() != 0 {
+	if c.RunningTasks() != 0 {
 		t.Fatal("fresh cluster not empty")
 	}
 }
@@ -225,15 +225,16 @@ func TestMaxFreeMemNoLiveHosts(t *testing.T) {
 	}
 }
 
+// TestUtilizationAndSnapshot reads the cluster's memory use after one
+// placement, in total and per host.
 func TestUtilizationAndSnapshot(t *testing.T) {
 	c := New(2, 1000)
 	c.Acquire(500)
-	if got := c.Utilization(); got != 0.25 {
-		t.Fatalf("Utilization = %v, want 0.25", got)
+	if got := c.FreeMem(); got != 1500 {
+		t.Fatalf("FreeMem = %v, want 1500 (a quarter of 2000 in use)", got)
 	}
-	snap := c.Snapshot()
-	if len(snap) != 2 || snap[0].FreeMB != 500 || snap[1].FreeMB != 1000 {
-		t.Fatalf("Snapshot = %+v", snap)
+	if c.Host(0).FreeMem() != 500 || c.Host(1).FreeMem() != 1000 {
+		t.Fatalf("per-host free memory %v, %v, want 500, 1000", c.Host(0).FreeMem(), c.Host(1).FreeMem())
 	}
 	if c.RunningTasks() != 1 {
 		t.Fatalf("RunningTasks = %d", c.RunningTasks())
@@ -256,12 +257,12 @@ func TestPendingQueueFIFO(t *testing.T) {
 	q.PushFresh(2, 10)
 	q.PushFresh(3, 10)
 	for want := 1; want <= 3; want++ {
-		got, ok := q.Pop()
+		got, ok := q.PopFitting(math.Inf(1), nil)
 		if !ok || got != want {
 			t.Fatalf("Pop = %d,%v want %d", got, ok, want)
 		}
 	}
-	if _, ok := q.Pop(); ok {
+	if _, ok := q.PopFitting(math.Inf(1), nil); ok {
 		t.Fatal("Pop on empty queue succeeded")
 	}
 }
@@ -274,33 +275,35 @@ func TestPendingQueueRestartsFirst(t *testing.T) {
 	q.PushRestart("restart2", 1)
 	want := []string{"restart1", "restart2", "fresh1", "fresh2"}
 	for _, w := range want {
-		got, ok := q.Pop()
+		got, ok := q.PopFitting(math.Inf(1), nil)
 		if !ok || got != w {
 			t.Fatalf("Pop = %q, want %q", got, w)
 		}
 	}
 }
 
+// TestPendingQueuePopWhere pops by an arbitrary predicate: with no
+// demand limit, PopFitting's fits alone picks the task.
 func TestPendingQueuePopWhere(t *testing.T) {
 	var q PendingQueue[int]
 	q.PushFresh(100, 100)
 	q.PushFresh(5, 5)
 	q.PushFresh(50, 50)
-	got, ok := q.PopWhere(func(v int) bool { return v <= 10 })
+	got, ok := q.PopFitting(math.Inf(1), func(v int) bool { return v <= 10 })
 	if !ok || got != 5 {
-		t.Fatalf("PopWhere = %d,%v", got, ok)
+		t.Fatalf("PopFitting(+Inf, v <= 10) = %d,%v", got, ok)
 	}
 	if q.Len() != 2 {
-		t.Fatalf("Len = %d after PopWhere", q.Len())
+		t.Fatalf("Len = %d after the predicate pop", q.Len())
 	}
 	// Remaining order preserved.
-	a, _ := q.Pop()
-	b, _ := q.Pop()
+	a, _ := q.PopFitting(math.Inf(1), nil)
+	b, _ := q.PopFitting(math.Inf(1), nil)
 	if a != 100 || b != 50 {
 		t.Fatalf("remaining order %d,%d", a, b)
 	}
-	if _, ok := q.PopWhere(func(int) bool { return true }); ok {
-		t.Fatal("PopWhere on empty queue succeeded")
+	if _, ok := q.PopFitting(math.Inf(1), func(int) bool { return true }); ok {
+		t.Fatal("predicate pop on empty queue succeeded")
 	}
 }
 
@@ -329,8 +332,8 @@ func TestPendingQueuePopFitting(t *testing.T) {
 		t.Fatal("PopFitting found a fit below the minimum demand")
 	}
 	// Remaining order preserved: 100 then 50.
-	a, _ := q.Pop()
-	b, _ := q.Pop()
+	a, _ := q.PopFitting(math.Inf(1), nil)
+	b, _ := q.PopFitting(math.Inf(1), nil)
 	if a != 100 || b != 50 {
 		t.Fatalf("remaining order %d,%d", a, b)
 	}
@@ -349,8 +352,8 @@ func TestPendingQueuePopFittingUnbounded(t *testing.T) {
 	q.PushFresh(2, 7)
 	q.PushFresh(3, 9)
 	// Mid-queue removal leaves a tombstone (+Inf leaf) at slot 1.
-	if v, ok := q.PopWhere(func(v int) bool { return v == 2 }); !ok || v != 2 {
-		t.Fatalf("PopWhere = %d,%v", v, ok)
+	if v, ok := q.PopFitting(math.Inf(1), func(v int) bool { return v == 2 }); !ok || v != 2 {
+		t.Fatalf("PopFitting(+Inf, only 2) = %d,%v", v, ok)
 	}
 	if v, ok := q.PopFitting(math.NaN(), nil); ok {
 		t.Fatalf("PopFitting(NaN) returned %d", v)
@@ -394,11 +397,11 @@ func TestPendingQueueReleasesPoppedReferences(t *testing.T) {
 	q.PushFresh(a, 1)
 	q.PushFresh(b, 2)
 	q.PushFresh(c, 3)
-	if v, _ := q.Pop(); v != a {
+	if v, _ := q.PopFitting(math.Inf(1), nil); v != a {
 		t.Fatal("unexpected pop order")
 	}
-	if v, ok := q.PopWhere(func(p *int) bool { return p == c }); !ok || v != c {
-		t.Fatal("PopWhere missed the target")
+	if v, ok := q.PopFitting(math.Inf(1), func(p *int) bool { return p == c }); !ok || v != c {
+		t.Fatal("PopFitting missed the target")
 	}
 	for i, it := range q.fresh.items {
 		if it != nil && it != b {
@@ -445,7 +448,7 @@ func TestPendingQueueWraparound(t *testing.T) {
 			model = append(model[:wantIdx], model[wantIdx+1:]...)
 		}
 		for q.Len() > 5 {
-			v, ok := q.Pop()
+			v, ok := q.PopFitting(math.Inf(1), nil)
 			if !ok || v != model[0] {
 				t.Fatalf("round %d: Pop = %d,%v, want %d", round, v, ok, model[0])
 			}

@@ -104,7 +104,7 @@ func TestQueueDifferential(t *testing.T) {
 				}
 				next++
 			case k < 6: // FIFO pop
-				gv, gok := idx.Pop()
+				gv, gok := idx.PopFitting(math.Inf(1), nil)
 				wv, wok := ref.Pop()
 				if gv != wv || gok != wok {
 					t.Fatalf("trial %d op %d: Pop = %d,%v, naive %d,%v", trial, op, gv, gok, wv, wok)
@@ -136,7 +136,7 @@ func TestQueueDifferential(t *testing.T) {
 		}
 		// Drain both to the end: order must agree all the way down.
 		for {
-			gv, gok := idx.Pop()
+			gv, gok := idx.PopFitting(math.Inf(1), nil)
 			wv, wok := ref.Pop()
 			if gv != wv || gok != wok {
 				t.Fatalf("trial %d drain: Pop = %d,%v, naive %d,%v", trial, gv, gok, wv, wok)

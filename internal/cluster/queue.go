@@ -117,17 +117,6 @@ func (l *lane[T]) remove(pos uint64) T {
 	return v
 }
 
-// pop removes and returns the lane's first live item.
-func (l *lane[T]) pop() (T, bool) {
-	var zero T
-	if l.count == 0 {
-		return zero, false
-	}
-	// With count > 0 the head always points at a live slot: remove()
-	// sweeps it past tombstones and push() lands on head when empty.
-	return l.remove(l.head), true
-}
-
 // findFirst returns the first logical position at or after `from`
 // whose demand is at most x. The logical window [from, tail) covers at
 // most two physical intervals of the ring, each answered by one
@@ -197,22 +186,6 @@ func (l *lane[T]) popFitting(maxFree float64, fits func(T) bool) (T, bool) {
 	}
 }
 
-// popWhere removes and returns the first live item satisfying pred,
-// scanning linearly (the un-indexed fallback for arbitrary predicates).
-func (l *lane[T]) popWhere(pred func(T) bool) (T, bool) {
-	var zero T
-	for pos := l.head; pos != l.tail; pos++ {
-		i := l.phys(pos)
-		if math.IsInf(l.tree[len(l.items)+i], 1) {
-			continue // tombstone
-		}
-		if pred(l.items[i]) {
-			return l.remove(pos), true
-		}
-	}
-	return zero, false
-}
-
 // PendingQueue is the FIFO queue of tasks waiting for resources, with
 // a restart lane: restarting tasks (already partially executed) are
 // placed ahead of fresh tasks, matching the paper's immediate-restart
@@ -232,31 +205,12 @@ func (q *PendingQueue[T]) PushFresh(v T, demand float64) { q.fresh.push(v, deman
 // (MB); it takes priority over fresh tasks.
 func (q *PendingQueue[T]) PushRestart(v T, demand float64) { q.restarts.push(v, demand) }
 
-// Pop dequeues the next task (restarts first), reporting whether one
-// was available.
-func (q *PendingQueue[T]) Pop() (T, bool) {
-	if v, ok := q.restarts.pop(); ok {
-		return v, true
-	}
-	return q.fresh.pop()
-}
-
-// PopWhere dequeues the first task (restarts first) satisfying pred,
-// preserving the order of the rest. It accepts arbitrary predicates
-// and therefore scans; memory-aware dispatch should use PopFitting.
-func (q *PendingQueue[T]) PopWhere(pred func(T) bool) (T, bool) {
-	if v, ok := q.restarts.popWhere(pred); ok {
-		return v, true
-	}
-	return q.fresh.popWhere(pred)
-}
-
 // PopFitting dequeues the first task (restarts first) whose recorded
 // demand is at most maxFree and that passes fits (nil accepts all
 // demand-fitting tasks), preserving the order of the rest — the
-// indexed equivalent of PopWhere for first-fit dispatch. fits refines
-// the demand filter for tasks with extra placement constraints (e.g. a
-// host to avoid); it must accept only tasks the caller can place.
+// dispatcher's first-fit pop. fits refines the demand filter for tasks
+// with extra placement constraints (e.g. a host to avoid); it must
+// accept only tasks the caller can place.
 // A maxFree of +Inf means "no demand limit"; NaN matches nothing.
 func (q *PendingQueue[T]) PopFitting(maxFree float64, fits func(T) bool) (T, bool) {
 	if v, ok := q.restarts.popFitting(maxFree, fits); ok {
@@ -270,6 +224,3 @@ func (q *PendingQueue[T]) PopFitting(maxFree float64, fits func(T) bool) (T, boo
 func (q *PendingQueue[T]) MinDemand() float64 {
 	return math.Min(q.restarts.min(), q.fresh.min())
 }
-
-// Len returns the number of queued tasks.
-func (q *PendingQueue[T]) Len() int { return q.restarts.count + q.fresh.count }

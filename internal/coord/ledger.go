@@ -132,11 +132,6 @@ func NewLedger(n int, lease time.Duration) *Ledger {
 	return l
 }
 
-// SetClock replaces the ledger's time source; fault-injection tests use
-// it to expire leases deterministically. Must be called before the
-// ledger is shared.
-func (l *Ledger) SetClock(now func() time.Time) { l.now = now }
-
 // SetMaxAttempts replaces the per-index attempt budget (k <= 0 selects
 // DefaultMaxAttempts). Must be called before the ledger is shared.
 func (l *Ledger) SetMaxAttempts(k int) {

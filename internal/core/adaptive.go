@@ -151,11 +151,3 @@ func (a *Adaptive) OnRollback(lostWork float64) {
 		a.x = x
 	}
 }
-
-// Progress advances the controller by dt productive seconds and reports
-// whether a checkpoint is due at (or before) the end of that advance.
-// It is a convenience for engines that step in fixed quanta instead of
-// scheduling exact checkpoint events; it does not mutate state.
-func (a *Adaptive) Progress(dt float64) bool {
-	return a.ShouldCheckpoint() && dt >= a.w0-1e-12
-}

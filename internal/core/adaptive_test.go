@@ -38,6 +38,26 @@ func TestTheorem2CountDecrementsSpacingConstant(t *testing.T) {
 	}
 }
 
+// nextIntervalAfterCheckpoint is the Theorem 2 recurrence, the reference
+// TestTheorem2ClosedForm checks Formula 3 against: under an unchanged
+// MNOF, the optimal interval count for the remaining work
+// after the k-th checkpoint is exactly X*-1 where X* was the count at
+// the k-th checkpoint. The function recomputes Formula 3 on the remaining
+// workload and remaining expected failures; Theorem 2 guarantees the
+// result equals xPrev-1 when MNOF is unchanged.
+//
+// trK is the remaining execution length at the previous checkpoint,
+// ekY the expected failures over trK, and xPrev the interval count
+// computed there.
+func nextIntervalAfterCheckpoint(trK, ekY, c float64, xPrev float64) float64 {
+	if xPrev < 1 {
+		panic("core: nextIntervalAfterCheckpoint requires xPrev >= 1")
+	}
+	trK1 := trK * (xPrev - 1) / xPrev
+	ekY1 := ekY * (xPrev - 1) / xPrev
+	return OptimalIntervals(trK1, ekY1, c)
+}
+
 // The closed-form Theorem 2 identity: X(*) computed from the remaining
 // workload equals X*-1 exactly when MNOF is unchanged.
 func TestTheorem2ClosedForm(t *testing.T) {
@@ -48,7 +68,7 @@ func TestTheorem2ClosedForm(t *testing.T) {
 		if xPrev <= 1 {
 			continue
 		}
-		xNext := NextIntervalAfterCheckpoint(tc.tr, tc.ey, tc.c, xPrev)
+		xNext := nextIntervalAfterCheckpoint(tc.tr, tc.ey, tc.c, xPrev)
 		if math.Abs(xNext-(xPrev-1)) > 1e-9 {
 			t.Errorf("Tr=%v E=%v C=%v: X(*) = %v, want X*-1 = %v",
 				tc.tr, tc.ey, tc.c, xNext, xPrev-1)
@@ -159,17 +179,6 @@ func TestAdaptiveCheckpointCountTracking(t *testing.T) {
 	}
 }
 
-func TestAdaptiveProgressHelper(t *testing.T) {
-	a := NewAdaptive(100, 1, Estimate{MNOF: 4}, true)
-	w0 := a.NextCheckpointIn()
-	if a.Progress(w0 / 2) {
-		t.Fatal("Progress says checkpoint due before W0 elapsed")
-	}
-	if !a.Progress(w0) {
-		t.Fatal("Progress says no checkpoint due at W0")
-	}
-}
-
 func TestAdaptivePanics(t *testing.T) {
 	cases := []func(){
 		func() { NewAdaptive(0, 1, Estimate{}, true) },
@@ -214,12 +223,6 @@ func TestPolicyIntervals(t *testing.T) {
 	}
 	if got := (FixedIntervalPolicy{Interval: 100}).Intervals(te, c, est); got != 10 {
 		t.Errorf("FixedIntervalPolicy = %d, want 10", got)
-	}
-	if got := (FixedCountPolicy{Count: 7}).Intervals(te, c, est); got != 7 {
-		t.Errorf("FixedCountPolicy = %d, want 7", got)
-	}
-	if got := (OraclePolicy{Base: MNOFPolicy{}}).Intervals(te, c, est); got != mnofX {
-		t.Errorf("OraclePolicy = %d, want %d", got, mnofX)
 	}
 }
 
@@ -274,13 +277,11 @@ func TestPolicyDegenerateEstimates(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	names := map[string]Policy{
-		"Formula(3)":         MNOFPolicy{},
-		"Young":              YoungPolicy{},
-		"Daly":               DalyPolicy{},
-		"None":               NoCheckpointPolicy{},
-		"Fixed(60s)":         FixedIntervalPolicy{Interval: 60},
-		"FixedCount(4)":      FixedCountPolicy{Count: 4},
-		"Oracle[Formula(3)]": OraclePolicy{Base: MNOFPolicy{}},
+		"Formula(3)": MNOFPolicy{},
+		"Young":      YoungPolicy{},
+		"Daly":       DalyPolicy{},
+		"None":       NoCheckpointPolicy{},
+		"Fixed(60s)": FixedIntervalPolicy{Interval: 60},
 	}
 	for want, p := range names {
 		if p.Name() != want {
@@ -297,13 +298,5 @@ func TestFixedPolicyPanics(t *testing.T) {
 			}
 		}()
 		FixedIntervalPolicy{}.Intervals(10, 1, Estimate{})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("FixedCountPolicy{0} did not panic")
-			}
-		}()
-		FixedCountPolicy{}.Intervals(10, 1, Estimate{})
 	}()
 }

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
-
 // HistoryEstimator accumulates per-group failure history and produces
 // the MNOF and MTBF estimates the two formulas consume. The paper
 // groups tasks by priority (12 groups) and, for Table 7, additionally
@@ -15,26 +10,22 @@ import (
 // "mean number of failures of the task... estimated with the statistics
 // computed based on history". MTBF is the mean of observed
 // uninterrupted intervals.
+//
+// Only running aggregates are kept, never the samples: estimator queries
+// sit on the engine's task-submission path, and both a per-query scan
+// over millions of samples and the samples' own footprint would grow
+// linearly with trace size.
 type HistoryEstimator struct {
 	groups map[int]*groupStats
-	// RetainSamples keeps every interval observation per group so
-	// MedianTBF can answer; it must be set before observing. The default
-	// keeps only running aggregates: estimator queries sit on the
-	// engine's task-submission path, and both the per-query scan over
-	// millions of samples and the samples' own footprint used to grow
-	// linearly with trace size — the O(trace²) wall the 100k-job tier
-	// ran into.
-	RetainSamples bool
 }
 
 type groupStats struct {
 	tasks    int
 	failures int
 	// intervalSum/intervalCount accumulate in observation order, so the
-	// O(1) MTBF below is bit-identical to summing the retained samples.
+	// O(1) MTBF below is bit-identical to summing the samples.
 	intervalSum   float64
 	intervalCount int
-	intervals     []float64 // retained only when RetainSamples
 }
 
 // NewHistoryEstimator returns an empty estimator.
@@ -60,19 +51,8 @@ func (e *HistoryEstimator) ObserveTask(group, failures int, intervals []float64)
 		if iv >= 0 {
 			g.intervalSum += iv
 			g.intervalCount++
-			if e.RetainSamples {
-				g.intervals = append(g.intervals, iv)
-			}
 		}
 	}
-}
-
-// Tasks returns the number of tasks observed in a group.
-func (e *HistoryEstimator) Tasks(group int) int {
-	if g := e.groups[group]; g != nil {
-		return g.tasks
-	}
-	return 0
 }
 
 // MNOF returns the mean number of failures per task for the group,
@@ -98,82 +78,12 @@ func (e *HistoryEstimator) MTBF(group int) float64 {
 	return g.intervalSum / float64(g.intervalCount)
 }
 
-// MedianTBF returns the median uninterrupted interval for the group —
-// a robust alternative exposed for sensitivity experiments. It needs
-// the raw samples: on an estimator built without RetainSamples it
-// returns 0, like an unseen group.
-func (e *HistoryEstimator) MedianTBF(group int) float64 {
-	g := e.groups[group]
-	if g == nil || len(g.intervals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), g.intervals...)
-	sort.Float64s(sorted)
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
 // Estimate returns the Estimate for a group (zero-valued if unseen).
 func (e *HistoryEstimator) Estimate(group int) Estimate {
 	return Estimate{MNOF: e.MNOF(group), MTBF: e.MTBF(group)}
-}
-
-// Groups returns the group keys with at least one observation, sorted.
-func (e *HistoryEstimator) Groups() []int {
-	keys := make([]int, 0, len(e.groups))
-	for k := range e.groups {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 // GroupKey encodes a (priority, length-limit index) pair into the int
 // group key used by HistoryEstimator, supporting Table 7's two-way
 // grouping. Priorities are 1-12; limitIdx is small (0-3).
 func GroupKey(priority, limitIdx int) int { return limitIdx*100 + priority }
-
-// ScaleMNOF rescales a task-level MNOF estimated on tasks of mean length
-// refLen to a task of length te, assuming failures arrive in proportion
-// to exposure time. The paper's per-priority MNOF is comparatively
-// stable across length limits (Table 7), so engines may use the raw
-// group MNOF; this helper supports sensitivity experiments.
-func ScaleMNOF(mnof, refLen, te float64) float64 {
-	if !(refLen > 0) || !(te > 0) {
-		return mnof
-	}
-	return mnof * te / refLen
-}
-
-// EWMA is an exponentially weighted moving average estimator used by
-// the adaptive controller to track drifting MNOF online. Alpha in (0,1]
-// is the weight of the newest observation.
-type EWMA struct {
-	Alpha float64
-	value float64
-	seen  bool
-}
-
-// Observe folds a new observation into the average.
-func (e *EWMA) Observe(x float64) {
-	if e.Alpha <= 0 || e.Alpha > 1 {
-		panic("core: EWMA requires Alpha in (0,1]")
-	}
-	if !e.seen {
-		e.value = x
-		e.seen = true
-		return
-	}
-	e.value = e.Alpha*x + (1-e.Alpha)*e.value
-}
-
-// Value returns the current average, or NaN before any observation.
-func (e *EWMA) Value() float64 {
-	if !e.seen {
-		return math.NaN()
-	}
-	return e.value
-}

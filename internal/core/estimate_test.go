@@ -33,9 +33,8 @@ func TestHistoryEstimatorGroupsIsolated(t *testing.T) {
 	if e.MNOF(1) != 5 || e.MNOF(2) != 0 {
 		t.Fatal("groups leaked")
 	}
-	groups := e.Groups()
-	if len(groups) != 2 || groups[0] != 1 || groups[1] != 2 {
-		t.Fatalf("Groups = %v", groups)
+	if e.MTBF(1) != 10 || e.MTBF(2) != 99999 {
+		t.Fatal("group intervals leaked")
 	}
 }
 
@@ -54,31 +53,6 @@ func TestHistoryEstimatorPanicsOnNegativeFailures(t *testing.T) {
 		}
 	}()
 	NewHistoryEstimator().ObserveTask(1, -1, nil)
-}
-
-func TestMedianTBFRobustToTail(t *testing.T) {
-	e := NewHistoryEstimator()
-	e.RetainSamples = true
-	// Nine short intervals and one enormous outlier (the Pareto tail).
-	intervals := []float64{10, 10, 10, 10, 10, 10, 10, 10, 10, 1e6}
-	e.ObserveTask(3, 9, intervals)
-	if mean := e.MTBF(3); mean < 10000 {
-		t.Fatalf("MTBF = %v, expected tail-inflated mean", mean)
-	}
-	if med := e.MedianTBF(3); med != 10 {
-		t.Fatalf("MedianTBF = %v, want 10", med)
-	}
-
-	// Without retained samples the aggregates still answer, and the
-	// median degrades to the unseen-group value instead of lying.
-	lean := NewHistoryEstimator()
-	lean.ObserveTask(3, 9, intervals)
-	if lean.MTBF(3) != e.MTBF(3) {
-		t.Fatalf("lean MTBF %v != retained MTBF %v", lean.MTBF(3), e.MTBF(3))
-	}
-	if med := lean.MedianTBF(3); med != 0 {
-		t.Fatalf("lean MedianTBF = %v, want 0", med)
-	}
 }
 
 // The paper's Table 7 phenomenon: with Pareto intervals, MTBF estimated
@@ -135,37 +109,4 @@ func TestGroupKeyInjective(t *testing.T) {
 			seen[k] = true
 		}
 	}
-}
-
-func TestScaleMNOF(t *testing.T) {
-	if got := ScaleMNOF(2, 100, 200); got != 4 {
-		t.Fatalf("ScaleMNOF = %v, want 4", got)
-	}
-	if got := ScaleMNOF(2, 0, 200); got != 2 {
-		t.Fatalf("ScaleMNOF with zero ref = %v, want unchanged", got)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if !math.IsNaN(e.Value()) {
-		t.Fatal("EWMA before observations should be NaN")
-	}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Fatalf("first observation = %v", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Fatalf("EWMA = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMAPanicsOnBadAlpha(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("alpha 0 accepted")
-		}
-	}()
-	(&EWMA{Alpha: 0}).Observe(1)
 }

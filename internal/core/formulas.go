@@ -148,25 +148,6 @@ func CheckpointPositions(te float64, x int) []float64 {
 	return pos
 }
 
-// NextIntervalAfterCheckpoint implements the Theorem 2 recurrence: under
-// an unchanged MNOF, the optimal interval count for the remaining work
-// after the k-th checkpoint is exactly X*-1 where X* was the count at
-// the k-th checkpoint. The function recomputes Formula 3 on the remaining
-// workload and remaining expected failures; Theorem 2 guarantees the
-// result equals xPrev-1 when MNOF is unchanged.
-//
-// trK is the remaining execution length at the previous checkpoint,
-// ekY the expected failures over trK, and xPrev the interval count
-// computed there.
-func NextIntervalAfterCheckpoint(trK, ekY, c float64, xPrev float64) float64 {
-	if xPrev < 1 {
-		panic("core: NextIntervalAfterCheckpoint requires xPrev >= 1")
-	}
-	trK1 := trK * (xPrev - 1) / xPrev
-	ekY1 := ekY * (xPrev - 1) / xPrev
-	return OptimalIntervals(trK1, ekY1, c)
-}
-
 // StorageChoice identifies which checkpoint storage device Section 4.2.2
 // selects.
 type StorageChoice int

@@ -93,22 +93,6 @@ func (p FixedIntervalPolicy) Intervals(te, c float64, est Estimate) int {
 	return IntervalsFromLength(te, p.Interval)
 }
 
-// FixedCountPolicy always uses exactly Count intervals.
-type FixedCountPolicy struct {
-	Count int
-}
-
-// Name implements Policy.
-func (p FixedCountPolicy) Name() string { return fmt.Sprintf("FixedCount(%d)", p.Count) }
-
-// Intervals implements Policy.
-func (p FixedCountPolicy) Intervals(te, c float64, est Estimate) int {
-	if p.Count < 1 {
-		panic("core: FixedCountPolicy requires Count >= 1")
-	}
-	return p.Count
-}
-
 // RandomPolicy is the "random checkpointing" baseline from the
 // stochastic-models literature the paper surveys (Wolter [28]): the
 // expected number of intervals matches Formula 3's optimum, but the
@@ -167,23 +151,6 @@ func (NoCheckpointPolicy) Name() string { return "None" }
 
 // Intervals implements Policy.
 func (NoCheckpointPolicy) Intervals(te, c float64, est Estimate) int { return 1 }
-
-// OraclePolicy wraps any policy with exact per-task statistics, modeling
-// the paper's "precise prediction" scenario of Table 6. The exact
-// Estimate is supplied per task by the caller through the estimate
-// argument, so OraclePolicy simply delegates; its value is in labeling
-// results.
-type OraclePolicy struct {
-	Base Policy
-}
-
-// Name implements Policy.
-func (p OraclePolicy) Name() string { return "Oracle[" + p.Base.Name() + "]" }
-
-// Intervals implements Policy.
-func (p OraclePolicy) Intervals(te, c float64, est Estimate) int {
-	return p.Base.Intervals(te, c, est)
-}
 
 // ClampIntervals bounds an interval count so the checkpoint overhead
 // cannot exceed the task length: at most floor(te/c) intervals, at least

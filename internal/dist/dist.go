@@ -20,8 +20,6 @@ import (
 // Distribution can be shared freely across goroutines; only the RNG
 // passed to Sample carries mutable state.
 type Distribution interface {
-	// Name returns the family name used in fit tables ("Pareto", ...).
-	Name() string
 	// Sample draws one value using the provided RNG stream.
 	Sample(r *simeng.RNG) float64
 	// CDF returns P(X <= x).
@@ -29,19 +27,6 @@ type Distribution interface {
 	// LogPDF returns the log-density (or log-mass for discrete
 	// families) at x; -Inf outside the support.
 	LogPDF(x float64) float64
-	// Mean returns the distribution mean, +Inf when it diverges (the
-	// heavy-tailed Pareto regime central to the paper's argument).
-	Mean() float64
-	// Quantile returns the p-quantile (inverse CDF) for p in [0, 1];
-	// Quantile(1) may be +Inf on unbounded supports.
-	Quantile(p float64) float64
-}
-
-// checkQuantileArg panics on a quantile argument outside [0, 1].
-func checkQuantileArg(p float64) {
-	if !(p >= 0 && p <= 1) {
-		panic("dist: Quantile requires p in [0,1]")
-	}
 }
 
 // Exponential is the memoryless family behind Young's formula:
@@ -58,9 +43,6 @@ func NewExponential(lambda float64) Exponential {
 	}
 	return Exponential{Lambda: lambda}
 }
-
-// Name implements Distribution.
-func (Exponential) Name() string { return "Exponential" }
 
 // Sample implements Distribution.
 func (d Exponential) Sample(r *simeng.RNG) float64 { return r.ExpFloat64() / d.Lambda }
@@ -81,15 +63,6 @@ func (d Exponential) LogPDF(x float64) float64 {
 	return math.Log(d.Lambda) - d.Lambda*x
 }
 
-// Mean implements Distribution.
-func (d Exponential) Mean() float64 { return 1 / d.Lambda }
-
-// Quantile implements Distribution.
-func (d Exponential) Quantile(p float64) float64 {
-	checkQuantileArg(p)
-	return -math.Log1p(-p) / d.Lambda
-}
-
 // Pareto is the heavy-tailed family the paper finds for Google failure
 // intervals (Figure 5a): support [Xm, +Inf), tail exponent Alpha. For
 // Alpha <= 1 the mean diverges — the regime in which the sample MTBF is
@@ -107,9 +80,6 @@ func NewPareto(xm, alpha float64) Pareto {
 	}
 	return Pareto{Xm: xm, Alpha: alpha}
 }
-
-// Name implements Distribution.
-func (Pareto) Name() string { return "Pareto" }
 
 // Sample implements Distribution.
 func (d Pareto) Sample(r *simeng.RNG) float64 {
@@ -132,20 +102,6 @@ func (d Pareto) LogPDF(x float64) float64 {
 	return math.Log(d.Alpha) + d.Alpha*math.Log(d.Xm) - (d.Alpha+1)*math.Log(x)
 }
 
-// Mean implements Distribution.
-func (d Pareto) Mean() float64 {
-	if d.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return d.Alpha * d.Xm / (d.Alpha - 1)
-}
-
-// Quantile implements Distribution.
-func (d Pareto) Quantile(p float64) float64 {
-	checkQuantileArg(p)
-	return d.Xm * math.Pow(1-p, -1/d.Alpha)
-}
-
 // Normal is the Gaussian family with mean Mu and standard deviation
 // Sigma.
 type Normal struct {
@@ -161,9 +117,6 @@ func NewNormal(mu, sigma float64) Normal {
 	return Normal{Mu: mu, Sigma: sigma}
 }
 
-// Name implements Distribution.
-func (Normal) Name() string { return "Normal" }
-
 // Sample implements Distribution.
 func (d Normal) Sample(r *simeng.RNG) float64 { return d.Mu + d.Sigma*r.NormFloat64() }
 
@@ -176,15 +129,6 @@ func (d Normal) CDF(x float64) float64 {
 func (d Normal) LogPDF(x float64) float64 {
 	z := (x - d.Mu) / d.Sigma
 	return -0.5*z*z - math.Log(d.Sigma) - 0.5*math.Log(2*math.Pi)
-}
-
-// Mean implements Distribution.
-func (d Normal) Mean() float64 { return d.Mu }
-
-// Quantile implements Distribution.
-func (d Normal) Quantile(p float64) float64 {
-	checkQuantileArg(p)
-	return d.Mu + d.Sigma*math.Sqrt2*math.Erfinv(2*p-1)
 }
 
 // Laplace is the double-exponential family with location Mu and scale B.
@@ -200,9 +144,6 @@ func NewLaplace(mu, b float64) Laplace {
 	}
 	return Laplace{Mu: mu, B: b}
 }
-
-// Name implements Distribution.
-func (Laplace) Name() string { return "Laplace" }
 
 // Sample implements Distribution.
 func (d Laplace) Sample(r *simeng.RNG) float64 {
@@ -226,18 +167,6 @@ func (d Laplace) LogPDF(x float64) float64 {
 	return -math.Abs(x-d.Mu)/d.B - math.Log(2*d.B)
 }
 
-// Mean implements Distribution.
-func (d Laplace) Mean() float64 { return d.Mu }
-
-// Quantile implements Distribution.
-func (d Laplace) Quantile(p float64) float64 {
-	checkQuantileArg(p)
-	if p < 0.5 {
-		return d.Mu + d.B*math.Log(2*p)
-	}
-	return d.Mu - d.B*math.Log(2*(1-p))
-}
-
 // Geometric is the discrete waiting-time family on {1, 2, ...}:
 // P(X = k) = (1-P)^(k-1) * P. Interval samples, which arrive as
 // seconds, are rounded to the nearest positive integer for likelihood
@@ -255,9 +184,6 @@ func NewGeometric(p float64) Geometric {
 	}
 	return Geometric{P: p}
 }
-
-// Name implements Distribution.
-func (Geometric) Name() string { return "Geometric" }
 
 // Sample implements Distribution.
 func (d Geometric) Sample(r *simeng.RNG) float64 {
@@ -294,25 +220,6 @@ func (d Geometric) LogPDF(x float64) float64 {
 	return math.Log(d.P) + (k-1)*math.Log(1-d.P)
 }
 
-// Mean implements Distribution.
-func (d Geometric) Mean() float64 { return 1 / d.P }
-
-// Quantile implements Distribution.
-func (d Geometric) Quantile(p float64) float64 {
-	checkQuantileArg(p)
-	if d.P >= 1 || p == 0 {
-		return 1
-	}
-	if p == 1 {
-		return math.Inf(1)
-	}
-	k := math.Ceil(math.Log1p(-p) / math.Log(1-d.P))
-	if k < 1 {
-		return 1
-	}
-	return k
-}
-
 // LogNormal is exp(Normal(Mu, Sigma)): the body model the synthetic
 // trace generator uses for task lengths and memory sizes (Figure 8).
 type LogNormal struct {
@@ -328,9 +235,6 @@ func NewLogNormal(mu, sigma float64) LogNormal {
 	}
 	return LogNormal{Mu: mu, Sigma: sigma}
 }
-
-// Name implements Distribution.
-func (LogNormal) Name() string { return "LogNormal" }
 
 // Sample implements Distribution.
 func (d LogNormal) Sample(r *simeng.RNG) float64 {
@@ -352,15 +256,4 @@ func (d LogNormal) LogPDF(x float64) float64 {
 	}
 	z := (math.Log(x) - d.Mu) / d.Sigma
 	return -0.5*z*z - math.Log(x*d.Sigma) - 0.5*math.Log(2*math.Pi)
-}
-
-// Mean implements Distribution.
-func (d LogNormal) Mean() float64 {
-	return math.Exp(d.Mu + d.Sigma*d.Sigma/2)
-}
-
-// Quantile implements Distribution.
-func (d LogNormal) Quantile(p float64) float64 {
-	checkQuantileArg(p)
-	return math.Exp(d.Mu + d.Sigma*math.Sqrt2*math.Erfinv(2*p-1))
 }

@@ -7,7 +7,9 @@
 // (WPR) and wall-clock length are recorded.
 //
 // The engine is single-threaded and deterministic: a Config plus a
-// trace reproduces a run bit-for-bit. RunContext adds cooperative
+// trace reproduces a run bit-for-bit. RunWithEstimatorContext, the one
+// entry point, takes the history estimator the configuration needs
+// (Config.NeedsHistory) from its caller and adds cooperative
 // cancellation — the event loop polls the context between chunks and
 // returns ctx.Err() without leaving anything behind, since the whole
 // simulation lives on the calling goroutine.

@@ -132,6 +132,14 @@ type Predictor interface {
 	Predict(t *trace.Task) float64
 }
 
+// NeedsHistory reports whether a run under c plans from a history
+// estimator: priority-grouped estimates with no CustomEstimator. Callers
+// build it with trace.BuildEstimator over the run's length limits and
+// pass it to RunWithEstimatorContext.
+func (c Config) NeedsHistory() bool {
+	return c.Estimates == EstimatePriority && c.CustomEstimator == nil
+}
+
 // withDefaults fills zero fields with the paper's testbed values.
 func (c Config) withDefaults() Config {
 	if c.Hosts == 0 {
@@ -158,34 +166,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// RunContext executes the trace under the configuration and returns
-// per-job results. The estimator, when EstimatePriority is selected, is
-// built from the same trace's failure history (the paper estimates
-// MNOF/MTBF from the trace it replays).
+// RunWithEstimatorContext executes the trace under the configuration and
+// returns per-job results. est is the history estimator the planner
+// reads when cfg.NeedsHistory(); the caller builds it, usually from the
+// replayed trace itself (the paper estimates MNOF/MTBF from the trace it
+// replays), though it may come from a different (training) trace or be
+// shared across runs.
 //
 // Cancellation is cooperative: the event loop polls ctx between event
 // chunks and returns ctx.Err() (with a nil Result) as soon as the
 // context is done. The simulation runs entirely on the calling
 // goroutine, so cancellation leaks nothing.
-func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("engine: Config.Policy is required")
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-
-	var est *core.HistoryEstimator
-	if cfg.Estimates == EstimatePriority && cfg.CustomEstimator == nil {
-		est = trace.BuildEstimator(tr, cfg.Limits)
-	}
-	return runWithEstimator(ctx, cfg, tr, est)
-}
-
-// RunWithEstimatorContext is RunContext with a caller-provided history
-// estimator, allowing history to come from a different (training) trace
-// or to be shared across runs.
 func RunWithEstimatorContext(ctx context.Context, cfg Config, tr *trace.Trace, est *core.HistoryEstimator) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Policy == nil {

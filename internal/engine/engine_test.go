@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -23,9 +24,19 @@ func smallTrace(t *testing.T, seed uint64, jobs int) *trace.Trace {
 	return tr
 }
 
+// run builds the history estimator cfg needs from the replayed trace,
+// as the sweep does, and runs.
+func run(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, error) {
+	var est *core.HistoryEstimator
+	if cfg.NeedsHistory() {
+		est = trace.BuildEstimator(tr, cfg.withDefaults().Limits)
+	}
+	return RunWithEstimatorContext(ctx, cfg, tr, est)
+}
+
 func mustRun(t *testing.T, cfg Config, tr *trace.Trace) *Result {
 	t.Helper()
-	res, err := RunContext(context.Background(), cfg, tr)
+	res, err := run(context.Background(), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +145,20 @@ func TestFailureFreeTaskHasCleanWall(t *testing.T) {
 	}
 }
 
+// fixedCountPolicy always plans exactly count intervals.
+type fixedCountPolicy struct{ count int }
+
+func (p fixedCountPolicy) Name() string { return fmt.Sprintf("FixedCount(%d)", p.count) }
+
+func (p fixedCountPolicy) Intervals(te, c float64, est core.Estimate) int { return p.count }
+
 func TestFixedCountPolicyTakesExactCheckpoints(t *testing.T) {
 	// Regression guard for the checkpoint scheduler: under a fixed
 	// 4-interval plan, every failure-free task takes exactly 3
 	// checkpoints at w0 spacing — no more (immediate re-checkpoint
 	// loops), no fewer (lost plan state).
 	tr := smallTrace(t, 16, 60)
-	res := mustRun(t, Config{Seed: 16, Policy: core.FixedCountPolicy{Count: 4}}, tr)
+	res := mustRun(t, Config{Seed: 16, Policy: fixedCountPolicy{4}}, tr)
 	checked := 0
 	for _, jr := range res.Jobs {
 		for _, tres := range jr.Tasks {
@@ -267,7 +285,7 @@ func TestNFSBackendRuns(t *testing.T) {
 
 func TestRunRejectsMissingPolicy(t *testing.T) {
 	tr := smallTrace(t, 11, 5)
-	if _, err := RunContext(context.Background(), Config{}, tr); err == nil {
+	if _, err := run(context.Background(), Config{}, tr); err == nil {
 		t.Fatal("missing policy accepted")
 	}
 }
@@ -354,7 +372,7 @@ func TestFiltersAndAggregates(t *testing.T) {
 
 func TestMaxSimSecondsGuard(t *testing.T) {
 	tr := smallTrace(t, 15, 50)
-	if _, err := RunContext(context.Background(), Config{Seed: 15, Policy: core.MNOFPolicy{}, MaxSimSeconds: 1}, tr); err == nil {
+	if _, err := run(context.Background(), Config{Seed: 15, Policy: core.MNOFPolicy{}, MaxSimSeconds: 1}, tr); err == nil {
 		t.Fatal("1-second budget should abort a 50-job run")
 	}
 }

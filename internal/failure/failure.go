@@ -1,7 +1,7 @@
 // Package failure models the failure/interruption processes that strike
 // cloud tasks: renewal processes over arbitrary interval distributions
-// (the paper's distribution-free setting), Poisson processes (the
-// exponential special case behind Young's formula), and processes whose
+// (the paper's distribution-free setting; exponential intervals give the
+// Poisson process behind Young's formula), and processes whose
 // statistics switch mid-execution (the priority-change scenario of the
 // paper's dynamic-versus-static experiment, Figure 14).
 //
@@ -119,24 +119,6 @@ func (r *Renewal) NextAfter(t float64) float64 {
 	return r.cursor
 }
 
-// Intervals returns the interval samples generated so far (for history
-// estimation in tests).
-func (r *Renewal) Intervals() []float64 {
-	out := make([]float64, len(r.times))
-	prev := 0.0
-	for i, t := range r.times {
-		out[i] = t - prev
-		prev = t
-	}
-	return out
-}
-
-// Poisson returns a renewal process with exponential intervals of the
-// given rate — the classical HPC failure model.
-func Poisson(rate float64, rng *simeng.RNG) *Renewal {
-	return NewRenewal(dist.NewExponential(rate), rng)
-}
-
 // Switching wraps two processes and a switch time: failures before
 // SwitchAt come from Before, failures after come from After (offset so
 // the second process starts fresh at the switch). It models a task
@@ -182,35 +164,6 @@ func (s *Switching) NextAfter(t float64) float64 {
 		}
 		u = math.Nextafter(u, math.Inf(1))
 	}
-}
-
-// None is a Process that never fails.
-type None struct{}
-
-// NextAfter implements Process.
-func (None) NextAfter(t float64) float64 { return math.Inf(1) }
-
-// Fixed is a Process with a predetermined list of failure times; it is
-// used for replaying recorded traces and for deterministic tests.
-type Fixed struct {
-	Times []float64 // must be sorted ascending
-}
-
-// NextAfter implements Process.
-func (f Fixed) NextAfter(t float64) float64 {
-	lo, hi := 0, len(f.Times)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f.Times[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(f.Times) {
-		return f.Times[lo]
-	}
-	return math.Inf(1)
 }
 
 // CountIn returns the number of failures in the half-open window

@@ -9,6 +9,29 @@ import (
 	"repro/internal/simeng"
 )
 
+// Fixed is a Process with a predetermined list of failure times, for
+// deterministic tests.
+type Fixed struct {
+	Times []float64 // must be sorted ascending
+}
+
+// NextAfter implements Process.
+func (f Fixed) NextAfter(t float64) float64 {
+	lo, hi := 0, len(f.Times)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if f.Times[mid] <= t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(f.Times) {
+		return f.Times[lo]
+	}
+	return math.Inf(1)
+}
+
 func TestRenewalMonotoneTimes(t *testing.T) {
 	p := NewRenewal(dist.NewExponential(0.1), simeng.NewRNG(1))
 	prev := 0.0
@@ -50,10 +73,10 @@ func TestRenewalNextAfterIsIdempotentForSameT(t *testing.T) {
 
 func TestRenewalRateMatchesDistribution(t *testing.T) {
 	// Exponential with rate 0.01 -> about 100 failures in 10000 s.
-	p := Poisson(0.01, simeng.NewRNG(4))
+	p := NewRenewal(dist.NewExponential(0.01), simeng.NewRNG(4))
 	n := CountIn(p, 0, 10000)
 	if n < 60 || n > 140 {
-		t.Fatalf("Poisson(0.01) produced %d failures in 10000 s, want ~100", n)
+		t.Fatalf("exponential(0.01) renewal produced %d failures in 10000 s, want ~100", n)
 	}
 }
 
@@ -61,8 +84,8 @@ func TestSwitchingChangesRate(t *testing.T) {
 	// Low rate before t=1000, high rate after.
 	rng := simeng.NewRNG(5)
 	s := NewSwitching(
-		Poisson(0.001, rng.Split()),
-		Poisson(0.1, rng.Split()),
+		NewRenewal(dist.NewExponential(0.001), rng.Split()),
+		NewRenewal(dist.NewExponential(0.1), rng.Split()),
 		1000,
 	)
 	before := CountIn(s, 0, 1000)
@@ -90,13 +113,6 @@ func TestSwitchingBoundary(t *testing.T) {
 	}
 	if got := s.NextAfter(1001); got != 1002 {
 		t.Fatalf("post-switch failure = %v, want 1002", got)
-	}
-}
-
-func TestNoneNeverFails(t *testing.T) {
-	var p None
-	if !math.IsInf(p.NextAfter(0), 1) || !math.IsInf(p.NextAfter(1e12), 1) {
-		t.Fatal("None produced a failure")
 	}
 }
 
@@ -141,22 +157,25 @@ func TestIntervalsIn(t *testing.T) {
 	}
 }
 
+// TestRenewalIntervalsAccessor reads a renewal process's intervals the
+// way the history estimator does, through IntervalsIn: each is positive
+// and is the gap between the failure times NextAfter reports.
 func TestRenewalIntervalsAccessor(t *testing.T) {
 	p := NewRenewal(dist.NewExponential(1), simeng.NewRNG(6))
-	p.NextAfter(5) // force generation
-	ivs := p.Intervals()
+	ivs := IntervalsIn(p, 5)
 	if len(ivs) == 0 {
 		t.Fatal("no intervals recorded")
 	}
-	var sum float64
-	for _, iv := range ivs {
-		if iv <= 0 {
-			t.Fatalf("non-positive interval %v", iv)
+	var prev float64
+	for i, iv := range ivs {
+		next := p.NextAfter(prev)
+		if iv <= 0 || iv != next-prev {
+			t.Fatalf("interval %d = %v, want %v (failures at %v and %v)", i, iv, next-prev, prev, next)
 		}
-		sum += iv
+		prev = next
 	}
-	if sum <= 5 {
-		t.Fatalf("cumulative intervals %v do not pass the queried time", sum)
+	if next := p.NextAfter(prev); prev > 5 || next <= 5 {
+		t.Fatalf("last interval ends at %v, next failure %v, want the cut at 5 s", prev, next)
 	}
 }
 
@@ -164,8 +183,8 @@ func TestConstructorPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewRenewal(nil, simeng.NewRNG(1)) },
 		func() { NewRenewal(dist.NewExponential(1), nil) },
-		func() { NewSwitching(nil, None{}, 5) },
-		func() { NewSwitching(None{}, None{}, -1) },
+		func() { NewSwitching(nil, Fixed{}, 5) },
+		func() { NewSwitching(Fixed{}, Fixed{}, -1) },
 	}
 	for i, fn := range cases {
 		func() {

@@ -128,7 +128,8 @@ type Store struct {
 // Open loads (or initializes) a store, replaying every job's transition
 // log and run records. Truncated trailing lines — the signature of a
 // crash mid-append — are discarded; the job resumes from its last fully
-// written event.
+// written event. A job directory without a durable creation record, left
+// by a crash inside Create, is removed: that job was never acknowledged.
 //
 // Open first takes an exclusive, non-blocking flock on <dir>/LOCK, so a
 // second Open of the same directory — from this process or another —
@@ -173,6 +174,12 @@ func (s *Store) load(jobsDir string) error {
 	sort.Strings(ids) // zero-padded IDs sort in creation order
 	for _, id := range ids {
 		j, err := s.replay(id)
+		if errors.Is(err, errNeverCreated) {
+			if err := s.discard(id); err != nil {
+				return fmt.Errorf("jobstore: replaying %s: %w", id, err)
+			}
+			continue
+		}
 		if err != nil {
 			return fmt.Errorf("jobstore: replaying %s: %w", id, err)
 		}
@@ -195,15 +202,18 @@ func (s *Store) JobDir(id string) string { return s.jobDir(id) }
 
 func (s *Store) jobDir(id string) string { return filepath.Join(s.dir, "jobs", id) }
 
-// replay reconstructs one job from its on-disk records.
+// errNeverCreated is replay's verdict on a job directory whose
+// transition log is missing or holds no complete record: a crash inside
+// Create left it, before the creation record was durable, so Create
+// never returned and the job was never acknowledged.
+var errNeverCreated = errors.New("no durable creation record")
+
+// replay reconstructs one job from its on-disk records. A durable
+// creation record without a spec is lost acknowledged data, and fails.
 func (s *Store) replay(id string) (*job, error) {
 	dir := s.jobDir(id)
-	spec, err := os.ReadFile(filepath.Join(dir, "spec.json"))
-	if err != nil {
-		return nil, err
-	}
-	j := &job{id: id, spec: spec, runs: make(map[int]string)}
-	err = durable.Replay(filepath.Join(dir, "log.ndjson"), func(line []byte) error {
+	j := &job{id: id, runs: make(map[int]string)}
+	err := durable.Replay(filepath.Join(dir, "log.ndjson"), func(line []byte) error {
 		var ev Event
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return err
@@ -219,11 +229,14 @@ func (s *Store) replay(id string) (*job, error) {
 		j.state = ev.To
 		return nil
 	})
+	if errors.Is(err, os.ErrNotExist) || (err == nil && len(j.events) == 0) {
+		return nil, errNeverCreated
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(j.events) == 0 {
-		return nil, errors.New("empty transition log")
+	if j.spec, err = os.ReadFile(filepath.Join(dir, "spec.json")); err != nil {
+		return nil, err
 	}
 	err = durable.Replay(filepath.Join(dir, "runs.ndjson"), func(line []byte) error {
 		var rr RunRecord
@@ -237,6 +250,24 @@ func (s *Store) replay(id string) (*job, error) {
 		return nil, err
 	}
 	return j, nil
+}
+
+// discard removes the directory a crash inside Create left behind. It
+// holds at most the spec, its temp file and the log, since nothing else
+// is written before the creation record; anything more fails.
+func (s *Store) discard(id string) error {
+	dir := s.jobDir(id)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if name != "spec.json" && name != "log.ndjson" && !strings.HasPrefix(name, "spec.json.") {
+			return fmt.Errorf("%w, yet the directory holds %s", errNeverCreated, name)
+		}
+	}
+	return os.RemoveAll(dir)
 }
 
 // Create allocates a job, durably writes its spec, and records the

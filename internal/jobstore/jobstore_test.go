@@ -277,6 +277,73 @@ func TestMidFileCorruptionFails(t *testing.T) {
 	}
 }
 
+// TestOpenDiscardsUnacknowledgedCreate crashes Create at each point
+// before its creation record is durable, next to an intact job. Create
+// had not returned, so the job was never acknowledged: Open must remove
+// its directory and carry on, not refuse the whole store. A durable
+// creation record without its spec is lost acknowledged data, and must
+// still fail Open.
+func TestOpenDiscardsUnacknowledgedCreate(t *testing.T) {
+	spec := []byte(`{"runs":2}`)
+	for _, c := range []struct {
+		name  string
+		files map[string]string // file name -> contents in the crashed job's directory
+		fail  bool
+	}{
+		{"temp spec only", map[string]string{"spec.json.123.tmp": `{"ru`}, false},
+		{"no log", map[string]string{"spec.json": string(spec)}, false},
+		{"empty log", map[string]string{"spec.json": string(spec), "log.ndjson": ""}, false},
+		{"torn first line", map[string]string{"spec.json": string(spec), "log.ndjson": `{"seq":1,"time":"2026-10-18T0`}, false},
+		{"record without spec", map[string]string{"log.ndjson": `{"seq":1,"time":"2026-10-18T02:00:00Z","to":"queued"}` + "\n"}, true},
+		{"runs without creation record", map[string]string{"spec.json": string(spec), "runs.ndjson": `{"index":0,"key":"k0"}` + "\n"}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			intact, err := s.Create(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			crashed := filepath.Join(dir, "jobs", "j000001")
+			if err := os.MkdirAll(crashed, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for name, body := range c.files {
+				if err := os.WriteFile(filepath.Join(crashed, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s2, err := Open(dir)
+			if c.fail {
+				if err == nil {
+					s2.Close()
+					t.Fatal("Open accepted a store that lost acknowledged data")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open after a crash inside Create: %v", err)
+			}
+			defer s2.Close()
+			if _, err := os.Stat(crashed); !os.IsNotExist(err) {
+				t.Errorf("crashed job directory still there (stat: %v)", err)
+			}
+			jobs := s2.List()
+			if len(jobs) != 1 || jobs[0].ID != intact.ID || jobs[0].State != Queued || string(jobs[0].Spec) != string(spec) {
+				t.Fatalf("jobs after reopen = %+v, want only the intact %s", jobs, intact.ID)
+			}
+			if _, err := s2.Create(spec); err != nil {
+				t.Fatalf("Create after recovery: %v", err)
+			}
+		})
+	}
+}
+
 // TestConcurrentClaimExactlyOneWinner is the claim race at the store
 // level: after a lease expires, every replacement worker observes the
 // job requeued and races to pick it up. The transition log is the

@@ -1,6 +1,6 @@
 // Package metrics provides the statistical machinery for comparing
-// policy runs rigorously: bootstrap confidence intervals for means and
-// mean differences, and paired comparisons over per-job outcomes.
+// policy runs rigorously: bootstrap confidence intervals for means, and
+// paired comparisons over per-job outcomes.
 // The paper reports point estimates ("3-10 percent"); the harness adds
 // uncertainty so a reproduction can tell a real gap from noise.
 package metrics
@@ -21,13 +21,6 @@ type Interval struct {
 	Level    float64 // e.g. 0.95
 	Resample int     // bootstrap resamples used
 }
-
-// Contains reports whether v lies inside the interval.
-func (iv Interval) Contains(v float64) bool { return v >= iv.Lo && v <= iv.Hi }
-
-// ExcludesZero reports whether the interval excludes zero — the usual
-// significance check for a mean difference.
-func (iv Interval) ExcludesZero() bool { return iv.Lo > 0 || iv.Hi < 0 }
 
 // ErrInsufficientData is returned when a sample is too small to
 // bootstrap.
@@ -61,41 +54,6 @@ func BootstrapMean(xs []float64, level float64, resamples int, seed uint64) (Int
 		Point:    stats.Mean(xs),
 		Lo:       quantileSorted(means, alpha),
 		Hi:       quantileSorted(means, 1-alpha),
-		Level:    level,
-		Resample: resamples,
-	}, nil
-}
-
-// BootstrapMeanDiff returns a confidence interval for mean(a) - mean(b)
-// with independent resampling of the two samples.
-func BootstrapMeanDiff(a, b []float64, level float64, resamples int, seed uint64) (Interval, error) {
-	if len(a) < 2 || len(b) < 2 {
-		return Interval{}, ErrInsufficientData
-	}
-	if !(level > 0 && level < 1) {
-		return Interval{}, errors.New("metrics: level must be in (0,1)")
-	}
-	if resamples < 10 {
-		return Interval{}, errors.New("metrics: need at least 10 resamples")
-	}
-	rng := simeng.NewRNG(seed)
-	diffs := make([]float64, resamples)
-	for k := range diffs {
-		var sa, sb float64
-		for i := 0; i < len(a); i++ {
-			sa += a[rng.Intn(len(a))]
-		}
-		for i := 0; i < len(b); i++ {
-			sb += b[rng.Intn(len(b))]
-		}
-		diffs[k] = sa/float64(len(a)) - sb/float64(len(b))
-	}
-	sort.Float64s(diffs)
-	alpha := (1 - level) / 2
-	return Interval{
-		Point:    stats.Mean(a) - stats.Mean(b),
-		Lo:       quantileSorted(diffs, alpha),
-		Hi:       quantileSorted(diffs, 1-alpha),
 		Level:    level,
 		Resample: resamples,
 	}, nil

@@ -16,13 +16,16 @@ func normalSample(n int, mu, sigma float64, seed uint64) []float64 {
 	return xs
 }
 
+// contains reports whether v lies inside the interval.
+func contains(iv Interval, v float64) bool { return v >= iv.Lo && v <= iv.Hi }
+
 func TestBootstrapMeanCoversTruth(t *testing.T) {
 	xs := normalSample(400, 10, 2, 1)
 	iv, err := BootstrapMean(xs, 0.95, 500, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !iv.Contains(10) {
+	if !contains(iv, 10) {
 		t.Fatalf("95%% interval [%v, %v] misses the true mean 10", iv.Lo, iv.Hi)
 	}
 	if iv.Lo >= iv.Hi {
@@ -46,33 +49,6 @@ func TestBootstrapMeanDeterministic(t *testing.T) {
 	}
 }
 
-func TestBootstrapMeanDiffDetectsGap(t *testing.T) {
-	a := normalSample(300, 0.95, 0.05, 4)
-	b := normalSample(300, 0.90, 0.05, 5)
-	iv, err := BootstrapMeanDiff(a, b, 0.95, 500, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.ExcludesZero() {
-		t.Fatalf("real 5-point gap not detected: [%v, %v]", iv.Lo, iv.Hi)
-	}
-	if !iv.Contains(0.05) {
-		t.Fatalf("interval [%v, %v] misses true diff 0.05", iv.Lo, iv.Hi)
-	}
-}
-
-func TestBootstrapMeanDiffNoGap(t *testing.T) {
-	a := normalSample(300, 0.9, 0.05, 7)
-	b := normalSample(300, 0.9, 0.05, 8)
-	iv, err := BootstrapMeanDiff(a, b, 0.95, 500, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv.ExcludesZero() {
-		t.Fatalf("spurious gap: [%v, %v]", iv.Lo, iv.Hi)
-	}
-}
-
 func TestComparePaired(t *testing.T) {
 	// a beats b by 0.02 on every pair plus noise.
 	r := simeng.NewRNG(10)
@@ -91,7 +67,7 @@ func TestComparePaired(t *testing.T) {
 	if cmp.N != n {
 		t.Fatalf("N = %d", cmp.N)
 	}
-	if !cmp.MeanDiff.ExcludesZero() || !cmp.MeanDiff.Contains(0.02) {
+	if contains(cmp.MeanDiff, 0) || !contains(cmp.MeanDiff, 0.02) {
 		t.Fatalf("paired interval wrong: %+v", cmp.MeanDiff)
 	}
 	if cmp.FracAWins < 0.9 {
@@ -129,9 +105,6 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if _, err := BootstrapMean([]float64{1, 2}, 0.95, 5, 1); err == nil {
 		t.Error("too few resamples accepted")
-	}
-	if _, err := BootstrapMeanDiff([]float64{1}, []float64{1, 2}, 0.95, 100, 1); err == nil {
-		t.Error("short sample accepted")
 	}
 	if _, err := ComparePaired([]float64{1, 2}, []float64{1}, 0.95, 100, 1); err == nil {
 		t.Error("misaligned pairs accepted")

@@ -12,7 +12,6 @@
 package predict
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -77,9 +76,6 @@ type Regression struct {
 	degree int
 	n      int
 }
-
-// ErrNoFeature is returned when a task carries no input feature.
-var ErrNoFeature = errors.New("predict: task has no InputUnits feature")
 
 // TrainRegression fits a polynomial of the given degree to the
 // (ln InputUnits, ln LengthSec) pairs of the training tasks. Tasks

@@ -1,6 +1,9 @@
 package simeng
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestStepIsAllocFreeWhenWarm pins the event pool's core property: a
 // steady-state schedule/fire loop reuses recycled events and allocates
@@ -27,12 +30,12 @@ func TestCanceledEventsAreRecycled(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		s.Schedule(float64(i), func() {}).Cancel()
 	}
-	s.Run() // discards all canceled events into the pool
+	s.RunLimit(math.MaxUint64) // discards all canceled events into the pool
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 32; i++ {
 			s.Schedule(s.Now()+float64(i), func() {})
 		}
-		s.Run()
+		s.RunLimit(math.MaxUint64)
 	})
 	if allocs > 0 {
 		t.Errorf("re-scheduling over a warm pool allocates %.1f, want 0", allocs)

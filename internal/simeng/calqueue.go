@@ -208,8 +208,6 @@ type QueueStats struct {
 	// PeakBucket is the largest bucket ever sorted whole — the queue's
 	// worst-case batch, e.g. the t=0 submission storm of a batch replay.
 	PeakBucket int `json:"peak_bucket"`
-	// PeakTop is the longest the unsorted top list got.
-	PeakTop int `json:"peak_top"`
 	// Rebuilds counts redistributions: top spreads, bucket splits and
 	// compactions. Compactions counts the cancellation sweeps alone.
 	Rebuilds    uint64 `json:"rebuilds"`
@@ -225,8 +223,8 @@ type QueueStats struct {
 	Sorted        uint64 `json:"sorted"`
 }
 
-// Stats returns the queue counters accumulated since construction (or
-// the last Reset), with the fine geometry filled in.
+// Stats returns the queue counters accumulated since construction, with
+// the fine geometry filled in.
 func (s *Simulator) Stats() QueueStats {
 	st := s.stats
 	st.Buckets = s.fineNB
@@ -328,9 +326,6 @@ func (s *Simulator) pushTop(e *Event) {
 	s.top = e
 	s.topN++
 	s.stats.TopAppends++
-	if s.topN > s.stats.PeakTop {
-		s.stats.PeakTop = s.topN
-	}
 }
 
 // advance refills the drain slice from the finest rung's next non-empty

@@ -216,7 +216,7 @@ func runDifferential(t *testing.T, src opSource, ops int) QueueStats {
 	// Drain both completely, without follow-ups (a spent byteSource
 	// yields zeros): the tails must agree.
 	src = &byteSource{}
-	s.Run()
+	s.RunLimit(math.MaxUint64)
 	if _, ok := popLiveNaive(oracle, canceled); ok {
 		t.Fatalf("simulator drained but oracle still holds live events")
 	}
@@ -253,7 +253,7 @@ func TestCancelStormCompactsAndStaysFast(t *testing.T) {
 	if s.Stats().Compactions == 0 {
 		t.Fatalf("canceling 90%% of %d events triggered no compaction", n)
 	}
-	s.Run()
+	s.RunLimit(math.MaxUint64)
 	if firedCount != survivors {
 		t.Fatalf("fired %d callbacks, want %d survivors", firedCount, survivors)
 	}
@@ -267,7 +267,7 @@ func TestCancelStormCompactsAndStaysFast(t *testing.T) {
 	// compacted structure reuses pooled events and existing buckets.
 	allocs := testing.AllocsPerRun(100, func() {
 		s.ScheduleIndexed(s.Now()+1, 0, fn, 0)
-		s.Step()
+		s.RunLimit(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("post-storm schedule/fire loop allocates %.1f allocs/op, want 0", allocs)

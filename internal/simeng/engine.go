@@ -47,9 +47,6 @@ type Event struct {
 	canceled bool
 }
 
-// At returns the simulated time at which the event fires.
-func (e *Event) At() Time { return e.at }
-
 // Cancel prevents a scheduled event from firing. Canceling an event that
 // was already canceled is a no-op; canceling an event that already fired
 // is undefined (the simulator may have recycled it for another
@@ -65,9 +62,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether the event was canceled.
-func (e *Event) Canceled() bool { return e != nil && e.canceled }
-
 // eventBlock is the number of Events carved per slab when the free list
 // runs dry: block allocation keeps pooled events contiguous in memory,
 // so the queue's event dereferences land in far fewer cache lines than
@@ -76,7 +70,7 @@ const eventBlock = 64
 
 // Simulator is a discrete-event simulation kernel. It is single-threaded:
 // event callbacks run sequentially in timestamp order on the goroutine
-// that calls Run or Step.
+// that calls RunLimit or RunUntilLimit.
 //
 // Pending events live in a ladder queue (see calqueue.go): rungs of
 // time buckets sorted on demand, an unsorted top list for events beyond
@@ -203,17 +197,9 @@ func (s *Simulator) recycle(e *Event) {
 	s.free = append(s.free, e)
 }
 
-// After registers fn to run delay seconds after the current time.
-func (s *Simulator) After(delay Time, fn func()) *Event {
-	if delay < 0 {
-		panic("simeng: negative delay")
-	}
-	return s.Schedule(s.now+delay, fn)
-}
-
-// runCore is the shared event loop behind Step/Run/RunUntil/RunLimit:
-// it fires live events due at or before deadline, at most limit of
-// them, and returns how many fired.
+// runCore is the event loop behind RunLimit and RunUntilLimit: it fires
+// live events due at or before deadline, at most limit of them, and
+// returns how many fired.
 //
 // Events at the same timestamp are dispatched as a batch: the clock
 // moves, and the inter-event gap is sampled for bucket-width tuning,
@@ -253,48 +239,22 @@ func (s *Simulator) runCore(deadline Time, limit uint64) uint64 {
 	return done
 }
 
-// Step executes the next non-canceled event and returns true, or returns
-// false if the queue is empty.
-func (s *Simulator) Step() bool {
-	return s.runCore(math.Inf(1), 1) == 1
-}
-
-// Run executes events until the queue is empty.
-func (s *Simulator) Run() {
-	s.runCore(math.Inf(1), math.MaxUint64)
-}
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline (if the deadline is later than the last event).
-func (s *Simulator) RunUntil(deadline Time) {
-	s.runCore(deadline, math.MaxUint64)
-	if deadline > s.now {
-		s.now = deadline
-	}
-}
-
 // RunLimit executes at most n events; it returns the number executed.
-// It is a safety valve for tests guarding against runaway models.
+// Callers loop until it returns 0, interleaving their own work between
+// chunks, as with RunUntilLimit.
 func (s *Simulator) RunLimit(n uint64) uint64 {
 	return s.runCore(math.Inf(1), n)
 }
 
 // RunUntilLimit executes at most n events with timestamps <= deadline
 // and returns the number executed. When the sub-deadline queue drains
-// before the budget is spent, the clock advances to the deadline (as in
-// RunUntil). Callers loop until it returns 0, interleaving their own
-// work — cancellation checks, progress reporting — between chunks.
+// before the budget is spent, the clock advances to the deadline.
+// Callers loop until it returns 0, interleaving their own work —
+// cancellation checks, progress reporting — between chunks.
 func (s *Simulator) RunUntilLimit(deadline Time, n uint64) uint64 {
 	done := s.runCore(deadline, n)
 	if done < n && deadline > s.now {
 		s.now = deadline
 	}
 	return done
-}
-
-// Reset drops all pending events and rewinds the clock to zero. Pooled
-// events are dropped too, so a reset simulator holds no references to
-// prior callbacks.
-func (s *Simulator) Reset() {
-	*s = Simulator{}
 }

@@ -22,7 +22,7 @@ func TestScheduleOrdering(t *testing.T) {
 	s.Schedule(3, func() { got = append(got, 3) })
 	s.Schedule(1, func() { got = append(got, 1) })
 	s.Schedule(2, func() { got = append(got, 2) })
-	s.Run()
+	s.RunLimit(math.MaxUint64)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -41,7 +41,7 @@ func TestScheduleFIFOTieBreak(t *testing.T) {
 		i := i
 		s.Schedule(5, func() { got = append(got, i) })
 	}
-	s.Run()
+	s.RunLimit(math.MaxUint64)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("same-time events fired out of order: %v", got)
@@ -54,28 +54,30 @@ func TestSchedulePriorityTieBreak(t *testing.T) {
 	var got []string
 	s.SchedulePriority(1, 5, func() { got = append(got, "low") })
 	s.SchedulePriority(1, -5, func() { got = append(got, "high") })
-	s.Run()
+	s.RunLimit(math.MaxUint64)
 	if got[0] != "high" || got[1] != "low" {
 		t.Fatalf("priority order wrong: %v", got)
 	}
 }
 
+// TestAfterRelativeDelay schedules relative to the clock from inside a
+// callback, as every model does.
 func TestAfterRelativeDelay(t *testing.T) {
 	s := NewSimulator()
 	var fireTimes []Time
 	s.Schedule(10, func() {
-		s.After(5, func() { fireTimes = append(fireTimes, s.Now()) })
+		s.Schedule(s.Now()+5, func() { fireTimes = append(fireTimes, s.Now()) })
 	})
-	s.Run()
+	s.RunLimit(math.MaxUint64)
 	if len(fireTimes) != 1 || fireTimes[0] != 15 {
-		t.Fatalf("After fired at %v, want [15]", fireTimes)
+		t.Fatalf("relative event fired at %v, want [15]", fireTimes)
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	s := NewSimulator()
 	s.Schedule(10, func() {})
-	s.Run()
+	s.RunLimit(math.MaxUint64)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -99,10 +101,10 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := s.Schedule(1, func() { fired = true })
 	e.Cancel()
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if s.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Cancel, want 0", s.Pending())
 	}
-	s.Run()
+	s.RunLimit(math.MaxUint64)
 	if fired {
 		t.Fatal("canceled event fired")
 	}
@@ -111,9 +113,6 @@ func TestCancel(t *testing.T) {
 func TestCancelNilIsNoOp(t *testing.T) {
 	var e *Event
 	e.Cancel() // must not panic
-	if e.Canceled() {
-		t.Fatal("nil event reports canceled")
-	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -123,16 +122,16 @@ func TestRunUntil(t *testing.T) {
 		at := at
 		s.Schedule(at, func() { got = append(got, at) })
 	}
-	s.RunUntil(3)
+	s.RunUntilLimit(3, math.MaxUint64)
 	if len(got) != 3 {
-		t.Fatalf("RunUntil(3) fired %d events, want 3", len(got))
+		t.Fatalf("RunUntilLimit(3) fired %d events, want 3", len(got))
 	}
 	if s.Now() != 3 {
 		t.Fatalf("Now() = %v, want 3", s.Now())
 	}
-	s.RunUntil(100)
+	s.RunUntilLimit(100, math.MaxUint64)
 	if len(got) != 5 {
-		t.Fatalf("after RunUntil(100), fired %d events, want 5", len(got))
+		t.Fatalf("after RunUntilLimit(100), fired %d events, want 5", len(got))
 	}
 	if s.Now() != 100 {
 		t.Fatalf("Now() = %v, want clock advanced to 100", s.Now())
@@ -145,22 +144,12 @@ func TestRunLimit(t *testing.T) {
 	var rearm func()
 	rearm = func() {
 		count++
-		s.After(1, rearm)
+		s.Schedule(s.Now()+1, rearm)
 	}
-	s.After(1, rearm)
+	s.Schedule(1, rearm)
 	done := s.RunLimit(50)
 	if done != 50 || count != 50 {
 		t.Fatalf("RunLimit executed %d (count %d), want 50", done, count)
-	}
-}
-
-func TestReset(t *testing.T) {
-	s := NewSimulator()
-	s.Schedule(5, func() {})
-	s.Run()
-	s.Reset()
-	if s.Now() != 0 || s.Pending() != 0 || s.Fired() != 0 {
-		t.Fatalf("Reset left state: now=%v pending=%d fired=%d", s.Now(), s.Pending(), s.Fired())
 	}
 }
 
@@ -171,11 +160,11 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 100 {
-			s.After(0.5, recurse)
+			s.Schedule(s.Now()+0.5, recurse)
 		}
 	}
 	s.Schedule(0, recurse)
-	s.Run()
+	s.RunLimit(math.MaxUint64)
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
 	}
@@ -309,35 +298,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(17)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm(50) not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := NewRNG(19)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed contents: %v", xs)
-	}
-}
-
 // Property: for any batch of events with non-negative offsets, Run fires
 // them in non-decreasing timestamp order.
 func TestPropertyEventOrdering(t *testing.T) {
@@ -348,7 +308,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 			at := Time(o)
 			s.Schedule(at, func() { fired = append(fired, at) })
 		}
-		s.Run()
+		s.RunLimit(math.MaxUint64)
 		for i := 1; i < len(fired); i++ {
 			if fired[i] < fired[i-1] {
 				return false
@@ -380,7 +340,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			s.Schedule(Time(j%97), func() {})
 		}
-		s.Run()
+		s.RunLimit(math.MaxUint64)
 	}
 }
 

@@ -152,26 +152,3 @@ func (r *RNG) NormFloat64() float64 {
 func (r *RNG) ExpFloat64() float64 {
 	return -math.Log(r.Float64Open())
 }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the supplied
-// swap function, mirroring math/rand's Shuffle contract.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("simeng: Shuffle with negative n")
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -236,6 +236,34 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnboundedJobs: a job count past sim.MaxSpecJobs is
+// refused at submit. Accepted, it would reach the trace generator's
+// make() on a dispatcher goroutine and take simd down on every restart,
+// so the dispatcher is not started here.
+func TestSubmitRejectsUnboundedJobs(t *testing.T) {
+	store, err := jobstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv, err := New(Config{Store: store, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	for _, spec := range []string{
+		`{"scenario":"baseline-f3","jobs":4611686018427387904}`,
+		`{"scenario":"baseline-f3","workload":{"Jobs":4611686018427387904}}`,
+	} {
+		if rec := post(h, "/v1/jobs", []byte(spec)); rec.Code != http.StatusBadRequest {
+			t.Errorf("spec %s: status %d, want 400", spec, rec.Code)
+		}
+	}
+	if jobs := store.List(); len(jobs) != 0 {
+		t.Errorf("%d jobs stored, want none", len(jobs))
+	}
+}
+
 // TestScenarioAndVersionEndpoints smoke-tests the read-only endpoints.
 func TestScenarioAndVersionEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, t.TempDir())

@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics used by the
 // experiments: summaries (min/mean/max/percentiles), empirical CDFs for
-// the paper's CDF plots, histograms, and the polynomial-regression
-// workload predictor referenced as [22] in the paper.
+// the paper's CDF plots, and the polynomial-regression workload
+// predictor referenced as [22] in the paper.
 package stats
 
 import (
@@ -120,9 +120,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // Quantile returns the p-quantile of the sample.
 func (e *ECDF) Quantile(p float64) float64 {
 	if len(e.sorted) == 0 {
@@ -156,90 +153,9 @@ type Point struct {
 	X, Y float64
 }
 
-// Histogram counts samples in equal-width bins over [Lo, Hi].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples at or above Hi
-}
-
-// NewHistogram builds a histogram of xs with the given number of bins.
-func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || !(hi > lo) {
-		panic("stats: NewHistogram requires bins > 0 and hi > lo")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			h.Counts[int((x-lo)/width)]++
-		}
-	}
-	return h
-}
-
-// Total returns the number of samples including under/overflow.
-func (h *Histogram) Total() int {
-	total := h.Under + h.Over
-	for _, c := range h.Counts {
-		total += c
-	}
-	return total
-}
-
 // ErrSingular is returned by regression when the normal equations are
 // singular (e.g. duplicate X values for a high-degree polynomial).
 var ErrSingular = errors.New("stats: singular system in regression")
-
-// LinearFit holds slope/intercept of an ordinary-least-squares line fit.
-type LinearFit struct {
-	Slope     float64
-	Intercept float64
-	R2        float64
-}
-
-// FitLinear fits y = Slope*x + Intercept by least squares.
-func FitLinear(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return LinearFit{}, errors.New("stats: FitLinear needs >= 2 paired points")
-	}
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	denom := n*sxx - sx*sx
-	if denom == 0 {
-		return LinearFit{}, ErrSingular
-	}
-	slope := (n*sxy - sx*sy) / denom
-	intercept := (sy - slope*sx) / n
-
-	meanY := sy / n
-	var ssRes, ssTot float64
-	for i := range xs {
-		pred := slope*xs[i] + intercept
-		ssRes += (ys[i] - pred) * (ys[i] - pred)
-		ssTot += (ys[i] - meanY) * (ys[i] - meanY)
-	}
-	r2 := 1.0
-	if ssTot > 0 {
-		r2 = 1 - ssRes/ssTot
-	}
-	return LinearFit{Slope: slope, Intercept: intercept, R2: r2}, nil
-}
-
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Slope*x + f.Intercept }
 
 // Polynomial is a polynomial with Coeffs[i] multiplying x^i.
 type Polynomial struct {
@@ -326,28 +242,6 @@ func solveGauss(a [][]float64, b []float64) ([]float64, error) {
 		x[row] = sum / a[row][row]
 	}
 	return x, nil
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// samples, or NaN if either is constant.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	n := float64(len(xs))
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	_ = n
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // MinMaxMean returns min, mean, and max of xs in one pass; it is the

@@ -76,9 +76,6 @@ func TestECDFBasics(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
-	}
 }
 
 func TestECDFPoints(t *testing.T) {
@@ -114,49 +111,27 @@ func TestECDFEmptyAndPointsEdge(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0, 0.5, 1, 1.5, 2, 5}
-	h := NewHistogram(xs, 0, 2, 4)
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 { // 2 and 5 are >= hi
-		t.Errorf("Over = %d, want 2", h.Over)
-	}
-	wantCounts := []int{1, 1, 1, 1} // 0, 0.5, 1, 1.5
-	for i, c := range wantCounts {
-		if h.Counts[i] != c {
-			t.Errorf("Counts[%d] = %d, want %d", i, h.Counts[i], c)
-		}
-	}
-	if h.Total() != len(xs) {
-		t.Errorf("Total = %d, want %d", h.Total(), len(xs))
-	}
-}
-
+// The line fits are FitPolynomial at degree 1.
 func TestFitLinearExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	f, err := FitLinear(xs, ys)
+	f, err := FitPolynomial(xs, ys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(f.Slope-2) > 1e-12 || math.Abs(f.Intercept-1) > 1e-12 {
+	if math.Abs(f.Coeffs[1]-2) > 1e-12 || math.Abs(f.Coeffs[0]-1) > 1e-12 {
 		t.Fatalf("fit = %+v, want slope 2 intercept 1", f)
 	}
-	if math.Abs(f.R2-1) > 1e-12 {
-		t.Fatalf("R2 = %v, want 1", f.R2)
-	}
-	if math.Abs(f.Predict(10)-21) > 1e-12 {
-		t.Fatalf("Predict(10) = %v", f.Predict(10))
+	if math.Abs(f.Eval(10)-21) > 1e-12 {
+		t.Fatalf("Eval(10) = %v", f.Eval(10))
 	}
 }
 
 func TestFitLinearErrors(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
+	if _, err := FitPolynomial([]float64{1}, []float64{1}, 1); err == nil {
 		t.Error("single point accepted")
 	}
-	if _, err := FitLinear([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
+	if _, err := FitPolynomial([]float64{2, 2, 2}, []float64{1, 2, 3}, 1); err == nil {
 		t.Error("constant x accepted")
 	}
 }
@@ -215,21 +190,6 @@ func TestFitPolynomialErrors(t *testing.T) {
 	// Duplicate x for degree 1 with 2 points is singular.
 	if _, err := FitPolynomial([]float64{3, 3}, []float64{1, 2}, 1); err == nil {
 		t.Error("singular system accepted")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if r := Pearson(xs, ys); math.Abs(r-1) > 1e-12 {
-		t.Errorf("perfect correlation = %v", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if r := Pearson(xs, neg); math.Abs(r+1) > 1e-12 {
-		t.Errorf("perfect anticorrelation = %v", r)
-	}
-	if r := Pearson(xs, []float64{5, 5, 5, 5}); !math.IsNaN(r) {
-		t.Errorf("constant series correlation = %v, want NaN", r)
 	}
 }
 

@@ -43,7 +43,6 @@ func (k Kind) String() string {
 // Backends are not safe for concurrent use by multiple goroutines; the
 // discrete-event engine drives them from a single goroutine.
 type Backend interface {
-	Name() string
 	Kind() Kind
 	// Begin starts a checkpoint of memMB megabytes issued by hostID.
 	Begin(hostID int, memMB float64) (cost float64, release func())
@@ -56,13 +55,6 @@ type Backend interface {
 	// RestartCost returns the cost of restarting a task of memMB from
 	// this backend onto any host (Table 5 semantics).
 	RestartCost(memMB float64) float64
-	// ImageHost returns the host id to record in a checkpoint image
-	// written via this backend: the writing host for local storage, or
-	// -1 for shared storage reachable from anywhere.
-	ImageHost(writerHostID int) int
-	// InFlight returns the number of checkpoint operations currently
-	// outstanding (for observability and tests).
-	InFlight() int
 }
 
 // congestion is the NFS parallel-degree cost multiplier implied by
@@ -128,10 +120,9 @@ func (p *opPool) put(o *op) { p.free = append(p.free, o) }
 // costs follow Figure 7(a) and do not grow with parallel degree
 // (Table 2, upper half); restarting requires migration type A.
 type LocalRamdisk struct {
-	rng      *simeng.RNG
-	jitter   float64
-	inFlight int
-	ops      opPool
+	rng    *simeng.RNG
+	jitter float64
+	ops    opPool
 }
 
 // NewLocalRamdisk returns a local-ramdisk backend. rng may be nil for
@@ -140,16 +131,12 @@ func NewLocalRamdisk(rng *simeng.RNG) *LocalRamdisk {
 	return &LocalRamdisk{rng: rng, jitter: 0.06}
 }
 
-// Name implements Backend.
-func (l *LocalRamdisk) Name() string { return "local-ramdisk" }
-
 // Kind implements Backend.
 func (l *LocalRamdisk) Kind() Kind { return KindLocal }
 
 // Begin implements Backend; local writes do not contend.
 func (l *LocalRamdisk) Begin(hostID int, memMB float64) (float64, func()) {
 	cost := jittered(l.rng, blcr.CheckpointCostLocal(memMB), l.jitter)
-	l.inFlight++
 	o := l.ops.take()
 	if o == nil {
 		o = &op{}
@@ -164,7 +151,6 @@ func (l *LocalRamdisk) releaseFn(o *op) func() {
 	return func() {
 		if !o.released {
 			o.released = true
-			l.inFlight--
 			l.ops.put(o)
 		}
 	}
@@ -190,12 +176,6 @@ func (l *LocalRamdisk) RestartCost(memMB float64) float64 {
 	return blcr.RestartCost(memMB, blcr.MigrationA)
 }
 
-// ImageHost implements Backend: the image stays on the writer's host.
-func (l *LocalRamdisk) ImageHost(writerHostID int) int { return writerHostID }
-
-// InFlight implements Backend.
-func (l *LocalRamdisk) InFlight() int { return l.inFlight }
-
 // NFS models a single shared NFS server. Simultaneous checkpoints
 // congest it: cost grows with the parallel degree per Table 2's lower
 // half. Restarting uses migration type B.
@@ -211,9 +191,6 @@ type NFS struct {
 func NewNFS(rng *simeng.RNG) *NFS {
 	return &NFS{rng: rng, jitter: 0.10}
 }
-
-// Name implements Backend.
-func (n *NFS) Name() string { return "nfs" }
 
 // Kind implements Backend.
 func (n *NFS) Kind() Kind { return KindNFS }
@@ -269,12 +246,6 @@ func (n *NFS) RestartCost(memMB float64) float64 {
 	return blcr.RestartCost(memMB, blcr.MigrationB)
 }
 
-// ImageHost implements Backend: shared images are reachable anywhere.
-func (n *NFS) ImageHost(writerHostID int) int { return -1 }
-
-// InFlight implements Backend.
-func (n *NFS) InFlight() int { return n.inFlight }
-
 // DMNFS models the paper's distributively-managed NFS: every physical
 // host runs an NFS server, every VM mounts all of them, and each
 // checkpoint picks a server uniformly at random. Per-server congestion
@@ -284,7 +255,6 @@ type DMNFS struct {
 	rng       *simeng.RNG
 	jitter    float64
 	perServer []int
-	inFlight  int
 	ops       opPool
 }
 
@@ -301,12 +271,6 @@ func NewDMNFS(rng *simeng.RNG, servers int) *DMNFS {
 	return &DMNFS{rng: rng, jitter: 0.08, perServer: make([]int, servers)}
 }
 
-// Servers returns the number of NFS servers.
-func (d *DMNFS) Servers() int { return len(d.perServer) }
-
-// Name implements Backend.
-func (d *DMNFS) Name() string { return "dm-nfs" }
-
 // Kind implements Backend.
 func (d *DMNFS) Kind() Kind { return KindDMNFS }
 
@@ -316,7 +280,6 @@ func (d *DMNFS) Kind() Kind { return KindDMNFS }
 func (d *DMNFS) Begin(hostID int, memMB float64) (float64, func()) {
 	s := d.rng.Intn(len(d.perServer))
 	d.perServer[s]++
-	d.inFlight++
 	base := blcr.CheckpointCostNFS(memMB)
 	cost := jittered(d.rng, base*congestion(d.perServer[s]), d.jitter)
 	o := d.ops.take()
@@ -336,7 +299,6 @@ func (d *DMNFS) releaseFn(o *op) func() {
 		if !o.released {
 			o.released = true
 			d.perServer[o.server]--
-			d.inFlight--
 			d.ops.put(o)
 		}
 	}
@@ -351,7 +313,6 @@ func (d *DMNFS) BeginBatch(hostIDs []int, memMB float64) ([]float64, func()) {
 		s := d.rng.Intn(len(d.perServer))
 		servers[i] = s
 		d.perServer[s]++
-		d.inFlight++
 	}
 	base := blcr.CheckpointCostNFS(memMB)
 	costs := make([]float64, k)
@@ -364,7 +325,6 @@ func (d *DMNFS) BeginBatch(hostIDs []int, memMB float64) ([]float64, func()) {
 			released = true
 			for _, s := range servers {
 				d.perServer[s]--
-				d.inFlight--
 			}
 		}
 	}
@@ -374,12 +334,6 @@ func (d *DMNFS) BeginBatch(hostIDs []int, memMB float64) ([]float64, func()) {
 func (d *DMNFS) RestartCost(memMB float64) float64 {
 	return blcr.RestartCost(memMB, blcr.MigrationB)
 }
-
-// ImageHost implements Backend: shared images are reachable anywhere.
-func (d *DMNFS) ImageHost(writerHostID int) int { return -1 }
-
-// InFlight implements Backend.
-func (d *DMNFS) InFlight() int { return d.inFlight }
 
 // CheckpointCost returns the steady-state (uncontended) per-checkpoint
 // cost a policy should plan with for the given backend kind and memory

@@ -118,32 +118,36 @@ func TestCongestionReleaseRestoresCost(t *testing.T) {
 }
 
 func TestReleaseIdempotent(t *testing.T) {
-	for _, b := range []Backend{
-		NewLocalRamdisk(nil),
-		NewNFS(nil),
-		NewDMNFS(simeng.NewRNG(9), 4),
-	} {
-		_, release := b.Begin(0, 100)
+	l, n, d := NewLocalRamdisk(nil), NewNFS(nil), NewDMNFS(simeng.NewRNG(9), 4)
+	for _, c := range []struct {
+		name string
+		b    Backend
+		pool *opPool
+	}{{"local-ramdisk", l, &l.ops}, {"nfs", n, &n.ops}, {"dm-nfs", d, &d.ops}} {
+		_, release := c.b.Begin(0, 100)
 		release()
-		release() // double release must not underflow
-		if b.InFlight() != 0 {
-			t.Errorf("%s: inFlight = %d after double release", b.Name(), b.InFlight())
+		release() // double release must not pool the op twice
+		if got := len(c.pool.free); got != 1 {
+			t.Errorf("%s: %d pooled ops after double release, want 1", c.name, got)
 		}
+	}
+	if n.InFlight() != 0 || d.InFlight() != 0 {
+		t.Errorf("inFlight = %d (nfs), %d (dm-nfs) after double release, want 0", n.InFlight(), d.InFlight())
 	}
 }
 
+// TestImageHostSemantics pins where each backend's images live, which
+// its Kind tells the engine: only local-ramdisk images stay on the
+// writer's host; NFS and DM-NFS images are reachable from any host.
 func TestImageHostSemantics(t *testing.T) {
-	l := NewLocalRamdisk(nil)
-	if l.ImageHost(7) != 7 {
-		t.Error("local image must stay on writer host")
+	if k := NewLocalRamdisk(nil).Kind(); k != KindLocal {
+		t.Errorf("local ramdisk Kind = %v, want the writer-bound %v", k, KindLocal)
 	}
-	n := NewNFS(nil)
-	if n.ImageHost(7) != -1 {
-		t.Error("NFS image must be shared (-1)")
+	if k := NewNFS(nil).Kind(); k != KindNFS {
+		t.Errorf("NFS Kind = %v, want shared %v", k, KindNFS)
 	}
-	d := NewDMNFS(simeng.NewRNG(10), 4)
-	if d.ImageHost(7) != -1 {
-		t.Error("DM-NFS image must be shared (-1)")
+	if k := NewDMNFS(simeng.NewRNG(10), 4).Kind(); k != KindDMNFS {
+		t.Errorf("DM-NFS Kind = %v, want shared %v", k, KindDMNFS)
 	}
 }
 

@@ -222,7 +222,7 @@ func ScenariosContext(ctx context.Context, runs []Run, opt Options) ([]Outcome, 
 			traceOrder = append(traceOrder, tk)
 		}
 		traceSlot[i] = t
-		if e := r.Scenario.Engine; e.Estimates != engine.EstimatePriority || e.CustomEstimator != nil {
+		if !r.Scenario.Engine.NeedsHistory() {
 			continue
 		}
 		limits := r.Scenario.EffectiveLimits()
@@ -321,7 +321,7 @@ func runOne(ctx context.Context, i int, r Run, tr *trace.Trace, est *core.Histor
 	if !sc.ReplayAll {
 		replay = tr.BatchJobs()
 	}
-	if cfg.Estimates == engine.EstimatePriority && cfg.CustomEstimator == nil {
+	if cfg.NeedsHistory() {
 		if r.Trace != nil {
 			est = trace.BuildEstimator(tr, sc.EffectiveLimits())
 		} else if est == nil {

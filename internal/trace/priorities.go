@@ -49,17 +49,6 @@ var priorityParams = [13]priorityParam{
 	{xm: 800, alpha: 1.15}, // 12: highest, rarely disturbed
 }
 
-// IntervalDist returns the baseline failure-interval distribution for a
-// priority (1..12), at the reference task length. It panics on
-// out-of-range priorities.
-func IntervalDist(priority int) dist.Distribution {
-	if priority < 1 || priority > 12 {
-		panic("trace: priority outside 1..12")
-	}
-	p := priorityParams[priority]
-	return dist.NewPareto(p.xm, p.alpha)
-}
-
 // Interval scales correlate with task length: long-running Google tasks
 // are the stable ones (they would not have survived otherwise), so
 // their uninterrupted intervals are proportionally longer. This is the

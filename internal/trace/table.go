@@ -99,9 +99,6 @@ func (tb *Table) Job(j uint32) *Job { return tb.jobs[j] }
 // TaskID returns the interned string ID for a task handle.
 func (tb *Table) TaskID(h uint32) string { return tb.tasks[h].ID }
 
-// JobID returns the interned string ID for a job handle.
-func (tb *Table) JobID(j uint32) string { return tb.jobs[j].ID }
-
 // TasksOf returns the handle range [first, limit) of a job's tasks.
 func (tb *Table) TasksOf(j uint32) (first, limit uint32) {
 	return tb.FirstTask[j], tb.FirstTask[j+1]

@@ -27,7 +27,7 @@ func TestTableHandlesAreDenseAndPositional(t *testing.T) {
 		if first != h || limit != h+uint32(len(job.Tasks)) {
 			t.Fatalf("job %d task range [%d,%d), want [%d,%d)", ji, first, limit, h, h+uint32(len(job.Tasks)))
 		}
-		if tb.Job(uint32(ji)) != job || tb.JobID(uint32(ji)) != job.ID {
+		if tb.Job(uint32(ji)) != job {
 			t.Fatalf("job %d interning mismatch", ji)
 		}
 		if tb.Arrival[ji] != job.ArrivalSec || tb.Sequential[ji] != (job.Structure == Sequential) {
@@ -109,8 +109,8 @@ func TestTableOutOfOrderJobIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := BuildTable(tr)
-	if tb.JobID(0) != "zz-late-name" || tb.JobID(1) != "aa-early-name" {
-		t.Fatalf("handles reordered by ID: %q, %q", tb.JobID(0), tb.JobID(1))
+	if tb.Job(0).ID != "zz-late-name" || tb.Job(1).ID != "aa-early-name" {
+		t.Fatalf("handles reordered by ID: %q, %q", tb.Job(0).ID, tb.Job(1).ID)
 	}
 	if tb.Arrival[0] != 0 || tb.Arrival[1] != 5 {
 		t.Fatal("arrival columns out of trace order")

@@ -245,19 +245,26 @@ func TestValidationCatchesBadTasks(t *testing.T) {
 	}
 }
 
+// medianInterval is the median of a priority's failure-interval Pareto
+// at the reference task length: Xm * 2^(1/Alpha).
+func medianInterval(priority int) float64 {
+	d := IntervalParetoForTask(priority, refTaskLength)
+	return d.Xm * math.Pow(2, 1/d.Alpha)
+}
+
 func TestIntervalDistPriorityScaling(t *testing.T) {
 	// Figure 4's qualitative claim within the production tiers: higher
 	// priority implies stochastically longer uninterrupted intervals.
 	for _, pair := range [][2]int{{1, 2}, {2, 3}, {5, 6}, {8, 9}, {11, 12}} {
-		lo := IntervalDist(pair[0]).Quantile(0.5)
-		hi := IntervalDist(pair[1]).Quantile(0.5)
+		lo := medianInterval(pair[0])
+		hi := medianInterval(pair[1])
 		if hi <= lo {
 			t.Errorf("median interval for priority %d (%v) not above priority %d (%v)",
 				pair[1], hi, pair[0], lo)
 		}
 	}
 	// Priority 10's monitoring anomaly: far shorter intervals than 9.
-	if IntervalDist(10).Quantile(0.5) >= IntervalDist(9).Quantile(0.5)/4 {
+	if medianInterval(10) >= medianInterval(9)/4 {
 		t.Error("priority 10 must be drastically more interrupted than 9")
 	}
 }
@@ -270,7 +277,7 @@ func TestIntervalDistPanics(t *testing.T) {
 					t.Errorf("priority %d accepted", p)
 				}
 			}()
-			IntervalDist(p)
+			IntervalParetoForTask(p, refTaskLength)
 		}()
 	}
 }
@@ -322,7 +329,7 @@ func TestBuildEstimatorTable7Shape(t *testing.T) {
 	// Priority 10 (monitoring) must show high MNOF and tiny MTBF for
 	// short tasks, like Table 7's MNOF 11.9 / MTBF 37.
 	k10 := core.GroupKey(10, 0)
-	if est.Tasks(k10) == 0 {
+	if (est.Estimate(k10) == core.Estimate{}) {
 		t.Fatal("no priority-10 short tasks observed")
 	}
 	if est.MNOF(k10) < 2 {

@@ -8,6 +8,12 @@ import (
 // MaxSpecRuns caps a single job spec's sweep width.
 const MaxSpecRuns = 100000
 
+// MaxSpecJobs caps a job spec's workload size, Jobs and Workload.Jobs
+// alike, at the largest benchmark tier. It bounds what the trace
+// generator is asked to allocate up front; it is not a memory budget for
+// a run.
+const MaxSpecJobs = 1000000
+
 // JobSpec is the JSON description of one service job: a registry
 // scenario plus overrides. It is the wire format of the simd service
 // and the simw worker — both resolve the same spec bytes through this
@@ -66,6 +72,12 @@ func (sp JobSpec) Validate() error {
 	}
 	if sp.Jobs < 0 {
 		return fmt.Errorf("sim: negative jobs %d", sp.Jobs)
+	}
+	if sp.Jobs > MaxSpecJobs {
+		return fmt.Errorf("sim: jobs %d exceeds the %d cap", sp.Jobs, MaxSpecJobs)
+	}
+	if sp.Workload != nil && sp.Workload.Jobs > MaxSpecJobs {
+		return fmt.Errorf("sim: workload jobs %d exceeds the %d cap", sp.Workload.Jobs, MaxSpecJobs)
 	}
 	_, err := sp.Simulation()
 	return err

@@ -148,6 +148,26 @@ func TestSweepOnlyIndicesPartition(t *testing.T) {
 	}
 }
 
+// TestValidateCapsJobs: a spec may not ask the trace generator for more
+// than MaxSpecJobs jobs, through either field. An uncapped count once
+// reached make() and panicked the service on every restart.
+func TestValidateCapsJobs(t *testing.T) {
+	for _, c := range []struct {
+		sp sim.JobSpec
+		ok bool
+	}{
+		{sim.JobSpec{Scenario: "baseline-f3", Jobs: sim.MaxSpecJobs}, true},
+		{sim.JobSpec{Scenario: "baseline-f3", Workload: &sim.Workload{Jobs: sim.MaxSpecJobs}}, true},
+		{sim.JobSpec{Scenario: "baseline-f3", Jobs: sim.MaxSpecJobs + 1}, false},
+		{sim.JobSpec{Scenario: "baseline-f3", Jobs: 1 << 62}, false},
+		{sim.JobSpec{Scenario: "baseline-f3", Workload: &sim.Workload{Jobs: 1 << 62}}, false},
+	} {
+		if err := c.sp.Validate(); (err == nil) != c.ok {
+			t.Errorf("Validate(jobs %d, workload %+v) = %v, want ok=%v", c.sp.Jobs, c.sp.Workload, err, c.ok)
+		}
+	}
+}
+
 // decodeSpec decodes a job spec strictly, as the simd service does.
 func decodeSpec(data []byte) (sim.JobSpec, error) {
 	var sp sim.JobSpec
@@ -169,6 +189,8 @@ func FuzzJobSpec(f *testing.F) {
 		`{"scenario":"spot-market","workload":{"Jobs":5,"BoTFraction":-1,"ArrivalRate":1e-300}}`,
 		`{"scenario":"hpc-long-jobs","seed":0,"runs":-4,"workload":{"MaxTaskLengthSec":10,"MinTaskLengthSec":20}}`,
 		`{"scenario":"baseline-f3","runs":100001}`,
+		`{"scenario":"baseline-f3","jobs":4611686018427387904}`,
+		`{"scenario":"baseline-f3","workload":{"Jobs":1000001}}`,
 		`{"scenario":"nope"}`,
 		`{"scenario":"baseline-f3","extra":1}`,
 		`{"scenario":1}`,

@@ -255,8 +255,6 @@ type StorageBackend interface {
 // the backend's own constants.
 type backendAdapter struct{ b StorageBackend }
 
-func (a backendAdapter) Name() string { return a.b.Name() }
-
 func (a backendAdapter) Kind() storage.Kind {
 	if a.b.SharedAcrossHosts() {
 		return storage.KindDMNFS
@@ -273,15 +271,6 @@ func (a backendAdapter) BeginBatch(hostIDs []int, memMB float64) ([]float64, fun
 }
 
 func (a backendAdapter) RestartCost(memMB float64) float64 { return a.b.RestartCost(memMB) }
-
-func (a backendAdapter) ImageHost(writerHostID int) int {
-	if a.b.SharedAcrossHosts() {
-		return -1
-	}
-	return writerHostID
-}
-
-func (a backendAdapter) InFlight() int { return a.b.InFlight() }
 
 func (a backendAdapter) PlannedCheckpointCost(memMB float64) float64 {
 	return a.b.CheckpointCost(memMB)
