@@ -159,9 +159,14 @@ func runScenario(ctx context.Context, name string, seed uint64, jobs, parallel i
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cloudsim: scenario %s: %v\n", name, err)
 		// Machine consumers still get one parseable outcome object
-		// carrying the error, matching the -exp json contract.
-		if jsonOut && len(outs) > 0 {
-			if encErr := json.NewEncoder(os.Stdout).Encode(outs[0]); encErr != nil {
+		// carrying the error, matching the -exp json contract, also when
+		// the sweep was refused before the run started.
+		if jsonOut {
+			out := sim.Outcome{Name: name, Seed: seed, Err: err}
+			if len(outs) > 0 {
+				out = outs[0]
+			}
+			if encErr := json.NewEncoder(os.Stdout).Encode(out); encErr != nil {
 				fmt.Fprintf(os.Stderr, "cloudsim: %v\n", encErr)
 			}
 		}

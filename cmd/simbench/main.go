@@ -9,6 +9,7 @@
 //	simbench -scale smoke -out -      # CI smoke matrix to stdout
 //	simbench -scale full -runs 3      # adds the 100k-job scale, best of 3
 //	simbench -scenarios baseline-f3,spot-market -scales 500,5000
+//	simbench -scale smoke -cpuprofile prof   # prof/<scenario>@<jobs>.pprof
 //
 // The report records, per (scenario, scale) cell: ns/op, allocs/op,
 // bytes/op, fired events and events/sec, peak heap, trace-generation
@@ -43,8 +44,15 @@ func main() {
 		memlimit  = flag.Int64("memlimit", 0, "soft memory limit in bytes applied via debug.SetMemoryLimit (0 = leave unlimited; recorded in the report)")
 		out       = flag.String("out", "", `report path (default BENCH_<yyyy-mm-dd>.json; "-" for stdout)`)
 		noBase    = flag.Bool("skip-baseline", false, "skip the dedicated 10k-job allocation-budget cell")
+		cpuprof   = flag.String("cpuprofile", "", "directory for one CPU profile per cell, <scenario>@<jobs>.pprof (read with go tool pprof)")
 	)
 	flag.Parse()
+	if *cpuprof != "" {
+		if err := os.MkdirAll(*cpuprof, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
+			os.Exit(1)
+		}
+	}
 
 	cfg := sim.BenchConfig{
 		Seed:          *seed,
@@ -52,6 +60,7 @@ func main() {
 		SkipBaseline:  *noBase,
 		GOGCPercent:   *gogc,
 		MemLimitBytes: *memlimit,
+		CPUProfileDir: *cpuprof,
 		Progress: func(label string) {
 			fmt.Fprintf(os.Stderr, "simbench: measuring %s\n", label)
 		},

@@ -21,8 +21,11 @@ package benchkit
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -85,6 +88,13 @@ type Config struct {
 	// for the duration of the run (and restored afterwards). Recorded in
 	// the report.
 	MemLimitBytes int64
+	// CPUProfileDir, when non-empty, names an existing directory that
+	// receives one CPU profile per cell, covering the cell's timed
+	// replays: <scenario>@<jobs>.pprof, and
+	// <scenario>@<jobs>-seed<seed>.pprof for the allocation-budget cell
+	// when it runs at its own seed. A cell measured twice keeps the
+	// later profile.
+	CPUProfileDir string
 	// Progress, when non-nil, is invoked before each cell with a
 	// human-readable label — simbench points it at stderr.
 	Progress func(label string)
@@ -320,7 +330,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			if cfg.Progress != nil {
 				cfg.Progress(fmt.Sprintf("%s @ %d jobs", names[i], jobs))
 			}
-			m := measure(ctx, sc, names[i], jobs, seed, runs)
+			m := measure(ctx, sc, names[i], jobs, seed, runs, cfg.profilePath(names[i], jobs, seed, seed))
 			rep.Results = append(rep.Results, m)
 			if names[i] == BaselineScenario && jobs == BaselineJobs && seed == BaselineSeed && m.Error == "" {
 				budgetIdx = len(rep.Results) - 1
@@ -339,7 +349,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		if cfg.Progress != nil {
 			cfg.Progress(fmt.Sprintf("%s @ %d jobs (extra)", cell.Scenario, cell.Jobs))
 		}
-		rep.Results = append(rep.Results, measure(ctx, sc, cell.Scenario, cell.Jobs, seed, runs))
+		rep.Results = append(rep.Results, measure(ctx, sc, cell.Scenario, cell.Jobs, seed, runs,
+			cfg.profilePath(cell.Scenario, cell.Jobs, seed, seed)))
 	}
 
 	// Cells so far (matrix + extras) share the report seed; the
@@ -355,7 +366,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			cfg.Progress(fmt.Sprintf("alloc budget: %s @ %d jobs", BaselineScenario, BaselineJobs))
 		}
 		sc, _ := scenario.Get(BaselineScenario)
-		m := measure(ctx, sc, BaselineScenario, BaselineJobs, BaselineSeed, runs)
+		m := measure(ctx, sc, BaselineScenario, BaselineJobs, BaselineSeed, runs,
+			cfg.profilePath(BaselineScenario, BaselineJobs, BaselineSeed, seed))
 		// The budget cell joins Results either way: a failing cell must
 		// surface in the report (and fail simbench/CI), not silently
 		// drop the alloc_baseline section.
@@ -379,6 +391,19 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	rep.Derived = deriveMetrics(rep.Results[:sameSeed])
 	return rep, nil
+}
+
+// profilePath names a cell's CPU profile ("" when profiling is off); a
+// cell run at a seed other than the report's carries it in the name.
+func (cfg Config) profilePath(name string, jobs int, seed, reportSeed uint64) string {
+	if cfg.CPUProfileDir == "" {
+		return ""
+	}
+	file := fmt.Sprintf("%s@%d.pprof", name, jobs)
+	if seed != reportSeed {
+		file = fmt.Sprintf("%s@%d-seed%d.pprof", name, jobs, seed)
+	}
+	return filepath.Join(cfg.CPUProfileDir, file)
 }
 
 // deriveMetrics computes the report's health metrics from the raw
@@ -456,9 +481,10 @@ const heapSampleEvery = 1 << 18
 
 // measure runs one cell: generate, then replay `runs` times keeping
 // the fastest repetition (allocation counts are deterministic, so any
-// repetition reports the same budget).
-func measure(ctx context.Context, sc scenario.Scenario, name string, jobs int, seed uint64, runs int) Measurement {
-	m := Measurement{Scenario: name, Jobs: jobs}
+// repetition reports the same budget). A non-empty profile path
+// receives a CPU profile of the replays.
+func measure(ctx context.Context, sc scenario.Scenario, name string, jobs int, seed uint64, runs int, profile string) (m Measurement) {
+	m = Measurement{Scenario: name, Jobs: jobs}
 
 	genStart := time.Now()
 	tr := sc.Workload.Materialize(seed, jobs)
@@ -493,6 +519,24 @@ func measure(ctx context.Context, sc scenario.Scenario, name string, jobs int, s
 		}
 	}
 
+	if profile != "" {
+		f, err := os.Create(profile)
+		if err != nil {
+			m.Error = fmt.Sprintf("cpu profile: %v", err)
+			return m
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			m.Error = fmt.Sprintf("cpu profile: %v", err)
+			return m
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil && m.Error == "" {
+				m.Error = fmt.Sprintf("cpu profile: %v", err)
+			}
+		}()
+	}
 	for rep := 0; rep < runs; rep++ {
 		if err := ctx.Err(); err != nil {
 			m.Error = err.Error()

@@ -3,6 +3,9 @@ package benchkit
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -42,6 +45,55 @@ func TestRunSmallMatrix(t *testing.T) {
 	}
 	if rep.Baseline != nil {
 		t.Error("SkipBaseline did not suppress the budget cell")
+	}
+}
+
+// TestCPUProfilePerCell: with CPUProfileDir set, a run leaves exactly
+// one non-empty <scenario>@<jobs>.pprof per cell, extra cells included.
+func TestCPUProfilePerCell(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		Scenarios:     []string{"baseline-f3", "no-checkpoint"},
+		Scales:        []int{50, 100},
+		ExtraCells:    []Cell{{Scenario: "spot-market", Jobs: 60}},
+		Seed:          11,
+		SkipBaseline:  true,
+		CPUProfileDir: dir,
+	}
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, m := range rep.Results {
+		if m.Error != "" {
+			t.Fatalf("%s @ %d: %s", m.Scenario, m.Jobs, m.Error)
+		}
+		want[fmt.Sprintf("%s@%d.pprof", m.Scenario, m.Jobs)] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Errorf("%d files for %d cells", len(entries), len(want))
+	}
+	for _, e := range entries {
+		if !want[e.Name()] {
+			t.Errorf("unexpected file %s", e.Name())
+			continue
+		}
+		info, err := os.Stat(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() == 0 {
+			t.Errorf("%s is empty", e.Name())
+		}
+		delete(want, e.Name())
+	}
+	for name := range want {
+		t.Errorf("no profile %s", name)
 	}
 }
 

@@ -10,24 +10,26 @@ import (
 )
 
 // maxAllocsPerEvent is the engine's allocation budget: the hot path
-// runs at ~0.11 allocations per fired event after the PR-3 overhaul
-// (event and placement pooling, one reusable callback per task, pooled
-// storage ops). The pre-overhaul engine sat near 2.9. The guard leaves
-// ~3x headroom for incidental churn while catching any change that
-// reintroduces a per-event allocation (+1.0 or more).
+// runs at about 0.0095 allocations per fired event on the guard
+// workload (event and placement pooling, one reusable callback per
+// task, pooled storage ops, recycled failure-time backings). The engine
+// before pooling sat near 2.9. The guard leaves ample headroom for
+// incidental churn while catching any change that reintroduces a
+// per-event allocation (+1.0 or more).
 const maxAllocsPerEvent = 0.35
 
-// maxBytesPerEvent is the companion bytes budget: after the columnar
-// memory-layout overhaul (handle-indexed slabs, chunked run state,
-// slab-resident failure processes) the engine allocates ~10 bytes per
-// fired event on the guard workload — almost all of it the one-time
-// table/slab setup amortized over the run. ~4x headroom; a regression
-// past this budget means per-task state went back to the heap.
+// maxBytesPerEvent is the companion bytes budget: with the columnar
+// memory layout (handle-indexed slabs, chunked run state, slab-resident
+// failure processes, one TaskOutcome per task written at completion)
+// the engine allocates about 8.8 bytes per fired event on the guard
+// workload — almost all of it the one-time table/slab setup amortized
+// over the run. ~4x headroom; a regression past this budget means
+// per-task state went back to the heap.
 const maxBytesPerEvent = 40
 
 // maxPeakHeapBytes bounds the live heap during the guard workload
-// (300-job default trace): the columnar engine peaks around 2.7 MB
-// there, most of it the trace and the result slabs. ~4x headroom; a
+// (300-job default trace): the columnar engine peaks around 1.8 MB
+// there, most of it the trace and the outcome slab. ~6x headroom; a
 // regression past this budget means the working set re-inflated.
 const maxPeakHeapBytes = 12 << 20
 
@@ -138,9 +140,9 @@ func TestNonBlockingAllocBudget(t *testing.T) {
 }
 
 // maxSmallRunBytes bounds the bytes one small run allocates: a 20-job
-// run (132 tasks, the size of a service run) allocates about 110 KB
+// run (132 tasks, the size of a service run) allocates about 129 KB
 // once its run state is sized to its task count; a full 4096-slot
-// run-state chunk alone is about 1.1 MB. ~4x headroom.
+// run-state chunk alone is about 1.4 MB. ~4x headroom.
 const maxSmallRunBytes = 512 << 10
 
 // TestSmallRunBytesBudget guards small runs against paying for run state

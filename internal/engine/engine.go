@@ -190,13 +190,14 @@ func RunWithEstimatorContext(ctx context.Context, cfg Config, tr *trace.Trace, e
 
 // The engine's working state is columnar: every task of the replayed
 // trace has a dense uint32 handle (assigned by trace.BuildTable), and
-// all hot per-task state lives in handle-indexed slabs — taskRun
-// entries in fixed-size chunks that materialize on first submission and
-// free when their last task completes, TaskResult/JobResult in arrays
-// allocated once per run and sized from the trace. The event loop,
-// dispatch queue, and simulator callbacks carry only handles; string
-// task/job IDs are never hashed, compared, or even read between
-// trace materialization and result serialization.
+// all hot per-task state lives in handle-indexed taskRun entries, in
+// fixed-size chunks that materialize on first submission and free when
+// their last task completes. Results are written once, at completion:
+// each task's TaskOutcome goes into its job's next slot of one
+// run-long slab, so every job's records sit in completion order. The
+// event loop, dispatch queue, and simulator callbacks carry only
+// handles; string task/job IDs are never hashed, compared, or even
+// read between trace materialization and result serialization.
 const (
 	runChunkShift = 12
 	runChunkSize  = 1 << runChunkShift
@@ -227,10 +228,14 @@ type engineState struct {
 	// task count when the whole run fits one chunk, so a small run does
 	// not allocate and zero a full chunk.
 	chunkLen int
-	// taskResults/jobResults are the contiguous result slabs; JobResult
-	// pointer slices are carved from one backing array at setup.
-	taskResults []TaskResult
-	jobResults  []JobResult
+	// freeTimes holds the recorded-times backings of completed tasks'
+	// renewal processes, handed to the next task that starts, so the
+	// failure draws of a run allocate O(max concurrent tasks) backings,
+	// not one per task.
+	freeTimes [][]float64
+	// jobResults is the job result slab; each job's Tasks is its window
+	// of the run's one TaskOutcome slab.
+	jobResults []JobResult
 
 	// writes is the slab of in-flight non-blocking checkpoint records,
 	// linked per task through inflightWrite.next and recycled through
@@ -315,27 +320,27 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 	nJobs := tab.NumJobs()
 	nChunks := (nTasks + runChunkSize - 1) / runChunkSize
 	e := &engineState{
-		cfg:         cfg,
-		sim:         simeng.NewSimulator(),
-		cl:          cluster.New(cfg.Hosts, cfg.HostMemMB),
-		est:         est,
-		tab:         tab,
-		runChunks:   make([][]taskRun, nChunks),
-		chunkLive:   make([]int32, nChunks),
-		chunkLen:    min(runChunkSize, nTasks),
-		taskResults: make([]TaskResult, nTasks),
-		jobResults:  make([]JobResult, nJobs),
-		result:      &Result{PolicyName: cfg.Policy.Name(), Jobs: make([]*JobResult, nJobs)},
+		cfg:        cfg,
+		sim:        simeng.NewSimulator(),
+		cl:         cluster.New(cfg.Hosts, cfg.HostMemMB),
+		est:        est,
+		tab:        tab,
+		runChunks:  make([][]taskRun, nChunks),
+		chunkLive:  make([]int32, nChunks),
+		chunkLen:   min(runChunkSize, nTasks),
+		jobResults: make([]JobResult, nJobs),
+		result:     &Result{PolicyName: cfg.Policy.Name(), Jobs: make([]*JobResult, nJobs)},
 	}
-	// Job results point into the slab; each job's task-pointer slice is
-	// carved from one backing array with its exact capacity, so the
-	// completion-order appends never allocate.
-	ptrBacking := make([]*TaskResult, nTasks)
+	// Each job's Tasks is its window of one slab, with the job's task
+	// count as capacity: completion fills it in place, and a caller
+	// appending to a finished job's slice reallocates instead of
+	// overwriting the next job's records.
+	outcomes := make([]TaskOutcome, nTasks)
 	for j := 0; j < nJobs; j++ {
 		jr := &e.jobResults[j]
 		jr.Job = tab.Job(uint32(j))
 		first, limit := tab.TasksOf(uint32(j))
-		jr.Tasks = ptrBacking[first:first:limit]
+		jr.Tasks = outcomes[first:first:limit]
 		e.result.Jobs[j] = jr
 	}
 	e.dispatchFn = func() {
@@ -503,16 +508,17 @@ func (e *engineState) dispatch() {
 	}
 }
 
-// onTaskDone records a completed task, frees its run slot, advances ST
-// chains, and triggers dispatch.
-func (e *engineState) onTaskDone(r *taskRun) {
+// onTaskDone writes a completed task's outcome into its job's next
+// slot, frees its run slot, advances ST chains, and triggers dispatch.
+func (e *engineState) onTaskDone(r *taskRun, now float64) {
 	h := r.h
 	j := e.tab.JobOf[h]
 	jr := &e.jobResults[j]
-	res := &e.taskResults[h]
-	jr.Tasks = append(jr.Tasks, res)
-	if res.DoneAt > jr.DoneAt {
-		jr.DoneAt = res.DoneAt
+	n := len(jr.Tasks)
+	jr.Tasks = jr.Tasks[:n+1]
+	e.writeOutcome(&jr.Tasks[n], r, now)
+	if now > jr.DoneAt {
+		jr.DoneAt = now
 	}
 
 	if e.tab.Sequential[j] {
@@ -521,8 +527,12 @@ func (e *engineState) onTaskDone(r *taskRun) {
 			e.submitTask(next)
 		}
 	}
-	// Release the run slot (dropping its process/backing references) and
-	// recycle the whole chunk once its last live run completes.
+	// Release the run slot (dropping its process references, but keeping
+	// the failure-time backing for the next task to start) and recycle
+	// the whole chunk once its last live run completes.
+	if times := r.renewal.DetachTimes(); times != nil {
+		e.freeTimes = append(e.freeTimes, times)
+	}
 	*r = taskRun{}
 	c := h >> runChunkShift
 	if e.chunkLive[c]--; e.chunkLive[c] == 0 {

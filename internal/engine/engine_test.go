@@ -83,24 +83,24 @@ func TestTaskAccountingIdentity(t *testing.T) {
 	res := mustRun(t, Config{Seed: 3, Policy: core.MNOFPolicy{}}, tr)
 	for _, jr := range res.Jobs {
 		for _, tres := range jr.Tasks {
-			overheads := tres.Task.LengthSec + tres.CheckpointCost +
-				tres.RestartCost + tres.RollbackLoss
-			wall := tres.Wall()
+			overheads := tres.LengthSec + tres.CheckpointCostSec +
+				tres.RestartCostSec + tres.RollbackLossSec
+			wall := tres.WallSec
 			// Wall includes additionally detection delays, restart queue
 			// waits, and per-restart scheduling delays — all non-negative.
 			if wall < overheads-1e-6 {
 				t.Fatalf("task %s wall %v below accounted overheads %v",
-					tres.Task.ID, wall, overheads)
+					tres.ID, wall, overheads)
 			}
 			slack := wall - overheads
 			// Per failure, the unaccounted components are: detection
 			// delay (0.5), restart scheduling delay (0.2), and up to one
 			// abandoned partial checkpoint write (bounded by the worst
 			// contended NFS cost, ~10 s).
-			budget := float64(tres.Failures)*(0.5+0.2+10) + tres.WaitTime + 1e-6
+			budget := float64(tres.Failures)*(0.5+0.2+10) + tres.WaitSec + 1e-6
 			if slack > budget+1 {
 				t.Fatalf("task %s has unexplained wall slack %v (budget %v, failures %d)",
-					tres.Task.ID, slack, budget, tres.Failures)
+					tres.ID, slack, budget, tres.Failures)
 			}
 		}
 	}
@@ -115,8 +115,8 @@ func TestWPRNeverExceedsOne(t *testing.T) {
 				t.Fatalf("%s: job %s WPR = %v", policy.Name(), jr.Job.ID, w)
 			}
 			for _, tres := range jr.Tasks {
-				if w := tres.WPR(); w > 1+1e-9 || w <= 0 {
-					t.Fatalf("%s: task %s WPR = %v", policy.Name(), tres.Task.ID, w)
+				if w := tres.WPR; w > 1+1e-9 || w <= 0 {
+					t.Fatalf("%s: task %s WPR = %v", policy.Name(), tres.ID, w)
 				}
 			}
 		}
@@ -136,9 +136,9 @@ func TestFailureFreeTaskHasCleanWall(t *testing.T) {
 				if tres.Checkpoints != 0 {
 					t.Fatalf("NoCheckpointPolicy took %d checkpoints", tres.Checkpoints)
 				}
-				if math.Abs(tres.Wall()-tres.Task.LengthSec) > 1e-6 {
+				if math.Abs(tres.WallSec-tres.LengthSec) > 1e-6 {
 					t.Fatalf("failure-free task wall %v != length %v",
-						tres.Wall(), tres.Task.LengthSec)
+						tres.WallSec, tres.LengthSec)
 				}
 			}
 		}
@@ -168,12 +168,12 @@ func TestFixedCountPolicyTakesExactCheckpoints(t *testing.T) {
 			checked++
 			if tres.Checkpoints != 3 {
 				t.Fatalf("failure-free task %s took %d checkpoints, want 3",
-					tres.Task.ID, tres.Checkpoints)
+					tres.ID, tres.Checkpoints)
 			}
-			wantCost := tres.CheckpointCost
-			if math.Abs(tres.Wall()-(tres.Task.LengthSec+wantCost)) > 1e-6 {
+			wantCost := tres.CheckpointCostSec
+			if math.Abs(tres.WallSec-(tres.LengthSec+wantCost)) > 1e-6 {
 				t.Fatalf("task %s wall %v != length %v + ckpt cost %v",
-					tres.Task.ID, tres.Wall(), tres.Task.LengthSec, wantCost)
+					tres.ID, tres.WallSec, tres.LengthSec, wantCost)
 			}
 		}
 	}
@@ -189,12 +189,12 @@ func TestSequentialJobOrdering(t *testing.T) {
 		if jr.Job.Structure != trace.Sequential {
 			continue
 		}
-		byIndex := make(map[int]*TaskResult)
-		for _, tres := range jr.Tasks {
-			byIndex[tres.Task.Index] = tres
+		byID := make(map[string]*TaskOutcome)
+		for k := range jr.Tasks {
+			byID[jr.Tasks[k].ID] = &jr.Tasks[k]
 		}
 		for i := 1; i < len(jr.Job.Tasks); i++ {
-			prev, cur := byIndex[i-1], byIndex[i]
+			prev, cur := byID[jr.Job.Tasks[i-1].ID], byID[jr.Job.Tasks[i].ID]
 			if prev == nil || cur == nil {
 				t.Fatalf("job %s missing task results", jr.Job.ID)
 			}
@@ -216,7 +216,7 @@ func TestCheckpointsReduceLossUnderFailures(t *testing.T) {
 	lossOf := func(r *Result) (loss float64, failures int) {
 		for _, jr := range r.Jobs {
 			for _, tres := range jr.Tasks {
-				loss += tres.RollbackLoss
+				loss += tres.RollbackLossSec
 				failures += tres.Failures
 			}
 		}
@@ -254,7 +254,7 @@ func TestStorageModesRun(t *testing.T) {
 		if mode == StorageLocal {
 			for _, jr := range res.Jobs {
 				for _, tres := range jr.Tasks {
-					if tres.UsedShared {
+					if tres.UsedSharedStorage {
 						t.Fatal("StorageLocal used shared storage")
 					}
 				}
@@ -263,7 +263,7 @@ func TestStorageModesRun(t *testing.T) {
 		if mode == StorageShared {
 			for _, jr := range res.Jobs {
 				for _, tres := range jr.Tasks {
-					if !tres.UsedShared {
+					if !tres.UsedSharedStorage {
 						t.Fatal("StorageShared used local storage")
 					}
 				}
@@ -329,18 +329,18 @@ func TestIdenticalFailuresAcrossPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pairs {
-		aTasks := make(map[string]*TaskResult)
-		for _, tres := range p[0].Tasks {
-			aTasks[tres.Task.ID] = tres
+		aTasks := make(map[string]*TaskOutcome)
+		for k := range p[0].Tasks {
+			aTasks[p[0].Tasks[k].ID] = &p[0].Tasks[k]
 		}
 		for _, tb := range p[1].Tasks {
-			ta := aTasks[tb.Task.ID]
+			ta := aTasks[tb.ID]
 			if ta == nil {
 				t.Fatal("task missing in paired run")
 			}
-			if tb.Failures == 0 && ta.Wall() <= tb.Wall()+1e-9 && ta.Failures != 0 {
+			if tb.Failures == 0 && ta.WallSec <= tb.WallSec+1e-9 && ta.Failures != 0 {
 				t.Fatalf("task %s: %d failures under F3 within a window that was failure-free under None",
-					tb.Task.ID, ta.Failures)
+					tb.ID, ta.Failures)
 			}
 		}
 	}

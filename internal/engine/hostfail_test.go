@@ -54,14 +54,14 @@ func TestHostFailuresAccountingStillHolds(t *testing.T) {
 	res := mustRun(t, Config{Seed: 24, Policy: core.MNOFPolicy{}, HostMTBF: 1200}, tr)
 	for _, jr := range res.Jobs {
 		for _, tres := range jr.Tasks {
-			if w := tres.WPR(); w > 1+1e-9 || w <= 0 {
-				t.Fatalf("task %s WPR = %v under host failures", tres.Task.ID, w)
+			if w := tres.WPR; w > 1+1e-9 || w <= 0 {
+				t.Fatalf("task %s WPR = %v under host failures", tres.ID, w)
 			}
-			overheads := tres.Task.LengthSec + tres.CheckpointCost +
-				tres.RestartCost + tres.RollbackLoss
-			if tres.Wall() < overheads-1e-6 {
+			overheads := tres.LengthSec + tres.CheckpointCostSec +
+				tres.RestartCostSec + tres.RollbackLossSec
+			if tres.WallSec < overheads-1e-6 {
 				t.Fatalf("task %s wall %v below accounted overheads %v",
-					tres.Task.ID, tres.Wall(), overheads)
+					tres.ID, tres.WallSec, overheads)
 			}
 		}
 	}
@@ -103,7 +103,7 @@ func TestCrashedTasksMoveToOtherHosts(t *testing.T) {
 	var restarted int
 	for _, jr := range res.Jobs {
 		for _, tres := range jr.Tasks {
-			if tres.Failures > 0 && tres.RestartCost > 0 {
+			if tres.Failures > 0 && tres.RestartCostSec > 0 {
 				restarted++
 			}
 		}

@@ -23,8 +23,8 @@ func TestNonBlockingCheckpointsComplete(t *testing.T) {
 	var ckpts int
 	for _, jr := range res.Jobs {
 		for _, tres := range jr.Tasks {
-			hidden += tres.HiddenCheckpointCost
-			blocking += tres.CheckpointCost
+			hidden += tres.HiddenCheckpointCostSec
+			blocking += tres.CheckpointCostSec
 			ckpts += tres.Checkpoints
 		}
 	}
@@ -60,13 +60,13 @@ func TestNonBlockingFailureLosesInFlightImage(t *testing.T) {
 	}, tr)
 	for _, jr := range res.Jobs {
 		for _, tres := range jr.Tasks {
-			overheads := tres.Task.LengthSec + tres.RestartCost + tres.RollbackLoss
-			if tres.Wall() < overheads-1e-6 {
+			overheads := tres.LengthSec + tres.RestartCostSec + tres.RollbackLossSec
+			if tres.WallSec < overheads-1e-6 {
 				t.Fatalf("task %s wall %v below overheads %v: an unfinished image must have been restored",
-					tres.Task.ID, tres.Wall(), overheads)
+					tres.ID, tres.WallSec, overheads)
 			}
-			if w := tres.WPR(); w > 1+1e-9 {
-				t.Fatalf("task %s WPR %v > 1", tres.Task.ID, w)
+			if w := tres.WPR; w > 1+1e-9 {
+				t.Fatalf("task %s WPR %v > 1", tres.ID, w)
 			}
 		}
 	}

@@ -8,49 +8,59 @@ import (
 	"repro/internal/trace"
 )
 
-// TaskResult captures one task's execution outcome.
-type TaskResult struct {
-	Task *trace.Task
-	// SubmitAt is when the task entered the pending queue.
-	SubmitAt float64
-	// StartAt is when the task first received a VM.
-	StartAt float64
-	// DoneAt is when the task completed.
-	DoneAt float64
-	// Failures is the number of failure events that struck the task.
-	Failures int
-	// Checkpoints is the number of completed checkpoints.
-	Checkpoints int
-	// RollbackLoss is the total productive time lost to rollbacks.
-	RollbackLoss float64
-	// CheckpointCost is the total wall-clock spent writing checkpoints
-	// (blocking writes only).
-	CheckpointCost float64
-	// HiddenCheckpointCost is the write time of non-blocking checkpoints
-	// (Algorithm 1 line 7): overlapped with computation, so it does not
-	// extend the task's wall-clock.
-	HiddenCheckpointCost float64
-	// RestartCost is the total wall-clock spent restarting.
-	RestartCost float64
-	// WaitTime is the total time spent waiting for resources (initial
-	// queueing plus queueing before restarts).
-	WaitTime float64
-	// UsedShared reports whether checkpoints went to shared storage.
-	UsedShared bool
+// TaskOutcome is one task's execution record, decomposing wall-clock
+// time exactly as the paper's Formula 1: productive time, checkpoint
+// overhead, rollback and restart losses, and waiting. The engine writes
+// each record once, when its task completes; the sim package hands the
+// same records out in its public Result.
+type TaskOutcome struct {
+	ID        string  `json:"id"`
+	Priority  int     `json:"priority"`
+	LengthSec float64 `json:"length_sec"`
+	MemMB     float64 `json:"mem_mb"`
+	// SubmitAt / StartAt / DoneAt are simulated timestamps (seconds).
+	SubmitAt float64 `json:"submit_at"`
+	StartAt  float64 `json:"start_at"`
+	DoneAt   float64 `json:"done_at"`
+	// WallSec is DoneAt-StartAt; WPR is LengthSec/WallSec (the paper's
+	// task-level workload-processing ratio).
+	WallSec float64 `json:"wall_sec"`
+	WPR     float64 `json:"wpr"`
+	// Failures counts failure events; Checkpoints counts completed
+	// checkpoint images.
+	Failures    int `json:"failures"`
+	Checkpoints int `json:"checkpoints"`
+	// RollbackLossSec is productive time lost to rollbacks;
+	// CheckpointCostSec is blocking checkpoint write time;
+	// HiddenCheckpointCostSec is non-blocking write time overlapped
+	// with computation (Algorithm 1 line 7); RestartCostSec is restart
+	// time; WaitSec is time spent queued for resources (initial queueing
+	// plus queueing before restarts).
+	RollbackLossSec         float64 `json:"rollback_loss_sec"`
+	CheckpointCostSec       float64 `json:"checkpoint_cost_sec"`
+	HiddenCheckpointCostSec float64 `json:"hidden_checkpoint_cost_sec,omitempty"`
+	RestartCostSec          float64 `json:"restart_cost_sec"`
+	WaitSec                 float64 `json:"wait_sec"`
+	// UsedSharedStorage reports whether checkpoints went to the shared
+	// backend.
+	UsedSharedStorage bool `json:"used_shared_storage"`
 }
 
-// Wall returns the task's wall-clock length from first start to
-// completion (the paper's task-level Tw).
-func (r *TaskResult) Wall() float64 { return r.DoneAt - r.StartAt }
-
-// WPR returns the task-level workload-processing ratio: productive
-// length over wall-clock length.
-func (r *TaskResult) WPR() float64 {
-	w := r.Wall()
-	if w <= 0 {
-		return 1
-	}
-	return r.Task.LengthSec / w
+// JobOutcome is one job's execution record in the sim package's public
+// Result.
+type JobOutcome struct {
+	ID string `json:"id"`
+	// Structure is "ST" (sequential tasks) or "BoT" (bag of tasks).
+	Structure  string  `json:"structure"`
+	Priority   int     `json:"priority"`
+	ArrivalSec float64 `json:"arrival_sec"`
+	DoneAt     float64 `json:"done_at"`
+	// WallSec is submission-to-completion; WPR is the job's
+	// Workload-Processing Ratio (Formula 9 aggregated over tasks).
+	WallSec  float64       `json:"wall_sec"`
+	WPR      float64       `json:"wpr"`
+	Failures int           `json:"failures"`
+	Tasks    []TaskOutcome `json:"tasks"`
 }
 
 // JobResult captures one job's execution outcome.
@@ -58,7 +68,9 @@ type JobResult struct {
 	Job *trace.Job
 	// DoneAt is when the job's last task completed.
 	DoneAt float64
-	Tasks  []*TaskResult
+	// Tasks are the job's task records in completion order: the job's
+	// window of the run's one task slab.
+	Tasks []TaskOutcome
 }
 
 // Wall returns the job's wall-clock length from submission to final
@@ -77,9 +89,9 @@ func (r *JobResult) Wall() float64 { return r.DoneAt - r.Job.ArrivalSec }
 // BoT WPR values stay below 1.
 func (r *JobResult) WPR() float64 {
 	var te, tw float64
-	for _, t := range r.Tasks {
-		te += t.Task.LengthSec
-		tw += t.Wall()
+	for i := range r.Tasks {
+		te += r.Tasks[i].LengthSec
+		tw += r.Tasks[i].WallSec
 	}
 	if tw <= 0 {
 		return 1
@@ -90,8 +102,8 @@ func (r *JobResult) WPR() float64 {
 // Failures returns the job's total failure count.
 func (r *JobResult) Failures() int {
 	var n int
-	for _, t := range r.Tasks {
-		n += t.Failures
+	for i := range r.Tasks {
+		n += r.Tasks[i].Failures
 	}
 	return n
 }

@@ -58,6 +58,10 @@ const (
 	// flagRenewal: proc is the slab-resident renewal process, whose last
 	// answer failRel caches (see nextFailureAbs).
 	flagRenewal
+	// flagUsedShared: the chosen backend's images are restorable from
+	// any host (TaskOutcome.UsedSharedStorage). A plugged-in backend
+	// decides this for itself, so it can differ from flagShared.
+	flagUsedShared
 )
 
 // taskRun is the per-task execution state machine, stored in the
@@ -74,10 +78,10 @@ const (
 //
 // The entry is deliberately compact and self-contained: trace-constant
 // fields (length, memory, change point) are read from the table
-// columns, results accumulate in the TaskResult slab, and the default
-// failure process lives in the entry itself (renewal/procRNG/pareto),
-// so running one task touches a handful of adjacent cache lines instead
-// of a scattered object graph.
+// columns, the outcome accumulates in tot until completion writes it
+// out, and the default failure process lives in the entry itself
+// (renewal/procRNG/pareto), so running one task touches a handful of
+// adjacent cache lines instead of a scattered object graph.
 type taskRun struct {
 	proc failure.Process
 	// cleanup releases an in-flight blocking checkpoint operation if the
@@ -124,13 +128,60 @@ type taskRun struct {
 	flags                uint8
 
 	// Slab-resident storage for the default failure process: proc points
-	// at renewal (a renewal process over pareto driven by procRNG), so
-	// starting a task allocates nothing beyond the renewal's
-	// recorded-times backing. Switching processes and plugged-in
-	// failure models fall back to the heap.
+	// at renewal (a renewal process over pareto driven by procRNG), whose
+	// recorded-times backing comes from the engine's free list, so
+	// starting a task allocates nothing once the run reaches its peak
+	// concurrency. Switching processes and plugged-in failure models
+	// fall back to the heap.
 	renewal failure.Renewal
 	procRNG simeng.RNG
 	pareto  dist.Pareto
+
+	// tot is last: it is written on a few events of a task's life, not
+	// on every one.
+	tot outcomeTotals
+}
+
+// outcomeTotals are a task's running TaskOutcome figures; the start
+// time is taskRun.startAt and the shared-storage bit flagUsedShared.
+type outcomeTotals struct {
+	submitAt     float64
+	wait         float64
+	rollbackLoss float64
+	ckptCost     float64 // blocking writes
+	hiddenCost   float64 // non-blocking writes
+	restartCost  float64
+	failures     int32
+	checkpoints  int32
+}
+
+// writeOutcome fills o with the finished task's record.
+func (e *engineState) writeOutcome(o *TaskOutcome, r *taskRun, now float64) {
+	t := e.tab.Task(r.h)
+	wall := now - r.startAt
+	wpr := t.LengthSec / wall
+	if wall <= 0 {
+		wpr = 1
+	}
+	*o = TaskOutcome{
+		ID:                      t.ID,
+		Priority:                t.Priority,
+		LengthSec:               t.LengthSec,
+		MemMB:                   t.MemMB,
+		SubmitAt:                r.tot.submitAt,
+		StartAt:                 r.startAt,
+		DoneAt:                  now,
+		WallSec:                 wall,
+		WPR:                     wpr,
+		Failures:                int(r.tot.failures),
+		Checkpoints:             int(r.tot.checkpoints),
+		RollbackLossSec:         r.tot.rollbackLoss,
+		CheckpointCostSec:       r.tot.ckptCost,
+		HiddenCheckpointCostSec: r.tot.hiddenCost,
+		RestartCostSec:          r.tot.restartCost,
+		WaitSec:                 r.tot.wait,
+		UsedSharedStorage:       r.flags&flagUsedShared != 0,
+	}
 }
 
 // inflightWrite is a checkpoint image being written concurrently with
@@ -164,13 +215,12 @@ func (e *engineState) writeFire(idx uint32) {
 	w.done = true
 	w.release()
 	r := e.run(w.task)
-	res := &e.taskResults[w.task]
 	if w.progressAt > r.saved {
 		r.saved = w.progressAt
 		r.flags |= flagHasImage
 	}
-	res.Checkpoints++
-	res.HiddenCheckpointCost += w.cost
+	r.tot.checkpoints++
+	r.tot.hiddenCost += w.cost
 	r.remaining = r.plannedLen - r.saved
 	if r.remaining < 0 {
 		r.remaining = r.w0
@@ -322,9 +372,7 @@ func (e *engineState) interrupt(r *taskRun, now float64) {
 func (e *engineState) initRun(r *taskRun, h uint32, now float64) {
 	t := e.tab.Task(h)
 	est := e.estimateFor(t)
-	res := &e.taskResults[h]
-	res.Task = t
-	res.SubmitAt = now
+	r.tot.submitAt = now
 
 	r.h = h
 	r.excludeHost = -1
@@ -334,7 +382,9 @@ func (e *engineState) initRun(r *taskRun, h uint32, now float64) {
 	if shared {
 		r.flags |= flagShared
 	}
-	res.UsedShared = backend.Kind() != storage.KindLocal
+	if backend.Kind() != storage.KindLocal {
+		r.flags |= flagUsedShared
+	}
 	r.ckptCost = storage.PlannedCheckpointCost(backend, t.MemMB)
 	r.plannedLen = t.LengthSec
 	if e.cfg.Predictor != nil {
@@ -375,15 +425,18 @@ func (e *engineState) replan(r *taskRun, est core.Estimate) {
 func (e *engineState) start(r *taskRun, p *cluster.Placement, at float64) {
 	r.placement = p
 	now := e.sim.Now()
-	res := &e.taskResults[r.h]
-	res.WaitTime += now - r.waitingSince
+	r.tot.wait += now - r.waitingSince
 	if r.flags&flagStarted == 0 {
 		r.flags |= flagStarted
-		res.StartAt = at
 		r.startAt, r.failRel = at, math.Inf(-1)
 		if e.cfg.FailureModel != nil {
 			r.proc = e.cfg.FailureModel(e.tab.Task(r.h))
 		} else {
+			if n := len(e.freeTimes); n > 0 {
+				r.renewal.AttachTimes(e.freeTimes[n-1])
+				e.freeTimes[n-1] = nil
+				e.freeTimes = e.freeTimes[:n-1]
+			}
 			h := r.h
 			r.proc = trace.InitFailureProcess(int(e.tab.Prio[h]), e.tab.Len[h], e.tab.Seed[h],
 				int(e.tab.ChangePrio[h]), e.tab.ChangeFrac[h], &r.renewal, &r.procRNG, &r.pareto)
@@ -395,7 +448,7 @@ func (e *engineState) start(r *taskRun, p *cluster.Placement, at float64) {
 		// Restore from the checkpoint image: restart cost by migration
 		// type (Table 5 via the backend that holds the image).
 		restart := e.backendOf(r).RestartCost(e.tab.Mem[r.h])
-		res.RestartCost += restart
+		r.tot.restartCost += restart
 		at += restart
 	}
 	// With no image yet the task relaunches from scratch (progress is
@@ -477,13 +530,12 @@ func (e *engineState) stepTask(r *taskRun) {
 // failAndRequeue rolls the task back to its last checkpoint, releases
 // its VM, and requeues it for restart on another host.
 func (e *engineState) failAndRequeue(r *taskRun, now float64) {
-	res := &e.taskResults[r.h]
 	lost := r.progress - r.saved
 	if lost < 0 {
 		lost = 0
 	}
-	res.Failures++
-	res.RollbackLoss += lost
+	r.tot.failures++
+	r.tot.rollbackLoss += lost
 	r.progress = r.saved
 	// In-flight non-blocking writes never complete; their images are
 	// lost with the VM.
@@ -560,11 +612,10 @@ func (e *engineState) finishCheckpoint(r *taskRun) {
 	release := r.cleanup
 	r.cleanup = nil
 	release()
-	res := &e.taskResults[r.h]
 	r.saved = r.progress
 	r.flags |= flagHasImage
-	res.Checkpoints++
-	res.CheckpointCost += r.param
+	r.tot.checkpoints++
+	r.tot.ckptCost += r.param
 	r.remaining = r.plannedLen - r.saved
 	if r.remaining < 0 {
 		// An under-predicting parser: the task has outrun its plan;
@@ -628,13 +679,11 @@ func (e *engineState) startAsyncCheckpoint(r *taskRun) {
 
 // complete finishes the task.
 func (e *engineState) complete(r *taskRun) {
-	now := e.sim.Now()
-	e.taskResults[r.h].DoneAt = now
 	// In-flight async writes are moot once the task has finished.
 	e.cancelWrites(r)
 	if r.placement != nil {
 		e.cl.Release(r.placement)
 		r.placement = nil
 	}
-	e.onTaskDone(r)
+	e.onTaskDone(r, e.sim.Now())
 }

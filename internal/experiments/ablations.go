@@ -108,7 +108,7 @@ func AblationStorage(o Opts) (*AblationStorageResult, error) {
 		for _, jr := range r.Jobs {
 			for _, tres := range jr.Tasks {
 				total++
-				if tres.UsedShared {
+				if tres.UsedSharedStorage {
 					shared++
 				}
 			}

@@ -41,12 +41,12 @@ func AblationNonBlocking(o Opts) (*AblationNonBlockingResult, error) {
 	}
 	for _, jr := range blocking.Jobs {
 		for _, tres := range jr.Tasks {
-			res.BlockingCost += tres.CheckpointCost
+			res.BlockingCost += tres.CheckpointCostSec
 		}
 	}
 	for _, jr := range async.Jobs {
 		for _, tres := range jr.Tasks {
-			res.HiddenCost += tres.HiddenCheckpointCost
+			res.HiddenCost += tres.HiddenCheckpointCostSec
 			res.Checkpoints += tres.Checkpoints
 		}
 	}

@@ -72,6 +72,20 @@ func (r *Renewal) Reset(d dist.Distribution, rng *simeng.RNG) {
 	r.hint = 0
 }
 
+// DetachTimes returns the recorded-times backing array, emptied, and
+// leaves the receiver without one, so a caller that zeroes Renewal
+// values can pass the array on instead of dropping it.
+func (r *Renewal) DetachTimes() []float64 {
+	times := r.times[:0]
+	r.times = nil
+	return times
+}
+
+// AttachTimes makes times (from DetachTimes) the receiver's
+// recorded-times backing; the next Reset reuses it. The draws do not
+// depend on the backing, so a process is the same with or without it.
+func (r *Renewal) AttachTimes(times []float64) { r.times = times[:0] }
+
 // NextAfter implements Process.
 func (r *Renewal) NextAfter(t float64) float64 {
 	for r.cursor <= t {

@@ -57,6 +57,38 @@ func TestRenewalDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestRenewalReusesDetachedTimes: a process reset over a backing that
+// another process detached, still holding that process's times, draws
+// exactly what a fresh process draws, and the detached process keeps
+// no backing.
+func TestRenewalReusesDetachedTimes(t *testing.T) {
+	used := NewRenewal(dist.NewPareto(30, 1.1), simeng.NewRNG(7))
+	for x := 0.0; x < 5000; x = used.NextAfter(x) {
+	}
+	times := used.DetachTimes()
+	if used.times != nil || len(times) != 0 || cap(times) == 0 {
+		t.Fatalf("DetachTimes left %d times behind and returned len %d cap %d", len(used.times), len(times), cap(times))
+	}
+	var reused Renewal
+	reused.AttachTimes(times)
+	reused.Reset(dist.NewPareto(30, 1.1), simeng.NewRNG(42))
+	fresh := NewRenewal(dist.NewPareto(30, 1.1), simeng.NewRNG(42))
+	a, b := 0.0, 0.0
+	for i := 0; i < 500; i++ {
+		a, b = reused.NextAfter(a), fresh.NextAfter(b)
+		if a != b {
+			t.Fatalf("reused backing diverged at failure %d: %v vs %v", i, a, b)
+		}
+	}
+	// Backward queries read the recorded times, which must be the
+	// reused process's own.
+	for _, q := range []float64{0, a / 3, a / 2} {
+		if x, y := reused.NextAfter(q), fresh.NextAfter(q); x != y {
+			t.Fatalf("NextAfter(%v) = %v over the reused backing, %v fresh", q, x, y)
+		}
+	}
+}
+
 func TestRenewalNextAfterIsIdempotentForSameT(t *testing.T) {
 	p := NewRenewal(dist.NewExponential(0.5), simeng.NewRNG(3))
 	first := p.NextAfter(10)

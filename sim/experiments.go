@@ -18,7 +18,7 @@ type ExperimentOptions struct {
 	// experiment bit-for-bit.
 	Seed uint64
 	// Jobs scales trace-driven experiments; 0 selects each experiment's
-	// default.
+	// default. It may not exceed MaxSpecJobs.
 	Jobs int
 	// Parallel is the worker-pool size (0 means GOMAXPROCS); output is
 	// identical for every value.
@@ -65,6 +65,9 @@ func ExperimentNames() []string { return experiments.Names() }
 // engine-driven experiments at their next event chunk and returns
 // ctx.Err().
 func RunExperiment(ctx context.Context, id string, opts ExperimentOptions) (*ExperimentResult, error) {
+	if err := checkJobs("sim: ExperimentOptions.Jobs", opts.Jobs); err != nil {
+		return nil, err
+	}
 	res, err := experiments.Run(id, experiments.Opts{
 		Seed:     opts.Seed,
 		Jobs:     opts.Jobs,

@@ -8,11 +8,21 @@ import (
 // MaxSpecRuns caps a single job spec's sweep width.
 const MaxSpecRuns = 100000
 
-// MaxSpecJobs caps a job spec's workload size, Jobs and Workload.Jobs
-// alike, at the largest benchmark tier. It bounds what the trace
-// generator is asked to allocate up front; it is not a memory budget for
-// a run.
+// MaxSpecJobs caps every workload size the library accepts — a job
+// spec's Jobs and Workload.Jobs, WithJobs, WithWorkload,
+// SweepOptions.DefaultJobs, ExperimentOptions.Jobs and
+// TraceConfig.Jobs — at the largest benchmark tier. It bounds what the
+// trace generator is asked to allocate up front; it is not a memory
+// budget for a run.
 const MaxSpecJobs = 1000000
+
+// checkJobs rejects a workload size past MaxSpecJobs.
+func checkJobs(what string, n int) error {
+	if n > MaxSpecJobs {
+		return fmt.Errorf("%s %d exceeds the %d cap", what, n, MaxSpecJobs)
+	}
+	return nil
+}
 
 // JobSpec is the JSON description of one service job: a registry
 // scenario plus overrides. It is the wire format of the simd service
@@ -73,12 +83,8 @@ func (sp JobSpec) Validate() error {
 	if sp.Jobs < 0 {
 		return fmt.Errorf("sim: negative jobs %d", sp.Jobs)
 	}
-	if sp.Jobs > MaxSpecJobs {
-		return fmt.Errorf("sim: jobs %d exceeds the %d cap", sp.Jobs, MaxSpecJobs)
-	}
-	if sp.Workload != nil && sp.Workload.Jobs > MaxSpecJobs {
-		return fmt.Errorf("sim: workload jobs %d exceeds the %d cap", sp.Workload.Jobs, MaxSpecJobs)
-	}
+	// Simulation applies WithJobs and WithWorkload, which enforce
+	// MaxSpecJobs.
 	_, err := sp.Simulation()
 	return err
 }

@@ -168,6 +168,57 @@ func TestValidateCapsJobs(t *testing.T) {
 	}
 }
 
+// TestJobCountsCappedAtEveryEntry: a job count past MaxSpecJobs is an
+// error at every public entry point that sizes a workload, not only in
+// Validate. Each case runs what the caller would run next, because an
+// uncapped count reaches the trace generator's make() and panics.
+func TestJobCountsCappedAtEveryEntry(t *testing.T) {
+	const huge = 1 << 62
+	ctx := context.Background()
+	run := func(opts ...sim.Option) error {
+		s, err := sim.ScenarioByName("baseline-f3", opts...)
+		if err != nil {
+			return err
+		}
+		_, err = s.Run(ctx)
+		return err
+	}
+	sweep := func(defaultJobs int) error {
+		s, err := sim.ScenarioByName("baseline-f3")
+		if err != nil {
+			return err
+		}
+		_, err = sim.RunSweep(ctx, []sim.Run{sim.Pin(s, 1)}, sim.SweepOptions{DefaultJobs: defaultJobs})
+		return err
+	}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"WithJobs", func() error { return run(sim.WithJobs(huge)) }},
+		{"WithWorkload", func() error { return run(sim.WithWorkload(sim.Workload{Jobs: huge})) }},
+		{"SweepOptions.DefaultJobs", func() error { return sweep(huge) }},
+		{"ExperimentOptions.Jobs", func() error {
+			_, err := sim.RunExperiment(ctx, "fig9", sim.ExperimentOptions{Jobs: huge})
+			return err
+		}},
+		{"TraceConfig.Jobs", func() error {
+			_, err := sim.GenerateTrace(sim.DefaultTraceConfig(1, huge))
+			return err
+		}},
+	} {
+		if err := c.call(); err == nil {
+			t.Errorf("%s: %d jobs accepted", c.name, huge)
+		}
+	}
+	// The cap itself is a valid size: options accept it without
+	// generating anything.
+	if _, err := sim.ScenarioByName("baseline-f3", sim.WithJobs(sim.MaxSpecJobs),
+		sim.WithWorkload(sim.Workload{Jobs: sim.MaxSpecJobs})); err != nil {
+		t.Errorf("MaxSpecJobs rejected: %v", err)
+	}
+}
+
 // decodeSpec decodes a job spec strictly, as the simd service does.
 func decodeSpec(data []byte) (sim.JobSpec, error) {
 	var sp sim.JobSpec

@@ -234,20 +234,20 @@ func (a enginePredictor) Predict(t *trace.Task) float64 {
 // writes (the paper's simultaneous-checkpointing methodology).
 //
 // CheckpointCost and RestartCost are the steady-state planning
-// constants C and R the policies consume. SharedAcrossHosts reports
-// whether images written to this backend are restorable from any host
-// (shared disk) or only the writing host (local ramdisk).
+// constants C and R the policies consume; RestartCost is also what a
+// task pays each time it restarts from an image on this backend.
+// SharedAcrossHosts reports whether images written to this backend are
+// restorable from any host (shared disk) or only the writing host
+// (local ramdisk); it sets TaskOutcome.UsedSharedStorage.
 //
 // Backends are driven from a single simulation goroutine per run; a
 // backend shared across sweep runs must be safe for concurrent use.
 type StorageBackend interface {
-	Name() string
 	CheckpointCost(memMB float64) float64
 	RestartCost(memMB float64) float64
 	Begin(hostID int, memMB float64) (cost float64, release func())
 	BeginBatch(hostIDs []int, memMB float64) (costs []float64, release func())
 	SharedAcrossHosts() bool
-	InFlight() int
 }
 
 // backendAdapter adapts a public StorageBackend onto the internal

@@ -7,54 +7,13 @@ import (
 
 // TaskOutcome is one task's execution record, decomposing wall-clock
 // time exactly as the paper's Formula 1: productive time, checkpoint
-// overhead, rollback and restart losses, and waiting.
-type TaskOutcome struct {
-	ID        string  `json:"id"`
-	Priority  int     `json:"priority"`
-	LengthSec float64 `json:"length_sec"`
-	MemMB     float64 `json:"mem_mb"`
-	// SubmitAt / StartAt / DoneAt are simulated timestamps (seconds).
-	SubmitAt float64 `json:"submit_at"`
-	StartAt  float64 `json:"start_at"`
-	DoneAt   float64 `json:"done_at"`
-	// WallSec is DoneAt-StartAt; WPR is LengthSec/WallSec (the paper's
-	// task-level workload-processing ratio).
-	WallSec float64 `json:"wall_sec"`
-	WPR     float64 `json:"wpr"`
-	// Failures counts failure events; Checkpoints counts completed
-	// checkpoint images.
-	Failures    int `json:"failures"`
-	Checkpoints int `json:"checkpoints"`
-	// RollbackLossSec is productive time lost to rollbacks;
-	// CheckpointCostSec is blocking checkpoint write time;
-	// HiddenCheckpointCostSec is non-blocking write time overlapped
-	// with computation; RestartCostSec is restart time; WaitSec is time
-	// spent queued for resources.
-	RollbackLossSec         float64 `json:"rollback_loss_sec"`
-	CheckpointCostSec       float64 `json:"checkpoint_cost_sec"`
-	HiddenCheckpointCostSec float64 `json:"hidden_checkpoint_cost_sec,omitempty"`
-	RestartCostSec          float64 `json:"restart_cost_sec"`
-	WaitSec                 float64 `json:"wait_sec"`
-	// UsedSharedStorage reports whether checkpoints went to the shared
-	// backend.
-	UsedSharedStorage bool `json:"used_shared_storage"`
-}
+// overhead, rollback and restart losses, and waiting. The engine writes
+// each record once, when its task completes.
+type TaskOutcome = engine.TaskOutcome
 
-// JobOutcome is one job's execution record.
-type JobOutcome struct {
-	ID string `json:"id"`
-	// Structure is "ST" (sequential tasks) or "BoT" (bag of tasks).
-	Structure  string  `json:"structure"`
-	Priority   int     `json:"priority"`
-	ArrivalSec float64 `json:"arrival_sec"`
-	DoneAt     float64 `json:"done_at"`
-	// WallSec is submission-to-completion; WPR is the job's
-	// Workload-Processing Ratio (Formula 9 aggregated over tasks).
-	WallSec  float64       `json:"wall_sec"`
-	WPR      float64       `json:"wpr"`
-	Failures int           `json:"failures"`
-	Tasks    []TaskOutcome `json:"tasks"`
-}
+// JobOutcome is one job's execution record; its Tasks are in completion
+// order.
+type JobOutcome = engine.JobOutcome
 
 // ResultSummary aggregates a run for at-a-glance consumption.
 type ResultSummary struct {
@@ -91,19 +50,22 @@ type Result struct {
 	Jobs    []JobOutcome  `json:"jobs"`
 }
 
-// newResult converts an engine result into the public form.
+// newResult wraps an engine result in the public form. The task
+// records are the engine's own: each JobOutcome's Tasks is its job's
+// window of the engine's task slab, not a copy.
 func newResult(res *engine.Result) *Result {
 	out := &Result{
 		EngineVersion: Version,
 		Policy:        res.PolicyName,
 		MakespanSec:   res.MakespanSec,
 		Events:        res.Events,
-		Jobs:          make([]JobOutcome, 0, len(res.Jobs)),
+		Jobs:          make([]JobOutcome, len(res.Jobs)),
 	}
 	s := &out.Summary
 	var wprAll, wprFailing float64
-	for _, jr := range res.Jobs {
-		jo := JobOutcome{
+	for i, jr := range res.Jobs {
+		jo := &out.Jobs[i]
+		*jo = JobOutcome{
 			ID:         jr.Job.ID,
 			Structure:  jr.Job.Structure.String(),
 			Priority:   jr.Job.Priority,
@@ -112,34 +74,16 @@ func newResult(res *engine.Result) *Result {
 			WallSec:    jr.Wall(),
 			WPR:        jr.WPR(),
 			Failures:   jr.Failures(),
-			Tasks:      make([]TaskOutcome, 0, len(jr.Tasks)),
+			Tasks:      jr.Tasks,
 		}
-		for _, tr := range jr.Tasks {
-			jo.Tasks = append(jo.Tasks, TaskOutcome{
-				ID:                      tr.Task.ID,
-				Priority:                tr.Task.Priority,
-				LengthSec:               tr.Task.LengthSec,
-				MemMB:                   tr.Task.MemMB,
-				SubmitAt:                tr.SubmitAt,
-				StartAt:                 tr.StartAt,
-				DoneAt:                  tr.DoneAt,
-				WallSec:                 tr.Wall(),
-				WPR:                     tr.WPR(),
-				Failures:                tr.Failures,
-				Checkpoints:             tr.Checkpoints,
-				RollbackLossSec:         tr.RollbackLoss,
-				CheckpointCostSec:       tr.CheckpointCost,
-				HiddenCheckpointCostSec: tr.HiddenCheckpointCost,
-				RestartCostSec:          tr.RestartCost,
-				WaitSec:                 tr.WaitTime,
-				UsedSharedStorage:       tr.UsedShared,
-			})
-			s.Tasks++
-			s.Checkpoints += tr.Checkpoints
-			s.CheckpointCostSec += tr.CheckpointCost
-			s.RestartCostSec += tr.RestartCost
-			s.RollbackLossSec += tr.RollbackLoss
+		for k := range jr.Tasks {
+			t := &jr.Tasks[k]
+			s.Checkpoints += t.Checkpoints
+			s.CheckpointCostSec += t.CheckpointCostSec
+			s.RestartCostSec += t.RestartCostSec
+			s.RollbackLossSec += t.RollbackLossSec
 		}
+		s.Tasks += len(jr.Tasks)
 		s.Jobs++
 		s.Failures += jo.Failures
 		wprAll += jo.WPR
@@ -147,7 +91,6 @@ func newResult(res *engine.Result) *Result {
 			s.FailingJobs++
 			wprFailing += jo.WPR
 		}
-		out.Jobs = append(out.Jobs, jo)
 	}
 	if s.Jobs > 0 {
 		s.MeanWPR = wprAll / float64(s.Jobs)

@@ -107,12 +107,17 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// WithJobs sets the synthetic workload size in jobs (default 2000);
-// a Workload that pins its own size wins over this option.
+// WithJobs sets the synthetic workload size in jobs (default 2000, at
+// most MaxSpecJobs); a Workload that pins its own size wins over this
+// option.
 func WithJobs(n int) Option {
 	return func(c *config) {
 		if n < 0 {
 			c.errs = append(c.errs, fmt.Errorf("WithJobs: negative count %d", n))
+			return
+		}
+		if err := checkJobs("WithJobs: jobs", n); err != nil {
+			c.errs = append(c.errs, err)
 			return
 		}
 		c.jobs = n

@@ -117,7 +117,7 @@ type SweepOptions struct {
 	// BaseSeed feeds seed derivation for runs without a pinned seed.
 	BaseSeed uint64
 	// DefaultJobs sizes workloads that do not pin their own size
-	// (0 means 2000).
+	// (0 means 2000; at most MaxSpecJobs).
 	DefaultJobs int
 	// Workers is the pool size (0 means GOMAXPROCS). Results are
 	// byte-identical for every value.
@@ -156,6 +156,9 @@ func RunSweep(ctx context.Context, runs []Run, opts SweepOptions) ([]Outcome, er
 	n := len(runs)
 	if n == 0 {
 		return nil, nil
+	}
+	if err := checkJobs("sim: RunSweep: DefaultJobs", opts.DefaultJobs); err != nil {
+		return nil, err
 	}
 	infos := make([]RunInfo, n)
 	sruns := make([]sweep.Run, n)

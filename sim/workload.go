@@ -107,6 +107,9 @@ func GenerateTrace(cfg TraceConfig) (*Trace, error) {
 	if cfg.Jobs <= 0 {
 		return nil, fmt.Errorf("sim: GenerateTrace requires Jobs > 0 (got %d)", cfg.Jobs)
 	}
+	if err := checkJobs("sim: GenerateTrace: Jobs", cfg.Jobs); err != nil {
+		return nil, err
+	}
 	if cfg.ArrivalRate <= 0 {
 		return nil, fmt.Errorf("sim: GenerateTrace requires ArrivalRate > 0 (got %g); see DefaultTraceConfig", cfg.ArrivalRate)
 	}
@@ -170,6 +173,9 @@ func checkMemBounds(minMB, maxMB float64) error {
 func (w Workload) validate() error {
 	if w.Jobs < 0 {
 		return fmt.Errorf("sim: Workload.Jobs is negative (%d)", w.Jobs)
+	}
+	if err := checkJobs("sim: Workload.Jobs", w.Jobs); err != nil {
+		return err
 	}
 	if w.BoTFraction > 1 {
 		return fmt.Errorf("sim: Workload.BoTFraction %g exceeds 1", w.BoTFraction)
