@@ -99,11 +99,11 @@ func TestWorkloadPredictionPipeline(t *testing.T) {
 	trainTrace := trace.Generate(trace.DefaultGenConfig(100, 800)).BatchJobs()
 	applyTrace := trace.Generate(trace.DefaultGenConfig(200, 300))
 
-	parser, err := predict.TrainRegression(trainTrace.Tasks(), 2)
+	parser, err := predict.TrainRegression(trainTrace, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mare := predict.Evaluate(parser, applyTrace.BatchJobs().Tasks())
+	mare := predict.Evaluate(parser, applyTrace.BatchJobs())
 	if math.IsNaN(mare) || mare > 0.3 {
 		t.Fatalf("cross-trace prediction error %v", mare)
 	}

@@ -494,10 +494,8 @@ func measure(ctx context.Context, sc scenario.Scenario, name string, jobs int, s
 	if !sc.ReplayAll {
 		replay = tr.BatchJobs()
 	}
-	m.JobsReplayed = len(replay.Jobs)
-	for _, j := range replay.Jobs {
-		m.Tasks += len(j.Tasks)
-	}
+	m.JobsReplayed = replay.NumJobs()
+	m.Tasks = replay.NumTasks()
 
 	cfg, err := sc.EngineConfig(seed)
 	if err != nil {

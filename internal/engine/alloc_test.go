@@ -10,7 +10,7 @@ import (
 )
 
 // maxAllocsPerEvent is the engine's allocation budget: the hot path
-// runs at about 0.0095 allocations per fired event on the guard
+// runs at about 0.0094 allocations per fired event on the guard
 // workload (event and placement pooling, one reusable callback per
 // task, pooled storage ops, recycled failure-time backings). The engine
 // before pooling sat near 2.9. The guard leaves ample headroom for
@@ -21,14 +21,14 @@ const maxAllocsPerEvent = 0.35
 // maxBytesPerEvent is the companion bytes budget: with the columnar
 // memory layout (handle-indexed slabs, chunked run state, slab-resident
 // failure processes, one TaskOutcome per task written at completion)
-// the engine allocates about 8.8 bytes per fired event on the guard
-// workload — almost all of it the one-time table/slab setup amortized
+// the engine allocates about 8.5 bytes per fired event on the guard
+// workload — almost all of it the one-time slab setup amortized
 // over the run. ~4x headroom; a regression past this budget means
 // per-task state went back to the heap.
 const maxBytesPerEvent = 40
 
 // maxPeakHeapBytes bounds the live heap during the guard workload
-// (300-job default trace): the columnar engine peaks around 1.8 MB
+// (300-job default trace): the columnar engine peaks around 1.7 MB
 // there, most of it the trace and the outcome slab. ~6x headroom; a
 // regression past this budget means the working set re-inflated.
 const maxPeakHeapBytes = 12 << 20
@@ -140,7 +140,7 @@ func TestNonBlockingAllocBudget(t *testing.T) {
 }
 
 // maxSmallRunBytes bounds the bytes one small run allocates: a 20-job
-// run (132 tasks, the size of a service run) allocates about 129 KB
+// run (132 tasks, the size of a service run) allocates about 122 KB
 // once its run state is sized to its task count; a full 4096-slot
 // run-state chunk alone is about 1.4 MB. ~4x headroom.
 const maxSmallRunBytes = 512 << 10
@@ -163,9 +163,9 @@ func TestSmallRunBytesBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d tasks: %d bytes per run", len(replay.Tasks()), perRun)
+	t.Logf("%d tasks: %d bytes per run", replay.NumTasks(), perRun)
 	if perRun > maxSmallRunBytes {
 		t.Errorf("a %d-task run allocates %d bytes, budget %d — small runs pay for full-size run state",
-			len(replay.Tasks()), perRun, maxSmallRunBytes)
+			replay.NumTasks(), perRun, maxSmallRunBytes)
 	}
 }

@@ -13,11 +13,7 @@ import (
 // methodology (and benchkit's).
 func benchTrace(b *testing.B, jobs int) *trace.Trace {
 	b.Helper()
-	tr := trace.Generate(trace.DefaultGenConfig(7, jobs)).BatchJobs()
-	if err := tr.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	return tr
+	return trace.Generate(trace.DefaultGenConfig(7, jobs)).BatchJobs()
 }
 
 // saturatedGen is the dispatch-storm regime: short bag-of-tasks work

@@ -102,7 +102,7 @@ type Config struct {
 	// process for every task. The returned process must be deterministic
 	// given the task (the oracle estimator previews a second instance and
 	// paired runs rely on identical draws).
-	FailureModel func(t *trace.Task) failure.Process
+	FailureModel func(t trace.Task) failure.Process
 	// LocalBackend / SharedBackend, when non-nil, replace the built-in
 	// checkpoint storage devices (Mode still decides which one each task
 	// uses). Backends are driven from the simulation goroutine only.
@@ -121,7 +121,7 @@ type Config struct {
 // TaskEstimator supplies per-task failure statistics to the planner,
 // superseding the built-in history/oracle estimators when set.
 type TaskEstimator interface {
-	EstimateTask(t *trace.Task) core.Estimate
+	EstimateTask(t trace.Task) core.Estimate
 }
 
 // Predictor estimates a task's productive length for planning.
@@ -129,7 +129,7 @@ type TaskEstimator interface {
 // free of a dependency cycle.
 type Predictor interface {
 	Name() string
-	Predict(t *trace.Task) float64
+	Predict(t trace.Task) float64
 }
 
 // NeedsHistory reports whether a run under c plans from a history
@@ -171,7 +171,8 @@ func (c Config) withDefaults() Config {
 // reads when cfg.NeedsHistory(); the caller builds it, usually from the
 // replayed trace itself (the paper estimates MNOF/MTBF from the trace it
 // replays), though it may come from a different (training) trace or be
-// shared across runs.
+// shared across runs. The run replays the jobs tr selects (a view such
+// as tr.BatchJobs() replays only those).
 //
 // Cancellation is cooperative: the event loop polls ctx between event
 // chunks and returns ctx.Err() (with a nil Result) as soon as the
@@ -182,22 +183,18 @@ func RunWithEstimatorContext(ctx context.Context, cfg Config, tr *trace.Trace, e
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("engine: Config.Policy is required")
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
 	return runWithEstimator(ctx, cfg, tr, est)
 }
 
-// The engine's working state is columnar: every task of the replayed
-// trace has a dense uint32 handle (assigned by trace.BuildTable), and
-// all hot per-task state lives in handle-indexed taskRun entries, in
-// fixed-size chunks that materialize on first submission and free when
-// their last task completes. Results are written once, at completion:
-// each task's TaskOutcome goes into its job's next slot of one
-// run-long slab, so every job's records sit in completion order. The
-// event loop, dispatch queue, and simulator callbacks carry only
-// handles; string task/job IDs are never hashed, compared, or even
-// read between trace materialization and result serialization.
+// The engine's working state is columnar: it reads the trace's own
+// handle-indexed columns, and all hot per-task state lives in
+// handle-indexed taskRun entries, in fixed-size chunks that materialize
+// on first submission and free when their last task completes. Results
+// are written once, at completion: each task's TaskOutcome goes into
+// its job's next slot of one run-long slab, so every job's records sit
+// in completion order. The event loop, dispatch queue, and simulator
+// callbacks carry only handles; string task/job IDs are never hashed or
+// compared, and are read only into the result records.
 const (
 	runChunkShift = 12
 	runChunkSize  = 1 << runChunkShift
@@ -211,7 +208,7 @@ type engineState struct {
 	local  storage.Backend
 	shared storage.Backend
 	est    *core.HistoryEstimator
-	tab    *trace.Table
+	tr     *trace.Trace
 	queue  cluster.PendingQueue[uint32]
 	result *Result
 
@@ -233,8 +230,9 @@ type engineState struct {
 	// failure draws of a run allocate O(max concurrent tasks) backings,
 	// not one per task.
 	freeTimes [][]float64
-	// jobResults is the job result slab; each job's Tasks is its window
-	// of the run's one TaskOutcome slab.
+	// jobResults is the job result slab, indexed by job handle; each
+	// replayed job's Tasks is its window of the run's one TaskOutcome
+	// slab.
 	jobResults []JobResult
 
 	// writes is the slab of in-flight non-blocking checkpoint records,
@@ -300,9 +298,9 @@ func (e *engineState) crashHost(hostID int) {
 		}
 	}
 	// Deterministic order, matching the pre-columnar engine: victims
-	// sorted by their interned task ID.
+	// sorted by their task ID.
 	sort.Slice(victims, func(i, j int) bool {
-		return e.tab.TaskID(victims[i]) < e.tab.TaskID(victims[j])
+		return e.tr.TaskID(victims[i]) < e.tr.TaskID(victims[j])
 	})
 	for _, h := range victims {
 		e.interrupt(e.run(h), now)
@@ -315,40 +313,50 @@ func (e *engineState) crashHost(hostID int) {
 
 func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *core.HistoryEstimator) (*Result, error) {
 	rng := simeng.NewRNG(cfg.Seed)
-	tab := trace.BuildTable(tr)
-	nTasks := tab.NumTasks()
-	nJobs := tab.NumJobs()
-	nChunks := (nTasks + runChunkSize - 1) / runChunkSize
+	// Run state is indexed by handle, so it spans every task of the
+	// columns; chunks of unselected tasks are never materialized.
+	handles := len(tr.Len)
+	nChunks := (handles + runChunkSize - 1) / runChunkSize
+	nJobs := tr.NumJobs()
 	e := &engineState{
 		cfg:        cfg,
 		sim:        simeng.NewSimulator(),
 		cl:         cluster.New(cfg.Hosts, cfg.HostMemMB),
 		est:        est,
-		tab:        tab,
+		tr:         tr,
 		runChunks:  make([][]taskRun, nChunks),
 		chunkLive:  make([]int32, nChunks),
-		chunkLen:   min(runChunkSize, nTasks),
-		jobResults: make([]JobResult, nJobs),
+		chunkLen:   min(runChunkSize, handles),
+		jobResults: make([]JobResult, len(tr.Arrival)),
 		result:     &Result{PolicyName: cfg.Policy.Name(), Jobs: make([]*JobResult, nJobs)},
 	}
 	// Each job's Tasks is its window of one slab, with the job's task
 	// count as capacity: completion fills it in place, and a caller
 	// appending to a finished job's slice reallocates instead of
 	// overwriting the next job's records.
-	outcomes := make([]TaskOutcome, nTasks)
-	for j := 0; j < nJobs; j++ {
+	outcomes := make([]TaskOutcome, tr.NumTasks())
+	next := 0
+	for i := 0; i < nJobs; i++ {
+		j := tr.Job(i)
+		first, limit := tr.TasksOf(j)
+		n := int(limit - first)
 		jr := &e.jobResults[j]
-		jr.Job = tab.Job(uint32(j))
-		first, limit := tab.TasksOf(uint32(j))
-		jr.Tasks = outcomes[first:first:limit]
-		e.result.Jobs[j] = jr
+		*jr = JobResult{
+			ID:         tr.JobID(j),
+			Structure:  tr.Structure(j),
+			Priority:   tr.JobPrio[j],
+			ArrivalSec: tr.Arrival[j],
+			Tasks:      outcomes[next : next : next+n],
+		}
+		next += n
+		e.result.Jobs[i] = jr
 	}
 	e.dispatchFn = func() {
 		e.dispatchPending = false
 		e.dispatch()
 	}
 	e.fitsFn = func(h uint32) bool {
-		return e.cl.AcquirePreview(e.tab.Mem[h], int(e.run(h).excludeHost))
+		return e.cl.AcquirePreview(e.tr.Mem[h], int(e.run(h).excludeHost))
 	}
 	e.arriveFn = e.jobArrive
 	e.taskFireFn = e.taskFire
@@ -375,7 +383,7 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 	// arrival-ordered job handles (each firing schedules the next), so
 	// the event heap holds O(active) events instead of one per job.
 	if nJobs > 0 {
-		e.sim.ScheduleIndexed(tab.Arrival[0], 0, e.arriveFn, 0)
+		e.sim.ScheduleIndexed(tr.Arrival[tr.Job(0)], 0, e.arriveFn, 0)
 	}
 
 	if cfg.HostMTBF > 0 {
@@ -392,9 +400,9 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 	}
 
 	for _, jr := range e.result.Jobs {
-		if len(jr.Tasks) != len(jr.Job.Tasks) {
+		if len(jr.Tasks) != cap(jr.Tasks) {
 			return nil, fmt.Errorf("engine: job %s finished %d/%d tasks",
-				jr.Job.ID, len(jr.Tasks), len(jr.Job.Tasks))
+				jr.ID, len(jr.Tasks), cap(jr.Tasks))
 		}
 	}
 	// Makespan is the last job completion; the raw event clock may run
@@ -436,14 +444,15 @@ func (e *engineState) drive(ctx context.Context) error {
 	}
 }
 
-// jobArrive fires job j's arrival: it chains the next job's arrival
-// event and submits j's initial task set.
-func (e *engineState) jobArrive(j uint32) {
-	if next := j + 1; next < uint32(e.tab.NumJobs()) {
-		e.sim.ScheduleIndexed(e.tab.Arrival[next], 0, e.arriveFn, next)
+// jobArrive fires the arrival of the i-th replayed job: it chains the
+// next job's arrival event and submits the job's initial task set.
+func (e *engineState) jobArrive(i uint32) {
+	if next := i + 1; int(next) < e.tr.NumJobs() {
+		e.sim.ScheduleIndexed(e.tr.Arrival[e.tr.Job(int(next))], 0, e.arriveFn, next)
 	}
-	first, limit := e.tab.TasksOf(j)
-	if e.tab.Sequential[j] {
+	j := e.tr.Job(int(i))
+	first, limit := e.tr.TasksOf(j)
+	if e.tr.Sequential[j] {
 		e.submitTask(first)
 		return
 	}
@@ -465,7 +474,7 @@ func (e *engineState) submitTask(h uint32) {
 	}
 	e.chunkLive[c]++
 	e.initRun(&e.runChunks[c][h&runChunkMask], h, e.sim.Now())
-	e.queue.PushFresh(h, e.tab.Mem[h])
+	e.queue.PushFresh(h, e.tr.Mem[h])
 	e.scheduleDispatch()
 }
 
@@ -498,10 +507,10 @@ func (e *engineState) dispatch() {
 			return
 		}
 		r := e.run(h)
-		p := e.cl.AcquireExcluding(e.tab.Mem[h], int(r.excludeHost))
+		p := e.cl.AcquireExcluding(e.tr.Mem[h], int(r.excludeHost))
 		if p == nil {
 			// Lost a race within this dispatch pass; requeue and stop.
-			e.queue.PushRestart(h, e.tab.Mem[h])
+			e.queue.PushRestart(h, e.tr.Mem[h])
 			return
 		}
 		e.start(r, p, e.sim.Now()+e.cfg.ScheduleDelay)
@@ -512,7 +521,7 @@ func (e *engineState) dispatch() {
 // slot, frees its run slot, advances ST chains, and triggers dispatch.
 func (e *engineState) onTaskDone(r *taskRun, now float64) {
 	h := r.h
-	j := e.tab.JobOf[h]
+	j := e.tr.JobOf[h]
 	jr := &e.jobResults[j]
 	n := len(jr.Tasks)
 	jr.Tasks = jr.Tasks[:n+1]
@@ -521,9 +530,9 @@ func (e *engineState) onTaskDone(r *taskRun, now float64) {
 		jr.DoneAt = now
 	}
 
-	if e.tab.Sequential[j] {
+	if e.tr.Sequential[j] {
 		// Handles are dense in task order, so the ST successor is h+1.
-		if next := h + 1; next < e.tab.FirstTask[j+1] {
+		if next := h + 1; next < e.tr.FirstTask[j+1] {
 			e.submitTask(next)
 		}
 	}
@@ -542,58 +551,43 @@ func (e *engineState) onTaskDone(r *taskRun, now float64) {
 	e.scheduleDispatch()
 }
 
-// newFailureProcess builds a standalone failure process for a task,
+// newFailureProcess builds a standalone failure process for task h,
 // honoring a plugged-in failure model — the heap-allocating variant
 // used for oracle previews (the run's own process lives in its slab
 // entry; see start).
-func (e *engineState) newFailureProcess(t *trace.Task) failure.Process {
+func (e *engineState) newFailureProcess(h uint32) failure.Process {
 	if e.cfg.FailureModel != nil {
-		return e.cfg.FailureModel(t)
+		return e.cfg.FailureModel(e.tr.Task(h))
 	}
-	return trace.NewFailureProcess(t)
+	return trace.NewFailureProcess(e.tr.Task(h))
 }
 
-// estimateFor produces the failure Estimate a policy sees for a task.
-func (e *engineState) estimateFor(t *trace.Task) core.Estimate {
+// estimateFor produces the failure Estimate a policy sees for task h
+// at the given priority: its own, or its new one after a mid-run
+// change.
+func (e *engineState) estimateFor(h uint32, priority int) core.Estimate {
 	if e.cfg.CustomEstimator != nil {
+		t := e.tr.Task(h)
+		t.Priority = priority
 		return e.cfg.CustomEstimator.EstimateTask(t)
 	}
 	if e.cfg.Estimates == EstimateOracle {
-		return e.oracleEstimate(t)
+		// The oracle knows the task's process, switch included.
+		return e.oracleEstimate(h)
 	}
 	if e.est == nil {
 		return core.Estimate{}
 	}
-	return trace.EstimateFor(e.est, t, e.cfg.Limits)
+	return trace.EstimateFor(e.est, priority, e.tr.Len[h], e.cfg.Limits)
 }
 
-// estimateForPriority returns the group estimate a task would get if it
-// had the given priority (used on mid-run priority changes).
-func (e *engineState) estimateForPriority(t *trace.Task, priority int) core.Estimate {
-	if e.cfg.CustomEstimator != nil {
-		probe := *t
-		probe.Priority = priority
-		return e.cfg.CustomEstimator.EstimateTask(&probe)
-	}
-	if e.cfg.Estimates == EstimateOracle {
-		// The oracle already knows the switched process; re-derive.
-		return e.oracleEstimate(t)
-	}
-	if e.est == nil {
-		return core.Estimate{}
-	}
-	probe := *t
-	probe.Priority = priority
-	return trace.EstimateFor(e.est, &probe, e.cfg.Limits)
-}
-
-// oracleEstimate previews the task's own failure process — which is
+// oracleEstimate previews task h's own failure process — which is
 // deterministic given its seed — over a horizon slightly beyond its
 // productive length, and returns the realized statistics: the paper's
 // "precise prediction" of MNOF and MTBF.
-func (e *engineState) oracleEstimate(t *trace.Task) core.Estimate {
-	proc := e.newFailureProcess(t)
-	horizon := t.LengthSec
+func (e *engineState) oracleEstimate(h uint32) core.Estimate {
+	proc := e.newFailureProcess(h)
+	horizon := e.tr.Len[h]
 	var (
 		count     int
 		sum, prev float64
@@ -616,32 +610,33 @@ func (e *engineState) oracleEstimate(t *trace.Task) core.Estimate {
 	return est
 }
 
-// chooseBackend applies the configured storage mode for one task,
+// chooseBackend applies the configured storage mode for task h,
 // additionally reporting whether the choice is the shared backend (the
 // run records the backend as one bit, not an interface).
-func (e *engineState) chooseBackend(t *trace.Task, est core.Estimate) (storage.Backend, bool) {
+func (e *engineState) chooseBackend(h uint32, est core.Estimate) (storage.Backend, bool) {
 	switch e.cfg.Mode {
 	case StorageLocal:
 		return e.local, false
 	case StorageShared:
 		return e.shared, true
 	}
+	mem, length := e.tr.Mem[h], e.tr.Len[h]
 	costs := core.StorageCosts{
-		Cl: storage.PlannedCheckpointCost(e.local, t.MemMB),
-		Rl: storage.PlannedRestartCost(e.local, t.MemMB),
-		Cs: storage.PlannedCheckpointCost(e.shared, t.MemMB),
-		Rs: storage.PlannedRestartCost(e.shared, t.MemMB),
+		Cl: storage.PlannedCheckpointCost(e.local, mem),
+		Rl: storage.PlannedRestartCost(e.local, mem),
+		Cs: storage.PlannedCheckpointCost(e.shared, mem),
+		Rs: storage.PlannedRestartCost(e.shared, mem),
 	}
 	mnof := est.MNOF
 	if mnof <= 0 && est.MTBF > 0 {
-		mnof = core.MNOFFromMTBF(t.LengthSec, est.MTBF)
+		mnof = core.MNOFFromMTBF(length, est.MTBF)
 	}
 	if mnof <= 0 {
 		// No failure expectation: checkpointing cost dominates; local
 		// is never worse.
 		return e.local, false
 	}
-	choice, _, _ := core.CompareStorage(t.LengthSec, mnof, costs)
+	choice, _, _ := core.CompareStorage(length, mnof, costs)
 	if choice == core.ChooseLocal {
 		return e.local, false
 	}

@@ -17,11 +17,13 @@ func smallTrace(t *testing.T, seed uint64, jobs int) *trace.Trace {
 	// Engine tests exercise the batch execution path; day-scale service
 	// tasks only slow the simulations down without adding coverage.
 	cfg.ServiceFraction = -1
-	tr := trace.Generate(cfg)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return trace.Generate(cfg)
+}
+
+// jobTasks returns the task count of tr's i-th replayed job.
+func jobTasks(tr *trace.Trace, i int) int {
+	first, limit := tr.TasksOf(tr.Job(i))
+	return int(limit - first)
 }
 
 // run builds the history estimator cfg needs from the replayed trace,
@@ -49,12 +51,12 @@ func TestRunCompletesAllJobs(t *testing.T) {
 	if len(res.Jobs) != 120 {
 		t.Fatalf("got %d job results", len(res.Jobs))
 	}
-	for _, jr := range res.Jobs {
-		if len(jr.Tasks) != len(jr.Job.Tasks) {
-			t.Fatalf("job %s finished %d/%d tasks", jr.Job.ID, len(jr.Tasks), len(jr.Job.Tasks))
+	for i, jr := range res.Jobs {
+		if len(jr.Tasks) != jobTasks(tr, i) {
+			t.Fatalf("job %s finished %d/%d tasks", jr.ID, len(jr.Tasks), jobTasks(tr, i))
 		}
-		if jr.DoneAt < jr.Job.ArrivalSec {
-			t.Fatalf("job %s done before arrival", jr.Job.ID)
+		if jr.DoneAt < jr.ArrivalSec {
+			t.Fatalf("job %s done before arrival", jr.ID)
 		}
 	}
 	if res.MakespanSec <= 0 || res.Events == 0 {
@@ -112,7 +114,7 @@ func TestWPRNeverExceedsOne(t *testing.T) {
 		res := mustRun(t, Config{Seed: 4, Policy: policy}, tr)
 		for _, jr := range res.Jobs {
 			if w := jr.WPR(); w > 1+1e-9 || w <= 0 {
-				t.Fatalf("%s: job %s WPR = %v", policy.Name(), jr.Job.ID, w)
+				t.Fatalf("%s: job %s WPR = %v", policy.Name(), jr.ID, w)
 			}
 			for _, tres := range jr.Tasks {
 				if w := tres.WPR; w > 1+1e-9 || w <= 0 {
@@ -185,22 +187,23 @@ func TestFixedCountPolicyTakesExactCheckpoints(t *testing.T) {
 func TestSequentialJobOrdering(t *testing.T) {
 	tr := smallTrace(t, 6, 80)
 	res := mustRun(t, Config{Seed: 6, Policy: core.MNOFPolicy{}}, tr)
-	for _, jr := range res.Jobs {
-		if jr.Job.Structure != trace.Sequential {
+	for i, jr := range res.Jobs {
+		if jr.Structure != trace.Sequential {
 			continue
 		}
 		byID := make(map[string]*TaskOutcome)
 		for k := range jr.Tasks {
 			byID[jr.Tasks[k].ID] = &jr.Tasks[k]
 		}
-		for i := 1; i < len(jr.Job.Tasks); i++ {
-			prev, cur := byID[jr.Job.Tasks[i-1].ID], byID[jr.Job.Tasks[i].ID]
+		first, limit := tr.TasksOf(tr.Job(i))
+		for h := first + 1; h < limit; h++ {
+			prev, cur := byID[tr.TaskID(h-1)], byID[tr.TaskID(h)]
 			if prev == nil || cur == nil {
-				t.Fatalf("job %s missing task results", jr.Job.ID)
+				t.Fatalf("job %s missing task results", jr.ID)
 			}
 			if cur.SubmitAt < prev.DoneAt-1e-9 {
 				t.Fatalf("job %s: task %d submitted at %v before task %d done at %v",
-					jr.Job.ID, i, cur.SubmitAt, i-1, prev.DoneAt)
+					jr.ID, h-first, cur.SubmitAt, h-first-1, prev.DoneAt)
 			}
 		}
 	}
@@ -302,7 +305,7 @@ func TestPairJobsAlignment(t *testing.T) {
 		t.Fatalf("%d pairs", len(pairs))
 	}
 	for _, p := range pairs {
-		if p[0].Job.ID != p[1].Job.ID {
+		if p[0].ID != p[1].ID {
 			t.Fatal("pair misaligned")
 		}
 	}

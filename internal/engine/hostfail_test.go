@@ -13,10 +13,10 @@ func TestHostFailuresAllJobsStillComplete(t *testing.T) {
 		Policy:   core.MNOFPolicy{},
 		HostMTBF: 2000, // aggressive: one crash every ~33 simulated minutes
 	}, tr)
-	for _, jr := range res.Jobs {
-		if len(jr.Tasks) != len(jr.Job.Tasks) {
+	for i, jr := range res.Jobs {
+		if len(jr.Tasks) != jobTasks(tr, i) {
 			t.Fatalf("job %s finished %d/%d tasks under host failures",
-				jr.Job.ID, len(jr.Tasks), len(jr.Job.Tasks))
+				jr.ID, len(jr.Tasks), jobTasks(tr, i))
 		}
 	}
 }
@@ -77,9 +77,9 @@ func TestSingleHostClusterSurvivesTaskFailures(t *testing.T) {
 		Hosts:     1,
 		HostMemMB: 64 * 1024,
 	}, tr)
-	for _, jr := range res.Jobs {
-		if len(jr.Tasks) != len(jr.Job.Tasks) {
-			t.Fatalf("job %s incomplete on single-host cluster", jr.Job.ID)
+	for i, jr := range res.Jobs {
+		if len(jr.Tasks) != jobTasks(tr, i) {
+			t.Fatalf("job %s incomplete on single-host cluster", jr.ID)
 		}
 	}
 }

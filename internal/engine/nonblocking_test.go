@@ -13,9 +13,9 @@ func TestNonBlockingCheckpointsComplete(t *testing.T) {
 		Policy:                 core.MNOFPolicy{},
 		NonBlockingCheckpoints: true,
 	}, tr)
-	for _, jr := range res.Jobs {
-		if len(jr.Tasks) != len(jr.Job.Tasks) {
-			t.Fatalf("job %s incomplete under non-blocking checkpoints", jr.Job.ID)
+	for i, jr := range res.Jobs {
+		if len(jr.Tasks) != jobTasks(tr, i) {
+			t.Fatalf("job %s incomplete under non-blocking checkpoints", jr.ID)
 		}
 	}
 	// Hidden cost must be recorded, blocking cost must be zero.
@@ -78,9 +78,9 @@ func TestNonBlockingWithHostCrashes(t *testing.T) {
 		Seed: 34, Policy: core.MNOFPolicy{},
 		NonBlockingCheckpoints: true, HostMTBF: 1500,
 	}, tr)
-	for _, jr := range res.Jobs {
-		if len(jr.Tasks) != len(jr.Job.Tasks) {
-			t.Fatalf("job %s incomplete under crashes + async checkpoints", jr.Job.ID)
+	for i, jr := range res.Jobs {
+		if len(jr.Tasks) != jobTasks(tr, i) {
+			t.Fatalf("job %s incomplete under crashes + async checkpoints", jr.ID)
 		}
 	}
 }

@@ -65,7 +65,11 @@ type JobOutcome struct {
 
 // JobResult captures one job's execution outcome.
 type JobResult struct {
-	Job *trace.Job
+	// ID, Structure, Priority and ArrivalSec are the job's trace fields.
+	ID         string
+	Structure  trace.JobStructure
+	Priority   int
+	ArrivalSec float64
 	// DoneAt is when the job's last task completed.
 	DoneAt float64
 	// Tasks are the job's task records in completion order: the job's
@@ -76,7 +80,7 @@ type JobResult struct {
 // Wall returns the job's wall-clock length from submission to final
 // completion — the denominator of the paper's Formula 9 for makespan
 // plots (Figures 12-13).
-func (r *JobResult) Wall() float64 { return r.DoneAt - r.Job.ArrivalSec }
+func (r *JobResult) Wall() float64 { return r.DoneAt - r.ArrivalSec }
 
 // WPR returns the job's Workload-Processing Ratio: the job's processed
 // workload over the wall-clock lengths of its tasks,
@@ -152,12 +156,12 @@ func (r *Result) MeanWPR(keep func(*JobResult) bool) float64 {
 
 // ByStructure filters jobs by structure.
 func ByStructure(s trace.JobStructure) func(*JobResult) bool {
-	return func(j *JobResult) bool { return j.Job.Structure == s }
+	return func(j *JobResult) bool { return j.Structure == s }
 }
 
 // ByPriority filters jobs by priority.
 func ByPriority(p int) func(*JobResult) bool {
-	return func(j *JobResult) bool { return j.Job.Priority == p }
+	return func(j *JobResult) bool { return j.Priority == p }
 }
 
 // WithFailures filters jobs that experienced at least one failure — the
@@ -172,8 +176,8 @@ func WithFailures(j *JobResult) bool { return j.Failures() > 0 }
 // Figures 11-12.
 func ByMaxTaskLength(limit float64) func(*JobResult) bool {
 	return func(j *JobResult) bool {
-		for _, t := range j.Job.Tasks {
-			if t.LengthSec > limit {
+		for i := range j.Tasks {
+			if j.Tasks[i].LengthSec > limit {
 				return false
 			}
 		}
@@ -202,9 +206,9 @@ func PairJobs(a, b *Result) ([][2]*JobResult, error) {
 	}
 	pairs := make([][2]*JobResult, len(a.Jobs))
 	for i := range a.Jobs {
-		if a.Jobs[i].Job.ID != b.Jobs[i].Job.ID {
+		if a.Jobs[i].ID != b.Jobs[i].ID {
 			return nil, fmt.Errorf("engine: job order mismatch at %d: %s vs %s",
-				i, a.Jobs[i].Job.ID, b.Jobs[i].Job.ID)
+				i, a.Jobs[i].ID, b.Jobs[i].ID)
 		}
 		pairs[i] = [2]*JobResult{a.Jobs[i], b.Jobs[i]}
 	}

@@ -77,7 +77,7 @@ const (
 // restarting).
 //
 // The entry is deliberately compact and self-contained: trace-constant
-// fields (length, memory, change point) are read from the table
+// fields (length, memory, change point) are read from the trace's
 // columns, the outcome accumulates in tot until completion writes it
 // out, and the default failure process lives in the entry itself
 // (renewal/procRNG/pareto), so running one task touches a handful of
@@ -157,17 +157,18 @@ type outcomeTotals struct {
 
 // writeOutcome fills o with the finished task's record.
 func (e *engineState) writeOutcome(o *TaskOutcome, r *taskRun, now float64) {
-	t := e.tab.Task(r.h)
+	h := r.h
+	length := e.tr.Len[h]
 	wall := now - r.startAt
-	wpr := t.LengthSec / wall
+	wpr := length / wall
 	if wall <= 0 {
 		wpr = 1
 	}
 	*o = TaskOutcome{
-		ID:                      t.ID,
-		Priority:                t.Priority,
-		LengthSec:               t.LengthSec,
-		MemMB:                   t.MemMB,
+		ID:                      e.tr.TaskID(h),
+		Priority:                int(e.tr.Prio[h]),
+		LengthSec:               length,
+		MemMB:                   e.tr.Mem[h],
 		SubmitAt:                r.tot.submitAt,
 		StartAt:                 r.startAt,
 		DoneAt:                  now,
@@ -308,7 +309,7 @@ func (e *engineState) taskFire(h uint32) {
 		r.flags &^= flagComputing
 		milestone := r.param
 		r.progress = milestone
-		length := e.tab.Len[h]
+		length := e.tr.Len[h]
 		switch {
 		case milestone == length:
 			e.complete(r)
@@ -331,7 +332,7 @@ func (e *engineState) taskFire(h uint32) {
 	case actRequeue:
 		// The polling thread detected the interruption; the task
 		// re-enters the queue's restart lane.
-		e.queue.PushRestart(h, e.tab.Mem[h])
+		e.queue.PushRestart(h, e.tr.Mem[h])
 		e.scheduleDispatch()
 	}
 }
@@ -341,8 +342,8 @@ func (e *engineState) taskFire(h uint32) {
 // one stepTask uses to pick the milestone, so the classification
 // compares bit-identical floats.
 func (e *engineState) changePoint(r *taskRun) float64 {
-	if e.tab.ChangePrio[r.h] != 0 && r.flags&flagChangeFired == 0 {
-		return e.tab.Len[r.h] * e.tab.ChangeFrac[r.h]
+	if e.tr.ChangePrio[r.h] != 0 && r.flags&flagChangeFired == 0 {
+		return e.tr.Len[r.h] * e.tr.ChangeFrac[r.h]
 	}
 	return math.Inf(1)
 }
@@ -370,25 +371,24 @@ func (e *engineState) interrupt(r *taskRun, now float64) {
 // initRun initializes task h's slab entry at submission time (the
 // pre-slab engine's newTaskRun).
 func (e *engineState) initRun(r *taskRun, h uint32, now float64) {
-	t := e.tab.Task(h)
-	est := e.estimateFor(t)
+	est := e.estimateFor(h, int(e.tr.Prio[h]))
 	r.tot.submitAt = now
 
 	r.h = h
 	r.excludeHost = -1
 	r.writeHead, r.writeTail = -1, -1
 	r.waitingSince = now
-	backend, shared := e.chooseBackend(t, est)
+	backend, shared := e.chooseBackend(h, est)
 	if shared {
 		r.flags |= flagShared
 	}
 	if backend.Kind() != storage.KindLocal {
 		r.flags |= flagUsedShared
 	}
-	r.ckptCost = storage.PlannedCheckpointCost(backend, t.MemMB)
-	r.plannedLen = t.LengthSec
+	r.ckptCost = storage.PlannedCheckpointCost(backend, e.tr.Mem[h])
+	r.plannedLen = e.tr.Len[h]
 	if e.cfg.Predictor != nil {
-		r.plannedLen = e.cfg.Predictor.Predict(t)
+		r.plannedLen = e.cfg.Predictor.Predict(e.tr.Task(h))
 		if r.plannedLen < 1 {
 			r.plannedLen = 1
 		}
@@ -430,7 +430,7 @@ func (e *engineState) start(r *taskRun, p *cluster.Placement, at float64) {
 		r.flags |= flagStarted
 		r.startAt, r.failRel = at, math.Inf(-1)
 		if e.cfg.FailureModel != nil {
-			r.proc = e.cfg.FailureModel(e.tab.Task(r.h))
+			r.proc = e.cfg.FailureModel(e.tr.Task(r.h))
 		} else {
 			if n := len(e.freeTimes); n > 0 {
 				r.renewal.AttachTimes(e.freeTimes[n-1])
@@ -438,8 +438,8 @@ func (e *engineState) start(r *taskRun, p *cluster.Placement, at float64) {
 				e.freeTimes = e.freeTimes[:n-1]
 			}
 			h := r.h
-			r.proc = trace.InitFailureProcess(int(e.tab.Prio[h]), e.tab.Len[h], e.tab.Seed[h],
-				int(e.tab.ChangePrio[h]), e.tab.ChangeFrac[h], &r.renewal, &r.procRNG, &r.pareto)
+			r.proc = trace.InitFailureProcess(int(e.tr.Prio[h]), e.tr.Len[h], e.tr.Seed[h],
+				int(e.tr.ChangePrio[h]), e.tr.ChangeFrac[h], &r.renewal, &r.procRNG, &r.pareto)
 			if r.proc == &r.renewal {
 				r.flags |= flagRenewal
 			}
@@ -447,7 +447,7 @@ func (e *engineState) start(r *taskRun, p *cluster.Placement, at float64) {
 	} else if r.flags&flagHasImage != 0 {
 		// Restore from the checkpoint image: restart cost by migration
 		// type (Table 5 via the backend that holds the image).
-		restart := e.backendOf(r).RestartCost(e.tab.Mem[r.h])
+		restart := e.backendOf(r).RestartCost(e.tr.Mem[r.h])
 		r.tot.restartCost += restart
 		at += restart
 	}
@@ -488,7 +488,7 @@ func (e *engineState) stepTask(r *taskRun) {
 	now := e.sim.Now()
 
 	// Next productive milestone.
-	length := e.tab.Len[r.h]
+	length := e.tr.Len[r.h]
 	changeAt := e.changePoint(r)
 	ckptAt := r.nextCkpt
 	if r.intervals <= 1 {
@@ -578,9 +578,7 @@ func (e *engineState) failAndRequeue(r *taskRun, now float64) {
 func (e *engineState) onPriorityChange(r *taskRun) {
 	r.flags |= flagChangeFired
 	if e.cfg.Dynamic {
-		t := e.tab.Task(r.h)
-		newEst := e.estimateForPriority(t, t.Change.NewPriority)
-		e.replan(r, newEst)
+		e.replan(r, e.estimateFor(r.h, int(e.tr.ChangePrio[r.h])))
 	}
 	e.stepTask(r)
 }
@@ -594,7 +592,7 @@ func (e *engineState) beginCheckpoint(r *taskRun) {
 	if r.placement != nil {
 		hostID = r.placement.HostID
 	}
-	cost, release := e.backendOf(r).Begin(hostID, e.tab.Mem[r.h])
+	cost, release := e.backendOf(r).Begin(hostID, e.tr.Mem[r.h])
 	doneAt := now + cost
 	r.cleanup = release
 
@@ -624,7 +622,7 @@ func (e *engineState) finishCheckpoint(r *taskRun) {
 	}
 	if r.intervals > 1 {
 		r.intervals--
-	} else if r.progress < e.tab.Len[r.h]-r.w0 {
+	} else if r.progress < e.tr.Len[r.h]-r.w0 {
 		// The plan is exhausted but real work remains (the predictor
 		// under-estimated): extend the plan by one interval at the
 		// current spacing.
@@ -649,7 +647,7 @@ func (e *engineState) startAsyncCheckpoint(r *taskRun) {
 	if r.placement != nil {
 		hostID = r.placement.HostID
 	}
-	cost, release := e.backendOf(r).Begin(hostID, e.tab.Mem[r.h])
+	cost, release := e.backendOf(r).Begin(hostID, e.tr.Mem[r.h])
 	// Purge completed records into the free list, then append the new
 	// one at the tail of the task's write list.
 	e.purgeDoneWrites(r)
@@ -667,7 +665,7 @@ func (e *engineState) startAsyncCheckpoint(r *taskRun) {
 	// Advance the plan exactly as the blocking path does.
 	if r.intervals > 1 {
 		r.intervals--
-	} else if r.progress < e.tab.Len[r.h]-r.w0 {
+	} else if r.progress < e.tr.Len[r.h]-r.w0 {
 		r.intervals = 2
 	}
 	if r.intervals > 1 {

@@ -152,19 +152,20 @@ func AblationTheorem2(o Opts) (*AblationTheorem2Result, error) {
 	tr := trace.Generate(trace.DefaultGenConfig(o.Seed, o.jobs(400)))
 	est := trace.BuildEstimator(tr, trace.DefaultLengthLimits)
 	res := &AblationTheorem2Result{}
-	for _, task := range tr.Tasks() {
-		e := trace.EstimateFor(est, task, trace.DefaultLengthLimits)
+	for h := range tr.Tasks() {
+		length := tr.Len[h]
+		e := trace.EstimateFor(est, int(tr.Prio[h]), length, trace.DefaultLengthLimits)
 		if e.MNOF <= 0 {
 			continue
 		}
 		c := 1.0
-		adaptive := core.NewAdaptive(task.LengthSec, c, e, true)
+		adaptive := core.NewAdaptive(length, c, e, true)
 		res.Tasks++
 		res.RecomputesAdaptive += adaptive.Recomputes()
 
 		// Naive controller: recompute Formula 3 on the remaining work
 		// after every checkpoint.
-		remaining := task.LengthSec
+		remaining := length
 		mnof := e.MNOF
 		naiveSpacing := []float64{}
 		x := core.OptimalIntervalCount(remaining, mnof, c)

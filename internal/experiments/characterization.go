@@ -209,7 +209,13 @@ type SimultaneousResult struct {
 	Rows map[string][]SimultaneousRow
 }
 
-func measureSimultaneous(b storage.Backend, degrees, reps int, memMB float64) []SimultaneousRow {
+// batchBackend is a checkpoint device that can start fully-overlapping
+// writes: the built-in devices' BeginBatch.
+type batchBackend interface {
+	BeginBatch(hostIDs []int, memMB float64) (costs []float64, release func())
+}
+
+func measureSimultaneous(b batchBackend, degrees, reps int, memMB float64) []SimultaneousRow {
 	out := make([]SimultaneousRow, 0, degrees)
 	hostIDs := make([]int, 0, degrees)
 	for d := 1; d <= degrees; d++ {

@@ -29,10 +29,10 @@ type Fig8Result struct {
 // length for ST jobs, BoT jobs, and the mixture.
 func Fig8(o Opts) (*Fig8Result, error) {
 	tr := trace.Generate(trace.DefaultGenConfig(o.Seed, o.jobs(3000))).BatchJobs()
-	pops := map[string]func(*trace.Job) bool{
-		"ST job":          func(j *trace.Job) bool { return j.Structure == trace.Sequential },
-		"BoT job":         func(j *trace.Job) bool { return j.Structure == trace.BagOfTasks },
-		"mixture of both": func(j *trace.Job) bool { return true },
+	pops := map[string]func(j uint32) bool{
+		"ST job":          func(j uint32) bool { return tr.Sequential[j] },
+		"BoT job":         func(j uint32) bool { return !tr.Sequential[j] },
+		"mixture of both": func(uint32) bool { return true },
 	}
 	res := &Fig8Result{
 		MemCDF:       make(map[string][]stats.Point),
@@ -42,12 +42,13 @@ func Fig8(o Opts) (*Fig8Result, error) {
 	}
 	for name, keep := range pops {
 		var mems, lens []float64
-		for _, j := range tr.Jobs {
+		for i := 0; i < tr.NumJobs(); i++ {
+			j := tr.Job(i)
 			if !keep(j) {
 				continue
 			}
-			mems = append(mems, j.MaxMem())
-			lens = append(lens, j.CriticalPath())
+			mems = append(mems, tr.MaxMem(j))
+			lens = append(lens, tr.CriticalPath(j))
 		}
 		if len(mems) == 0 {
 			return nil, fmt.Errorf("fig8: empty population %q", name)
@@ -666,18 +667,10 @@ func Table7(o Opts) (*Table7Result, error) {
 	tr := trace.Generate(trace.DefaultGenConfig(o.Seed, o.jobs(3000)))
 	limits := trace.DefaultLengthLimits
 
-	// Build separate estimators per structure population.
-	split := func(keep func(*trace.Job) bool) *trace.Trace {
-		out := &trace.Trace{}
-		for _, j := range tr.Jobs {
-			if keep(j) {
-				out.Jobs = append(out.Jobs, j)
-			}
-		}
-		return out
-	}
-	estST := trace.BuildEstimator(split(func(j *trace.Job) bool { return j.Structure == trace.Sequential }), limits)
-	estBoT := trace.BuildEstimator(split(func(j *trace.Job) bool { return j.Structure == trace.BagOfTasks }), limits)
+	// Build separate estimators per structure population, each over a
+	// view of the one trace.
+	estST := trace.BuildEstimator(tr.Filter(func(j uint32) bool { return tr.Sequential[j] }), limits)
+	estBoT := trace.BuildEstimator(tr.Filter(func(j uint32) bool { return !tr.Sequential[j] }), limits)
 	estMix := trace.BuildEstimator(tr, limits)
 
 	res := &Table7Result{}

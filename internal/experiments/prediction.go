@@ -46,7 +46,7 @@ func AblationPrediction(o Opts) (*AblationPredictionResult, error) {
 	// cached one are identical; sweep.DefaultJobs keeps the sizes in
 	// agreement even if the workload ever stops pinning its own size.
 	replay := w.Materialize(o.Seed, sweep.DefaultJobs).BatchJobs()
-	reg, err := predict.TrainRegression(replay.Tasks(), 2)
+	reg, err := predict.TrainRegression(replay, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func AblationPrediction(o Opts) (*AblationPredictionResult, error) {
 		f3, young := results[2*i], results[2*i+1]
 		row := PredictionRow{
 			Predictor: p.Name(),
-			MARE:      predict.Evaluate(p.(predict.Predictor), replay.Tasks()),
+			MARE:      predict.Evaluate(p.(predict.Predictor), replay),
 			WPRF3:     f3.MeanWPR(engine.WithFailures),
 			WPRYoung:  young.MeanWPR(engine.WithFailures),
 		}

@@ -23,7 +23,7 @@ import (
 // Predictor estimates a task's productive length in seconds.
 type Predictor interface {
 	Name() string
-	Predict(t *trace.Task) float64
+	Predict(t trace.Task) float64
 }
 
 // Exact returns the true length — the idealized parser every other
@@ -34,7 +34,7 @@ type Exact struct{}
 func (Exact) Name() string { return "exact" }
 
 // Predict implements Predictor.
-func (Exact) Predict(t *trace.Task) float64 { return t.LengthSec }
+func (Exact) Predict(t trace.Task) float64 { return t.LengthSec }
 
 // Noisy multiplies the true length by mean-one log-normal noise with
 // the given log-scale Sigma, modeling an imperfect parser. The noise is
@@ -48,7 +48,7 @@ type Noisy struct {
 func (n Noisy) Name() string { return fmt.Sprintf("noisy(%.2g)", n.Sigma) }
 
 // Predict implements Predictor.
-func (n Noisy) Predict(t *trace.Task) float64 {
+func (n Noisy) Predict(t trace.Task) float64 {
 	if n.Sigma <= 0 {
 		return t.LengthSec
 	}
@@ -78,15 +78,15 @@ type Regression struct {
 }
 
 // TrainRegression fits a polynomial of the given degree to the
-// (ln InputUnits, ln LengthSec) pairs of the training tasks. Tasks
-// without a feature are skipped; an error is returned if fewer than
-// degree+1 usable pairs remain.
-func TrainRegression(tasks []*trace.Task, degree int) (*Regression, error) {
+// (ln InputUnits, ln LengthSec) pairs of the training trace's tasks.
+// Tasks without a feature are skipped; an error is returned if fewer
+// than degree+1 usable pairs remain.
+func TrainRegression(tr *trace.Trace, degree int) (*Regression, error) {
 	var xs, ys []float64
-	for _, t := range tasks {
-		if t.InputUnits > 0 && t.LengthSec > 0 {
-			xs = append(xs, math.Log(t.InputUnits))
-			ys = append(ys, math.Log(t.LengthSec))
+	for h := range tr.Tasks() {
+		if in, l := tr.Input[h], tr.Len[h]; in > 0 && l > 0 {
+			xs = append(xs, math.Log(in))
+			ys = append(ys, math.Log(l))
 		}
 	}
 	poly, err := stats.FitPolynomial(xs, ys, degree)
@@ -104,7 +104,7 @@ func (r *Regression) Name() string {
 // Predict implements Predictor. Tasks without a feature fall back to
 // their true length (the parser would refuse them; the engine needs a
 // number).
-func (r *Regression) Predict(t *trace.Task) float64 {
+func (r *Regression) Predict(t trace.Task) float64 {
 	if t.InputUnits <= 0 {
 		return t.LengthSec
 	}
@@ -116,14 +116,14 @@ func (r *Regression) Predict(t *trace.Task) float64 {
 }
 
 // Evaluate returns the mean absolute relative error of a predictor over
-// a task set.
-func Evaluate(p Predictor, tasks []*trace.Task) float64 {
-	if len(tasks) == 0 {
+// a trace's tasks.
+func Evaluate(p Predictor, tr *trace.Trace) float64 {
+	if tr.NumTasks() == 0 {
 		return math.NaN()
 	}
 	var sum float64
-	for _, t := range tasks {
-		sum += math.Abs(p.Predict(t)-t.LengthSec) / t.LengthSec
+	for h := range tr.Tasks() {
+		sum += math.Abs(p.Predict(tr.Task(h))-tr.Len[h]) / tr.Len[h]
 	}
-	return sum / float64(len(tasks))
+	return sum / float64(tr.NumTasks())
 }

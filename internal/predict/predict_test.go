@@ -2,32 +2,46 @@ package predict
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
 )
 
-func tasksFor(t *testing.T, n int) []*trace.Task {
-	t.Helper()
-	tr := trace.Generate(trace.DefaultGenConfig(31, n))
-	return tr.Tasks()
+func traceFor(n int) *trace.Trace {
+	return trace.Generate(trace.DefaultGenConfig(31, n))
+}
+
+// tasksOf returns every task of tr as a value.
+func tasksOf(tr *trace.Trace) []trace.Task {
+	var out []trace.Task
+	for h := range tr.Tasks() {
+		out = append(out, tr.Task(h))
+	}
+	return out
+}
+
+// none is a view of tr that selects no job.
+func none(tr *trace.Trace) *trace.Trace {
+	return tr.Filter(func(uint32) bool { return false })
 }
 
 func TestExactPredictor(t *testing.T) {
-	for _, task := range tasksFor(t, 50) {
+	for _, task := range tasksOf(traceFor(50)) {
 		if got := (Exact{}).Predict(task); got != task.LengthSec {
 			t.Fatalf("Exact.Predict = %v, want %v", got, task.LengthSec)
 		}
 	}
-	if Evaluate(Exact{}, tasksFor(t, 50)) != 0 {
+	if Evaluate(Exact{}, traceFor(50)) != 0 {
 		t.Fatal("Exact predictor has nonzero error")
 	}
 }
 
 func TestNoisyPredictorErrorScalesWithSigma(t *testing.T) {
-	tasks := tasksFor(t, 400)
-	small := Evaluate(Noisy{Sigma: 0.1}, tasks)
-	large := Evaluate(Noisy{Sigma: 0.8}, tasks)
+	tr := traceFor(400)
+	tasks := tasksOf(tr)
+	small := Evaluate(Noisy{Sigma: 0.1}, tr)
+	large := Evaluate(Noisy{Sigma: 0.8}, tr)
 	if small <= 0 || large <= small {
 		t.Fatalf("noise error not increasing: sigma 0.1 -> %v, sigma 0.8 -> %v", small, large)
 	}
@@ -43,7 +57,7 @@ func TestNoisyPredictorErrorScalesWithSigma(t *testing.T) {
 }
 
 func TestNoisyDeterministicPerTask(t *testing.T) {
-	tasks := tasksFor(t, 20)
+	tasks := tasksOf(traceFor(20))
 	p := Noisy{Sigma: 0.5}
 	for _, task := range tasks {
 		if p.Predict(task) != p.Predict(task) {
@@ -53,15 +67,16 @@ func TestNoisyDeterministicPerTask(t *testing.T) {
 }
 
 func TestNoisyZeroSigmaIsExact(t *testing.T) {
-	task := tasksFor(t, 1)[0]
+	task := tasksOf(traceFor(1))[0]
 	if got := (Noisy{}).Predict(task); got != task.LengthSec {
 		t.Fatalf("sigma=0 prediction %v != %v", got, task.LengthSec)
 	}
 }
 
 func TestRegressionLearnsQuadraticFeature(t *testing.T) {
-	tasks := tasksFor(t, 800)
-	train, test := tasks[:len(tasks)/2], tasks[len(tasks)/2:]
+	tr := traceFor(800)
+	train := tr.Filter(func(j uint32) bool { return j < 400 })
+	test := tr.Filter(func(j uint32) bool { return j >= 400 })
 	reg, err := TrainRegression(train, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -79,29 +94,32 @@ func TestRegressionLearnsQuadraticFeature(t *testing.T) {
 }
 
 func TestRegressionFallsBackWithoutFeature(t *testing.T) {
-	tasks := tasksFor(t, 200)
-	reg, err := TrainRegression(tasks, 2)
+	reg, err := TrainRegression(traceFor(200), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := &trace.Task{ID: "x", JobID: "x", Priority: 1, LengthSec: 123, MemMB: 10}
+	bare := trace.Task{ID: "x", JobID: "x", Priority: 1, LengthSec: 123, MemMB: 10}
 	if got := reg.Predict(bare); got != 123 {
 		t.Fatalf("fallback prediction = %v, want true length", got)
 	}
 }
 
 func TestTrainRegressionErrors(t *testing.T) {
-	if _, err := TrainRegression(nil, 2); err == nil {
+	if _, err := TrainRegression(none(traceFor(5)), 2); err == nil {
 		t.Fatal("empty training set accepted")
 	}
-	one := []*trace.Task{{ID: "a", JobID: "a", Priority: 1, LengthSec: 10, MemMB: 1, InputUnits: 3}}
+	one, err := trace.Read(strings.NewReader(`{"id":"a","structure":"ST","tasks":[` +
+		`{"id":"a.t","job_id":"a","priority":1,"length_sec":10,"mem_mb":1,"input_units":3}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := TrainRegression(one, 2); err == nil {
 		t.Fatal("underdetermined training set accepted")
 	}
 }
 
 func TestEvaluateEmpty(t *testing.T) {
-	if !math.IsNaN(Evaluate(Exact{}, nil)) {
+	if !math.IsNaN(Evaluate(Exact{}, none(traceFor(5)))) {
 		t.Fatal("Evaluate on empty set should be NaN")
 	}
 }

@@ -32,11 +32,11 @@ func TestWorkloadGenConfigOverrides(t *testing.T) {
 	}
 	// The compiled config must actually generate.
 	tr := trace.Generate(cfg)
-	if len(tr.Jobs) != 50 {
-		t.Fatalf("generated %d jobs, want 50", len(tr.Jobs))
+	if tr.NumJobs() != 50 {
+		t.Fatalf("generated %d jobs, want 50", tr.NumJobs())
 	}
-	for _, j := range tr.Jobs {
-		if j.Structure != trace.Sequential {
+	for _, seq := range tr.Sequential {
+		if !seq {
 			t.Fatal("BoTFraction -1 still produced bag-of-tasks jobs")
 		}
 	}

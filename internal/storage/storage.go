@@ -46,12 +46,6 @@ type Backend interface {
 	Kind() Kind
 	// Begin starts a checkpoint of memMB megabytes issued by hostID.
 	Begin(hostID int, memMB float64) (cost float64, release func())
-	// BeginBatch starts len(hostIDs) checkpoints that overlap fully in
-	// time (the paper's simultaneous-checkpointing methodology of
-	// Tables 2-3): every operation in the batch experiences the batch's
-	// full parallel degree on its server. The returned release ends all
-	// of them.
-	BeginBatch(hostIDs []int, memMB float64) (costs []float64, release func())
 	// RestartCost returns the cost of restarting a task of memMB from
 	// this backend onto any host (Table 5 semantics).
 	RestartCost(memMB float64) float64
@@ -156,8 +150,11 @@ func (l *LocalRamdisk) releaseFn(o *op) func() {
 	}
 }
 
-// BeginBatch implements Backend; local writes never contend, so the
-// batch is equivalent to independent Begins.
+// BeginBatch starts len(hostIDs) checkpoints that overlap fully in
+// time (the paper's simultaneous-checkpointing methodology of Tables
+// 2-3) and returns their costs and one release that ends all of them.
+// Local writes never contend, so the batch is equivalent to independent
+// Begins.
 func (l *LocalRamdisk) BeginBatch(hostIDs []int, memMB float64) ([]float64, func()) {
 	costs := make([]float64, len(hostIDs))
 	releases := make([]func(), len(hostIDs))
@@ -220,9 +217,9 @@ func (n *NFS) releaseFn(o *op) func() {
 	}
 }
 
-// BeginBatch implements Backend: all operations in the batch overlap
-// fully, so each one pays the congestion of the total degree (existing
-// in-flight operations plus the whole batch).
+// BeginBatch is LocalRamdisk.BeginBatch on NFS: all operations in the
+// batch overlap fully, so each one pays the congestion of the total
+// degree (existing in-flight operations plus the whole batch).
 func (n *NFS) BeginBatch(hostIDs []int, memMB float64) ([]float64, func()) {
 	k := len(hostIDs)
 	n.inFlight += k
@@ -304,8 +301,9 @@ func (d *DMNFS) releaseFn(o *op) func() {
 	}
 }
 
-// BeginBatch implements Backend: servers are assigned up front, then
-// every operation pays the congestion of its own server's final degree.
+// BeginBatch is LocalRamdisk.BeginBatch on DM-NFS: servers are
+// assigned up front, then every operation pays the congestion of its
+// own server's final degree.
 func (d *DMNFS) BeginBatch(hostIDs []int, memMB float64) ([]float64, func()) {
 	k := len(hostIDs)
 	servers := make([]int, k)

@@ -11,7 +11,9 @@ import (
 // measureParallel issues `degree` simultaneous checkpoints of memMB on
 // the backend and returns their costs, repeated reps times (the paper
 // runs each case 25 times).
-func measureParallel(b Backend, degree, reps int, memMB float64) []float64 {
+func measureParallel(b interface {
+	BeginBatch(hostIDs []int, memMB float64) ([]float64, func())
+}, degree, reps int, memMB float64) []float64 {
 	var costs []float64
 	hostIDs := make([]int, degree)
 	for i := range hostIDs {

@@ -11,21 +11,27 @@
 // these statistics, so the substitution preserves the behavior under
 // study.
 //
-// The package splits into four concerns:
+// The package splits into five concerns:
 //
-//   - types.go: the Trace/Job/Task model, validation, and the JSON-lines
-//     serialization used by cmd/tracegen;
+//   - trace.go: the Trace, the one in-memory form of a trace —
+//     handle-indexed task and job columns plus one string arena of IDs
+//     — its job-subset views (BatchJobs, Filter), and the JSON-lines
+//     serialization (Write, Read) used by cmd/tracegen;
+//   - types.go: the Job and Task values of that JSON-lines boundary
+//     and of the plug-in hooks, and their validation;
 //   - gen.go: the seeded synthetic generator (trace.Generate), whose
 //     per-job/per-task draws come from split RNG streams so any single
 //     knob change perturbs only its own stream;
 //   - priorities.go: the per-priority Pareto interval models and
-//     NewFailureProcess, the bridge from a Task to its failure process;
+//     NewFailureProcess / InitFailureProcess, the bridge from a task to
+//     its failure process;
 //   - history.go: failure-history replay (BuildEstimator / EstimateFor),
 //     the paper's estimate-from-the-trace methodology including its
 //     deliberate MTBF-inflation asymmetry.
 //
 // Generation is on the simulator's hot path at large scales, so the
-// generator preallocates its job/task slices and formats IDs without
-// fmt; internal/trace's allocation budget is regression-guarded by
-// TestGenerateAllocBudget.
+// generator draws every job's shape first, sizes each column exactly,
+// and then writes the draws straight into the columns: a trace costs a
+// fixed couple of dozen allocations whatever its size, which
+// TestGenerateAllocBudget guards.
 package trace

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"strconv"
+	"strings"
 
 	"repro/internal/dist"
 	"repro/internal/simeng"
@@ -102,8 +103,8 @@ const (
 var taskMemDist = dist.NewLogNormal(math.Log(120), 0.9)
 
 // appendPadded appends i in decimal, zero-padded to at least width
-// digits — the hand-rolled equivalent of fmt's %0*d for the hot
-// generator loop (IDs are the generator's dominant allocation).
+// digits — the hand-rolled equivalent of fmt's %0*d for the generator
+// loop.
 func appendPadded(buf []byte, i, width int) []byte {
 	var tmp [20]byte
 	s := strconv.AppendInt(tmp[:0], int64(i), 10)
@@ -113,23 +114,18 @@ func appendPadded(buf []byte, i, width int) []byte {
 	return append(buf, s...)
 }
 
-// jobIDString formats "j%06d".
-func jobIDString(i int) string {
-	buf := make([]byte, 0, 8)
-	buf = append(buf, 'j')
-	return string(appendPadded(buf, i, 6))
+// appendJobID appends job i's ID, "j%06d".
+func appendJobID(buf []byte, i int) []byte { return appendPadded(append(buf, 'j'), i, 6) }
+
+// appendTaskID appends the ID of task k of the job with ID jobID,
+// "<jobID>.t%02d".
+func appendTaskID(buf, jobID []byte, k int) []byte {
+	return appendPadded(append(append(buf, jobID...), '.', 't'), k, 2)
 }
 
-// taskIDString formats "<jobID>.t%02d".
-func taskIDString(jobID string, k int) string {
-	buf := make([]byte, 0, len(jobID)+5)
-	buf = append(buf, jobID...)
-	buf = append(buf, '.', 't')
-	return string(appendPadded(buf, k, 2))
-}
-
-// Generate produces a synthetic trace per cfg. The result is valid by
-// construction (Trace.Validate passes).
+// Generate produces a synthetic trace per cfg, writing it straight into
+// the columns. The result is valid by construction: Read accepts what
+// Write makes of it.
 func Generate(cfg GenConfig) *Trace {
 	if cfg.NumJobs <= 0 {
 		panic("trace: Generate requires NumJobs > 0")
@@ -188,81 +184,100 @@ func Generate(cfg GenConfig) *Trace {
 		return math.Sqrt(lengthSec) * (1 + 0.05*featRNG.NormFloat64())
 	}
 
-	tr := &Trace{Jobs: make([]*Job, 0, cfg.NumJobs)}
-	now := 0.0
-	for i := 0; i < cfg.NumJobs; i++ {
-		now += arrivalRNG.ExpFloat64() / cfg.ArrivalRate
-		jobID := jobIDString(i)
-
-		if shapeRNG.Float64() < serviceFrac {
-			// Long-running service: a replica group of day-scale tasks,
-			// like Google's always-on serving jobs. Replicas share a
-			// lifetime scale and contribute the bulk of the long
-			// uninterrupted intervals in the per-priority history.
-			priority := samplePriority(prRNG)
-			structure := Sequential
-			if shapeRNG.Float64() < 0.5 {
-				structure = BagOfTasks
-			}
-			replicas := 4 + shapeRNG.Intn(9)
-			baseLen := clampedLogNormal(lenRNG, serviceLengthDist, minServiceLength, maxServiceLength)
-			job := &Job{
-				ID:         jobID,
-				Structure:  structure,
-				ArrivalSec: now,
-				Priority:   priority,
-				Tasks:      make([]*Task, 0, replicas),
-			}
-			for k := 0; k < replicas; k++ {
-				length := baseLen * (0.8 + 0.4*lenRNG.Float64())
-				if length > maxServiceLength {
-					length = maxServiceLength
-				}
-				job.Tasks = append(job.Tasks, &Task{
-					ID:          taskIDString(jobID, k),
-					JobID:       jobID,
-					Index:       k,
-					Priority:    priority,
-					LengthSec:   length,
-					MemMB:       clampedLogNormal(memRNG, taskMemDist, minMem, maxMem),
-					InputUnits:  inputUnits(length),
-					FailureSeed: seedRNG.Uint64(),
-				})
-			}
-			tr.Jobs = append(tr.Jobs, job)
-			continue
-		}
-
-		structure := Sequential
-		if shapeRNG.Float64() < cfg.BoTFraction {
-			structure = BagOfTasks
-		}
-		priority := samplePriority(prRNG)
-
+	// Shapes first. Every job's tier, structure and task count come from
+	// shapeRNG alone, so drawing them all up front changes no stream's
+	// draw order, and it sizes every column and the ID arena exactly.
+	n := cfg.NumJobs
+	tr := &Trace{
+		Arrival:    make([]float64, n),
+		FirstTask:  make([]uint32, n+1),
+		Sequential: make([]bool, n),
+		JobPrio:    make([]int, n),
+	}
+	service := make([]bool, n)
+	var idBuf [32]byte
+	tasks, idBytes := 0, 0
+	for i := 0; i < n; i++ {
+		tr.FirstTask[i] = uint32(tasks)
 		nTasks := 1
-		if structure == BagOfTasks {
+		bot := false
+		if service[i] = shapeRNG.Float64() < serviceFrac; service[i] {
+			// Long-running service: a replica group of day-scale tasks,
+			// like Google's always-on serving jobs.
+			bot = shapeRNG.Float64() < 0.5
+			nTasks = 4 + shapeRNG.Intn(9)
+		} else if bot = shapeRNG.Float64() < cfg.BoTFraction; bot {
 			// BoT sizes: geometric-ish, 2-24 tasks.
 			nTasks = 2 + shapeRNG.Intn(23)
 		} else if shapeRNG.Float64() < 0.35 {
 			// A minority of ST jobs chain several tasks.
 			nTasks = 2 + shapeRNG.Intn(4)
 		}
+		tr.Sequential[i] = !bot
+		jobIDLen := len(appendJobID(idBuf[:0], i))
+		// Task indexes stay below 100, so every task ID is the job's ID
+		// plus ".tNN".
+		idBytes += jobIDLen + nTasks*(jobIDLen+4)
+		tasks += nTasks
+	}
+	tr.FirstTask[n] = uint32(tasks)
+	tr.Len = make([]float64, tasks)
+	tr.Mem = make([]float64, tasks)
+	tr.Seed = make([]uint64, tasks)
+	tr.ChangeFrac = make([]float64, tasks)
+	tr.Input = make([]float64, tasks)
+	tr.JobOf = make([]uint32, tasks)
+	tr.Prio = make([]int8, tasks)
+	tr.ChangePrio = make([]int8, tasks)
+	tr.idOff = make([]uint32, 1, n+tasks+1)
+	tr.tasks = tasks
+	var ids strings.Builder
+	ids.Grow(idBytes)
+	var taskIDBuf [40]byte
 
-		job := &Job{
-			ID:         jobID,
-			Structure:  structure,
-			ArrivalSec: now,
-			Priority:   priority,
-			Tasks:      make([]*Task, 0, nTasks),
+	now := 0.0
+	for i := 0; i < n; i++ {
+		now += arrivalRNG.ExpFloat64() / cfg.ArrivalRate
+		tr.Arrival[i] = now
+		priority := samplePriority(prRNG)
+		tr.JobPrio[i] = priority
+		jobID := appendJobID(idBuf[:0], i)
+		ids.Write(jobID)
+		tr.idOff = append(tr.idOff, uint32(ids.Len()))
+		first, limit := tr.TasksOf(uint32(i))
+		for h := first; h < limit; h++ {
+			ids.Write(appendTaskID(taskIDBuf[:0], jobID, int(h-first)))
+			tr.idOff = append(tr.idOff, uint32(ids.Len()))
+			tr.JobOf[h] = uint32(i)
+			tr.Prio[h] = int8(priority)
 		}
+
+		if service[i] {
+			// Replicas share a lifetime scale and contribute the bulk of
+			// the long uninterrupted intervals in the per-priority
+			// history.
+			baseLen := clampedLogNormal(lenRNG, serviceLengthDist, minServiceLength, maxServiceLength)
+			for h := first; h < limit; h++ {
+				length := baseLen * (0.8 + 0.4*lenRNG.Float64())
+				if length > maxServiceLength {
+					length = maxServiceLength
+				}
+				tr.Len[h] = length
+				tr.Mem[h] = clampedLogNormal(memRNG, taskMemDist, minMem, maxMem)
+				tr.Input[h] = inputUnits(length)
+				tr.Seed[h] = seedRNG.Uint64()
+			}
+			continue
+		}
+
 		// BoT tasks share a common scale (they are replicas of one
 		// computation), ST tasks vary independently.
 		baseLen := clampedLogNormal(lenRNG, taskLengthDist, minLen, maxLen)
 		baseMem := clampedLogNormal(memRNG, taskMemDist, minMem, maxMem)
-		for k := 0; k < nTasks; k++ {
+		for h := first; h < limit; h++ {
 			length := baseLen
 			mem := baseMem
-			if structure == Sequential {
+			if tr.Sequential[i] {
 				length = clampedLogNormal(lenRNG, taskLengthDist, minLen, maxLen)
 				mem = clampedLogNormal(memRNG, taskMemDist, minMem, maxMem)
 			} else {
@@ -275,26 +290,17 @@ func Generate(cfg GenConfig) *Trace {
 					length = maxLen
 				}
 			}
-			task := &Task{
-				ID:          taskIDString(jobID, k),
-				JobID:       jobID,
-				Index:       k,
-				Priority:    priority,
-				LengthSec:   length,
-				MemMB:       mem,
-				InputUnits:  inputUnits(length),
-				FailureSeed: seedRNG.Uint64(),
-			}
+			tr.Len[h] = length
+			tr.Mem[h] = mem
+			tr.Input[h] = inputUnits(length)
+			tr.Seed[h] = seedRNG.Uint64()
 			if cfg.PriorityChangeFraction > 0 && changeRNG.Float64() < cfg.PriorityChangeFraction {
-				task.Change = PriorityChange{
-					AtFraction:  0.5, // the paper flips once mid-execution
-					NewPriority: samplePriority(changeRNG),
-				}
+				tr.ChangeFrac[h] = 0.5 // the paper flips once mid-execution
+				tr.ChangePrio[h] = int8(samplePriority(changeRNG))
 			}
-			job.Tasks = append(job.Tasks, task)
 		}
-		tr.Jobs = append(tr.Jobs, job)
 	}
+	tr.ids = ids.String()
 	return tr
 }
 

@@ -16,11 +16,11 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files inste
 // field: both job structures, a mid-run priority change, input units,
 // and fractional values. It must never change — the golden file pins
 // its exact on-disk bytes.
-func goldenTrace() *Trace {
-	return &Trace{Jobs: []*Job{
-		{
+func goldenTrace(t *testing.T) *Trace {
+	return fromJobs(t,
+		Job{
 			ID: "j000000", Structure: Sequential, ArrivalSec: 0.5, Priority: 7,
-			Tasks: []*Task{
+			Tasks: []Task{
 				{
 					ID: "j000000.t00", JobID: "j000000", Index: 0, Priority: 7,
 					LengthSec: 120.25, MemMB: 96.5, InputUnits: 10.984,
@@ -33,31 +33,28 @@ func goldenTrace() *Trace {
 				},
 			},
 		},
-		{
+		Job{
 			ID: "j000001", Structure: BagOfTasks, ArrivalSec: 33.125, Priority: 1,
-			Tasks: []*Task{
+			Tasks: []Task{
 				{
 					ID: "j000001.t00", JobID: "j000001", Index: 0, Priority: 1,
 					LengthSec: 45.5, MemMB: 10, FailureSeed: 1,
 				},
 			},
 		},
-	}}
+	)
 }
 
 const goldenPath = "testdata/golden_trace.jsonl"
 
 // TestGoldenTraceSerialization pins the JSON-lines trace format byte
-// for byte: the ID-interned hot path must never leak into what reaches
-// disk or stdout, and format drift (field renames, ordering, number
+// for byte: the columnar layout must never leak into what reaches disk
+// or stdout, and format drift (field renames, ordering, number
 // formatting) must fail loudly. Regenerate with
 // `go test ./internal/trace -run GoldenTrace -update-golden` only for a
 // deliberate, reviewed format change.
 func TestGoldenTraceSerialization(t *testing.T) {
-	tr := goldenTrace()
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	tr := goldenTrace(t)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -79,13 +76,12 @@ func TestGoldenTraceSerialization(t *testing.T) {
 		t.Fatalf("trace serialization drifted from golden file\n got: %q\nwant: %q", buf.Bytes(), want)
 	}
 
-	// Round trip: reading the golden bytes and re-serializing — before
-	// and after building the handle table — reproduces them exactly.
+	// Round trip: reading the golden bytes and re-serializing
+	// reproduces them exactly.
 	rt, err := Read(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	BuildTable(rt)
 	var again bytes.Buffer
 	if err := rt.Write(&again); err != nil {
 		t.Fatal(err)

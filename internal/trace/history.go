@@ -51,7 +51,8 @@ func observationWindow(lengthSec float64) float64 {
 // per-(priority, length-limit) failure history, the way the paper
 // derives MNOF and MTBF "based on historical task events in the trace".
 // Group keys are core.GroupKey(priority, limitIdx). For each limit
-// index i, only tasks with LengthSec <= limits[i] contribute.
+// index i, only tasks with LengthSec <= limits[i] contribute. The walk
+// covers the trace's selected jobs, tasks in trace order.
 //
 // The replays are independent, so a trace of more than one
 // estimatorChunk of tasks is walked on up to GOMAXPROCS goroutines, a
@@ -59,14 +60,13 @@ func observationWindow(lengthSec float64) float64 {
 // observations in task order, so each group's float sums accumulate
 // exactly as a one-goroutine walk would.
 func BuildEstimator(tr *Trace, limits []float64) *core.HistoryEstimator {
-	tasks := tr.Tasks()
-	chunks := (len(tasks) + estimatorChunk - 1) / estimatorChunk
-	return buildEstimator(tasks, limits, min(runtime.GOMAXPROCS(0), chunks))
+	chunks := (tr.NumTasks() + estimatorChunk - 1) / estimatorChunk
+	return buildEstimator(tr, limits, min(runtime.GOMAXPROCS(0), chunks))
 }
 
-// estimatorChunk is the number of tasks one goroutine replays at a time.
-// A chunk's results buffer is about 430 KB, and at most fan-out + 1 are
-// alive.
+// estimatorChunk is about the number of tasks one goroutine replays at
+// a time: chunks hold whole jobs, cut once they reach it. A chunk's
+// results buffer is about 430 KB, and at most fan-out + 1 are alive.
 const estimatorChunk = 4096
 
 // taskHistory is what one task's replay contributes to the estimator.
@@ -76,27 +76,57 @@ type taskHistory struct {
 	n         uint8
 }
 
-// buildEstimator is BuildEstimator over tasks at the given fan-out; at
-// fan-out 1 the walk stays on the calling goroutine.
-func buildEstimator(tasks []*Task, limits []float64, fanout int) *core.HistoryEstimator {
+// estimatorChunks cuts tr's selected jobs into chunks of whole jobs,
+// each ending at the first job that brings it to estimatorChunk tasks:
+// chunk c is selected jobs [bounds[c], bounds[c+1]). size is the
+// largest chunk's task count.
+func estimatorChunks(tr *Trace) (bounds []int, size int) {
+	bounds = []int{0}
+	tasks := 0
+	for i := 0; i < tr.NumJobs(); i++ {
+		first, limit := tr.TasksOf(tr.Job(i))
+		if tasks += int(limit - first); tasks >= estimatorChunk || i == tr.NumJobs()-1 {
+			bounds = append(bounds, i+1)
+			size = max(size, tasks)
+			tasks = 0
+		}
+	}
+	return bounds, size
+}
+
+// buildEstimator is BuildEstimator at the given fan-out; at fan-out 1
+// the walk stays on the calling goroutine.
+func buildEstimator(tr *Trace, limits []float64, fanout int) *core.HistoryEstimator {
 	if len(limits) == 0 {
 		limits = DefaultLengthLimits
 	}
 	est := core.NewHistoryEstimator()
-	observe := func(task *Task, h *taskHistory) {
+	observe := func(h uint32, hist *taskHistory) {
 		for li, limit := range limits {
-			if task.LengthSec <= limit {
-				est.ObserveTask(core.GroupKey(task.Priority, li), int(h.failures), h.intervals[:h.n])
+			if tr.Len[h] <= limit {
+				est.ObserveTask(core.GroupKey(int(tr.Prio[h]), li), int(hist.failures), hist.intervals[:hist.n])
+			}
+		}
+	}
+	// walk calls f on every task of selected jobs [from, to) with its
+	// position in that range.
+	walk := func(from, to int, f func(k int, h uint32)) {
+		k := 0
+		for i := from; i < to; i++ {
+			first, limit := tr.TasksOf(tr.Job(i))
+			for h := first; h < limit; h++ {
+				f(k, h)
+				k++
 			}
 		}
 	}
 	if fanout <= 1 {
 		var w historyWalker
-		var h taskHistory
-		for _, task := range tasks {
-			w.replay(task, &h)
-			observe(task, &h)
-		}
+		var hist taskHistory
+		walk(0, tr.NumJobs(), func(_ int, h uint32) {
+			w.replay(tr, h, &hist)
+			observe(h, &hist)
+		})
 		return est
 	}
 
@@ -105,14 +135,15 @@ func buildEstimator(tasks []*Task, limits []float64, fanout int) *core.HistoryEs
 	// order and frees their buffers. A claimed chunk always holds a
 	// buffer, so the chunk the fold waits for is always in progress.
 	// free has room for every buffer, so returning one never blocks.
-	chunks := (len(tasks) + estimatorChunk - 1) / estimatorChunk
+	bounds, size := estimatorChunks(tr)
+	chunks := len(bounds) - 1
 	done := make([]chan []taskHistory, chunks)
 	for i := range done {
 		done[i] = make(chan []taskHistory, 1)
 	}
 	free := make(chan []taskHistory, fanout+1)
 	for i := 0; i < fanout+1; i++ {
-		free <- make([]taskHistory, estimatorChunk)
+		free <- make([]taskHistory, size)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -128,20 +159,14 @@ func buildEstimator(tasks []*Task, limits []float64, fanout int) *core.HistoryEs
 					free <- buf
 					return
 				}
-				part := tasks[c*estimatorChunk : min((c+1)*estimatorChunk, len(tasks))]
-				for k, task := range part {
-					w.replay(task, &buf[k])
-				}
+				walk(bounds[c], bounds[c+1], func(k int, h uint32) { w.replay(tr, h, &buf[k]) })
 				done[c] <- buf
 			}
 		}()
 	}
 	for c := range done {
 		buf := <-done[c]
-		part := tasks[c*estimatorChunk : min((c+1)*estimatorChunk, len(tasks))]
-		for k, task := range part {
-			observe(task, &buf[k])
-		}
+		walk(bounds[c], bounds[c+1], func(k int, h uint32) { observe(h, &buf[k]) })
 		free <- buf
 	}
 	wg.Wait()
@@ -159,57 +184,55 @@ type historyWalker struct {
 	par dist.Pareto
 }
 
-// replay walks one task's failure process into h, collecting both
+// replay walks task h's failure process into hist, collecting both
 // statistics in one pass, and stops as soon as the count horizon is
 // passed and the interval quota is full — the estimator keeps at most
 // maxIntervalsPerTask samples, so replaying the full observation window
 // (25x the task length) would discard almost every draw it generates.
-func (w *historyWalker) replay(task *Task, h *taskHistory) {
-	changePrio, changeFrac := 0, 0.0
-	if task.Change.Active() {
-		changePrio, changeFrac = task.Change.NewPriority, task.Change.AtFraction
-	}
-	proc := InitFailureProcess(task.Priority, task.LengthSec, task.FailureSeed,
-		changePrio, changeFrac, &w.ren, &w.rng, &w.par)
-	window := observationWindow(task.LengthSec)
-	h.failures, h.n = 0, 0
+func (w *historyWalker) replay(tr *Trace, h uint32, hist *taskHistory) {
+	length := tr.Len[h]
+	proc := InitFailureProcess(int(tr.Prio[h]), length, tr.Seed[h],
+		int(tr.ChangePrio[h]), tr.ChangeFrac[h], &w.ren, &w.rng, &w.par)
+	window := observationWindow(length)
+	hist.failures, hist.n = 0, 0
 	prev, t := 0.0, 0.0
 	for {
 		next := proc.NextAfter(t)
 		if math.IsInf(next, 1) || next > window {
 			return
 		}
-		if next <= task.LengthSec {
-			h.failures++
+		if next <= length {
+			hist.failures++
 		}
-		if h.n < maxIntervalsPerTask {
-			h.intervals[h.n] = next - prev
-			h.n++
-		} else if next > task.LengthSec {
+		if hist.n < maxIntervalsPerTask {
+			hist.intervals[hist.n] = next - prev
+			hist.n++
+		} else if next > length {
 			return
 		}
 		prev, t = next, next
 	}
 }
 
-// EstimateFor returns the Estimate for a task under the given estimator
-// and limit index, falling back across limit indices and finally to a
-// pooled all-priority estimate when a group has no history.
-func EstimateFor(est *core.HistoryEstimator, task *Task, limits []float64) core.Estimate {
+// EstimateFor returns the Estimate for a task of the given priority and
+// productive length under the given estimator and limit index, falling
+// back across limit indices and finally to a pooled all-priority
+// estimate when a group has no history.
+func EstimateFor(est *core.HistoryEstimator, priority int, lengthSec float64, limits []float64) core.Estimate {
 	if len(limits) == 0 {
 		limits = DefaultLengthLimits
 	}
 	// Pick the tightest limit that admits this task.
 	for li, limit := range limits {
-		if task.LengthSec <= limit {
-			e := est.Estimate(core.GroupKey(task.Priority, li))
+		if lengthSec <= limit {
+			e := est.Estimate(core.GroupKey(priority, li))
 			if e.MNOF > 0 || e.MTBF > 0 {
 				return e
 			}
 		}
 	}
 	// Fall back to the loosest group for the priority.
-	e := est.Estimate(core.GroupKey(task.Priority, len(limits)-1))
+	e := est.Estimate(core.GroupKey(priority, len(limits)-1))
 	return e
 }
 
@@ -219,9 +242,9 @@ func EstimateFor(est *core.HistoryEstimator, task *Task, limits []float64) core.
 // Figures 4 and 5.
 func FailureIntervalSamples(tr *Trace, maxInterval float64) []float64 {
 	var out []float64
-	for _, task := range tr.Tasks() {
-		proc := NewFailureProcess(task)
-		ivs := failure.IntervalsIn(proc, observationWindow(task.LengthSec))
+	for h := range tr.Tasks() {
+		proc := NewFailureProcess(tr.Task(h))
+		ivs := failure.IntervalsIn(proc, observationWindow(tr.Len[h]))
 		if len(ivs) > maxIntervalsPerTask {
 			ivs = ivs[:maxIntervalsPerTask]
 		}
@@ -252,7 +275,7 @@ func FailureIntervalsByPriority(seedBase uint64, horizon float64, n int) map[int
 			// Several probe tasks per length so short probes still
 			// contribute a fair share of samples.
 			for rep := 0; rep < 40 && len(ivs) < n; rep++ {
-				task := &Task{
+				task := Task{
 					ID:          "probe",
 					JobID:       "probe",
 					Priority:    p,

@@ -92,7 +92,7 @@ func IntervalParetoForTask(priority int, lengthSec float64) dist.Pareto {
 // process switches distributions at the corresponding point of the
 // task's productive timeline (approximated in wall-clock by the same
 // offset, as the paper does when flipping priorities mid-run).
-func NewFailureProcess(t *Task) failure.Process {
+func NewFailureProcess(t Task) failure.Process {
 	rng := simeng.NewRNG(t.FailureSeed)
 	before := failure.NewRenewal(IntervalDistForTask(t.Priority, t.LengthSec), rng.Split())
 	if !t.Change.Active() {
@@ -105,8 +105,8 @@ func NewFailureProcess(t *Task) failure.Process {
 
 // InitFailureProcess is NewFailureProcess building the common-case
 // process into caller-provided slab storage, taking the task's fields
-// as scalars so columnar callers (the engine's handle table) never
-// touch the interned *Task: ren becomes the (initial) renewal process,
+// as scalars so columnar callers read them straight from the trace's
+// columns: ren becomes the (initial) renewal process,
 // driven by rng over the Pareto stored at par, and the draw sequence
 // matches NewFailureProcess bit for bit. changePrio is 0 for tasks
 // with no mid-run priority change; then the returned Process is ren

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,40 +13,82 @@ import (
 	"repro/internal/stats"
 )
 
+// fromJobs builds a trace from hand-written jobs through the JSON-lines
+// boundary, the one way in besides Generate.
+func fromJobs(t *testing.T, jobs ...Job) *Trace {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range jobs {
+		if err := enc.Encode(&jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// roundTrip writes tr and reads it back, which validates every job.
+func roundTrip(t *testing.T, tr *Trace) *Trace {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("trace does not read back: %v", err)
+	}
+	return got
+}
+
+// sameTrace fails unless a and b select the same jobs and tasks.
+func sameTrace(t *testing.T, a, b *Trace) {
+	t.Helper()
+	if a.NumJobs() != b.NumJobs() || a.NumTasks() != b.NumTasks() {
+		t.Fatalf("traces hold %d/%d vs %d/%d jobs/tasks", a.NumJobs(), a.NumTasks(), b.NumJobs(), b.NumTasks())
+	}
+	for i := 0; i < a.NumJobs(); i++ {
+		ja, jb := a.Job(i), b.Job(i)
+		if a.JobID(ja) != b.JobID(jb) || a.Arrival[ja] != b.Arrival[jb] ||
+			a.Sequential[ja] != b.Sequential[jb] || a.JobPrio[ja] != b.JobPrio[jb] {
+			t.Fatalf("job %d differs", i)
+		}
+		fa, la := a.TasksOf(ja)
+		fb, lb := b.TasksOf(jb)
+		if la-fa != lb-fb {
+			t.Fatalf("job %d has %d vs %d tasks", i, la-fa, lb-fb)
+		}
+		for k := uint32(0); k < la-fa; k++ {
+			if a.Task(fa+k) != b.Task(fb+k) {
+				t.Fatalf("task %d.%d differs: %+v vs %+v", i, k, a.Task(fa+k), b.Task(fb+k))
+			}
+		}
+	}
+}
+
 func testTrace(t *testing.T, jobs int) *Trace {
 	t.Helper()
 	tr := Generate(DefaultGenConfig(1, jobs))
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("generated trace invalid: %v", err)
-	}
+	roundTrip(t, tr)
 	return tr
 }
 
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(DefaultGenConfig(7, 100))
 	b := Generate(DefaultGenConfig(7, 100))
-	if len(a.Jobs) != len(b.Jobs) {
-		t.Fatal("job counts differ")
-	}
-	for i := range a.Jobs {
-		ja, jb := a.Jobs[i], b.Jobs[i]
-		if ja.ID != jb.ID || ja.ArrivalSec != jb.ArrivalSec || len(ja.Tasks) != len(jb.Tasks) {
-			t.Fatalf("job %d differs between same-seed runs", i)
-		}
-		for k := range ja.Tasks {
-			if *ja.Tasks[k] != *jb.Tasks[k] {
-				t.Fatalf("task %d.%d differs between same-seed runs", i, k)
-			}
-		}
-	}
+	sameTrace(t, a, b)
 }
 
 func TestGenerateSeedsDiffer(t *testing.T) {
 	a := Generate(DefaultGenConfig(1, 50))
 	b := Generate(DefaultGenConfig(2, 50))
 	same := 0
-	for i := range a.Jobs {
-		if a.Jobs[i].ArrivalSec == b.Jobs[i].ArrivalSec {
+	for i := range a.Arrival {
+		if a.Arrival[i] == b.Arrival[i] {
 			same++
 		}
 	}
@@ -56,15 +100,15 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 func TestGenerateStructureMix(t *testing.T) {
 	tr := testTrace(t, 2000)
 	bot := 0
-	for _, j := range tr.Jobs {
-		if j.Structure == BagOfTasks {
+	for j := uint32(0); int(j) < tr.NumJobs(); j++ {
+		if !tr.Sequential[j] {
 			bot++
-			if len(j.Tasks) < 2 {
-				t.Fatalf("BoT job %s has %d tasks", j.ID, len(j.Tasks))
+			if first, limit := tr.TasksOf(j); limit-first < 2 {
+				t.Fatalf("BoT job %s has %d tasks", tr.JobID(j), limit-first)
 			}
 		}
 	}
-	frac := float64(bot) / float64(len(tr.Jobs))
+	frac := float64(bot) / float64(tr.NumJobs())
 	if frac < 0.35 || frac > 0.55 {
 		t.Fatalf("BoT fraction = %v, want ~0.45", frac)
 	}
@@ -73,15 +117,15 @@ func TestGenerateStructureMix(t *testing.T) {
 func TestGenerateArrivalsOrdered(t *testing.T) {
 	tr := testTrace(t, 500)
 	prev := 0.0
-	for _, j := range tr.Jobs {
-		if j.ArrivalSec < prev {
+	for _, a := range tr.Arrival {
+		if a < prev {
 			t.Fatal("arrivals not sorted")
 		}
-		prev = j.ArrivalSec
+		prev = a
 	}
 	// Mean inter-arrival should approximate 1/rate.
 	rate := DefaultGenConfig(1, 1).ArrivalRate
-	meanGap := tr.Jobs[len(tr.Jobs)-1].ArrivalSec / float64(len(tr.Jobs))
+	meanGap := tr.Arrival[len(tr.Arrival)-1] / float64(len(tr.Arrival))
 	if meanGap < 0.5/rate || meanGap > 2/rate {
 		t.Fatalf("mean inter-arrival %v, want ~%v", meanGap, 1/rate)
 	}
@@ -94,9 +138,9 @@ func TestGenerateFigure8Calibration(t *testing.T) {
 	// long-running service tier exists only to feed history statistics.
 	tr := testTrace(t, 3000).BatchJobs()
 	var lens, mems []float64
-	for _, task := range tr.Tasks() {
-		lens = append(lens, task.LengthSec)
-		mems = append(mems, task.MemMB)
+	for h := range tr.Tasks() {
+		lens = append(lens, tr.Len[h])
+		mems = append(mems, tr.Mem[h])
 	}
 	ls, ms := stats.Summarize(lens), stats.Summarize(mems)
 	if ls.Min < 30 || ls.Max > 6*3600 {
@@ -116,8 +160,8 @@ func TestGenerateFigure8Calibration(t *testing.T) {
 func TestGeneratePriorityMixSkipsEmptyTiers(t *testing.T) {
 	tr := testTrace(t, 2000)
 	counts := make(map[int]int)
-	for _, j := range tr.Jobs {
-		counts[j.Priority]++
+	for _, p := range tr.JobPrio {
+		counts[p]++
 	}
 	for _, p := range []int{4, 8, 11, 12} {
 		if counts[p] != 0 {
@@ -135,11 +179,10 @@ func TestGeneratePriorityChanges(t *testing.T) {
 	cfg := DefaultGenConfig(3, 500)
 	cfg.PriorityChangeFraction = 1.0
 	tr := Generate(cfg)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	roundTrip(t, tr)
 	// Priority flips apply to the batch workload; services keep theirs.
-	for _, task := range tr.BatchJobs().Tasks() {
+	for h := range tr.BatchJobs().Tasks() {
+		task := tr.Task(h)
 		if !task.Change.Active() {
 			t.Fatal("task missing priority change at fraction 1.0")
 		}
@@ -170,65 +213,54 @@ func TestGeneratePanics(t *testing.T) {
 
 func TestRoundTripSerialization(t *testing.T) {
 	tr := testTrace(t, 100)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Jobs) != len(tr.Jobs) {
-		t.Fatalf("round trip lost jobs: %d vs %d", len(got.Jobs), len(tr.Jobs))
-	}
-	for i := range tr.Jobs {
-		a, b := tr.Jobs[i], got.Jobs[i]
-		if a.ID != b.ID || a.Structure != b.Structure || a.ArrivalSec != b.ArrivalSec {
-			t.Fatalf("job %d mismatch after round trip", i)
-		}
-		for k := range a.Tasks {
-			if *a.Tasks[k] != *b.Tasks[k] {
-				t.Fatalf("task %d.%d mismatch after round trip", i, k)
-			}
-		}
-	}
+	sameTrace(t, tr, roundTrip(t, tr))
+	batch := tr.BatchJobs()
+	sameTrace(t, batch, roundTrip(t, batch))
 }
 
 func TestReadRejectsInvalid(t *testing.T) {
-	if _, err := Read(bytes.NewBufferString(`{"id":"x","tasks":[]}`)); err == nil {
-		t.Fatal("empty-task job accepted")
-	}
-	if _, err := Read(bytes.NewBufferString(`not json`)); err == nil {
-		t.Fatal("garbage accepted")
+	for _, in := range []string{
+		`{"id":"x","tasks":[]}`,
+		`not json`,
+		// A null task reads as a zero task, which is invalid.
+		`{"id":"j000000","structure":"ST","arrival_sec":0,"priority":1,"tasks":[null]}`,
+		// A task's index is its position in the job.
+		`{"id":"j","tasks":[{"id":"a","job_id":"j","index":1,"priority":1,"length_sec":1,"mem_mb":1}]}`,
+		`{"id":"j","tasks":[{"id":"a","job_id":"k","priority":1,"length_sec":1,"mem_mb":1}]}`,
+		`{"id":"j","arrival_sec":5,"tasks":[{"id":"a","job_id":"j","priority":1,"length_sec":1,"mem_mb":1}]}
+{"id":"k","arrival_sec":4,"tasks":[{"id":"b","job_id":"k","priority":1,"length_sec":1,"mem_mb":1}]}`,
+	} {
+		if _, err := Read(strings.NewReader(in)); err == nil {
+			t.Errorf("accepted %s", in)
+		}
 	}
 }
 
 func TestJobAggregates(t *testing.T) {
-	j := &Job{
-		ID:        "j",
-		Structure: BagOfTasks,
-		Tasks: []*Task{
-			{ID: "a", JobID: "j", Priority: 1, LengthSec: 100, MemMB: 50},
-			{ID: "b", JobID: "j", Priority: 1, LengthSec: 300, MemMB: 200},
-		},
+	job := func(s JobStructure) Job {
+		return Job{
+			ID:        "j",
+			Structure: s,
+			Tasks: []Task{
+				{ID: "a", JobID: "j", Index: 0, Priority: 1, LengthSec: 100, MemMB: 50},
+				{ID: "b", JobID: "j", Index: 1, Priority: 1, LengthSec: 300, MemMB: 200},
+			},
+		}
 	}
-	if j.TotalLength() != 400 {
-		t.Fatalf("TotalLength = %v", j.TotalLength())
+	tr := fromJobs(t, job(BagOfTasks), job(Sequential))
+	if tr.CriticalPath(0) != 300 {
+		t.Fatalf("BoT CriticalPath = %v, want max", tr.CriticalPath(0))
 	}
-	if j.CriticalPath() != 300 {
-		t.Fatalf("BoT CriticalPath = %v, want max", j.CriticalPath())
+	if tr.CriticalPath(1) != 400 {
+		t.Fatalf("ST CriticalPath = %v, want sum", tr.CriticalPath(1))
 	}
-	j.Structure = Sequential
-	if j.CriticalPath() != 400 {
-		t.Fatalf("ST CriticalPath = %v, want sum", j.CriticalPath())
-	}
-	if j.MaxMem() != 200 {
-		t.Fatalf("MaxMem = %v", j.MaxMem())
+	if tr.MaxMem(0) != 200 || tr.MaxMem(1) != 200 {
+		t.Fatalf("MaxMem = %v, %v", tr.MaxMem(0), tr.MaxMem(1))
 	}
 }
 
 func TestValidationCatchesBadTasks(t *testing.T) {
-	bad := []*Task{
+	bad := []Task{
 		{ID: "a", JobID: "j", Priority: 0, LengthSec: 1, MemMB: 1},
 		{ID: "a", JobID: "j", Priority: 13, LengthSec: 1, MemMB: 1},
 		{ID: "a", JobID: "j", Priority: 1, LengthSec: 0, MemMB: 1},
@@ -283,7 +315,7 @@ func TestIntervalDistPanics(t *testing.T) {
 }
 
 func TestNewFailureProcessDeterministic(t *testing.T) {
-	task := &Task{ID: "t", JobID: "j", Priority: 2, LengthSec: 1000, MemMB: 100, FailureSeed: 99}
+	task := Task{ID: "t", JobID: "j", Priority: 2, LengthSec: 1000, MemMB: 100, FailureSeed: 99}
 	a, b := NewFailureProcess(task), NewFailureProcess(task)
 	ta, tb := 0.0, 0.0
 	for i := 0; i < 100; i++ {
@@ -297,7 +329,7 @@ func TestNewFailureProcessDeterministic(t *testing.T) {
 func TestNewFailureProcessSwitchesOnPriorityChange(t *testing.T) {
 	// Change from rarely-failing priority 9 to the monitoring tier 10
 	// mid-task: the second half must see far more failures.
-	task := &Task{
+	task := Task{
 		ID: "t", JobID: "j", Priority: 9, LengthSec: 20000, MemMB: 100,
 		FailureSeed: 5,
 		Change:      PriorityChange{AtFraction: 0.5, NewPriority: 10},
@@ -356,8 +388,7 @@ func TestBuildEstimatorTable7Shape(t *testing.T) {
 func TestEstimateForFallsBack(t *testing.T) {
 	tr := testTrace(t, 500)
 	est := BuildEstimator(tr, DefaultLengthLimits)
-	task := &Task{ID: "x", JobID: "x", Priority: 2, LengthSec: 800, MemMB: 50, FailureSeed: 1}
-	e := EstimateFor(est, task, DefaultLengthLimits)
+	e := EstimateFor(est, 2, 800, DefaultLengthLimits)
 	if e.MNOF == 0 && e.MTBF == 0 {
 		t.Fatal("no estimate for well-populated priority")
 	}
@@ -411,47 +442,51 @@ func BenchmarkGenerate(b *testing.B) {
 
 // TestBuildEstimatorChunkedMatchesSerial checks the chunked estimator
 // build against a plain one-goroutine fold: on a trace of more than
-// three chunks with priority changes, every group's task count, failure
-// count, interval sum and interval count must match bit for bit at
-// fan-outs 1, 2 and 8.
+// three chunks with priority changes, and on its batch-job view, every
+// group's task count, failure count, interval sum and interval
+// count must match bit for bit at fan-outs 1, 2 and 8.
 func TestBuildEstimatorChunkedMatchesSerial(t *testing.T) {
 	cfg := DefaultGenConfig(5, 2500)
 	cfg.PriorityChangeFraction = 0.3
-	tr := Generate(cfg)
-	tasks := tr.Tasks()
+	full := Generate(cfg)
 	changed := 0
-	for _, task := range tasks {
-		if task.Change.Active() {
+	for _, p := range full.ChangePrio {
+		if p != 0 {
 			changed++
 		}
 	}
-	if len(tasks) <= 3*estimatorChunk || changed == 0 {
-		t.Fatalf("trace has %d tasks (%d changed), want over %d with changes", len(tasks), changed, 3*estimatorChunk)
+	batch := full.BatchJobs()
+	if batch.NumTasks() <= 3*estimatorChunk || changed == 0 {
+		t.Fatalf("batch view has %d tasks (%d changed in the trace), want over %d with changes", batch.NumTasks(), changed, 3*estimatorChunk)
 	}
 
-	// The reference replays each task's whole observation window on a
-	// freshly built process.
-	want := core.NewHistoryEstimator()
-	for _, task := range tasks {
-		window := observationWindow(task.LengthSec)
-		ivs := failure.IntervalsIn(NewFailureProcess(task), window)
-		failures, at := 0, 0.0
-		for _, iv := range ivs {
-			if at += iv; at <= task.LengthSec {
-				failures++
+	for _, tr := range []*Trace{full, batch} {
+		// The reference replays each task's whole observation window on a
+		// freshly built process.
+		want := core.NewHistoryEstimator()
+		for h := range tr.Tasks() {
+			task := tr.Task(h)
+			window := observationWindow(task.LengthSec)
+			ivs := failure.IntervalsIn(NewFailureProcess(task), window)
+			failures, at := 0, 0.0
+			for _, iv := range ivs {
+				if at += iv; at <= task.LengthSec {
+					failures++
+				}
+			}
+			ivs = ivs[:min(len(ivs), maxIntervalsPerTask)]
+			for li, limit := range DefaultLengthLimits {
+				if task.LengthSec <= limit {
+					want.ObserveTask(core.GroupKey(task.Priority, li), failures, ivs)
+				}
 			}
 		}
-		ivs = ivs[:min(len(ivs), maxIntervalsPerTask)]
-		for li, limit := range DefaultLengthLimits {
-			if task.LengthSec <= limit {
-				want.ObserveTask(core.GroupKey(task.Priority, li), failures, ivs)
+		for _, fanout := range []int{1, 2, 8} {
+			// DeepEqual compares each group's counts and float sums exactly.
+			if got := buildEstimator(tr, nil, fanout); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d of %d tasks, fan-out %d: estimator differs from the one-goroutine fold",
+					tr.NumTasks(), len(tr.Len), fanout)
 			}
-		}
-	}
-	for _, fanout := range []int{1, 2, 8} {
-		// DeepEqual compares each group's counts and float sums exactly.
-		if got := buildEstimator(tasks, nil, fanout); !reflect.DeepEqual(got, want) {
-			t.Errorf("fan-out %d: estimator differs from the one-goroutine fold", fanout)
 		}
 	}
 }

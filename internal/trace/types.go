@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // JobStructure distinguishes the two job shapes in the Google trace.
@@ -57,12 +56,15 @@ type PriorityChange struct {
 // Active reports whether a change is scheduled.
 func (pc PriorityChange) Active() bool { return pc.NewPriority != 0 }
 
-// Task is one unit of execution inside a job.
+// Task is one unit of execution inside a job, as it appears at the
+// JSON-lines boundary and in the plug-in hooks. A Trace stores no Task:
+// Trace.Task builds one from the columns on demand.
 type Task struct {
-	ID       string `json:"id"`
-	JobID    string `json:"job_id"`
-	Index    int    `json:"index"`
-	Priority int    `json:"priority"` // 1 (lowest) .. 12 (highest)
+	ID    string `json:"id"`
+	JobID string `json:"job_id"`
+	// Index is the task's position within its job.
+	Index    int `json:"index"`
+	Priority int `json:"priority"` // 1 (lowest) .. 12 (highest)
 	// LengthSec is the productive execution time Te in seconds,
 	// excluding all fault-tolerance overheads.
 	LengthSec float64 `json:"length_sec"`
@@ -104,58 +106,20 @@ func (t *Task) Validate() error {
 	return nil
 }
 
-// Job is a user request consisting of one or more tasks.
+// Job is one line of a JSON-lines trace: a user request consisting of
+// one or more tasks. Read decodes each line into a Job and Write encodes
+// each job of a Trace through one; no Trace keeps them.
 type Job struct {
 	ID         string       `json:"id"`
 	Structure  JobStructure `json:"structure"`
 	ArrivalSec float64      `json:"arrival_sec"`
 	Priority   int          `json:"priority"`
-	Tasks      []*Task      `json:"tasks"`
+	Tasks      []Task       `json:"tasks"`
 }
 
-// TotalLength returns the job's total productive work (sum over tasks).
-func (j *Job) TotalLength() float64 {
-	var sum float64
-	for _, t := range j.Tasks {
-		sum += t.LengthSec
-	}
-	return sum
-}
-
-// CriticalPath returns the job's failure-free makespan: the sum of task
-// lengths for ST jobs, the maximum task length for BoT jobs.
-func (j *Job) CriticalPath() float64 {
-	if j.Structure == Sequential {
-		return j.TotalLength()
-	}
-	var maxLen float64
-	for _, t := range j.Tasks {
-		if t.LengthSec > maxLen {
-			maxLen = t.LengthSec
-		}
-	}
-	return maxLen
-}
-
-// MaxMem returns the largest task memory footprint in the job.
-func (j *Job) MaxMem() float64 {
-	var m float64
-	for _, t := range j.Tasks {
-		if t.MemMB > m {
-			m = t.MemMB
-		}
-	}
-	return m
-}
-
-// IsService reports whether the job belongs to the long-running service
-// tier (critical path beyond the 6-hour batch ceiling). Service jobs
-// feed the failure-history estimator but are not part of the replayed
-// experiment workload, mirroring how the paper estimates statistics
-// from the full month-long trace while replaying sampled batch jobs.
-func (j *Job) IsService() bool { return j.CriticalPath() > 6*3600 }
-
-// Validate checks job invariants including all tasks.
+// Validate checks job invariants including all tasks. A task's job_id
+// and index are redundant with its place in the trace, so they must
+// agree with it.
 func (j *Job) Validate() error {
 	if len(j.Tasks) == 0 {
 		return fmt.Errorf("trace: job %s has no tasks", j.ID)
@@ -163,92 +127,18 @@ func (j *Job) Validate() error {
 	if j.ArrivalSec < 0 {
 		return fmt.Errorf("trace: job %s has negative arrival %v", j.ID, j.ArrivalSec)
 	}
-	for _, t := range j.Tasks {
+	for k := range j.Tasks {
+		t := &j.Tasks[k]
 		if t.JobID != j.ID {
-			return fmt.Errorf("trace: task %s claims job %s inside job %s", t.ID, t.JobID, j.ID)
+			// A null task decodes as a zero Task and fails here.
+			return fmt.Errorf("trace: task %d (%q) of job %s claims job %q", k, t.ID, j.ID, t.JobID)
+		}
+		if t.Index != k {
+			return fmt.Errorf("trace: task %s has index %d at position %d of job %s", t.ID, t.Index, k, j.ID)
 		}
 		if err := t.Validate(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Trace is an ordered collection of jobs (by arrival time).
-type Trace struct {
-	Jobs []*Job `json:"jobs"`
-}
-
-// Tasks returns all tasks across all jobs in order.
-func (tr *Trace) Tasks() []*Task {
-	var out []*Task
-	for _, j := range tr.Jobs {
-		out = append(out, j.Tasks...)
-	}
-	return out
-}
-
-// Filter returns a new trace containing only the jobs satisfying keep,
-// preserving order. Jobs are shared, not copied.
-func (tr *Trace) Filter(keep func(*Job) bool) *Trace {
-	out := &Trace{}
-	for _, j := range tr.Jobs {
-		if keep(j) {
-			out.Jobs = append(out.Jobs, j)
-		}
-	}
-	return out
-}
-
-// BatchJobs returns the replayable experiment workload: every job that
-// is not a long-running service.
-func (tr *Trace) BatchJobs() *Trace {
-	return tr.Filter(func(j *Job) bool { return !j.IsService() })
-}
-
-// Validate checks every job and the arrival ordering.
-func (tr *Trace) Validate() error {
-	prev := -1.0
-	for _, j := range tr.Jobs {
-		if err := j.Validate(); err != nil {
-			return err
-		}
-		if j.ArrivalSec < prev {
-			return fmt.Errorf("trace: job %s arrives at %v before predecessor at %v", j.ID, j.ArrivalSec, prev)
-		}
-		prev = j.ArrivalSec
-	}
-	return nil
-}
-
-// Write serializes the trace as JSON lines, one job per line, so large
-// traces stream without holding the full encoding in memory.
-func (tr *Trace) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, j := range tr.Jobs {
-		if err := enc.Encode(j); err != nil {
-			return fmt.Errorf("trace: encode job %s: %w", j.ID, err)
-		}
-	}
-	return nil
-}
-
-// Read parses a JSON-lines trace written by Write and validates it.
-func Read(r io.Reader) (*Trace, error) {
-	dec := json.NewDecoder(r)
-	tr := &Trace{}
-	for {
-		var j Job
-		if err := dec.Decode(&j); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("trace: decode: %w", err)
-		}
-		tr.Jobs = append(tr.Jobs, &j)
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }

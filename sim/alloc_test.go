@@ -10,16 +10,17 @@ import (
 
 // maxRunBytesPerTask bounds what one Simulation.Run allocates per
 // replayed task, trace generation and history estimation included. A
-// 10 000-job baseline-f3 Run on one processor allocates about 538 bytes
-// per task when the engine writes each task's TaskOutcome once and
-// recycles failure-time backings. Allocating a backing per task takes
-// it to about 616, and also copying the records in the facade to about
-// 712. The bound sits below both, so either waste coming back fails.
-const maxRunBytesPerTask = 600
+// 10 000-job baseline-f3 Run on one processor allocates about 342 bytes
+// per task when the trace is generated straight into its columns and
+// the engine reads them in place. Generating Task objects and copying
+// their fields into a per-run column table, as the simulator once did,
+// takes it to about 538. The bound leaves about 10% headroom, so even
+// the per-run column copy alone (about 50 bytes per task) fails it.
+const maxRunBytesPerTask = 380
 
 // TestRunBytesPerTaskBudget regression-guards the facade's memory: the
-// public Run may not add a second copy of the task records on top of
-// the engine's.
+// public Run may not add a second copy of the trace or of the task
+// records.
 func TestRunBytesPerTaskBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory budget needs a full run")
@@ -52,5 +53,23 @@ func TestRunBytesPerTaskBudget(t *testing.T) {
 	if perTask > maxRunBytesPerTask {
 		t.Errorf("Simulation.Run allocates %.0f bytes per task, budget %d — task records are copied or per-task state is back on the heap",
 			perTask, maxRunBytesPerTask)
+	}
+}
+
+// TestTraceNumTasksAllocatesNothing: counting a trace's tasks reads a
+// stored count, for a trace and for its batch view alike.
+func TestTraceNumTasksAllocatesNothing(t *testing.T) {
+	tr, err := sim.GenerateTrace(sim.DefaultTraceConfig(1, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := tr.BatchJobs()
+	var n int
+	if allocs := testing.AllocsPerRun(100, func() { n = tr.NumTasks() + batch.NumTasks() }); allocs != 0 {
+		t.Errorf("NumTasks allocates %v times per call pair", allocs)
+	}
+	if want := len(tr.Tasks()) + len(batch.Tasks()); n != want || batch.NumTasks() >= tr.NumTasks() {
+		t.Errorf("NumTasks: trace %d, batch %d; want a sum of %d with fewer batch tasks",
+			tr.NumTasks(), batch.NumTasks(), want)
 	}
 }

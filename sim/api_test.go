@@ -201,14 +201,6 @@ func (b *constBackend) Begin(int, float64) (float64, func()) {
 	return b.ckpt, func() {}
 }
 
-func (b *constBackend) BeginBatch(hostIDs []int, _ float64) ([]float64, func()) {
-	costs := make([]float64, len(hostIDs))
-	for i := range costs {
-		costs[i] = b.ckpt
-	}
-	return costs, func() {}
-}
-
 func (b *constBackend) SharedAcrossHosts() bool { return b.shared }
 
 // costPolicy plans four intervals per task and records every

@@ -20,9 +20,6 @@ type (
 	BenchReport = benchkit.Report
 	// BenchMeasurement is one (scenario, scale) cell.
 	BenchMeasurement = benchkit.Measurement
-	// BenchAllocBaseline compares the allocation budget against the
-	// recorded pre-overhaul engine.
-	BenchAllocBaseline = benchkit.AllocBaseline
 	// BenchCell names one off-matrix (scenario, jobs) measurement
 	// (BenchConfig.ExtraCells).
 	BenchCell = benchkit.Cell

@@ -36,7 +36,7 @@ type Task struct {
 	ChangeNewPriority int
 }
 
-func taskView(t *trace.Task) Task {
+func taskView(t trace.Task) Task {
 	return Task{
 		ID:                t.ID,
 		JobID:             t.JobID,
@@ -51,8 +51,8 @@ func taskView(t *trace.Task) Task {
 	}
 }
 
-func (t Task) toTrace() *trace.Task {
-	return &trace.Task{
+func (t Task) toTrace() trace.Task {
+	return trace.Task{
 		ID:          t.ID,
 		JobID:       t.JobID,
 		Index:       t.Index,
@@ -155,7 +155,7 @@ type Estimator interface {
 // taskEstimator adapts a public Estimator onto the engine seam.
 type taskEstimator struct{ e Estimator }
 
-func (a taskEstimator) EstimateTask(t *trace.Task) core.Estimate {
+func (a taskEstimator) EstimateTask(t trace.Task) core.Estimate {
 	return core.Estimate(a.e.Estimate(taskView(t)))
 }
 
@@ -185,8 +185,8 @@ type FailureModel interface {
 	NewProcess(t Task) FailureProcess
 }
 
-func failureModelFunc(m FailureModel) func(*trace.Task) failure.Process {
-	return func(t *trace.Task) failure.Process { return m.NewProcess(taskView(t)) }
+func failureModelFunc(m FailureModel) func(trace.Task) failure.Process {
+	return func(t trace.Task) failure.Process { return m.NewProcess(taskView(t)) }
 }
 
 // NewTraceFailureProcess returns the built-in failure process for a
@@ -222,7 +222,7 @@ type Predictor interface {
 type enginePredictor struct{ p Predictor }
 
 func (a enginePredictor) Name() string { return a.p.Name() }
-func (a enginePredictor) Predict(t *trace.Task) float64 {
+func (a enginePredictor) Predict(t trace.Task) float64 {
 	return a.p.Predict(taskView(t))
 }
 
@@ -230,8 +230,7 @@ func (a enginePredictor) Predict(t *trace.Task) float64 {
 // one checkpoint write of memMB megabytes issued by hostID and returns
 // its wall-clock cost plus a release function invoked when the
 // operation's time has elapsed; contention-sensitive backends charge
-// concurrent operations more. BeginBatch starts fully-overlapping
-// writes (the paper's simultaneous-checkpointing methodology).
+// concurrent operations more.
 //
 // CheckpointCost and RestartCost are the steady-state planning
 // constants C and R the policies consume; RestartCost is also what a
@@ -246,7 +245,6 @@ type StorageBackend interface {
 	CheckpointCost(memMB float64) float64
 	RestartCost(memMB float64) float64
 	Begin(hostID int, memMB float64) (cost float64, release func())
-	BeginBatch(hostIDs []int, memMB float64) (costs []float64, release func())
 	SharedAcrossHosts() bool
 }
 
@@ -264,10 +262,6 @@ func (a backendAdapter) Kind() storage.Kind {
 
 func (a backendAdapter) Begin(hostID int, memMB float64) (float64, func()) {
 	return a.b.Begin(hostID, memMB)
-}
-
-func (a backendAdapter) BeginBatch(hostIDs []int, memMB float64) ([]float64, func()) {
-	return a.b.BeginBatch(hostIDs, memMB)
 }
 
 func (a backendAdapter) RestartCost(memMB float64) float64 { return a.b.RestartCost(memMB) }

@@ -66,10 +66,10 @@ func newResult(res *engine.Result) *Result {
 	for i, jr := range res.Jobs {
 		jo := &out.Jobs[i]
 		*jo = JobOutcome{
-			ID:         jr.Job.ID,
-			Structure:  jr.Job.Structure.String(),
-			Priority:   jr.Job.Priority,
-			ArrivalSec: jr.Job.ArrivalSec,
+			ID:         jr.ID,
+			Structure:  jr.Structure.String(),
+			Priority:   jr.Priority,
+			ArrivalSec: jr.ArrivalSec,
 			DoneAt:     jr.DoneAt,
 			WallSec:    jr.Wall(),
 			WPR:        jr.WPR(),

@@ -200,17 +200,16 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 func (t *Trace) Write(w io.Writer) error { return t.tr.Write(w) }
 
 // NumJobs returns the number of jobs in the trace.
-func (t *Trace) NumJobs() int { return len(t.tr.Jobs) }
+func (t *Trace) NumJobs() int { return t.tr.NumJobs() }
 
 // NumTasks returns the number of tasks across all jobs.
-func (t *Trace) NumTasks() int { return len(t.tr.Tasks()) }
+func (t *Trace) NumTasks() int { return t.tr.NumTasks() }
 
 // Tasks returns public views of every task in job order.
 func (t *Trace) Tasks() []Task {
-	raw := t.tr.Tasks()
-	out := make([]Task, len(raw))
-	for i, task := range raw {
-		out[i] = taskView(task)
+	out := make([]Task, 0, t.tr.NumTasks())
+	for h := range t.tr.Tasks() {
+		out = append(out, taskView(t.tr.Task(h)))
 	}
 	return out
 }
@@ -227,9 +226,6 @@ func (t *Trace) FailureIntervals(maxIntervalSec float64) []float64 {
 	return trace.FailureIntervalSamples(t.tr, maxIntervalSec)
 }
 
-// PriorityOrder lists the trace priorities from lowest to highest.
-var PriorityOrder = append([]int(nil), trace.PriorityOrder...)
-
 // TraceSummary holds a trace's headline statistics (the Figure 8
 // calibration view).
 type TraceSummary struct {
@@ -239,27 +235,29 @@ type TraceSummary struct {
 	BagOfTasksJobs int     `json:"bot_jobs"`
 	TaskLength     Summary `json:"task_length"`
 	TaskMemory     Summary `json:"task_memory"`
-	// JobsByPriority maps each priority (see PriorityOrder) to its job
-	// count; priorities with no jobs are omitted.
+	// JobsByPriority maps each priority (1 to 12) to its job count;
+	// priorities with no jobs are omitted.
 	JobsByPriority map[int]int `json:"jobs_by_priority"`
 }
 
 // Summary computes the trace's summary statistics.
 func (t *Trace) Summary() TraceSummary {
 	ts := TraceSummary{JobsByPriority: make(map[int]int)}
-	var lens, mems []float64
-	for _, j := range t.tr.Jobs {
-		if j.Structure == trace.Sequential {
+	for i := 0; i < t.tr.NumJobs(); i++ {
+		j := t.tr.Job(i)
+		if t.tr.Sequential[j] {
 			ts.SequentialJobs++
 		} else {
 			ts.BagOfTasksJobs++
 		}
-		ts.JobsByPriority[j.Priority]++
+		ts.JobsByPriority[t.tr.JobPrio[j]]++
 		ts.Jobs++
 	}
-	for _, task := range t.tr.Tasks() {
-		lens = append(lens, task.LengthSec)
-		mems = append(mems, task.MemMB)
+	lens := make([]float64, 0, t.tr.NumTasks())
+	mems := make([]float64, 0, t.tr.NumTasks())
+	for h := range t.tr.Tasks() {
+		lens = append(lens, t.tr.Len[h])
+		mems = append(mems, t.tr.Mem[h])
 	}
 	ts.Tasks = len(lens)
 	ts.TaskLength = Summary(stats.Summarize(lens))
