@@ -16,12 +16,16 @@ import (
 )
 
 // TestInternalHasNoTestOnlyCode keeps code that only tests reach out of
-// internal/: every package-level func, type, var and const there, and
-// every method of a type declared there, must be referenced by non-test
-// code outside its own declaration. The consumers are every non-test
-// file of the module — cmd/, examples/, sim/ and internal/ itself — plus
-// perfbench/. A test that needs a helper or a reference implementation
-// keeps it in its own _test.go files (export_test.go for accessors).
+// internal/ and out of the public sim package: every package-level
+// func, type, var and const there, and every method of a type declared
+// there, must be referenced outside its own declaration by one of its
+// users. The users are every non-test file of the module — cmd/,
+// examples/, sim/ and internal/ themselves — plus perfbench/ and the
+// godoc Example functions of the module's external test packages (the
+// documented uses of the public API). Type aliases are exempt: an alias
+// only names a type that a used declaration already hands out. A test
+// that needs a helper or a reference implementation keeps it in its own
+// _test.go files (export_test.go for accessors).
 //
 // A method counts as referenced when it is selected somewhere, or when
 // its type (or a type embedding it) implements an interface whose method
@@ -45,8 +49,10 @@ func TestInternalHasNoTestOnlyCode(t *testing.T) {
 		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
 		}
-		_, err = l.load(filepath.ToSlash(path))
-		return err
+		if _, err = l.load(filepath.ToSlash(path)); err != nil {
+			return err
+		}
+		return l.loadExamples(filepath.ToSlash(path))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +76,8 @@ type sourceLoader struct {
 	std   types.Importer
 	pkgs  map[string]*loadedPkg // by import path
 	order []*loadedPkg
+	// examples holds the identifier uses inside godoc Example functions.
+	examples map[*ast.Ident]types.Object
 }
 
 type loadedPkg struct {
@@ -82,9 +90,10 @@ type loadedPkg struct {
 func newSourceLoader() *sourceLoader {
 	fset := token.NewFileSet()
 	return &sourceLoader{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*loadedPkg{},
+		fset:     fset,
+		std:      importer.ForCompiler(fset, "source", nil),
+		pkgs:     map[string]*loadedPkg{},
+		examples: map[*ast.Ident]types.Object{},
 	}
 }
 
@@ -153,17 +162,72 @@ func (l *sourceLoader) load(dir string) (*loadedPkg, error) {
 	return p, nil
 }
 
-func internalPath(path string) bool {
-	return strings.HasPrefix(path, "repro/internal/")
+// loadExamples type-checks the files of dir's external test package
+// that declare godoc Example functions, and records the uses inside
+// those functions. Such a file must type-check on its own, as a godoc
+// example does.
+func (l *sourceLoader) loadExamples(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	var files []*ast.File
+	var examples []*ast.FuncDecl
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if !strings.HasSuffix(f.Name.Name, "_test") {
+			continue
+		}
+		n := len(examples)
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example") {
+				examples = append(examples, fn)
+			}
+		}
+		if len(examples) > n {
+			files = append(files, f)
+		}
+	}
+	if len(files) == 0 {
+		return nil
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: l}
+	if _, err := conf.Check(files[0].Name.Name, l.fset, files, info); err != nil {
+		return err
+	}
+	for id, obj := range info.Uses {
+		for _, fn := range examples {
+			if fn.Pos() <= id.Pos() && id.Pos() < fn.End() {
+				l.examples[id] = obj
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// guarded reports whether the package at path is held to the rule:
+// everything under internal/, and the public sim package.
+func guarded(path string) bool {
+	return strings.HasPrefix(path, "repro/internal/") || path == "repro/sim"
 }
 
 type span struct{ pos, end token.Pos }
 
 func spanOf(n ast.Node) span { return span{n.Pos(), n.End()} }
 
-// unreferenced returns the package-level declarations and methods under
-// internal/ that nothing outside their own declaration refers to. A
-// type's own declaration includes its methods, receivers and all.
+// unreferenced returns the package-level declarations and methods of
+// the guarded packages that nothing outside their own declaration
+// refers to. A type's own declaration includes its methods, receivers
+// and all.
 func (l *sourceLoader) unreferenced() []types.Object {
 	own := map[types.Object][]span{}
 	for _, p := range l.order {
@@ -172,20 +236,23 @@ func (l *sourceLoader) unreferenced() []types.Object {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
 					if d.Recv != nil {
-						if tn := p.recvType(d.Recv.List[0].Type); tn != nil && internalPath(p.path) {
+						if tn := p.recvType(d.Recv.List[0].Type); tn != nil && guarded(p.path) {
 							own[tn] = append(own[tn], spanOf(d))
 						}
 					}
-					if internalPath(p.path) && d.Name.Name != "init" {
+					if guarded(p.path) && d.Name.Name != "init" {
 						own[p.info.Defs[d.Name]] = append(own[p.info.Defs[d.Name]], spanOf(d))
 					}
 				case *ast.GenDecl:
-					if !internalPath(p.path) {
+					if !guarded(p.path) {
 						continue
 					}
 					for _, spec := range d.Specs {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
+							if s.Assign.IsValid() {
+								continue // an alias
+							}
 							tn := p.info.Defs[s.Name]
 							own[tn] = append(own[tn], spanOf(s))
 							if it, ok := s.Type.(*ast.InterfaceType); ok {
@@ -209,16 +276,20 @@ func (l *sourceLoader) unreferenced() []types.Object {
 	}
 
 	used := map[types.Object]bool{}
+	allUses := []map[*ast.Ident]types.Object{l.examples}
 	for _, p := range l.order {
-	uses:
-		for id, obj := range p.info.Uses {
+		allUses = append(allUses, p.info.Uses)
+	}
+	for _, uses := range allUses {
+	next:
+		for id, obj := range uses {
 			obj = origin(obj)
 			if used[obj] {
 				continue
 			}
 			for _, s := range own[obj] {
 				if s.pos <= id.Pos() && id.Pos() < s.end {
-					continue uses
+					continue next
 				}
 			}
 			used[obj] = true

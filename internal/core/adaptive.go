@@ -12,10 +12,10 @@ import (
 // changes (Theorem 2 guarantees that recomputation is otherwise
 // redundant: the count simply decrements at each checkpoint).
 //
-// The controller is driven by its owner (the simulation engine or a real
-// executor) via OnCheckpoint, OnMNOFChange, and OnRollback rather than by
-// a polling loop; the countdown of Algorithm 1 lines 13-14 corresponds
-// to the owner advancing productive time until NextCheckpointIn elapses.
+// The controller is driven by its owner via OnCheckpoint and
+// OnMNOFChange rather than by a polling loop; the countdown of
+// Algorithm 1 lines 13-14 corresponds to the owner advancing productive
+// time until NextCheckpointIn elapses.
 type Adaptive struct {
 	c           float64 // per-checkpoint cost
 	teRemaining float64 // remaining productive time to the task end
@@ -89,9 +89,6 @@ func (a *Adaptive) Remaining() float64 { return a.teRemaining }
 // IntervalCount returns the current planned interval count X*.
 func (a *Adaptive) IntervalCount() int { return a.x }
 
-// Checkpoints returns the number of checkpoints recorded so far.
-func (a *Adaptive) Checkpoints() int { return a.checkpoints }
-
 // Recomputes returns how many times Formula 3 was evaluated, exposing
 // the Theorem 2 saving (the dynamic algorithm only recomputes on MNOF
 // changes; a naive implementation recomputes at every checkpoint).
@@ -129,25 +126,4 @@ func (a *Adaptive) OnMNOFChange(newMNOF float64) {
 	a.mnof = math.Max(newMNOF, 0)
 	a.teAtEstim = a.teRemaining
 	a.replan()
-}
-
-// OnRollback restores the controller to the state of the last completed
-// checkpoint: the remaining work grows back by the productive time lost
-// (the engine knows how far past the last checkpoint the task was).
-// The plan's spacing is preserved; the interval count is recomputed from
-// the restored remaining workload to keep the equidistant invariant.
-func (a *Adaptive) OnRollback(lostWork float64) {
-	if lostWork < 0 {
-		panic("core: OnRollback with negative lost work")
-	}
-	a.teRemaining += lostWork
-	// Re-deriving the count from the preserved spacing keeps checkpoint
-	// positions aligned with the pre-failure plan.
-	if a.w0 > 0 {
-		x := int(math.Round(a.teRemaining / a.w0))
-		if x < 1 {
-			x = 1
-		}
-		a.x = x
-	}
 }

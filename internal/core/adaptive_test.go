@@ -1,9 +1,53 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
+
+// Checkpoints returns the number of checkpoints recorded so far.
+func (a *Adaptive) Checkpoints() int { return a.checkpoints }
+
+// OnRollback restores the controller to the state of the last completed
+// checkpoint: the remaining work grows back by the productive time lost
+// (the owner knows how far past the last checkpoint the task was).
+// The plan's spacing is preserved; the interval count is recomputed from
+// the restored remaining workload to keep the equidistant invariant.
+func (a *Adaptive) OnRollback(lostWork float64) {
+	if lostWork < 0 {
+		panic("core: OnRollback with negative lost work")
+	}
+	a.teRemaining += lostWork
+	// Re-deriving the count from the preserved spacing keeps checkpoint
+	// positions aligned with the pre-failure plan.
+	if a.w0 > 0 {
+		x := int(math.Round(a.teRemaining / a.w0))
+		if x < 1 {
+			x = 1
+		}
+		a.x = x
+	}
+}
+
+// FixedIntervalPolicy checkpoints every Interval seconds of productive
+// time regardless of failure statistics.
+type FixedIntervalPolicy struct {
+	Interval float64
+}
+
+// Name implements Policy.
+func (p FixedIntervalPolicy) Name() string {
+	return fmt.Sprintf("Fixed(%.0fs)", p.Interval)
+}
+
+// Intervals implements Policy.
+func (p FixedIntervalPolicy) Intervals(te, c float64, est Estimate) int {
+	if !(p.Interval > 0) {
+		panic("core: FixedIntervalPolicy requires Interval > 0")
+	}
+	return IntervalsFromLength(te, p.Interval)
+}
 
 func TestAdaptiveInitialPlanMatchesFormula3(t *testing.T) {
 	a := NewAdaptive(18, 2, Estimate{MNOF: 2}, true)

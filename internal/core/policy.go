@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Estimate carries the failure statistics a policy may consult for one
 // task: the expected number of failures over the task's lifetime (MNOF,
@@ -72,25 +69,6 @@ func (DalyPolicy) Intervals(te, c float64, est Estimate) int {
 		return 1
 	}
 	return IntervalsFromLength(te, interval)
-}
-
-// FixedIntervalPolicy checkpoints every Interval seconds of productive
-// time regardless of failure statistics.
-type FixedIntervalPolicy struct {
-	Interval float64
-}
-
-// Name implements Policy.
-func (p FixedIntervalPolicy) Name() string {
-	return fmt.Sprintf("Fixed(%.0fs)", p.Interval)
-}
-
-// Intervals implements Policy.
-func (p FixedIntervalPolicy) Intervals(te, c float64, est Estimate) int {
-	if !(p.Interval > 0) {
-		panic("core: FixedIntervalPolicy requires Interval > 0")
-	}
-	return IntervalsFromLength(te, p.Interval)
 }
 
 // RandomPolicy is the "random checkpointing" baseline from the

@@ -14,10 +14,14 @@
 // returns ctx.Err() without leaving anything behind, since the whole
 // simulation lives on the calling goroutine.
 //
-// Config exposes the seams the public repro/sim package fronts:
+// The public repro/sim package plugs two Config seams: Policy (a custom
+// checkpoint-interval policy) and Progress (streaming observability).
 // CustomEstimator (failure statistics), FailureModel (failure
-// processes), LocalBackend/SharedBackend (checkpoint devices), and
-// Progress (streaming observability). Defaults reproduce the paper's
-// testbed exactly; every seam, when left nil, keeps the built-in
-// behavior and the built-in random streams.
+// processes) and LocalBackend/SharedBackend (checkpoint devices) are
+// seams for tests and perfbench: the engine's own tests drive them with
+// fixed statistics, a never-failing process and constant-cost devices,
+// the inputs a reference model of the paper's single-task process
+// needs, and perfbench reads CustomEstimator. Defaults reproduce the
+// paper's testbed exactly; every seam, when left nil, keeps the
+// built-in behavior and the built-in random streams.
 package engine

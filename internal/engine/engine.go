@@ -94,9 +94,10 @@ type Config struct {
 	// a failure mid-write rolls back to the previous completed image.
 	NonBlockingCheckpoints bool
 	// CustomEstimator, when non-nil, supersedes the Estimates mode: every
-	// per-task failure estimate is delegated to it. It is the hook the
-	// public API (repro/sim) uses to plug third-party statistics sources
-	// into the planner.
+	// per-task failure estimate is delegated to it. No scenario sets it;
+	// it is a seam for tests that feed the planner fixed statistics, and
+	// perfbench reads it to decide whether a run needs a history
+	// estimator.
 	CustomEstimator TaskEstimator
 	// FailureModel, when non-nil, replaces the trace-driven failure
 	// process for every task. The returned process must be deterministic

@@ -108,7 +108,7 @@ func TestTrainRegressionErrors(t *testing.T) {
 	if _, err := TrainRegression(none(traceFor(5)), 2); err == nil {
 		t.Fatal("empty training set accepted")
 	}
-	one, err := trace.Read(strings.NewReader(`{"id":"a","structure":"ST","tasks":[` +
+	one, err := trace.Read(strings.NewReader(`{"id":"a","structure":"ST","priority":1,"tasks":[` +
 		`{"id":"a.t","job_id":"a","priority":1,"length_sec":10,"mem_mb":1,"input_units":3}]}`))
 	if err != nil {
 		t.Fatal(err)

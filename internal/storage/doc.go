@@ -18,8 +18,10 @@
 // release closures bound to them) through per-backend pools — see the
 // Backend contract for what that implies for release calls.
 //
-// Third-party backends plug in through engine.Config.LocalBackend /
-// SharedBackend (fronted by repro/sim's StorageBackend); implementing
-// the optional CostModel interface lets the planner see their real
-// checkpoint/restart constants instead of the BLCR-derived curves.
+// Other backends plug in through engine.Config.LocalBackend /
+// SharedBackend, a seam for tests (a constant-cost device, say, as a
+// reference model of the paper's single-task process needs);
+// implementing the optional CostModel interface lets the planner see
+// their own checkpoint/restart constants instead of the BLCR-derived
+// curves.
 package storage

@@ -112,11 +112,6 @@ func autoChunk(n, workers int) int {
 type Run struct {
 	Scenario scenario.Scenario
 	Seed     uint64
-	// Trace, when non-nil, replays this exact trace instead of
-	// materializing Scenario.Workload. Explicit traces bypass the
-	// (seed, workload) sharing cache; the history estimator, when the
-	// scenario calls for one, is built from this trace per run.
-	Trace *trace.Trace
 }
 
 // Outcome is one run's result. Err is per-run: a failing run never
@@ -197,11 +192,10 @@ func ScenariosContext(ctx context.Context, runs []Run, opt Options) ([]Outcome, 
 		defaultJobs = DefaultJobs
 	}
 
-	// Resolve each run's trace and estimator slot once. Runs carrying an
-	// explicit trace bypass the trace cache; skipped runs never execute,
-	// so their inputs are not materialized either. A run consumes a
-	// shared history estimator when it estimates by priority from a
-	// generated trace without a plugged-in statistics source.
+	// Resolve each run's trace and estimator slot once. Skipped runs
+	// never execute, so their inputs are not materialized either. A run
+	// consumes a shared history estimator when it estimates by priority
+	// without a plugged-in statistics source.
 	traceSlot := make([]int, n)
 	estSlot := make([]int, n)
 	var traceOrder []traceKey
@@ -211,7 +205,7 @@ func ScenariosContext(ctx context.Context, runs []Run, opt Options) ([]Outcome, 
 	estIdx := make(map[estKey]int, n)
 	for i, r := range runs {
 		traceSlot[i], estSlot[i] = noSlot, noSlot
-		if r.Trace != nil || opt.skipped(i) {
+		if opt.skipped(i) {
 			continue
 		}
 		tk := traceKey{seed: r.Seed, w: r.Scenario.Workload}
@@ -264,15 +258,11 @@ func ScenariosContext(ctx context.Context, runs []Run, opt Options) ([]Outcome, 
 		if opt.OnRunStart != nil {
 			opt.OnRunStart(i)
 		}
-		tr := runs[i].Trace
-		if t := traceSlot[i]; t != noSlot {
-			tr = traces[t]
-		}
 		var est *core.HistoryEstimator
 		if e := estSlot[i]; e != noSlot {
 			est = estimators[e]
 		}
-		outs[i] = runOne(ctx, i, runs[i], tr, est, opt)
+		outs[i] = runOne(ctx, i, runs[i], traces[traceSlot[i]], est, opt)
 		if opt.OnRunDone != nil {
 			opt.OnRunDone(i, outs[i])
 		}
@@ -321,12 +311,8 @@ func runOne(ctx context.Context, i int, r Run, tr *trace.Trace, est *core.Histor
 	if !sc.ReplayAll {
 		replay = tr.BatchJobs()
 	}
-	if cfg.NeedsHistory() {
-		if r.Trace != nil {
-			est = trace.BuildEstimator(tr, sc.EffectiveLimits())
-		} else if est == nil {
-			return Outcome{Err: ctx.Err()}
-		}
+	if cfg.NeedsHistory() && est == nil { // its build was skipped too
+		return Outcome{Err: ctx.Err()}
 	}
 	res, err := engine.RunWithEstimatorContext(ctx, cfg, replay, est)
 	return Outcome{Result: res, Err: err}

@@ -16,6 +16,8 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	f.Add(golden)
 	f.Add([]byte(`{"id":"j000000","structure":"ST","arrival_sec":0,"priority":1,"tasks":[null]}`))
+	f.Add([]byte(jobPriority99))
+	f.Add([]byte(jobPriorityMissing))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		tr, err := Read(bytes.NewReader(in))
 		if err != nil {

@@ -218,6 +218,13 @@ func TestRoundTripSerialization(t *testing.T) {
 	sameTrace(t, batch, roundTrip(t, batch))
 }
 
+// jobPriority99 and jobPriorityMissing are one-job traces whose tasks
+// are valid but whose job priority is outside 1..12.
+const (
+	jobPriority99      = `{"id":"j","structure":"ST","priority":99,"tasks":[{"id":"a","job_id":"j","priority":1,"length_sec":1,"mem_mb":1}]}`
+	jobPriorityMissing = `{"id":"j","structure":"ST","tasks":[{"id":"a","job_id":"j","priority":1,"length_sec":1,"mem_mb":1}]}`
+)
+
 func TestReadRejectsInvalid(t *testing.T) {
 	for _, in := range []string{
 		`{"id":"x","tasks":[]}`,
@@ -225,10 +232,14 @@ func TestReadRejectsInvalid(t *testing.T) {
 		// A null task reads as a zero task, which is invalid.
 		`{"id":"j000000","structure":"ST","arrival_sec":0,"priority":1,"tasks":[null]}`,
 		// A task's index is its position in the job.
-		`{"id":"j","tasks":[{"id":"a","job_id":"j","index":1,"priority":1,"length_sec":1,"mem_mb":1}]}`,
-		`{"id":"j","tasks":[{"id":"a","job_id":"k","priority":1,"length_sec":1,"mem_mb":1}]}`,
-		`{"id":"j","arrival_sec":5,"tasks":[{"id":"a","job_id":"j","priority":1,"length_sec":1,"mem_mb":1}]}
-{"id":"k","arrival_sec":4,"tasks":[{"id":"b","job_id":"k","priority":1,"length_sec":1,"mem_mb":1}]}`,
+		`{"id":"j","priority":1,"tasks":[{"id":"a","job_id":"j","index":1,"priority":1,"length_sec":1,"mem_mb":1}]}`,
+		`{"id":"j","priority":1,"tasks":[{"id":"a","job_id":"k","priority":1,"length_sec":1,"mem_mb":1}]}`,
+		`{"id":"j","priority":1,"arrival_sec":5,"tasks":[{"id":"a","job_id":"j","priority":1,"length_sec":1,"mem_mb":1}]}
+{"id":"k","priority":1,"arrival_sec":4,"tasks":[{"id":"b","job_id":"k","priority":1,"length_sec":1,"mem_mb":1}]}`,
+		// A job's own priority is range-checked like its tasks', and a
+		// missing one reads as 0.
+		jobPriority99,
+		jobPriorityMissing,
 	} {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %s", in)
@@ -241,6 +252,7 @@ func TestJobAggregates(t *testing.T) {
 		return Job{
 			ID:        "j",
 			Structure: s,
+			Priority:  1,
 			Tasks: []Task{
 				{ID: "a", JobID: "j", Index: 0, Priority: 1, LengthSec: 100, MemMB: 50},
 				{ID: "b", JobID: "j", Index: 1, Priority: 1, LengthSec: 300, MemMB: 200},

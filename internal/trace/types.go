@@ -127,6 +127,9 @@ func (j *Job) Validate() error {
 	if j.ArrivalSec < 0 {
 		return fmt.Errorf("trace: job %s has negative arrival %v", j.ID, j.ArrivalSec)
 	}
+	if j.Priority < 1 || j.Priority > 12 {
+		return fmt.Errorf("trace: job %s priority %d outside 1..12", j.ID, j.Priority)
+	}
 	for k := range j.Tasks {
 		t := &j.Tasks[k]
 		if t.JobID != j.ID {

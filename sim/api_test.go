@@ -101,39 +101,6 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// neverFail is a custom FailureModel: no task ever fails.
-type neverFail struct{}
-
-type noFailures struct{}
-
-func (noFailures) NextAfter(float64) float64 { return math.Inf(1) }
-
-func (neverFail) NewProcess(sim.Task) sim.FailureProcess { return noFailures{} }
-
-// TestCustomFailureModel: with a never-failing model, the run records
-// zero failures and (under a no-checkpoint policy) unit WPR.
-func TestCustomFailureModel(t *testing.T) {
-	s, err := sim.New(
-		sim.WithSeed(21),
-		sim.WithJobs(60),
-		sim.WithFailureModel(neverFail{}),
-		sim.WithPolicy(sim.NoCheckpoints()),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failures() != 0 {
-		t.Fatalf("never-failing model recorded %d failures", res.Failures())
-	}
-	if res.Summary.Checkpoints != 0 {
-		t.Fatalf("no-checkpoint policy recorded %d checkpoints", res.Summary.Checkpoints)
-	}
-}
-
 // countingPolicy is a custom Policy recording how often it was asked.
 type countingPolicy struct {
 	mu    sync.Mutex
@@ -149,15 +116,14 @@ func (p *countingPolicy) Intervals(te, c float64, est sim.Estimate) int {
 	return 1
 }
 
-// TestCustomPolicyAndEstimator: plugged-in implementations are actually
-// consulted, and the estimator's statistics reach the policy.
-func TestCustomPolicyAndEstimator(t *testing.T) {
+// TestCustomPolicy: a plugged-in policy is consulted, and its name
+// labels the result.
+func TestCustomPolicy(t *testing.T) {
 	pol := &countingPolicy{}
 	s, err := sim.New(
 		sim.WithSeed(8),
 		sim.WithJobs(40),
 		sim.WithPolicy(pol),
-		sim.WithEstimator(sim.FixedEstimator(sim.Estimate{MNOF: 2, MTBF: 100})),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -171,141 +137,6 @@ func TestCustomPolicyAndEstimator(t *testing.T) {
 	}
 	if pol.calls == 0 {
 		t.Error("custom policy was never consulted")
-	}
-}
-
-// constBackend is a custom checkpoint device with constant costs that
-// counts the simulator's calls to it.
-type constBackend struct {
-	ckpt, restart float64
-	shared        bool
-
-	mu       sync.Mutex
-	begins   int
-	restarts int
-}
-
-func (b *constBackend) CheckpointCost(float64) float64 { return b.ckpt }
-
-func (b *constBackend) RestartCost(float64) float64 {
-	b.mu.Lock()
-	b.restarts++
-	b.mu.Unlock()
-	return b.restart
-}
-
-func (b *constBackend) Begin(int, float64) (float64, func()) {
-	b.mu.Lock()
-	b.begins++
-	b.mu.Unlock()
-	return b.ckpt, func() {}
-}
-
-func (b *constBackend) SharedAcrossHosts() bool { return b.shared }
-
-// costPolicy plans four intervals per task and records every
-// checkpoint cost C the planner hands it.
-type costPolicy struct {
-	mu    sync.Mutex
-	costs map[float64]int
-}
-
-func (p *costPolicy) Name() string { return "four-intervals" }
-
-func (p *costPolicy) Intervals(_, c float64, _ sim.Estimate) int {
-	p.mu.Lock()
-	p.costs[c]++
-	p.mu.Unlock()
-	return 4
-}
-
-// TestCustomStorageBackends: with custom devices in both slots, the
-// storage mode picks a slot per task, the slot's CheckpointCost is the
-// planner's C, every blocking write costs what its Begin returned, a
-// restart from an image costs the slot's RestartCost, and
-// SharedAcrossHosts sets UsedSharedStorage. One seed reproduces the
-// same JSON bytes.
-func TestCustomStorageBackends(t *testing.T) {
-	run := func(mode sim.StorageMode) (*sim.Result, *constBackend, *constBackend, *costPolicy) {
-		t.Helper()
-		local := &constBackend{ckpt: 2, restart: 3}
-		shared := &constBackend{ckpt: 5, restart: 13, shared: true}
-		pol := &costPolicy{costs: map[float64]int{}}
-		s, err := sim.New(
-			sim.WithSeed(31),
-			sim.WithJobs(80),
-			sim.WithStorage(mode),
-			sim.WithStorageBackends(local, shared),
-			sim.WithPolicy(pol),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, local, shared, pol
-	}
-	for _, mode := range []sim.StorageMode{sim.StorageLocal, sim.StorageShared, sim.StorageAuto} {
-		res, local, shared, pol := run(mode)
-		restarted := 0
-		for _, j := range res.Jobs {
-			for _, task := range j.Tasks {
-				b := local
-				if task.UsedSharedStorage {
-					b = shared
-				}
-				if mode == sim.StorageLocal && b != local || mode == sim.StorageShared && b != shared {
-					t.Fatalf("mode %d: task %s used_shared_storage=%v", mode, task.ID, task.UsedSharedStorage)
-				}
-				if task.CheckpointCostSec != b.ckpt*float64(task.Checkpoints) {
-					t.Errorf("mode %d: task %s: %d checkpoints cost %g s, want %g s each",
-						mode, task.ID, task.Checkpoints, task.CheckpointCostSec, b.ckpt)
-				}
-				if math.Mod(task.RestartCostSec, b.restart) != 0 {
-					t.Errorf("mode %d: task %s: restart cost %g s is not a multiple of %g s",
-						mode, task.ID, task.RestartCostSec, b.restart)
-				}
-				if task.RestartCostSec > 0 {
-					restarted++
-				}
-			}
-		}
-		if restarted == 0 {
-			t.Errorf("mode %d: no task restarted from an image", mode)
-		}
-		for c := range pol.costs {
-			if c != local.ckpt && c != shared.ckpt {
-				t.Errorf("mode %d: planner saw C = %g, want a backend's CheckpointCost", mode, c)
-			}
-		}
-		switch mode {
-		case sim.StorageLocal:
-			if local.begins == 0 || shared.begins != 0 || shared.restarts != 0 {
-				t.Errorf("local mode: %d local and %d shared writes, %d shared restarts",
-					local.begins, shared.begins, shared.restarts)
-			}
-		case sim.StorageShared:
-			if shared.begins == 0 || local.begins != 0 || local.restarts != 0 {
-				t.Errorf("shared mode: %d shared and %d local writes, %d local restarts",
-					shared.begins, local.begins, local.restarts)
-			}
-		}
-	}
-
-	a, _, _, _ := run(sim.StorageAuto)
-	b, _, _, _ := run(sim.StorageAuto)
-	ja, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ja, jb) {
-		t.Fatal("one seed with custom backends produced different JSON")
 	}
 }
 
@@ -447,8 +278,7 @@ func TestScenarioRegistryFacade(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTrip: generated traces survive serialization and feed
-// explicit-trace simulations.
+// TestTraceRoundTrip: generated traces survive serialization.
 func TestTraceRoundTrip(t *testing.T) {
 	tr, err := sim.GenerateTrace(sim.DefaultTraceConfig(17, 50))
 	if err != nil {
@@ -464,16 +294,5 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if back.NumJobs() != tr.NumJobs() || back.NumTasks() != tr.NumTasks() {
 		t.Fatalf("round trip changed the trace: %v vs %v", back, tr)
-	}
-	s, err := sim.New(sim.WithSeed(17), sim.WithTrace(back))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Jobs) == 0 {
-		t.Fatal("explicit-trace run replayed no jobs")
 	}
 }

@@ -28,18 +28,12 @@ type (
 	BenchDerived = benchkit.Derived
 )
 
-// BenchSchemaVersion identifies the BENCH report layout.
-const BenchSchemaVersion = benchkit.SchemaVersion
-
 // RunBench executes a benchmark matrix and assembles its report. Cell
 // failures land in the cell's Error field; only an unknown scenario
 // name fails the run. The caller stamps Report.CreatedAt.
 func RunBench(ctx context.Context, cfg BenchConfig) (*BenchReport, error) {
 	return benchkit.Run(ctx, cfg)
 }
-
-// BenchDefaultScenarios returns the committed-report scenario matrix.
-func BenchDefaultScenarios() []string { return benchkit.DefaultScenarios() }
 
 // BenchDefaultScales returns the committed-report trace sizes.
 func BenchDefaultScales() []int { return benchkit.DefaultScales() }

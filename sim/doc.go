@@ -6,14 +6,13 @@
 //
 // # Building and running a simulation
 //
-// A Simulation is assembled from functional options and executed with a
-// context:
+// A Simulation starts from a registered scenario (ScenarioByName) or
+// from the paper's headline setup (New), takes functional options on
+// top, and is executed with a context:
 //
-//	s, err := sim.New(
+//	s, err := sim.ScenarioByName("hostfail-storm",
 //		sim.WithSeed(42),
 //		sim.WithJobs(500),
-//		sim.WithPolicy(sim.Formula3()),
-//		sim.WithCluster(32, 7*1024),
 //	)
 //	if err != nil {
 //		log.Fatal(err)
@@ -33,12 +32,14 @@
 //
 // # Extension points
 //
-// Third-party implementations plug in through small public interfaces:
-// Policy (checkpoint-interval planning), Estimator (failure
-// statistics), FailureModel (failure processes), Predictor (planned
-// task lengths), and StorageBackend (checkpoint devices). Each adapts
-// onto the corresponding internal seam; the built-in implementations
-// are available through constructors such as Formula3, Young, and Daly.
+// The scenario registry declares the models the study varies — host
+// crashes, oracle estimates, non-blocking checkpoints, storage modes,
+// workload shapes — so options only select among them. The one plug-in
+// is Policy (checkpoint-interval planning), an alias of the engine's own
+// interface: a custom implementation reaches the planner unwrapped, and
+// the built-ins come from Formula3 and Young or, by name, from
+// WithPolicyName. FailureProcess, also the engine's own interface, is
+// what NewTraceFailureProcess returns and CountFailures reads.
 //
 // # Results
 //

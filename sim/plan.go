@@ -52,10 +52,6 @@ func IntervalsFromLength(te, interval float64) int {
 	return core.IntervalsFromLength(te, interval)
 }
 
-// MNOFFromMTBF converts an MTBF into the expected number of failures
-// over a te-second task.
-func MNOFFromMTBF(te, mtbf float64) float64 { return core.MNOFFromMTBF(te, mtbf) }
-
 // CheckpointCostLocal returns the BLCR-derived cost (seconds) of
 // writing a memMB checkpoint to the VM-local ramdisk.
 func CheckpointCostLocal(memMB float64) float64 { return blcr.CheckpointCostLocal(memMB) }
@@ -95,15 +91,9 @@ func DefaultStorageCosts(memMB float64) StorageCosts {
 	}
 }
 
-// StorageChoice is the Section 4.2.2 advisor's recommendation.
+// StorageChoice is the Section 4.2.2 advisor's recommendation; its
+// String names the recommended device.
 type StorageChoice int
-
-const (
-	// ChooseLocal recommends local-ramdisk checkpoints.
-	ChooseLocal StorageChoice = iota
-	// ChooseShared recommends shared-disk checkpoints.
-	ChooseShared
-)
 
 // String implements fmt.Stringer.
 func (s StorageChoice) String() string {
@@ -171,7 +161,7 @@ type AdaptivePlan struct {
 // initial statistics est. With dynamic false the initial plan is kept
 // through MNOF changes (the static baseline).
 func NewAdaptivePlan(te, c float64, est Estimate, dynamic bool) *AdaptivePlan {
-	return &AdaptivePlan{a: core.NewAdaptive(te, c, core.Estimate(est), dynamic)}
+	return &AdaptivePlan{a: core.NewAdaptive(te, c, est, dynamic)}
 }
 
 // IntervalCount returns the remaining interval count x.
@@ -184,9 +174,6 @@ func (p *AdaptivePlan) NextCheckpointIn() float64 { return p.a.NextCheckpointIn(
 // Remaining returns the productive seconds left to the task end.
 func (p *AdaptivePlan) Remaining() float64 { return p.a.Remaining() }
 
-// Checkpoints returns the number of checkpoints taken so far.
-func (p *AdaptivePlan) Checkpoints() int { return p.a.Checkpoints() }
-
 // Recomputes returns how many times the plan was recomputed (Theorem 2
 // predicts zero absent MNOF changes).
 func (p *AdaptivePlan) Recomputes() int { return p.a.Recomputes() }
@@ -198,12 +185,10 @@ func (p *AdaptivePlan) OnCheckpoint() { p.a.OnCheckpoint() }
 // and replans if the controller is dynamic (Algorithm 1 lines 9-12).
 func (p *AdaptivePlan) OnMNOFChange(newMNOF float64) { p.a.OnMNOFChange(newMNOF) }
 
-// OnRollback accounts productive work lost to a failure rollback.
-func (p *AdaptivePlan) OnRollback(lostWork float64) { p.a.OnRollback(lostWork) }
-
 // RNG is a deterministic SplitMix64-seeded xoshiro random stream — the
-// generator behind every simulation draw, exposed for building custom
-// failure models with the repository's reproducibility guarantees.
+// generator behind every simulation draw, exposed so callers can seed
+// their own tasks' failure processes (Task.FailureSeed) with the
+// repository's reproducibility guarantees.
 type RNG struct {
 	r *simeng.RNG
 }
@@ -213,18 +198,3 @@ func NewRNG(seed uint64) *RNG { return &RNG{r: simeng.NewRNG(seed)} }
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 { return r.r.Uint64() }
-
-// Float64 returns a uniform draw in [0, 1).
-func (r *RNG) Float64() float64 { return r.r.Float64() }
-
-// Intn returns a uniform draw in [0, n).
-func (r *RNG) Intn(n int) int { return r.r.Intn(n) }
-
-// NormFloat64 returns a standard normal draw.
-func (r *RNG) NormFloat64() float64 { return r.r.NormFloat64() }
-
-// ExpFloat64 returns a rate-1 exponential draw.
-func (r *RNG) ExpFloat64() float64 { return r.r.ExpFloat64() }
-
-// Split derives an independent child stream.
-func (r *RNG) Split() *RNG { return &RNG{r: r.r.Split()} }

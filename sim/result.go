@@ -125,19 +125,6 @@ func (r *Result) JobWPRs(onlyFailing bool) []float64 {
 	return out
 }
 
-// JobWalls returns the per-job wall-clock lengths, optionally
-// restricted to failing jobs.
-func (r *Result) JobWalls(onlyFailing bool) []float64 {
-	var out []float64
-	for _, j := range r.Jobs {
-		if onlyFailing && j.Failures == 0 {
-			continue
-		}
-		out = append(out, j.WallSec)
-	}
-	return out
-}
-
 // Summary holds order statistics of a sample (population standard
 // deviation).
 type Summary struct {

@@ -38,13 +38,12 @@ const (
 )
 
 // config collects the builder state. The declarative core is an
-// internal scenario; sim-level concerns (explicit trace, observer,
-// default workload size) ride alongside.
+// internal scenario; sim-level concerns (seed, observer, default
+// workload size) ride alongside.
 type config struct {
 	sc            scenario.Scenario
 	seed          uint64
 	jobs          int
-	trace         *Trace
 	observer      Observer
 	progressEvery uint64
 	errs          []error
@@ -93,9 +92,6 @@ func (s *Simulation) Name() string { return s.cfg.sc.Name }
 // empty.
 func (s *Simulation) Description() string { return s.cfg.sc.Description }
 
-// Seed returns the seed Run executes under.
-func (s *Simulation) Seed() uint64 { return s.cfg.seed }
-
 // WithName labels the simulation in outcomes and observer events.
 func WithName(name string) Option {
 	return func(c *config) { c.sc.Name = name }
@@ -138,18 +134,6 @@ func WithWorkload(w Workload) Option {
 	}
 }
 
-// WithTrace replays an explicit trace instead of generating one. The
-// history estimator, when used, is built from this trace.
-func WithTrace(tr *Trace) Option {
-	return func(c *config) {
-		if tr == nil {
-			c.errs = append(c.errs, errors.New("WithTrace: nil trace"))
-			return
-		}
-		c.trace = tr
-	}
-}
-
 // WithServiceJobsReplayed also replays the long-running service tier.
 // By default only batch jobs replay while the estimator still sees the
 // full trace — the paper's sampled-job methodology.
@@ -158,15 +142,15 @@ func WithServiceJobsReplayed() Option {
 }
 
 // WithPolicy plugs in the checkpoint-interval policy (built-in
-// constructors: Formula3, Young, Daly, NoCheckpoints; or any custom
-// implementation). The default is Formula3.
+// constructors: Formula3, Young; or any custom implementation). The
+// default is Formula3.
 func WithPolicy(p Policy) Option {
 	return func(c *config) {
 		if p == nil {
 			c.errs = append(c.errs, errors.New("WithPolicy: nil policy"))
 			return
 		}
-		c.sc.Engine.Policy = corePolicy{p}
+		c.sc.Engine.Policy = p
 	}
 }
 
@@ -211,125 +195,11 @@ func WithSharedStorage(kind SharedStorage) Option {
 	}
 }
 
-// WithStorageBackends plugs custom checkpoint devices into the local
-// and/or shared slots (nil keeps the corresponding built-in). The
-// storage mode still decides which slot each task uses.
-func WithStorageBackends(local, shared StorageBackend) Option {
-	return func(c *config) {
-		if local != nil {
-			c.sc.Engine.LocalBackend = backendAdapter{local}
-		}
-		if shared != nil {
-			c.sc.Engine.SharedBackend = backendAdapter{shared}
-		}
-	}
-}
-
-// WithFailureModel replaces the trace-driven failure processes with a
-// custom model (see FailureModel for the determinism contract).
-func WithFailureModel(m FailureModel) Option {
-	return func(c *config) {
-		if m == nil {
-			c.errs = append(c.errs, errors.New("WithFailureModel: nil model"))
-			return
-		}
-		c.sc.Engine.FailureModel = failureModelFunc(m)
-	}
-}
-
-// WithEstimator plugs in a custom failure-statistics source, replacing
-// both the history estimator and the oracle.
-func WithEstimator(e Estimator) Option {
-	return func(c *config) {
-		if e == nil {
-			c.errs = append(c.errs, errors.New("WithEstimator: nil estimator"))
-			return
-		}
-		c.sc.Engine.CustomEstimator = taskEstimator{e}
-	}
-}
-
-// WithOracleEstimates feeds each task its own realized failure
-// statistics — the paper's "precise prediction" scenario (Table 6).
-func WithOracleEstimates() Option {
-	return func(c *config) { c.sc.Engine.Estimates = engine.EstimateOracle }
-}
-
-// WithEstimationLimits sets the task-length limits that stratify
-// priority-based history estimation (default 1000 s, 1 h, +Inf).
-func WithEstimationLimits(limits ...float64) Option {
-	return func(c *config) {
-		if len(limits) == 0 {
-			c.errs = append(c.errs, errors.New("WithEstimationLimits: no limits"))
-			return
-		}
-		c.sc.Engine.Limits = append([]float64(nil), limits...)
-	}
-}
-
-// WithPredictor plugs in a planned-length predictor (the paper's job
-// parser); the default plans with exact lengths.
-func WithPredictor(p Predictor) Option {
-	return func(c *config) {
-		if p == nil {
-			c.errs = append(c.errs, errors.New("WithPredictor: nil predictor"))
-			return
-		}
-		c.sc.Engine.Predictor = enginePredictor{p}
-	}
-}
-
-// WithCluster sizes the simulated cluster (defaults: 32 hosts with
-// 7*1024 MB of VM-backing memory each).
-func WithCluster(hosts int, hostMemMB float64) Option {
-	return func(c *config) {
-		if hosts < 0 || hostMemMB < 0 {
-			c.errs = append(c.errs, fmt.Errorf("WithCluster: negative size (%d hosts, %g MB)", hosts, hostMemMB))
-			return
-		}
-		c.sc.Engine.Hosts = hosts
-		c.sc.Engine.HostMemMB = hostMemMB
-	}
-}
-
-// WithHostFailures enables whole-host crashes: one crash on average
-// every mtbfSec seconds, each repaired after repairSec (0 keeps the
-// 600 s default). Tasks on a crashed host restart elsewhere from their
-// last checkpoints.
-func WithHostFailures(mtbfSec, repairSec float64) Option {
-	return func(c *config) {
-		c.sc.Engine.HostMTBF = mtbfSec
-		c.sc.Engine.HostRepair = repairSec
-	}
-}
-
-// WithDelays overrides the failure-detection latency and the dispatch
-// delay, in seconds (defaults 0.5 and 0.2).
-func WithDelays(detectionSec, scheduleSec float64) Option {
-	return func(c *config) {
-		c.sc.Engine.DetectionDelay = detectionSec
-		c.sc.Engine.ScheduleDelay = scheduleSec
-	}
-}
-
 // WithDynamicReplanning enables Algorithm 1's adaptive MNOF handling on
 // mid-run priority changes; off, the initial plan is kept (the paper's
 // static baseline).
 func WithDynamicReplanning(on bool) Option {
 	return func(c *config) { c.sc.Engine.Dynamic = on }
-}
-
-// WithNonBlockingCheckpoints writes checkpoints in a separate thread
-// (Algorithm 1 line 7): the write cost is hidden from the task's
-// wall-clock; the saved position lags until the write completes.
-func WithNonBlockingCheckpoints(on bool) Option {
-	return func(c *config) { c.sc.Engine.NonBlockingCheckpoints = on }
-}
-
-// WithMaxSimTime aborts runaway simulations after the given simulated
-// seconds; 0 means no limit.
-func WithMaxSimTime(seconds float64) Option {
-	return func(c *config) { c.sc.Engine.MaxSimSeconds = seconds }
 }
 
 // WithObserver streams per-run lifecycle and progress events to o (see

@@ -176,9 +176,6 @@ func RunSweep(ctx context.Context, runs []Run, opts SweepOptions) ([]Outcome, er
 		}
 		infos[i] = RunInfo{Index: i, Name: sc.Name, Seed: seed}
 		sruns[i] = sweep.Run{Scenario: sc, Seed: seed}
-		if r.Sim.cfg.trace != nil {
-			sruns[i].Trace = r.Sim.cfg.trace.tr
-		}
 	}
 
 	sopts := sweep.Options{

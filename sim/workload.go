@@ -205,19 +205,6 @@ func (t *Trace) NumJobs() int { return t.tr.NumJobs() }
 // NumTasks returns the number of tasks across all jobs.
 func (t *Trace) NumTasks() int { return t.tr.NumTasks() }
 
-// Tasks returns public views of every task in job order.
-func (t *Trace) Tasks() []Task {
-	out := make([]Task, 0, t.tr.NumTasks())
-	for h := range t.tr.Tasks() {
-		out = append(out, taskView(t.tr.Task(h)))
-	}
-	return out
-}
-
-// BatchJobs returns the replayable batch workload: every job that is
-// not a long-running service.
-func (t *Trace) BatchJobs() *Trace { return &Trace{tr: t.tr.BatchJobs()} }
-
 // FailureIntervals collects uninterrupted work intervals over every
 // task's failure process — the sample the paper's Figure 5 distribution
 // fits consume. A positive maxIntervalSec keeps only intervals at or
