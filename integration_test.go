@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/predict"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -127,7 +128,7 @@ func TestCSVExportEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := experiments.WriteCurvesCSV(&buf, res.Curves()); err != nil {
+	if err := stats.WriteCurvesCSV(&buf, res.Curves()); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() < 200 {

@@ -26,7 +26,7 @@ func saturatedGen(seed uint64, jobs int) trace.GenConfig {
 	cfg := trace.DefaultGenConfig(seed, jobs)
 	cfg.ArrivalRate = 0.96
 	cfg.BoTFraction = 0.95
-	cfg.MaxTaskLength = 1800
+	cfg.MaxTaskLengthSec = 1800
 	cfg.ServiceFraction = -1
 	return cfg
 }

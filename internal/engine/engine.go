@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/failure"
+	"repro/internal/predict"
 	"repro/internal/simeng"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -86,7 +87,7 @@ type Config struct {
 	// paper's job-parser workload prediction). nil means exact lengths.
 	// Execution always uses the true length; only the checkpoint plan
 	// sees the prediction.
-	Predictor Predictor
+	Predictor predict.Predictor
 	// NonBlockingCheckpoints performs checkpoint writes in a separate
 	// thread (Algorithm 1 line 7): the task keeps computing while the
 	// image is written, so the write cost is hidden from the task's
@@ -123,14 +124,6 @@ type Config struct {
 // superseding the built-in history/oracle estimators when set.
 type TaskEstimator interface {
 	EstimateTask(t trace.Task) core.Estimate
-}
-
-// Predictor estimates a task's productive length for planning.
-// It matches predict.Predictor without importing it, keeping the engine
-// free of a dependency cycle.
-type Predictor interface {
-	Name() string
-	Predict(t trace.Task) float64
 }
 
 // NeedsHistory reports whether a run under c plans from a history
@@ -193,9 +186,10 @@ func RunWithEstimatorContext(ctx context.Context, cfg Config, tr *trace.Trace, e
 // on first submission and free when their last task completes. Results
 // are written once, at completion: each task's TaskOutcome goes into
 // its job's next slot of one run-long slab, so every job's records sit
-// in completion order. The event loop, dispatch queue, and simulator
-// callbacks carry only handles; string task/job IDs are never hashed or
-// compared, and are read only into the result records.
+// in completion order, and the job's JobOutcome aggregates are written
+// when its last task completes. The event loop, dispatch queue, and
+// simulator callbacks carry only handles; string task/job IDs are never
+// hashed or compared, and are read only into the result records.
 const (
 	runChunkShift = 12
 	runChunkSize  = 1 << runChunkShift
@@ -231,10 +225,9 @@ type engineState struct {
 	// failure draws of a run allocate O(max concurrent tasks) backings,
 	// not one per task.
 	freeTimes [][]float64
-	// jobResults is the job result slab, indexed by job handle; each
-	// replayed job's Tasks is its window of the run's one TaskOutcome
-	// slab.
-	jobResults []JobResult
+	// jobSlot maps a replayed job's handle to its record's index in
+	// result.Jobs.
+	jobSlot []uint32
 
 	// writes is the slab of in-flight non-blocking checkpoint records,
 	// linked per task through inflightWrite.next and recycled through
@@ -320,16 +313,16 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 	nChunks := (handles + runChunkSize - 1) / runChunkSize
 	nJobs := tr.NumJobs()
 	e := &engineState{
-		cfg:        cfg,
-		sim:        simeng.NewSimulator(),
-		cl:         cluster.New(cfg.Hosts, cfg.HostMemMB),
-		est:        est,
-		tr:         tr,
-		runChunks:  make([][]taskRun, nChunks),
-		chunkLive:  make([]int32, nChunks),
-		chunkLen:   min(runChunkSize, handles),
-		jobResults: make([]JobResult, len(tr.Arrival)),
-		result:     &Result{PolicyName: cfg.Policy.Name(), Jobs: make([]*JobResult, nJobs)},
+		cfg:       cfg,
+		sim:       simeng.NewSimulator(),
+		cl:        cluster.New(cfg.Hosts, cfg.HostMemMB),
+		est:       est,
+		tr:        tr,
+		runChunks: make([][]taskRun, nChunks),
+		chunkLive: make([]int32, nChunks),
+		chunkLen:  min(runChunkSize, handles),
+		jobSlot:   make([]uint32, len(tr.Arrival)),
+		result:    &Result{PolicyName: cfg.Policy.Name(), Jobs: make([]JobOutcome, nJobs)},
 	}
 	// Each job's Tasks is its window of one slab, with the job's task
 	// count as capacity: completion fills it in place, and a caller
@@ -337,20 +330,19 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 	// overwriting the next job's records.
 	outcomes := make([]TaskOutcome, tr.NumTasks())
 	next := 0
-	for i := 0; i < nJobs; i++ {
+	for i := range e.result.Jobs {
 		j := tr.Job(i)
 		first, limit := tr.TasksOf(j)
 		n := int(limit - first)
-		jr := &e.jobResults[j]
-		*jr = JobResult{
+		e.jobSlot[j] = uint32(i)
+		e.result.Jobs[i] = JobOutcome{
 			ID:         tr.JobID(j),
-			Structure:  tr.Structure(j),
+			Structure:  tr.Structure(j).String(),
 			Priority:   tr.JobPrio[j],
 			ArrivalSec: tr.Arrival[j],
 			Tasks:      outcomes[next : next : next+n],
 		}
 		next += n
-		e.result.Jobs[i] = jr
 	}
 	e.dispatchFn = func() {
 		e.dispatchPending = false
@@ -400,18 +392,15 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 			cfg.MaxSimSeconds, e.sim.Pending())
 	}
 
-	for _, jr := range e.result.Jobs {
-		if len(jr.Tasks) != cap(jr.Tasks) {
-			return nil, fmt.Errorf("engine: job %s finished %d/%d tasks",
-				jr.ID, len(jr.Tasks), cap(jr.Tasks))
-		}
-	}
 	// Makespan is the last job completion; the raw event clock may run
 	// later (host-repair events after the workload drained).
-	for _, jr := range e.result.Jobs {
-		if jr.DoneAt > e.result.MakespanSec {
-			e.result.MakespanSec = jr.DoneAt
+	for i := range e.result.Jobs {
+		jo := &e.result.Jobs[i]
+		if len(jo.Tasks) != cap(jo.Tasks) {
+			return nil, fmt.Errorf("engine: job %s finished %d/%d tasks",
+				jo.ID, len(jo.Tasks), cap(jo.Tasks))
 		}
+		e.result.MakespanSec = max(e.result.MakespanSec, jo.DoneAt)
 	}
 	e.result.Events = e.sim.Fired()
 	e.result.Queue = e.sim.Stats()
@@ -519,16 +508,17 @@ func (e *engineState) dispatch() {
 }
 
 // onTaskDone writes a completed task's outcome into its job's next
-// slot, frees its run slot, advances ST chains, and triggers dispatch.
+// slot (and the job's aggregates after its last task), frees its run
+// slot, advances ST chains, and triggers dispatch.
 func (e *engineState) onTaskDone(r *taskRun, now float64) {
 	h := r.h
 	j := e.tr.JobOf[h]
-	jr := &e.jobResults[j]
-	n := len(jr.Tasks)
-	jr.Tasks = jr.Tasks[:n+1]
-	e.writeOutcome(&jr.Tasks[n], r, now)
-	if now > jr.DoneAt {
-		jr.DoneAt = now
+	jo := &e.result.Jobs[e.jobSlot[j]]
+	n := len(jo.Tasks)
+	jo.Tasks = jo.Tasks[:n+1]
+	e.writeOutcome(&jo.Tasks[n], r, now)
+	if n+1 == cap(jo.Tasks) {
+		jo.finish(now)
 	}
 
 	if e.tr.Sequential[j] {

@@ -74,7 +74,7 @@ func TestRunDeterministic(t *testing.T) {
 			a.MakespanSec, b.MakespanSec, a.Events, b.Events)
 	}
 	for i := range a.Jobs {
-		if a.Jobs[i].WPR() != b.Jobs[i].WPR() || a.Jobs[i].Wall() != b.Jobs[i].Wall() {
+		if a.Jobs[i].WPR != b.Jobs[i].WPR || a.Jobs[i].WallSec != b.Jobs[i].WallSec {
 			t.Fatalf("job %d differs between identical runs", i)
 		}
 	}
@@ -113,7 +113,7 @@ func TestWPRNeverExceedsOne(t *testing.T) {
 	for _, policy := range []core.Policy{core.MNOFPolicy{}, core.YoungPolicy{}, core.NoCheckpointPolicy{}} {
 		res := mustRun(t, Config{Seed: 4, Policy: policy}, tr)
 		for _, jr := range res.Jobs {
-			if w := jr.WPR(); w > 1+1e-9 || w <= 0 {
+			if w := jr.WPR; w > 1+1e-9 || w <= 0 {
 				t.Fatalf("%s: job %s WPR = %v", policy.Name(), jr.ID, w)
 			}
 			for _, tres := range jr.Tasks {
@@ -188,7 +188,7 @@ func TestSequentialJobOrdering(t *testing.T) {
 	tr := smallTrace(t, 6, 80)
 	res := mustRun(t, Config{Seed: 6, Policy: core.MNOFPolicy{}}, tr)
 	for i, jr := range res.Jobs {
-		if jr.Structure != trace.Sequential {
+		if jr.Structure != trace.Sequential.String() {
 			continue
 		}
 		byID := make(map[string]*TaskOutcome)
@@ -365,7 +365,7 @@ func TestFiltersAndAggregates(t *testing.T) {
 	if len(combo) > len(st) {
 		t.Fatal("And filter larger than its factor")
 	}
-	if res.MeanWPR(func(*JobResult) bool { return false }) != 0 {
+	if res.MeanWPR(func(*JobOutcome) bool { return false }) != 0 {
 		t.Fatal("empty selection mean not 0")
 	}
 	for _, p := range trace.PriorityOrder {

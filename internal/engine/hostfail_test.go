@@ -29,7 +29,7 @@ func TestHostFailuresIncreaseFailureCounts(t *testing.T) {
 	count := func(r *Result) int {
 		n := 0
 		for _, jr := range r.Jobs {
-			n += jr.Failures()
+			n += jr.Failures
 		}
 		return n
 	}

@@ -46,8 +46,9 @@ type TaskOutcome struct {
 	UsedSharedStorage bool `json:"used_shared_storage"`
 }
 
-// JobOutcome is one job's execution record in the sim package's public
-// Result.
+// JobOutcome is one job's execution record. The engine writes it once,
+// when the job's last task completes; the sim package hands the same
+// records out in its public Result.
 type JobOutcome struct {
 	ID string `json:"id"`
 	// Structure is "ST" (sequential tasks) or "BoT" (bag of tasks).
@@ -63,59 +64,39 @@ type JobOutcome struct {
 	Tasks    []TaskOutcome `json:"tasks"`
 }
 
-// JobResult captures one job's execution outcome.
-type JobResult struct {
-	// ID, Structure, Priority and ArrivalSec are the job's trace fields.
-	ID         string
-	Structure  trace.JobStructure
-	Priority   int
-	ArrivalSec float64
-	// DoneAt is when the job's last task completed.
-	DoneAt float64
-	// Tasks are the job's task records in completion order: the job's
-	// window of the run's one task slab.
-	Tasks []TaskOutcome
-}
-
-// Wall returns the job's wall-clock length from submission to final
-// completion — the denominator of the paper's Formula 9 for makespan
-// plots (Figures 12-13).
-func (r *JobResult) Wall() float64 { return r.DoneAt - r.ArrivalSec }
-
-// WPR returns the job's Workload-Processing Ratio: the job's processed
-// workload over the wall-clock lengths of its tasks,
+// finish writes the job's aggregates once its last task has completed
+// at now. WallSec runs from submission to final completion — the
+// denominator of the paper's Formula 9 for makespan plots (Figures
+// 12-13). WPR is the job's processed workload over the wall-clock
+// lengths of its tasks,
 //
 //	WPR(J) = sum_t Te(t) / sum_t Tw(t),
 //
 // so that a job whose tasks all run failure- and overhead-free scores
 // 1.0 regardless of intra-job parallelism. This is Formula 9 evaluated
 // per task and aggregated, the natural reading under which the paper's
-// BoT WPR values stay below 1.
-func (r *JobResult) WPR() float64 {
+// BoT WPR values stay below 1. Failures is the tasks' total.
+func (j *JobOutcome) finish(now float64) {
+	j.DoneAt = now
+	j.WallSec = now - j.ArrivalSec
 	var te, tw float64
-	for i := range r.Tasks {
-		te += r.Tasks[i].LengthSec
-		tw += r.Tasks[i].WallSec
+	for i := range j.Tasks {
+		t := &j.Tasks[i]
+		te += t.LengthSec
+		tw += t.WallSec
+		j.Failures += t.Failures
 	}
-	if tw <= 0 {
-		return 1
+	j.WPR = 1
+	if tw > 0 {
+		j.WPR = te / tw
 	}
-	return te / tw
-}
-
-// Failures returns the job's total failure count.
-func (r *JobResult) Failures() int {
-	var n int
-	for i := range r.Tasks {
-		n += r.Tasks[i].Failures
-	}
-	return n
 }
 
 // Result is the outcome of a full engine run.
 type Result struct {
 	PolicyName string
-	Jobs       []*JobResult
+	// Jobs are the replayed jobs' records, in replay order.
+	Jobs []JobOutcome
 	// MakespanSec is the simulated time at which all jobs finished.
 	MakespanSec float64
 	// Events is the number of simulation events executed.
@@ -127,22 +108,22 @@ type Result struct {
 }
 
 // JobWPRs returns the per-job WPR values, optionally filtered.
-func (r *Result) JobWPRs(keep func(*JobResult) bool) []float64 {
+func (r *Result) JobWPRs(keep func(*JobOutcome) bool) []float64 {
 	var out []float64
-	for _, j := range r.Jobs {
-		if keep == nil || keep(j) {
-			out = append(out, j.WPR())
+	for i := range r.Jobs {
+		if j := &r.Jobs[i]; keep == nil || keep(j) {
+			out = append(out, j.WPR)
 		}
 	}
 	return out
 }
 
 // JobWalls returns the per-job wall-clock lengths, optionally filtered.
-func (r *Result) JobWalls(keep func(*JobResult) bool) []float64 {
+func (r *Result) JobWalls(keep func(*JobOutcome) bool) []float64 {
 	var out []float64
-	for _, j := range r.Jobs {
-		if keep == nil || keep(j) {
-			out = append(out, j.Wall())
+	for i := range r.Jobs {
+		if j := &r.Jobs[i]; keep == nil || keep(j) {
+			out = append(out, j.WallSec)
 		}
 	}
 	return out
@@ -150,18 +131,19 @@ func (r *Result) JobWalls(keep func(*JobResult) bool) []float64 {
 
 // MeanWPR returns the average per-job WPR, optionally filtered; it
 // returns 0 for an empty selection.
-func (r *Result) MeanWPR(keep func(*JobResult) bool) float64 {
+func (r *Result) MeanWPR(keep func(*JobOutcome) bool) float64 {
 	return stats.Mean(r.JobWPRs(keep))
 }
 
 // ByStructure filters jobs by structure.
-func ByStructure(s trace.JobStructure) func(*JobResult) bool {
-	return func(j *JobResult) bool { return j.Structure == s }
+func ByStructure(s trace.JobStructure) func(*JobOutcome) bool {
+	name := s.String()
+	return func(j *JobOutcome) bool { return j.Structure == name }
 }
 
 // ByPriority filters jobs by priority.
-func ByPriority(p int) func(*JobResult) bool {
-	return func(j *JobResult) bool { return j.Priority == p }
+func ByPriority(p int) func(*JobOutcome) bool {
+	return func(j *JobOutcome) bool { return j.Priority == p }
 }
 
 // WithFailures filters jobs that experienced at least one failure — the
@@ -169,13 +151,13 @@ func ByPriority(p int) func(*JobResult) bool {
 // tasks at least suffer from a failure event" are selected as samples;
 // we keep all failure-affected jobs, the same spirit with a simpler
 // membership rule).
-func WithFailures(j *JobResult) bool { return j.Failures() > 0 }
+func WithFailures(j *JobOutcome) bool { return j.Failures > 0 }
 
 // ByMaxTaskLength filters jobs whose longest task is at most limit
 // seconds — the paper's "restricted length" (RL) populations of
 // Figures 11-12.
-func ByMaxTaskLength(limit float64) func(*JobResult) bool {
-	return func(j *JobResult) bool {
+func ByMaxTaskLength(limit float64) func(*JobOutcome) bool {
+	return func(j *JobOutcome) bool {
 		for i := range j.Tasks {
 			if j.Tasks[i].LengthSec > limit {
 				return false
@@ -186,8 +168,8 @@ func ByMaxTaskLength(limit float64) func(*JobResult) bool {
 }
 
 // And combines filters conjunctively.
-func And(fs ...func(*JobResult) bool) func(*JobResult) bool {
-	return func(j *JobResult) bool {
+func And(fs ...func(*JobOutcome) bool) func(*JobOutcome) bool {
+	return func(j *JobOutcome) bool {
 		for _, f := range fs {
 			if !f(j) {
 				return false
@@ -200,17 +182,17 @@ func And(fs ...func(*JobResult) bool) func(*JobResult) bool {
 // PairJobs aligns two results from the same trace job-by-job for paired
 // comparisons (Figure 13). It errors if the results cover different
 // job sets.
-func PairJobs(a, b *Result) ([][2]*JobResult, error) {
+func PairJobs(a, b *Result) ([][2]*JobOutcome, error) {
 	if len(a.Jobs) != len(b.Jobs) {
 		return nil, fmt.Errorf("engine: results cover %d vs %d jobs", len(a.Jobs), len(b.Jobs))
 	}
-	pairs := make([][2]*JobResult, len(a.Jobs))
+	pairs := make([][2]*JobOutcome, len(a.Jobs))
 	for i := range a.Jobs {
 		if a.Jobs[i].ID != b.Jobs[i].ID {
 			return nil, fmt.Errorf("engine: job order mismatch at %d: %s vs %s",
 				i, a.Jobs[i].ID, b.Jobs[i].ID)
 		}
-		pairs[i] = [2]*JobResult{a.Jobs[i], b.Jobs[i]}
+		pairs[i] = [2]*JobOutcome{&a.Jobs[i], &b.Jobs[i]}
 	}
 	return pairs, nil
 }

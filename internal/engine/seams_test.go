@@ -210,7 +210,7 @@ func TestCustomFailureModel(t *testing.T) {
 func sumFailures(res *Result) int {
 	n := 0
 	for _, jr := range res.Jobs {
-		n += jr.Failures()
+		n += jr.Failures
 	}
 	return n
 }

@@ -88,7 +88,7 @@ type WPRComparison struct {
 	CDFF3, CDFYoung []stats.Point
 }
 
-func compareWPR(pop string, f3, young *engine.Result, keep func(*engine.JobResult) bool) (WPRComparison, error) {
+func compareWPR(pop string, f3, young *engine.Result, keep func(*engine.JobOutcome) bool) (WPRComparison, error) {
 	a := f3.JobWPRs(keep)
 	b := young.JobWPRs(keep)
 	if len(a) == 0 || len(b) == 0 {
@@ -156,7 +156,7 @@ func Fig9(o Opts) (*Fig9Result, error) {
 	}
 	for _, pop := range []struct {
 		name string
-		keep func(*engine.JobResult) bool
+		keep func(*engine.JobOutcome) bool
 	}{
 		{"sequential-task", engine.And(engine.ByStructure(trace.Sequential), engine.WithFailures)},
 		{"bag-of-tasks", engine.And(engine.ByStructure(trace.BagOfTasks), engine.WithFailures)},
@@ -164,8 +164,8 @@ func Fig9(o Opts) (*Fig9Result, error) {
 		var a, b []float64
 		for _, p := range pairs {
 			if pop.keep(p[0]) || pop.keep(p[1]) {
-				a = append(a, p[0].WPR())
-				b = append(b, p[1].WPR())
+				a = append(a, p[0].WPR)
+				b = append(b, p[1].WPR)
 			}
 		}
 		if len(a) < 2 {
@@ -287,7 +287,7 @@ type Fig11Result struct {
 // Fig11 reproduces Figure 11: WPR distributions for jobs whose tasks
 // are bounded by RL in {1000, 2000, 4000} seconds, one-day-trace scale.
 func Fig11(o Opts) (*Fig11Result, error) {
-	w := scenario.Workload{Jobs: o.jobs(2500), MaxTaskLength: 4000}
+	w := scenario.Workload{Jobs: o.jobs(2500), MaxTaskLengthSec: 4000}
 	f3, young, err := runBothFormulas(o, w, shortTaskLimits)
 	if err != nil {
 		return nil, err
@@ -378,7 +378,7 @@ type Fig12Row struct {
 // Fig12 reproduces Figure 12: per-job wall-clock lengths at RL=1000 and
 // RL=4000; Young's formula costs most jobs tens of extra seconds.
 func Fig12(o Opts) (*Fig12Result, error) {
-	w := scenario.Workload{Jobs: o.jobs(2500), MaxTaskLength: 4000}
+	w := scenario.Workload{Jobs: o.jobs(2500), MaxTaskLengthSec: 4000}
 	f3, young, err := runBothFormulas(o, w, shortTaskLimits)
 	if err != nil {
 		return nil, err
@@ -395,9 +395,9 @@ func Fig12(o Opts) (*Fig12Result, error) {
 			if !keep(p[0]) && !keep(p[1]) {
 				continue
 			}
-			wallsF3 = append(wallsF3, p[0].Wall())
-			wallsYoung = append(wallsYoung, p[1].Wall())
-			incr = append(incr, p[1].Wall()-p[0].Wall())
+			wallsF3 = append(wallsF3, p[0].WallSec)
+			wallsYoung = append(wallsYoung, p[1].WallSec)
+			incr = append(incr, p[1].WallSec-p[0].WallSec)
 		}
 		if len(incr) == 0 {
 			continue
@@ -452,7 +452,7 @@ type Fig13Result struct {
 // Fig13 reproduces Figure 13: the per-job ratio of wall-clock lengths
 // between the two formulas at RL=1000.
 func Fig13(o Opts) (*Fig13Result, error) {
-	w := scenario.Workload{Jobs: o.jobs(2500), MaxTaskLength: 1000}
+	w := scenario.Workload{Jobs: o.jobs(2500), MaxTaskLengthSec: 1000}
 	f3, young, err := runBothFormulas(o, w, shortTaskLimits)
 	if err != nil {
 		return nil, err
@@ -465,10 +465,10 @@ func Fig13(o Opts) (*Fig13Result, error) {
 	var fasterF3, fasterYoung int
 	var sumReduction, sumIncrease float64
 	for _, p := range pairs {
-		if p[0].Failures() == 0 && p[1].Failures() == 0 {
+		if p[0].Failures == 0 && p[1].Failures == 0 {
 			continue
 		}
-		wf3, wy := p[0].Wall(), p[1].Wall()
+		wf3, wy := p[0].WallSec, p[1].WallSec
 		if wy <= 0 {
 			continue
 		}
@@ -559,11 +559,11 @@ func Fig14(o Opts) (*Fig14Result, error) {
 	}
 	var similar, faster, total int
 	for _, p := range pairs {
-		if p[0].Failures() == 0 && p[1].Failures() == 0 {
+		if p[0].Failures == 0 && p[1].Failures == 0 {
 			continue
 		}
 		total++
-		ratio := p[0].Wall() / p[1].Wall()
+		ratio := p[0].WallSec / p[1].WallSec
 		switch {
 		case ratio > 0.98 && ratio < 1.02:
 			similar++
@@ -615,7 +615,7 @@ func Table6(o Opts) (*Table6Result, error) {
 	res := &Table6Result{Rows: make(map[string]WPRComparison, 3)}
 	pops := []struct {
 		name string
-		keep func(*engine.JobResult) bool
+		keep func(*engine.JobOutcome) bool
 	}{
 		{"BoT", engine.And(engine.ByStructure(trace.BagOfTasks), engine.WithFailures)},
 		{"ST", engine.And(engine.ByStructure(trace.Sequential), engine.WithFailures)},

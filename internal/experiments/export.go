@@ -1,112 +1,78 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
-	"sort"
-	"strconv"
 
 	"repro/internal/stats"
 )
 
-// CurveSet maps a series name to its (x, y) points — the plottable data
-// behind a figure.
-type CurveSet map[string][]stats.Point
-
 // Plotter is implemented by experiment results that carry plottable
-// curves (the paper's CDF figures).
+// curves (the paper's CDF figures), sorted by series name.
 type Plotter interface {
-	Curves() CurveSet
-}
-
-// WriteCurvesCSV writes a curve set in long format (series,x,y), series
-// sorted by name, points in order — ready for any plotting tool.
-func WriteCurvesCSV(w io.Writer, cs CurveSet) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"series", "x", "y"}); err != nil {
-		return fmt.Errorf("experiments: csv header: %w", err)
-	}
-	names := make([]string, 0, len(cs))
-	for name := range cs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for _, p := range cs[name] {
-			rec := []string{
-				name,
-				strconv.FormatFloat(p.X, 'g', -1, 64),
-				strconv.FormatFloat(p.Y, 'g', -1, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return fmt.Errorf("experiments: csv row: %w", err)
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	Curves() []stats.Curve
 }
 
 // Curves implements Plotter for Figure 4: one CDF per priority.
-func (r *Fig4Result) Curves() CurveSet {
-	cs := make(CurveSet, len(r.Points))
+func (r *Fig4Result) Curves() []stats.Curve {
+	cs := make([]stats.Curve, 0, len(r.Points))
 	for p, pts := range r.Points {
-		cs[fmt.Sprintf("priority=%d", p)] = pts
+		cs = append(cs, stats.Curve{Series: fmt.Sprintf("priority=%d", p), Points: pts})
 	}
+	stats.SortCurves(cs)
 	return cs
 }
 
 // Curves implements Plotter for Figure 8: memory and length CDFs per
 // population.
-func (r *Fig8Result) Curves() CurveSet {
-	cs := make(CurveSet, 6)
+func (r *Fig8Result) Curves() []stats.Curve {
+	cs := make([]stats.Curve, 0, len(r.MemCDF)+len(r.LenCDF))
 	for name, pts := range r.MemCDF {
-		cs["mem:"+name] = pts
+		cs = append(cs, stats.Curve{Series: "mem:" + name, Points: pts})
 	}
 	for name, pts := range r.LenCDF {
-		cs["len:"+name] = pts
+		cs = append(cs, stats.Curve{Series: "len:" + name, Points: pts})
 	}
+	stats.SortCurves(cs)
 	return cs
 }
 
 // Curves implements Plotter for Figure 9: WPR CDFs per structure and
 // formula.
-func (r *Fig9Result) Curves() CurveSet {
-	return CurveSet{
-		"ST:Formula(3)":  r.ST.CDFF3,
-		"ST:Young":       r.ST.CDFYoung,
-		"BoT:Formula(3)": r.BoT.CDFF3,
-		"BoT:Young":      r.BoT.CDFYoung,
+func (r *Fig9Result) Curves() []stats.Curve {
+	return []stats.Curve{
+		{Series: "BoT:Formula(3)", Points: r.BoT.CDFF3},
+		{Series: "BoT:Young", Points: r.BoT.CDFYoung},
+		{Series: "ST:Formula(3)", Points: r.ST.CDFF3},
+		{Series: "ST:Young", Points: r.ST.CDFYoung},
 	}
 }
 
 // Curves implements Plotter for Figure 11: WPR CDFs per population and
 // formula.
-func (r *Fig11Result) Curves() CurveSet {
-	cs := make(CurveSet, 2*len(r.Rows))
+func (r *Fig11Result) Curves() []stats.Curve {
+	cs := make([]stats.Curve, 0, 2*len(r.Rows))
 	for name, cmp := range r.Rows {
-		cs[name+":Formula(3)"] = cmp.CDFF3
-		cs[name+":Young"] = cmp.CDFYoung
+		cs = append(cs,
+			stats.Curve{Series: name + ":Formula(3)", Points: cmp.CDFF3},
+			stats.Curve{Series: name + ":Young", Points: cmp.CDFYoung})
 	}
+	stats.SortCurves(cs)
 	return cs
 }
 
 // Curves implements Plotter for Figure 13: the CDF of per-job
 // wall-clock ratios.
-func (r *Fig13Result) Curves() CurveSet {
+func (r *Fig13Result) Curves() []stats.Curve {
 	if len(r.Ratios) == 0 {
-		return CurveSet{}
+		return nil
 	}
-	return CurveSet{
-		"wall-ratio-F3-over-Young": stats.NewECDF(r.Ratios).Points(60),
-	}
+	return []stats.Curve{{Series: "wall-ratio-F3-over-Young", Points: stats.NewECDF(r.Ratios).Points(60)}}
 }
 
 // Curves implements Plotter for Figure 14: dynamic and static WPR CDFs.
-func (r *Fig14Result) Curves() CurveSet {
-	return CurveSet{
-		"dynamic": r.CDFDynamic,
-		"static":  r.CDFStatic,
+func (r *Fig14Result) Curves() []stats.Curve {
+	return []stats.Curve{
+		{Series: "dynamic", Points: r.CDFDynamic},
+		{Series: "static", Points: r.CDFStatic},
 	}
 }

@@ -2,40 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/csv"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/stats"
 )
-
-func TestWriteCurvesCSVFormat(t *testing.T) {
-	cs := CurveSet{
-		"b": {{X: 1, Y: 0.5}, {X: 2, Y: 1}},
-		"a": {{X: 0, Y: 0}},
-	}
-	var buf bytes.Buffer
-	if err := WriteCurvesCSV(&buf, cs); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 4 {
-		t.Fatalf("got %d records, want header + 3", len(records))
-	}
-	if strings.Join(records[0], ",") != "series,x,y" {
-		t.Fatalf("header = %v", records[0])
-	}
-	// Series sorted: a first.
-	if records[1][0] != "a" || records[2][0] != "b" || records[3][0] != "b" {
-		t.Fatalf("series order wrong: %v", records)
-	}
-	if records[2][1] != "1" || records[2][2] != "0.5" {
-		t.Fatalf("point encoding wrong: %v", records[2])
-	}
-}
 
 func TestFigureResultsImplementPlotter(t *testing.T) {
 	// Compile-time checks.
@@ -53,9 +25,12 @@ func TestFig9CurvesNonEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := res.Curves()
+	if !slices.IsSortedFunc(cs, func(a, b stats.Curve) int { return strings.Compare(a.Series, b.Series) }) {
+		t.Fatalf("curves not sorted by series: %v", cs)
+	}
 	for _, name := range []string{"ST:Formula(3)", "ST:Young", "BoT:Formula(3)", "BoT:Young"} {
-		pts, ok := cs[name]
-		if !ok || len(pts) == 0 {
+		pts := curve(cs, name)
+		if len(pts) == 0 {
 			t.Fatalf("missing curve %q", name)
 		}
 		// CDF curves must be monotone in y.
@@ -66,7 +41,7 @@ func TestFig9CurvesNonEmpty(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteCurvesCSV(&buf, cs); err != nil {
+	if err := stats.WriteCurvesCSV(&buf, cs); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() < 100 {
@@ -76,9 +51,7 @@ func TestFig9CurvesNonEmpty(t *testing.T) {
 
 func TestFig13CurvesFromRatios(t *testing.T) {
 	r := &Fig13Result{Ratios: []float64{0.8, 0.9, 1.0, 1.1}}
-	cs := r.Curves()
-	pts := cs["wall-ratio-F3-over-Young"]
-	if len(pts) == 0 {
+	if len(curve(r.Curves(), "wall-ratio-F3-over-Young")) == 0 {
 		t.Fatal("no ratio curve")
 	}
 	empty := &Fig13Result{}
@@ -90,7 +63,17 @@ func TestFig13CurvesFromRatios(t *testing.T) {
 func TestFig4CurvesNamedByPriority(t *testing.T) {
 	r := &Fig4Result{Points: map[int][]stats.Point{3: {{X: 1, Y: 1}}}}
 	cs := r.Curves()
-	if _, ok := cs["priority=3"]; !ok {
+	if len(cs) != 1 || cs[0].Series != "priority=3" {
 		t.Fatalf("curve names: %v", cs)
 	}
+}
+
+// curve returns the points of the named series, or nil.
+func curve(cs []stats.Curve, series string) []stats.Point {
+	for _, c := range cs {
+		if c.Series == series {
+			return c.Points
+		}
+	}
+	return nil
 }

@@ -59,8 +59,8 @@ func AblationHostFailures(o Opts) (*AblationHostFailuresResult, error) {
 			WPRF3:       f3.MeanWPR(engine.WithFailures),
 			WPRNone:     none.MeanWPR(engine.WithFailures),
 		}
-		for _, jr := range f3.Jobs {
-			row.FailuresF3 += jr.Failures()
+		for i := range f3.Jobs {
+			row.FailuresF3 += f3.Jobs[i].Failures
 		}
 		if err := finite(row.WPRF3, row.WPRNone); err != nil {
 			return nil, err

@@ -50,7 +50,7 @@ func AblationPrediction(o Opts) (*AblationPredictionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	predictors := []engine.Predictor{
+	predictors := []predict.Predictor{
 		predict.Exact{},
 		reg,
 		predict.Noisy{Sigma: 0.3},
@@ -80,7 +80,7 @@ func AblationPrediction(o Opts) (*AblationPredictionResult, error) {
 		f3, young := results[2*i], results[2*i+1]
 		row := PredictionRow{
 			Predictor: p.Name(),
-			MARE:      predict.Evaluate(p.(predict.Predictor), replay),
+			MARE:      predict.Evaluate(p, replay),
 			WPRF3:     f3.MeanWPR(engine.WithFailures),
 			WPRYoung:  young.MeanWPR(engine.WithFailures),
 		}

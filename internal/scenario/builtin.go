@@ -37,7 +37,7 @@ func init() {
 			Name:        "short-tasks-f3",
 			Description: "restricted-length workload (tasks <= 1000 s) under Formula 3 (Figures 11-13 regime)",
 			Policy:      "formula3",
-			Workload:    Workload{MaxTaskLength: 1000},
+			Workload:    Workload{MaxTaskLengthSec: 1000},
 		},
 		{
 			Name:        "priority-flip-dynamic",
@@ -70,9 +70,9 @@ func init() {
 				"VM reclamations modeled as host crashes every 30 min",
 			Policy: "formula3",
 			Workload: Workload{
-				BoTFraction:     0.8,
-				MaxTaskLength:   2 * 3600,
-				ServiceFraction: -1,
+				BoTFraction:      0.8,
+				MaxTaskLengthSec: 2 * 3600,
+				ServiceFraction:  -1,
 			},
 			Engine: engine.Config{HostMTBF: 1800},
 		},
@@ -92,10 +92,10 @@ func init() {
 				"than the default keeps the pending queue thousands of tasks deep",
 			Policy: "formula3",
 			Workload: Workload{
-				BoTFraction:     0.95,
-				ArrivalRate:     0.96,
-				MaxTaskLength:   1800,
-				ServiceFraction: -1,
+				BoTFraction:      0.95,
+				ArrivalRate:      0.96,
+				MaxTaskLengthSec: 1800,
+				ServiceFraction:  -1,
 			},
 		},
 		{
@@ -115,8 +115,8 @@ func init() {
 			Description: "HPC-like tier: hour-to-six-hour sequential tasks checkpointing to the shared disk",
 			Policy:      "formula3",
 			Workload: Workload{
-				BoTFraction:   -1,
-				MinTaskLength: 3600,
+				BoTFraction:      -1,
+				MinTaskLengthSec: 3600,
 			},
 			Engine: engine.Config{Mode: engine.StorageShared},
 		},

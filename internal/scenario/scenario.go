@@ -11,12 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Workload declares a synthetic trace. The zero value means "the
-// paper's default workload at the caller's default scale": zero Jobs
-// defers to the sweep's default size, and zero rate/mix fields inherit
-// trace.DefaultGenConfig. Workload is comparable, so sweeps use it
-// (plus the seed) as a cache key when several scenarios share one
-// trace.
+// Workload declares a synthetic trace as an overlay on the paper's
+// defaults. The zero value means "the paper's default workload at the
+// caller's default scale": zero Jobs defers to the sweep's default
+// size, and zero rate/mix fields inherit trace.DefaultGenConfig.
+// Workload is comparable, so sweeps use it (plus the seed) as a cache
+// key when several scenarios share one trace. GenConfig(0, 1).Validate
+// reports an overlay the generator would refuse.
 type Workload struct {
 	// Jobs is the trace size; 0 defers to the caller's default.
 	Jobs int
@@ -25,10 +26,10 @@ type Workload struct {
 	// BoTFraction overrides the default 0.45 bag-of-tasks share when
 	// non-zero; pass a negative value for a pure sequential-task mix.
 	BoTFraction float64
-	// MaxTaskLength / MinTaskLength bound task lengths in seconds
-	// (0 keeps the generator defaults of 6 h and 30 s).
-	MaxTaskLength float64
-	MinTaskLength float64
+	// MaxTaskLengthSec / MinTaskLengthSec bound task lengths (0 keeps
+	// the generator defaults of 6 h and 30 s).
+	MaxTaskLengthSec float64
+	MinTaskLengthSec float64
 	// MaxTaskMemMB / MinTaskMemMB bound per-task memory demands in MB
 	// (0 keeps the generator defaults of 1000 and 10). Demands near the
 	// per-host memory produce head-of-line-blocking dispatch regimes.
@@ -43,10 +44,10 @@ type Workload struct {
 }
 
 // GenConfig compiles the workload for a seed, substituting defaultJobs
-// when the workload does not pin its own size.
+// when Jobs is zero. A negative Jobs stays, for Validate to refuse.
 func (w Workload) GenConfig(seed uint64, defaultJobs int) trace.GenConfig {
 	jobs := w.Jobs
-	if jobs <= 0 {
+	if jobs == 0 {
 		jobs = defaultJobs
 	}
 	cfg := trace.DefaultGenConfig(seed, jobs)
@@ -59,8 +60,8 @@ func (w Workload) GenConfig(seed uint64, defaultJobs int) trace.GenConfig {
 			cfg.BoTFraction = 0
 		}
 	}
-	cfg.MaxTaskLength = w.MaxTaskLength
-	cfg.MinTaskLength = w.MinTaskLength
+	cfg.MaxTaskLengthSec = w.MaxTaskLengthSec
+	cfg.MinTaskLengthSec = w.MinTaskLengthSec
 	cfg.MaxTaskMemMB = w.MaxTaskMemMB
 	cfg.MinTaskMemMB = w.MinTaskMemMB
 	cfg.PriorityChangeFraction = w.PriorityChangeFraction

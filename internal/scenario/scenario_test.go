@@ -21,13 +21,13 @@ func TestWorkloadGenConfigOverrides(t *testing.T) {
 		Jobs:                   50,
 		ArrivalRate:            0.5,
 		BoTFraction:            -1, // pure sequential-task mix
-		MaxTaskLength:          4000,
+		MaxTaskLengthSec:       4000,
 		PriorityChangeFraction: 1,
 		ServiceFraction:        -1,
 	}
 	cfg := w.GenConfig(9, 9999)
-	if cfg.NumJobs != 50 || cfg.ArrivalRate != 0.5 || cfg.BoTFraction != 0 ||
-		cfg.MaxTaskLength != 4000 || cfg.PriorityChangeFraction != 1 || cfg.ServiceFraction != -1 {
+	if cfg.Jobs != 50 || cfg.ArrivalRate != 0.5 || cfg.BoTFraction != 0 ||
+		cfg.MaxTaskLengthSec != 4000 || cfg.PriorityChangeFraction != 1 || cfg.ServiceFraction != -1 {
 		t.Fatalf("overrides lost: %+v", cfg)
 	}
 	// The compiled config must actually generate.

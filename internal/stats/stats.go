@@ -1,13 +1,20 @@
 // Package stats provides the descriptive statistics used by the
 // experiments: summaries (min/mean/max/percentiles), empirical CDFs for
-// the paper's CDF plots, and the polynomial-regression workload
-// predictor referenced as [22] in the paper.
+// the paper's CDF plots and their CSV export, and the
+// polynomial-regression workload predictor referenced as [22] in the
+// paper.
 package stats
 
 import (
+	"encoding/csv"
 	"errors"
+	"fmt"
+	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Summary holds descriptive statistics of a sample.
@@ -150,7 +157,45 @@ func (e *ECDF) Points(n int) []Point {
 
 // Point is an (x, y) pair on a curve.
 type Point struct {
-	X, Y float64
+	X float64 `json:"x"`
+	Y float64 `json:"y"`
+}
+
+// Curve is one named series of a figure's plottable data.
+type Curve struct {
+	Series string  `json:"series"`
+	Points []Point `json:"points"`
+}
+
+// SortCurves orders curves by series name, the order figure results
+// hand them out in.
+func SortCurves(cs []Curve) {
+	slices.SortStableFunc(cs, func(a, b Curve) int { return strings.Compare(a.Series, b.Series) })
+}
+
+// WriteCurvesCSV writes curves in long format (series,x,y), series
+// sorted by name, points in order — ready for any plotting tool.
+func WriteCurvesCSV(w io.Writer, curves []Curve) error {
+	curves = slices.Clone(curves)
+	SortCurves(curves)
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"series", "x", "y"}); err != nil {
+		return fmt.Errorf("stats: csv header: %w", err)
+	}
+	for _, c := range curves {
+		for _, p := range c.Points {
+			rec := []string{
+				c.Series,
+				strconv.FormatFloat(p.X, 'g', -1, 64),
+				strconv.FormatFloat(p.Y, 'g', -1, 64),
+			}
+			if err := cw.Write(rec); err != nil {
+				return fmt.Errorf("stats: csv row: %w", err)
+			}
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // ErrSingular is returned by regression when the normal equations are

@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -254,5 +257,36 @@ func BenchmarkSummarize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Summarize(xs)
+	}
+}
+
+func TestWriteCurvesCSVFormat(t *testing.T) {
+	cs := []Curve{
+		{Series: "b", Points: []Point{{X: 1, Y: 0.5}, {X: 2, Y: 1}}},
+		{Series: "a", Points: []Point{{X: 0, Y: 0}}},
+	}
+	var buf bytes.Buffer
+	if err := WriteCurvesCSV(&buf, cs); err != nil {
+		t.Fatal(err)
+	}
+	if cs[0].Series != "b" {
+		t.Fatal("WriteCurvesCSV reordered the caller's slice")
+	}
+	records, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 4 {
+		t.Fatalf("got %d records, want header + 3", len(records))
+	}
+	if strings.Join(records[0], ",") != "series,x,y" {
+		t.Fatalf("header = %v", records[0])
+	}
+	// Series sorted: a first.
+	if records[1][0] != "a" || records[2][0] != "b" || records[3][0] != "b" {
+		t.Fatalf("series order wrong: %v", records)
+	}
+	if records[2][1] != "1" || records[2][2] != "0.5" {
+		t.Fatalf("point encoding wrong: %v", records[2])
 	}
 }

@@ -15,8 +15,8 @@ func TestGenerateAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		Generate(cfg)
 	})
-	perJob := allocs / float64(cfg.NumJobs)
-	t.Logf("%.0f allocs for %d jobs = %.4f allocs/job", allocs, cfg.NumJobs, perJob)
+	perJob := allocs / float64(cfg.Jobs)
+	t.Logf("%.0f allocs for %d jobs = %.4f allocs/job", allocs, cfg.Jobs, perJob)
 	if perJob > maxAllocsPerJob {
 		t.Errorf("generator allocates %.4f per job, budget %g", perJob, maxAllocsPerJob)
 	}

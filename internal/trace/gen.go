@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -10,23 +11,25 @@ import (
 )
 
 // GenConfig parameterizes the synthetic Google-like trace generator.
+// Its fields are absolute: a zero BoTFraction means no bag-of-tasks
+// jobs. Validate states what Generate requires of it.
 type GenConfig struct {
 	// Seed drives all randomness; identical configs produce identical
 	// traces.
 	Seed uint64
-	// NumJobs is the number of jobs to generate.
-	NumJobs int
+	// Jobs is the number of jobs to generate.
+	Jobs int
 	// ArrivalRate is the mean job arrival rate in jobs/second (Poisson
 	// arrivals). The paper's one-day experiment processes ~10k jobs.
 	ArrivalRate float64
 	// BoTFraction is the fraction of bag-of-tasks jobs (the rest are
 	// sequential-task jobs).
 	BoTFraction float64
-	// MaxTaskLength truncates task lengths (seconds); 0 means the
-	// paper's 6-hour job-length ceiling (Figure 8b).
-	MaxTaskLength float64
-	// MinTaskLength floors task lengths (seconds); 0 means 30 s.
-	MinTaskLength float64
+	// MaxTaskLengthSec truncates task lengths; 0 means the paper's
+	// 6-hour job-length ceiling (Figure 8b).
+	MaxTaskLengthSec float64
+	// MinTaskLengthSec floors task lengths; 0 means 30 s.
+	MinTaskLengthSec float64
 	// MaxTaskMemMB caps per-task memory demands (MB); 0 means the
 	// paper's 1000 MB VM limit (Figure 8a). Raising it toward the
 	// per-host memory creates head-of-line-blocking dispatch regimes.
@@ -47,29 +50,71 @@ type GenConfig struct {
 }
 
 // The generator's default task bounds, applied wherever the
-// corresponding GenConfig field is zero. Exported so API layers
-// validating bounds (sim.Workload / sim.TraceConfig) stay in lockstep
-// with the clamps Generate actually applies.
+// corresponding GenConfig field is zero.
 const (
-	// DefaultMinTaskLengthSec / DefaultMaxTaskLengthSec bound task
+	// defaultMinTaskLengthSec / defaultMaxTaskLengthSec bound task
 	// lengths: 30 s to the paper's 6-hour job-length ceiling (Fig. 8b).
-	DefaultMinTaskLengthSec = 30.0
-	DefaultMaxTaskLengthSec = 6 * 3600.0
-	// DefaultMinTaskMemMB / DefaultMaxTaskMemMB bound per-task memory:
+	defaultMinTaskLengthSec = 30.0
+	defaultMaxTaskLengthSec = 6 * 3600.0
+	// defaultMinTaskMemMB / defaultMaxTaskMemMB bound per-task memory:
 	// 10 MB to the testbed's 1000 MB VM limit (Figure 8a).
-	DefaultMinTaskMemMB = 10.0
-	DefaultMaxTaskMemMB = 1000.0
+	defaultMinTaskMemMB = 10.0
+	defaultMaxTaskMemMB = 1000.0
 )
 
 // DefaultGenConfig returns the configuration used by the headline
 // experiments: mixes and magnitudes follow Figure 8 and Section 5.1.
-func DefaultGenConfig(seed uint64, numJobs int) GenConfig {
+func DefaultGenConfig(seed uint64, jobs int) GenConfig {
 	return GenConfig{
 		Seed:        seed,
-		NumJobs:     numJobs,
+		Jobs:        jobs,
 		ArrivalRate: 0.12, // ~10k jobs/day
 		BoTFraction: 0.45,
 	}
+}
+
+// orDefault returns v, or def when v is not positive.
+func orDefault(v, def float64) float64 {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
+// lengthBounds returns the task-length bounds Generate clamps to, with
+// the defaults in place of zero fields; memBounds likewise for memory.
+func (cfg GenConfig) lengthBounds() (lo, hi float64) {
+	return orDefault(cfg.MinTaskLengthSec, defaultMinTaskLengthSec),
+		orDefault(cfg.MaxTaskLengthSec, defaultMaxTaskLengthSec)
+}
+
+func (cfg GenConfig) memBounds() (lo, hi float64) {
+	return orDefault(cfg.MinTaskMemMB, defaultMinTaskMemMB),
+		orDefault(cfg.MaxTaskMemMB, defaultMaxTaskMemMB)
+}
+
+// Validate reports the first of Generate's preconditions cfg breaks: a
+// positive Jobs and ArrivalRate, a BoTFraction in [0, 1], and task
+// length and memory bounds whose maximum exceeds their minimum once the
+// defaults replace zero fields. The error names the field and carries
+// no package prefix, so callers add their own context.
+func (cfg GenConfig) Validate() error {
+	if cfg.Jobs <= 0 {
+		return fmt.Errorf("Jobs must be positive (got %d)", cfg.Jobs)
+	}
+	if cfg.ArrivalRate <= 0 {
+		return fmt.Errorf("ArrivalRate must be positive (got %g)", cfg.ArrivalRate)
+	}
+	if cfg.BoTFraction < 0 || cfg.BoTFraction > 1 {
+		return fmt.Errorf("BoTFraction %g is outside [0, 1]", cfg.BoTFraction)
+	}
+	if lo, hi := cfg.lengthBounds(); hi <= lo {
+		return fmt.Errorf("task-length bounds inverted: MinTaskLengthSec %g s, MaxTaskLengthSec %g s after defaults", lo, hi)
+	}
+	if lo, hi := cfg.memBounds(); hi <= lo {
+		return fmt.Errorf("task-memory bounds inverted: MinTaskMemMB %g MB, MaxTaskMemMB %g MB after defaults", lo, hi)
+	}
+	return nil
 }
 
 // priorityWeights approximates the priority mix of failure-affected
@@ -125,39 +170,13 @@ func appendTaskID(buf, jobID []byte, k int) []byte {
 
 // Generate produces a synthetic trace per cfg, writing it straight into
 // the columns. The result is valid by construction: Read accepts what
-// Write makes of it.
+// Write makes of it. It panics when cfg.Validate fails.
 func Generate(cfg GenConfig) *Trace {
-	if cfg.NumJobs <= 0 {
-		panic("trace: Generate requires NumJobs > 0")
+	if err := cfg.Validate(); err != nil {
+		panic("trace: Generate: " + err.Error())
 	}
-	if cfg.ArrivalRate <= 0 {
-		panic("trace: Generate requires ArrivalRate > 0")
-	}
-	if cfg.BoTFraction < 0 || cfg.BoTFraction > 1 {
-		panic("trace: Generate requires BoTFraction in [0,1]")
-	}
-	minLen := cfg.MinTaskLength
-	if minLen <= 0 {
-		minLen = DefaultMinTaskLengthSec
-	}
-	maxLen := cfg.MaxTaskLength
-	if maxLen <= 0 {
-		maxLen = DefaultMaxTaskLengthSec
-	}
-	if maxLen <= minLen {
-		panic("trace: Generate requires MaxTaskLength > MinTaskLength")
-	}
-	minMem := cfg.MinTaskMemMB
-	if minMem <= 0 {
-		minMem = DefaultMinTaskMemMB
-	}
-	maxMem := cfg.MaxTaskMemMB
-	if maxMem <= 0 {
-		maxMem = DefaultMaxTaskMemMB
-	}
-	if maxMem <= minMem {
-		panic("trace: Generate requires MaxTaskMemMB > MinTaskMemMB")
-	}
+	minLen, maxLen := cfg.lengthBounds()
+	minMem, maxMem := cfg.memBounds()
 
 	serviceFrac := cfg.ServiceFraction
 	if serviceFrac == 0 {
@@ -187,7 +206,7 @@ func Generate(cfg GenConfig) *Trace {
 	// Shapes first. Every job's tier, structure and task count come from
 	// shapeRNG alone, so drawing them all up front changes no stream's
 	// draw order, and it sizes every column and the ID arena exactly.
-	n := cfg.NumJobs
+	n := cfg.Jobs
 	tr := &Trace{
 		Arrival:    make([]float64, n),
 		FirstTask:  make([]uint32, n+1),

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -192,22 +193,41 @@ func TestGeneratePriorityChanges(t *testing.T) {
 	}
 }
 
+// TestGeneratePanics: each generator precondition is refused by
+// Validate with an error naming its field, and Generate panics with
+// that error rather than generating.
 func TestGeneratePanics(t *testing.T) {
-	cases := []GenConfig{
-		{NumJobs: 0, ArrivalRate: 1},
-		{NumJobs: 1, ArrivalRate: 0},
-		{NumJobs: 1, ArrivalRate: 1, BoTFraction: 2},
-		{NumJobs: 1, ArrivalRate: 1, MinTaskLength: 100, MaxTaskLength: 50},
-	}
-	for i, cfg := range cases {
+	for _, c := range []struct {
+		cfg   GenConfig
+		field string
+	}{
+		{GenConfig{Jobs: 0, ArrivalRate: 1}, "Jobs"},
+		{GenConfig{Jobs: -3, ArrivalRate: 1}, "Jobs"},
+		{GenConfig{Jobs: 1, ArrivalRate: 0}, "ArrivalRate"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, BoTFraction: 2}, "BoTFraction"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, BoTFraction: -0.5}, "BoTFraction"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, MinTaskLengthSec: 100, MaxTaskLengthSec: 50}, "MinTaskLengthSec"},
+		// A zero bound takes its default: a 7 h floor under the 6 h ceiling.
+		{GenConfig{Jobs: 1, ArrivalRate: 1, MinTaskLengthSec: 7 * 3600}, "MaxTaskLengthSec"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, MinTaskMemMB: 500, MaxTaskMemMB: 100}, "MinTaskMemMB"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, MaxTaskMemMB: 5}, "MaxTaskMemMB"},
+	} {
+		err := c.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s", c.cfg, err, c.field)
+			continue
+		}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("config %d did not panic", i)
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), err.Error()) {
+					t.Errorf("Generate(%+v) panicked with %v, want %q", c.cfg, r, err)
 				}
 			}()
-			Generate(cfg)
+			Generate(c.cfg)
 		}()
+	}
+	if err := DefaultGenConfig(1, 1).Validate(); err != nil {
+		t.Errorf("default config refused: %v", err)
 	}
 }
 
@@ -223,6 +243,11 @@ func TestRoundTripSerialization(t *testing.T) {
 const (
 	jobPriority99      = `{"id":"j","structure":"ST","priority":99,"tasks":[{"id":"a","job_id":"j","priority":1,"length_sec":1,"mem_mb":1}]}`
 	jobPriorityMissing = `{"id":"j","structure":"ST","tasks":[{"id":"a","job_id":"j","priority":1,"length_sec":1,"mem_mb":1}]}`
+	// jobStructureMissing is a valid two-task job line without its
+	// "structure" field, which once read as a sequential job.
+	jobStructureMissing = `{"id":"j","priority":1,"tasks":[` +
+		`{"id":"a","job_id":"j","index":0,"priority":1,"length_sec":1,"mem_mb":1},` +
+		`{"id":"b","job_id":"j","index":1,"priority":1,"length_sec":1,"mem_mb":1}]}`
 )
 
 func TestReadRejectsInvalid(t *testing.T) {
@@ -240,10 +265,16 @@ func TestReadRejectsInvalid(t *testing.T) {
 		// missing one reads as 0.
 		jobPriority99,
 		jobPriorityMissing,
+		// A job's structure is required, and the error names the job.
+		jobStructureMissing,
+		strings.Replace(jobStructureMissing, `"priority":1,`, `"priority":1,"structure":"MR",`, 1),
 	} {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %s", in)
 		}
+	}
+	if _, err := Read(strings.NewReader(jobStructureMissing)); err == nil || !strings.Contains(err.Error(), "job j ") {
+		t.Errorf("a job without a structure: error %v does not name job j", err)
 	}
 }
 

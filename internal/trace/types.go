@@ -6,20 +6,25 @@ import (
 )
 
 // JobStructure distinguishes the two job shapes in the Google trace.
+// The zero value is neither: Job.Validate refuses it, so a job line
+// without a "structure" field is an error, not a sequential job.
 type JobStructure int
 
 const (
 	// Sequential jobs (ST) run their tasks one after another.
-	Sequential JobStructure = iota
+	Sequential JobStructure = iota + 1
 	// BagOfTasks jobs (BoT) run their tasks in parallel, MapReduce-like.
 	BagOfTasks
 )
 
 func (s JobStructure) String() string {
-	if s == Sequential {
+	switch s {
+	case Sequential:
 		return "ST"
+	case BagOfTasks:
+		return "BoT"
 	}
-	return "BoT"
+	return fmt.Sprintf("JobStructure(%d)", int(s))
 }
 
 // MarshalJSON encodes the structure as its short paper name.
@@ -129,6 +134,9 @@ func (j *Job) Validate() error {
 	}
 	if j.Priority < 1 || j.Priority > 12 {
 		return fmt.Errorf("trace: job %s priority %d outside 1..12", j.ID, j.Priority)
+	}
+	if j.Structure != Sequential && j.Structure != BagOfTasks {
+		return fmt.Errorf("trace: job %s has no structure (want \"ST\" or \"BoT\")", j.ID)
 	}
 	for k := range j.Tasks {
 		t := &j.Tasks[k]

@@ -11,12 +11,16 @@ import (
 
 // maxRunBytesPerTask bounds what one Simulation.Run allocates per
 // replayed task, trace generation and history estimation included. A
-// 10 000-job baseline-f3 Run on one processor allocates about 342 bytes
-// per task when the trace is generated straight into its columns and
-// the engine reads them in place. Generating Task objects and copying
-// their fields into a per-run column table, as the simulator once did,
-// takes it to about 538. The bound leaves about 10% headroom, so even
-// the per-run column copy alone (about 50 bytes per task) fails it.
+// 10 000-job baseline-f3 Run on one processor allocates about 330 bytes
+// per task when the trace is generated straight into its columns, the
+// engine reads them in place and the Result hands out the engine's own
+// job records; copying every job record into a second slice, as the
+// facade once did, takes it to about 342. Generating Task objects and
+// copying their fields into a per-run column table, as the simulator
+// once did, takes it to about 538. The bound leaves about 15% headroom:
+// the per-run column copy alone (about 50 bytes per task) reaches it,
+// and a second copy of the trace (about 66) or of the task records
+// (144) exceeds it.
 const maxRunBytesPerTask = 380
 
 // TestRunBytesPerTaskBudget regression-guards the facade's memory: the

@@ -46,8 +46,19 @@
 // Run produces a stable Result — per-job and per-task outcomes, the
 // paper's Workload-Processing Ratio, and aggregate fault-tolerance
 // accounting — that marshals to JSON, so downstream tooling does not
-// need Go at all. Sweeps yield one Outcome per run with the same
-// property.
+// need Go at all. Its JobOutcome and TaskOutcome records are the
+// engine's own, each written once when its job or task completes, not
+// copies. Sweeps yield one Outcome per run with the same property.
+//
+// # One type per concept
+//
+// Where the facade names a concept the internal layers already define,
+// its type is an alias, so values cross the boundary without a
+// conversion: Workload, TraceConfig, StorageMode, Summary, Point,
+// Curve, StorageCosts, StorageChoice, AdaptivePlan, Estimate, Policy,
+// FailureProcess, TaskOutcome and JobOutcome. One rule decides what
+// the trace generator accepts, TraceConfig.Validate: GenerateTrace and
+// WithWorkload both apply it, and each refusal names the field.
 //
 // # Beyond single runs
 //

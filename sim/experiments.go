@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/experiments"
@@ -26,16 +25,10 @@ type ExperimentOptions struct {
 }
 
 // Point is one (x, y) sample of a plottable curve.
-type Point struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
+type Point = stats.Point
 
 // Curve is one named series of a figure's plottable data.
-type Curve struct {
-	Series string  `json:"series"`
-	Points []Point `json:"points"`
-}
+type Curve = stats.Curve
 
 // ExperimentResult is one reproduced table or figure: its rendered text
 // plus any plottable curves (CDFs). It marshals to JSON for
@@ -45,8 +38,8 @@ type ExperimentResult struct {
 	ID string `json:"id"`
 	// Text is the rendered table/figure, exactly as cloudsim prints it.
 	Text string `json:"text"`
-	// CurveData holds the plottable series behind CDF figures; empty
-	// for text-only results.
+	// CurveData holds the plottable series behind CDF figures, sorted
+	// by series name; empty for text-only results.
 	CurveData []Curve `json:"curves,omitempty"`
 }
 
@@ -79,7 +72,7 @@ func RunExperiment(ctx context.Context, id string, opts ExperimentOptions) (*Exp
 	}
 	out := &ExperimentResult{ID: id, Text: res.String()}
 	if plotter, ok := res.(experiments.Plotter); ok {
-		out.CurveData = convertCurves(plotter.Curves())
+		out.CurveData = plotter.Curves()
 	}
 	return out, nil
 }
@@ -143,30 +136,5 @@ func RunExperiments(ctx context.Context, ids []string, opts ExperimentOptions) [
 // WriteCurvesCSV writes curves in long format (series,x,y) — series
 // sorted by name, points in order — ready for any plotting tool.
 func WriteCurvesCSV(w io.Writer, curves []Curve) error {
-	cs := make(experiments.CurveSet, len(curves))
-	for _, c := range curves {
-		pts := make([]stats.Point, len(c.Points))
-		for i, p := range c.Points {
-			pts[i] = stats.Point{X: p.X, Y: p.Y}
-		}
-		cs[c.Series] = pts
-	}
-	return experiments.WriteCurvesCSV(w, cs)
-}
-
-func convertCurves(cs experiments.CurveSet) []Curve {
-	if len(cs) == 0 {
-		return nil
-	}
-	out := make([]Curve, 0, len(cs))
-	for series, pts := range cs {
-		c := Curve{Series: series, Points: make([]Point, len(pts))}
-		for i, p := range pts {
-			c.Points[i] = Point{X: p.X, Y: p.Y}
-		}
-		out = append(out, c)
-	}
-	// Deterministic order for JSON and CSV consumers.
-	sort.Slice(out, func(i, j int) bool { return out[i].Series < out[j].Series })
-	return out
+	return stats.WriteCurvesCSV(w, curves)
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/sim"
@@ -216,6 +218,86 @@ func TestJobCountsCappedAtEveryEntry(t *testing.T) {
 	if _, err := sim.ScenarioByName("baseline-f3", sim.WithJobs(sim.MaxSpecJobs),
 		sim.WithWorkload(sim.Workload{Jobs: sim.MaxSpecJobs})); err != nil {
 		t.Errorf("MaxSpecJobs rejected: %v", err)
+	}
+}
+
+// TestRefusalsCarryOneSimPrefix: every option New refuses, and every
+// spec Validate refuses, yields one error with exactly one "sim:"
+// prefix that names what was refused. WithWorkload's errors once read
+// "sim: sim: ...", through New and in the service's 400 bodies alike.
+func TestRefusalsCarryOneSimPrefix(t *testing.T) {
+	check := func(name string, err error, want string) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			return
+		}
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "sim: ") || strings.Count(msg, "sim:") != 1 || !strings.Contains(msg, want) {
+			t.Errorf("%s: error %q, want one leading \"sim: \" and a mention of %q", name, msg, want)
+		}
+	}
+	workloads := []struct {
+		w    sim.Workload
+		want string
+	}{
+		{sim.Workload{Jobs: -1}, "Jobs"},
+		{sim.Workload{Jobs: sim.MaxSpecJobs + 1}, "Jobs"},
+		{sim.Workload{BoTFraction: 2}, "BoTFraction"},
+		{sim.Workload{MinTaskLengthSec: 500, MaxTaskLengthSec: 100}, "MinTaskLengthSec"},
+		{sim.Workload{MinTaskLengthSec: 7 * 3600}, "MaxTaskLengthSec"},
+		{sim.Workload{MinTaskMemMB: 500, MaxTaskMemMB: 100}, "MinTaskMemMB"},
+		{sim.Workload{MaxTaskMemMB: 5}, "MaxTaskMemMB"},
+	}
+	options := []struct {
+		name string
+		opt  sim.Option
+		want string
+	}{
+		{"WithJobs(-1)", sim.WithJobs(-1), "WithJobs"},
+		{"WithJobs(cap+1)", sim.WithJobs(sim.MaxSpecJobs + 1), "WithJobs"},
+		{"WithPolicy(nil)", sim.WithPolicy(nil), "WithPolicy"},
+		{"WithPolicyName", sim.WithPolicyName("nope"), `"nope"`},
+		{"WithStorage(-1)", sim.WithStorage(-1), "WithStorage"},
+		{"WithStorage(3)", sim.WithStorage(sim.StorageShared + 1), "WithStorage"},
+		{"WithSharedStorage", sim.WithSharedStorage(sim.SharedNFS + 1), "WithSharedStorage"},
+	}
+	for _, c := range workloads {
+		options = append(options, struct {
+			name string
+			opt  sim.Option
+			want string
+		}{fmt.Sprintf("WithWorkload(%+v)", c.w), sim.WithWorkload(c.w), c.want})
+	}
+	for _, c := range options {
+		_, err := sim.New(c.opt)
+		check("New "+c.name, err, c.want)
+		_, err = sim.ScenarioByName("baseline-f3", c.opt)
+		check("ScenarioByName "+c.name, err, c.want)
+	}
+
+	specs := []struct {
+		name string
+		sp   sim.JobSpec
+		want string
+	}{
+		{"no scenario", sim.JobSpec{}, "scenario"},
+		{"unknown scenario", sim.JobSpec{Scenario: "nope"}, `"nope"`},
+		{"runs", sim.JobSpec{Scenario: "baseline-f3", Runs: sim.MaxSpecRuns + 1}, "runs"},
+		{"negative jobs", sim.JobSpec{Scenario: "baseline-f3", Jobs: -1}, "jobs"},
+		{"jobs cap", sim.JobSpec{Scenario: "baseline-f3", Jobs: sim.MaxSpecJobs + 1}, "jobs"},
+		{"policy", sim.JobSpec{Scenario: "baseline-f3", Policy: "nope"}, `"nope"`},
+	}
+	for _, c := range workloads {
+		w := c.w
+		specs = append(specs, struct {
+			name string
+			sp   sim.JobSpec
+			want string
+		}{fmt.Sprintf("workload %+v", w), sim.JobSpec{Scenario: "baseline-f3", Workload: &w}, c.want})
+	}
+	for _, c := range specs {
+		check("Validate "+c.name, c.sp.Validate(), c.want)
 	}
 }
 

@@ -73,13 +73,10 @@ func RestartCostShared(memMB float64) float64 {
 }
 
 // StorageCosts carries the per-checkpoint (C) and per-restart (R)
-// planning constants of the local and shared devices.
-type StorageCosts struct {
-	// Cl / Rl are the local-ramdisk checkpoint and restart costs.
-	Cl, Rl float64
-	// Cs / Rs are the shared-disk checkpoint and restart costs.
-	Cs, Rs float64
-}
+// planning constants of the local and shared devices: Cl / Rl are the
+// local-ramdisk checkpoint and restart costs, Cs / Rs the shared-disk
+// ones, in seconds.
+type StorageCosts = core.StorageCosts
 
 // DefaultStorageCosts derives the BLCR cost constants for a memMB task.
 func DefaultStorageCosts(memMB float64) StorageCosts {
@@ -93,12 +90,7 @@ func DefaultStorageCosts(memMB float64) StorageCosts {
 
 // StorageChoice is the Section 4.2.2 advisor's recommendation; its
 // String names the recommended device.
-type StorageChoice int
-
-// String implements fmt.Stringer.
-func (s StorageChoice) String() string {
-	return core.StorageChoice(s).String()
-}
+type StorageChoice = core.StorageChoice
 
 // CompareStorage applies the paper's Section 4.2.2 rule: under each
 // device's own optimal plan, compare the expected total overheads of
@@ -106,8 +98,7 @@ func (s StorageChoice) String() string {
 // expected failures. It returns the recommendation plus both expected
 // overheads (seconds).
 func CompareStorage(te, mnof float64, costs StorageCosts) (StorageChoice, float64, float64) {
-	choice, local, shared := core.CompareStorage(te, mnof, core.StorageCosts(costs))
-	return StorageChoice(choice), local, shared
+	return core.CompareStorage(te, mnof, costs)
 }
 
 // StorageAdvice is the full Section 4.2.2 advisor verdict for one task.
@@ -152,38 +143,20 @@ func (a StorageAdvice) String() string {
 // AdaptivePlan is the paper's Algorithm 1 controller for one task:
 // an equidistant plan from Formula (3) that replans only when MNOF
 // changes (Theorem 2 — checkpoint completions and rollbacks preserve
-// the optimum).
-type AdaptivePlan struct {
-	a *core.Adaptive
-}
+// the optimum). IntervalCount is the remaining interval count x,
+// NextCheckpointIn the checkpoint spacing in productive seconds,
+// Remaining the productive seconds left, and Recomputes how often the
+// plan was recomputed; OnCheckpoint advances past a completed
+// checkpoint and OnMNOFChange replans a dynamic controller (Algorithm 1
+// lines 9-12).
+type AdaptivePlan = core.Adaptive
 
 // NewAdaptivePlan plans a te-second task with per-checkpoint cost c and
 // initial statistics est. With dynamic false the initial plan is kept
 // through MNOF changes (the static baseline).
 func NewAdaptivePlan(te, c float64, est Estimate, dynamic bool) *AdaptivePlan {
-	return &AdaptivePlan{a: core.NewAdaptive(te, c, est, dynamic)}
+	return core.NewAdaptive(te, c, est, dynamic)
 }
-
-// IntervalCount returns the remaining interval count x.
-func (p *AdaptivePlan) IntervalCount() int { return p.a.IntervalCount() }
-
-// NextCheckpointIn returns the current checkpoint spacing in productive
-// seconds.
-func (p *AdaptivePlan) NextCheckpointIn() float64 { return p.a.NextCheckpointIn() }
-
-// Remaining returns the productive seconds left to the task end.
-func (p *AdaptivePlan) Remaining() float64 { return p.a.Remaining() }
-
-// Recomputes returns how many times the plan was recomputed (Theorem 2
-// predicts zero absent MNOF changes).
-func (p *AdaptivePlan) Recomputes() int { return p.a.Recomputes() }
-
-// OnCheckpoint advances the plan past a completed checkpoint.
-func (p *AdaptivePlan) OnCheckpoint() { p.a.OnCheckpoint() }
-
-// OnMNOFChange re-reads the expected failures over the remaining work
-// and replans if the controller is dynamic (Algorithm 1 lines 9-12).
-func (p *AdaptivePlan) OnMNOFChange(newMNOF float64) { p.a.OnMNOFChange(newMNOF) }
 
 // RNG is a deterministic SplitMix64-seeded xoshiro random stream — the
 // generator behind every simulation draw, exposed so callers can seed

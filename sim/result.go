@@ -11,8 +11,9 @@ import (
 // each record once, when its task completes.
 type TaskOutcome = engine.TaskOutcome
 
-// JobOutcome is one job's execution record; its Tasks are in completion
-// order.
+// JobOutcome is one job's execution record; the engine writes its
+// aggregates once, when its last task completes, and its Tasks are in
+// completion order.
 type JobOutcome = engine.JobOutcome
 
 // ResultSummary aggregates a run for at-a-glance consumption.
@@ -50,40 +51,28 @@ type Result struct {
 	Jobs    []JobOutcome  `json:"jobs"`
 }
 
-// newResult wraps an engine result in the public form. The task
-// records are the engine's own: each JobOutcome's Tasks is its job's
-// window of the engine's task slab, not a copy.
+// newResult wraps an engine result in the public form. The job and
+// task records are the engine's own, handed out as they are.
 func newResult(res *engine.Result) *Result {
 	out := &Result{
 		EngineVersion: Version,
 		Policy:        res.PolicyName,
 		MakespanSec:   res.MakespanSec,
 		Events:        res.Events,
-		Jobs:          make([]JobOutcome, len(res.Jobs)),
+		Jobs:          res.Jobs,
 	}
 	s := &out.Summary
 	var wprAll, wprFailing float64
-	for i, jr := range res.Jobs {
-		jo := &out.Jobs[i]
-		*jo = JobOutcome{
-			ID:         jr.ID,
-			Structure:  jr.Structure.String(),
-			Priority:   jr.Priority,
-			ArrivalSec: jr.ArrivalSec,
-			DoneAt:     jr.DoneAt,
-			WallSec:    jr.Wall(),
-			WPR:        jr.WPR(),
-			Failures:   jr.Failures(),
-			Tasks:      jr.Tasks,
-		}
-		for k := range jr.Tasks {
-			t := &jr.Tasks[k]
+	for i := range res.Jobs {
+		jo := &res.Jobs[i]
+		for k := range jo.Tasks {
+			t := &jo.Tasks[k]
 			s.Checkpoints += t.Checkpoints
 			s.CheckpointCostSec += t.CheckpointCostSec
 			s.RestartCostSec += t.RestartCostSec
 			s.RollbackLossSec += t.RollbackLossSec
 		}
-		s.Tasks += len(jr.Tasks)
+		s.Tasks += len(jo.Tasks)
 		s.Jobs++
 		s.Failures += jo.Failures
 		wprAll += jo.WPR
@@ -127,19 +116,8 @@ func (r *Result) JobWPRs(onlyFailing bool) []float64 {
 
 // Summary holds order statistics of a sample (population standard
 // deviation).
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Std    float64
-	Median float64
-	P25    float64
-	P75    float64
-	P05    float64
-	P95    float64
-}
+type Summary = stats.Summary
 
 // Summarize computes order statistics of a sample; the zero Summary is
 // returned for an empty one.
-func Summarize(xs []float64) Summary { return Summary(stats.Summarize(xs)) }
+func Summarize(xs []float64) Summary { return stats.Summarize(xs) }

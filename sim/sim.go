@@ -11,17 +11,17 @@ import (
 )
 
 // StorageMode selects how each task's checkpoint storage is chosen.
-type StorageMode int
+type StorageMode = engine.StorageMode
 
 const (
 	// StorageAuto applies the paper's Section 4.2.2 rule per task:
 	// compare the expected total overheads of local and shared
 	// checkpointing and pick the cheaper.
-	StorageAuto StorageMode = iota
+	StorageAuto = engine.StorageAuto
 	// StorageLocal forces local-ramdisk checkpoints (migration type A).
-	StorageLocal
+	StorageLocal = engine.StorageLocal
 	// StorageShared forces shared-disk checkpoints (migration type B).
-	StorageShared
+	StorageShared = engine.StorageShared
 )
 
 // SharedStorage selects the built-in shared checkpoint backend.
@@ -122,15 +122,16 @@ func WithJobs(n int) Option {
 
 // WithWorkload declares the synthetic trace to generate. The zero
 // Workload is the paper's default mix. Overlays the generator would
-// reject (a BoTFraction above 1, inverted length bounds) fail New
-// instead of panicking later inside a sweep worker.
+// reject (a negative Jobs, a BoTFraction above 1, inverted length
+// bounds) and more than MaxSpecJobs jobs fail New instead of panicking
+// later inside a sweep worker.
 func WithWorkload(w Workload) Option {
 	return func(c *config) {
-		if err := w.validate(); err != nil {
-			c.errs = append(c.errs, err)
+		if err := checkTraceConfig(w.GenConfig(0, 1)); err != nil {
+			c.errs = append(c.errs, fmt.Errorf("WithWorkload: %w", err))
 			return
 		}
-		c.sc.Workload = w.toScenario()
+		c.sc.Workload = w
 	}
 }
 
@@ -167,16 +168,11 @@ func WithPolicyName(name string) Option {
 // StorageAuto).
 func WithStorage(mode StorageMode) Option {
 	return func(c *config) {
-		switch mode {
-		case StorageAuto:
-			c.sc.Engine.Mode = engine.StorageAuto
-		case StorageLocal:
-			c.sc.Engine.Mode = engine.StorageLocal
-		case StorageShared:
-			c.sc.Engine.Mode = engine.StorageShared
-		default:
+		if mode < StorageAuto || mode > StorageShared {
 			c.errs = append(c.errs, fmt.Errorf("WithStorage: unknown mode %d", mode))
+			return
 		}
+		c.sc.Engine.Mode = mode
 	}
 }
 

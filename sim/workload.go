@@ -13,83 +13,32 @@ import (
 // Workload declares a synthetic Google-like trace as an overlay on the
 // paper's defaults: the zero value is the default mix at the caller's
 // default scale, and zero fields inherit the generator defaults.
-type Workload struct {
-	// Jobs is the trace size; 0 defers to WithJobs / sweep defaults.
-	Jobs int
-	// ArrivalRate overrides the default 0.12 jobs/s when positive.
-	ArrivalRate float64
-	// BoTFraction overrides the default 0.45 bag-of-tasks share when
-	// non-zero; pass a negative value for a pure sequential-task mix.
-	BoTFraction float64
-	// MaxTaskLengthSec / MinTaskLengthSec bound task lengths (0 keeps
-	// the generator defaults of 6 h and 30 s).
-	MaxTaskLengthSec float64
-	MinTaskLengthSec float64
-	// MaxTaskMemMB / MinTaskMemMB bound per-task memory demands (0
-	// keeps the generator defaults of 1000 and 10 MB).
-	MaxTaskMemMB float64
-	MinTaskMemMB float64
-	// PriorityChangeFraction is the share of tasks whose priority flips
-	// mid-execution (the paper's Figure 14 scenario).
-	PriorityChangeFraction float64
-	// ServiceFraction is the share of long-running service jobs;
-	// 0 keeps the default 0.06, negative disables services.
-	ServiceFraction float64
-}
-
-func (w Workload) toScenario() scenario.Workload {
-	return scenario.Workload{
-		Jobs:                   w.Jobs,
-		ArrivalRate:            w.ArrivalRate,
-		BoTFraction:            w.BoTFraction,
-		MaxTaskLength:          w.MaxTaskLengthSec,
-		MinTaskLength:          w.MinTaskLengthSec,
-		MaxTaskMemMB:           w.MaxTaskMemMB,
-		MinTaskMemMB:           w.MinTaskMemMB,
-		PriorityChangeFraction: w.PriorityChangeFraction,
-		ServiceFraction:        w.ServiceFraction,
-	}
-}
+//
+//   - Jobs is the trace size; 0 defers to WithJobs / sweep defaults.
+//   - ArrivalRate overrides the default 0.12 jobs/s when positive.
+//   - BoTFraction overrides the default 0.45 bag-of-tasks share when
+//     non-zero; pass a negative value for a pure sequential-task mix.
+//   - MaxTaskLengthSec / MinTaskLengthSec bound task lengths (0 keeps
+//     the generator defaults of 6 h and 30 s).
+//   - MaxTaskMemMB / MinTaskMemMB bound per-task memory demands (0
+//     keeps the generator defaults of 1000 and 10 MB).
+//   - PriorityChangeFraction is the share of tasks whose priority flips
+//     mid-execution (the paper's Figure 14 scenario).
+//   - ServiceFraction is the share of long-running service jobs; 0
+//     keeps the default 0.06, negative disables services.
+type Workload = scenario.Workload
 
 // TraceConfig parameterizes direct trace generation (GenerateTrace).
 // Unlike Workload, its fields are absolute: a zero BoTFraction means no
-// bag-of-tasks jobs, not "the default share".
-type TraceConfig struct {
-	// Seed drives all randomness; identical configs produce identical
-	// traces.
-	Seed uint64
-	// Jobs is the number of jobs to generate.
-	Jobs int
-	// ArrivalRate is the mean Poisson arrival rate in jobs/second.
-	ArrivalRate float64
-	// BoTFraction is the fraction of bag-of-tasks jobs.
-	BoTFraction float64
-	// MaxTaskLengthSec truncates task lengths (0 means the 6-hour
-	// ceiling); MinTaskLengthSec floors them (0 means 30 s).
-	MaxTaskLengthSec float64
-	MinTaskLengthSec float64
-	// MaxTaskMemMB caps per-task memory demands (0 means the 1000 MB
-	// VM limit); MinTaskMemMB floors them (0 means 10 MB).
-	MaxTaskMemMB float64
-	MinTaskMemMB float64
-	// PriorityChangeFraction is the fraction of tasks whose priority
-	// flips mid-execution.
-	PriorityChangeFraction float64
-	// ServiceFraction is the fraction of long-running service jobs;
-	// 0 selects the default 0.06, negative disables services.
-	ServiceFraction float64
-}
+// bag-of-tasks jobs, not "the default share". Zero task-length and
+// memory bounds still mean the generator defaults (30 s to 6 h, 10 to
+// 1000 MB), and a zero ServiceFraction the default 0.06.
+type TraceConfig = trace.GenConfig
 
 // DefaultTraceConfig returns the configuration the headline experiments
 // generate from: the paper's Figure 8 mixes and magnitudes.
 func DefaultTraceConfig(seed uint64, jobs int) TraceConfig {
-	cfg := trace.DefaultGenConfig(seed, jobs)
-	return TraceConfig{
-		Seed:        cfg.Seed,
-		Jobs:        cfg.NumJobs,
-		ArrivalRate: cfg.ArrivalRate,
-		BoTFraction: cfg.BoTFraction,
-	}
+	return trace.DefaultGenConfig(seed, jobs)
 }
 
 // Trace is an immutable workload trace: jobs of sequential tasks (ST)
@@ -101,89 +50,21 @@ type Trace struct {
 
 // GenerateTrace produces a synthetic trace per cfg; the result is valid
 // by construction. It rejects configurations the generator cannot
-// honor (non-positive Jobs or ArrivalRate, a BoTFraction outside
-// [0, 1], inverted task-length bounds).
+// honor (see TraceConfig.Validate) and more than MaxSpecJobs jobs.
 func GenerateTrace(cfg TraceConfig) (*Trace, error) {
-	if cfg.Jobs <= 0 {
-		return nil, fmt.Errorf("sim: GenerateTrace requires Jobs > 0 (got %d)", cfg.Jobs)
+	if err := checkTraceConfig(cfg); err != nil {
+		return nil, fmt.Errorf("sim: GenerateTrace: %w", err)
 	}
-	if err := checkJobs("sim: GenerateTrace: Jobs", cfg.Jobs); err != nil {
-		return nil, err
-	}
-	if cfg.ArrivalRate <= 0 {
-		return nil, fmt.Errorf("sim: GenerateTrace requires ArrivalRate > 0 (got %g); see DefaultTraceConfig", cfg.ArrivalRate)
-	}
-	if cfg.BoTFraction < 0 || cfg.BoTFraction > 1 {
-		return nil, fmt.Errorf("sim: GenerateTrace requires BoTFraction in [0,1] (got %g)", cfg.BoTFraction)
-	}
-	if err := checkLengthBounds(cfg.MinTaskLengthSec, cfg.MaxTaskLengthSec); err != nil {
-		return nil, err
-	}
-	if err := checkMemBounds(cfg.MinTaskMemMB, cfg.MaxTaskMemMB); err != nil {
-		return nil, err
-	}
-	return &Trace{tr: trace.Generate(trace.GenConfig{
-		Seed:                   cfg.Seed,
-		NumJobs:                cfg.Jobs,
-		ArrivalRate:            cfg.ArrivalRate,
-		BoTFraction:            cfg.BoTFraction,
-		MaxTaskLength:          cfg.MaxTaskLengthSec,
-		MinTaskLength:          cfg.MinTaskLengthSec,
-		MaxTaskMemMB:           cfg.MaxTaskMemMB,
-		MinTaskMemMB:           cfg.MinTaskMemMB,
-		PriorityChangeFraction: cfg.PriorityChangeFraction,
-		ServiceFraction:        cfg.ServiceFraction,
-	})}, nil
+	return &Trace{tr: trace.Generate(cfg)}, nil
 }
 
-// checkLengthBounds validates task-length bounds after applying the
-// generator defaults (30 s floor, 6 h ceiling) for zero values.
-func checkLengthBounds(minSec, maxSec float64) error {
-	effMin, effMax := minSec, maxSec
-	if effMin <= 0 {
-		effMin = trace.DefaultMinTaskLengthSec
-	}
-	if effMax <= 0 {
-		effMax = trace.DefaultMaxTaskLengthSec
-	}
-	if effMax <= effMin {
-		return fmt.Errorf("sim: task-length bounds inverted (min %g s, max %g s)", effMin, effMax)
-	}
-	return nil
-}
-
-// checkMemBounds validates task-memory bounds after applying the
-// generator defaults (10 MB floor, 1000 MB ceiling) for zero values.
-func checkMemBounds(minMB, maxMB float64) error {
-	effMin, effMax := minMB, maxMB
-	if effMin <= 0 {
-		effMin = trace.DefaultMinTaskMemMB
-	}
-	if effMax <= 0 {
-		effMax = trace.DefaultMaxTaskMemMB
-	}
-	if effMax <= effMin {
-		return fmt.Errorf("sim: task-memory bounds inverted (min %g MB, max %g MB)", effMin, effMax)
-	}
-	return nil
-}
-
-// validate rejects workload overlays the generator would panic on once
-// materialized inside a sweep worker.
-func (w Workload) validate() error {
-	if w.Jobs < 0 {
-		return fmt.Errorf("sim: Workload.Jobs is negative (%d)", w.Jobs)
-	}
-	if err := checkJobs("sim: Workload.Jobs", w.Jobs); err != nil {
+// checkTraceConfig refuses what the generator would (cfg.Validate) and
+// more than MaxSpecJobs jobs.
+func checkTraceConfig(cfg TraceConfig) error {
+	if err := checkJobs("Jobs", cfg.Jobs); err != nil {
 		return err
 	}
-	if w.BoTFraction > 1 {
-		return fmt.Errorf("sim: Workload.BoTFraction %g exceeds 1", w.BoTFraction)
-	}
-	if err := checkLengthBounds(w.MinTaskLengthSec, w.MaxTaskLengthSec); err != nil {
-		return err
-	}
-	return checkMemBounds(w.MinTaskMemMB, w.MaxTaskMemMB)
+	return cfg.Validate()
 }
 
 // ReadTrace parses a JSON-lines trace written by Write and validates
@@ -247,8 +128,8 @@ func (t *Trace) Summary() TraceSummary {
 		mems = append(mems, t.tr.Mem[h])
 	}
 	ts.Tasks = len(lens)
-	ts.TaskLength = Summary(stats.Summarize(lens))
-	ts.TaskMemory = Summary(stats.Summarize(mems))
+	ts.TaskLength = stats.Summarize(lens)
+	ts.TaskMemory = stats.Summarize(mems)
 	return ts
 }
 
