@@ -188,7 +188,12 @@ type Measurement struct {
 	QueueReplaced      uint64 `json:"queue_replaced"`
 	QueueSpillPushes   uint64 `json:"queue_spill_pushes"`
 	QueueSorted        uint64 `json:"queue_sorted"`
-	Error              string `json:"error,omitempty"`
+	// PeakLiveSlots and PeakQueuedPlans are the engine's run-state peaks
+	// (see engine.Result): the most started, unfinished tasks, and the
+	// most fresh tasks queued with only their plans.
+	PeakLiveSlots   int    `json:"peak_live_slots"`
+	PeakQueuedPlans int    `json:"peak_queued_plans"`
+	Error           string `json:"error,omitempty"`
 }
 
 // AllocBaseline records the allocation-budget comparison at the pinned
@@ -573,6 +578,8 @@ func measure(ctx context.Context, sc scenario.Scenario, name string, jobs int, s
 			m.QueueReplaced = res.Queue.Replaced
 			m.QueueSpillPushes = res.Queue.SpillPushes
 			m.QueueSorted = res.Queue.Sorted
+			m.PeakLiveSlots = res.PeakLiveSlots
+			m.PeakQueuedPlans = res.PeakQueuedPlans
 		}
 	}
 	if m.NsPerOp > 0 {

@@ -151,7 +151,8 @@ func TestReportMarshalStable(t *testing.T) {
 	}
 	res := m["results"].([]any)[0].(map[string]any)
 	for _, key := range []string{"scenario", "jobs", "ns_per_op", "allocs_per_op", "events_per_sec", "peak_heap_bytes",
-		"queue_rebuilds", "queue_bucket_appends", "queue_top_appends", "queue_replaced", "queue_spill_pushes", "queue_sorted"} {
+		"queue_rebuilds", "queue_bucket_appends", "queue_top_appends", "queue_replaced", "queue_spill_pushes", "queue_sorted",
+		"peak_live_slots", "peak_queued_plans"} {
 		if _, ok := res[key]; !ok {
 			t.Errorf("measurement JSON lost key %q", key)
 		}

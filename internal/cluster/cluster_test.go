@@ -388,6 +388,51 @@ func TestPendingQueueRestartLaneFitsFirst(t *testing.T) {
 	}
 }
 
+// TestLaneRebuildInPlaceAllocatesNothing: a full ring that is at most
+// half live compacts in place when the next push rebuilds it, so
+// restarts churning a steady-size lane allocate nothing, and FIFO order
+// and the demand index survive the compaction.
+func TestLaneRebuildInPlaceAllocatesNothing(t *testing.T) {
+	var q PendingQueue[int]
+	l := &q.fresh
+	live := make([]int, 0, 2*minLaneCap)
+	next := 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.PushFresh(next, float64(1+next%7))
+			live = append(live, next)
+			next++
+		}
+	}
+	push(minLaneCap)
+	// Each cycle tombstones all but the first and the last three of a
+	// full ring, then refills it; the first push of the refill rebuilds.
+	cycle := func() {
+		for pos := l.head + 1; pos < l.tail-3; pos++ {
+			l.remove(pos)
+		}
+		live = append(live[:1], live[len(live)-3:]...)
+		push(minLaneCap - 4)
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("same-capacity rebuild allocates %v times per cycle", allocs)
+	}
+	if len(l.items) != minLaneCap {
+		t.Fatalf("capacity %d, want %d: the rebuild grew a lane that was a quarter live", len(l.items), minLaneCap)
+	}
+	if got := q.MinDemand(); got != 1 {
+		t.Fatalf("MinDemand = %v after compaction, want 1", got)
+	}
+	for i, want := range live {
+		if got, ok := q.PopFitting(math.Inf(1), nil); !ok || got != want {
+			t.Fatalf("pop %d = %d,%v, want %d", i, got, ok, want)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after draining", q.Len())
+	}
+}
+
 // TestPendingQueueReleasesPoppedReferences guards the reference-
 // retention fix: vacated ring slots must not keep popped items alive
 // in the backing array.

@@ -64,31 +64,45 @@ func (l *lane[T]) push(v T, demand float64) {
 	l.count++
 }
 
-// rebuild compacts live items into a fresh ring, dropping tombstones;
-// capacity doubles only when the lane is genuinely more than half
-// full, so both growth and tombstone sweeping are amortized O(1) per
-// push.
+// rebuild drops tombstones from a full ring. Capacity doubles only
+// when the lane is genuinely more than half full, so both growth and
+// tombstone sweeping are amortized O(1) per push; otherwise the live
+// items slide toward the head in place and nothing is allocated.
 func (l *lane[T]) rebuild() {
 	capacity := len(l.items)
 	if l.count > capacity/2 {
-		capacity *= 2
-	}
-	oldItems, oldTree := l.items, l.tree
-	oldCap := len(oldItems)
-	l.init(capacity)
-	n := 0
-	for pos := l.head; pos != l.tail; pos++ {
-		i := int(pos) & (oldCap - 1)
-		if d := oldTree[oldCap+i]; !math.IsInf(d, 1) {
-			l.items[n] = oldItems[i]
-			l.tree[capacity+n] = d
-			n++
+		oldItems, oldTree := l.items, l.tree
+		l.init(2 * capacity)
+		n := 0
+		for pos := l.head; pos != l.tail; pos++ {
+			i := int(pos) & (capacity - 1)
+			if d := oldTree[capacity+i]; !math.IsInf(d, 1) {
+				l.items[n] = oldItems[i]
+				l.tree[2*capacity+n] = d
+				n++
+			}
 		}
+		l.head, l.tail = 0, uint64(n)
+	} else {
+		// The write position never passes the read position, so every
+		// live item moves before its slot is overwritten.
+		var zero T
+		w := l.head
+		for pos := l.head; pos != l.tail; pos++ {
+			i := l.phys(pos)
+			if d := l.tree[capacity+i]; !math.IsInf(d, 1) {
+				if j := l.phys(w); j != i {
+					l.items[j], l.tree[capacity+j] = l.items[i], d
+					l.items[i], l.tree[capacity+i] = zero, math.Inf(1)
+				}
+				w++
+			}
+		}
+		l.tail = w
 	}
-	for i := capacity - 1; i >= 1; i-- {
+	for i := len(l.items) - 1; i >= 1; i-- {
 		l.tree[i] = math.Min(l.tree[2*i], l.tree[2*i+1])
 	}
-	l.head, l.tail = 0, uint64(n)
 }
 
 // min returns the smallest live demand, +Inf when the lane is empty.

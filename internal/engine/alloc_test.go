@@ -10,26 +10,27 @@ import (
 )
 
 // maxAllocsPerEvent is the engine's allocation budget: the hot path
-// runs at about 0.0094 allocations per fired event on the guard
+// runs at about 0.0048 allocations per fired event on the guard
 // workload (event and placement pooling, one reusable callback per
-// task, pooled storage ops, recycled failure-time backings). The engine
+// task, pooled storage ops, pooled run state, failure processes that
+// keep no history). The engine
 // before pooling sat near 2.9. The guard leaves ample headroom for
 // incidental churn while catching any change that reintroduces a
 // per-event allocation (+1.0 or more).
 const maxAllocsPerEvent = 0.35
 
 // maxBytesPerEvent is the companion bytes budget: with the columnar
-// memory layout (handle-indexed slabs, chunked run state, slab-resident
+// memory layout (handle-indexed slabs, pooled run state, slot-resident
 // failure processes, one TaskOutcome per task written at completion)
-// the engine allocates about 8.5 bytes per fired event on the guard
+// the engine allocates about 5.1 bytes per fired event on the guard
 // workload — almost all of it the one-time slab setup amortized
-// over the run. ~4x headroom; a regression past this budget means
+// over the run. ~8x headroom; a regression past this budget means
 // per-task state went back to the heap.
 const maxBytesPerEvent = 40
 
 // maxPeakHeapBytes bounds the live heap during the guard workload
-// (300-job default trace): the columnar engine peaks around 1.7 MB
-// there, most of it the trace and the outcome slab. ~6x headroom; a
+// (300-job default trace): the columnar engine peaks around 1.1 MB
+// there, most of it the trace and the outcome slab. ~11x headroom; a
 // regression past this budget means the working set re-inflated.
 const maxPeakHeapBytes = 12 << 20
 
@@ -140,9 +141,9 @@ func TestNonBlockingAllocBudget(t *testing.T) {
 }
 
 // maxSmallRunBytes bounds the bytes one small run allocates: a 20-job
-// run (132 tasks, the size of a service run) allocates about 122 KB
-// once its run state is sized to its task count; a full 4096-slot
-// run-state chunk alone is about 1.4 MB. ~4x headroom.
+// run (132 tasks, the size of a service run) allocates about 115 KB
+// once its run state is sized to its task count; 4096 task-run slots
+// alone would be about 1.5 MB. ~4x headroom.
 const maxSmallRunBytes = 512 << 10
 
 // TestSmallRunBytesBudget guards small runs against paying for run state
@@ -167,5 +168,44 @@ func TestSmallRunBytesBudget(t *testing.T) {
 	if perRun > maxSmallRunBytes {
 		t.Errorf("a %d-task run allocates %d bytes, budget %d — small runs pay for full-size run state",
 			replay.NumTasks(), perRun, maxSmallRunBytes)
+	}
+}
+
+// maxSaturatedRunBytesPerTask bounds what one Run of the saturated
+// dispatch-storm regime allocates per replayed task. At 2000 jobs
+// (23 977 tasks) most tasks wait queued at once: a Run allocates about
+// 344 bytes per task, of which 144 are the task's outcome record and
+// about 70 its share of plans and slots (10 267 plans of 48 bytes and
+// 3 191 slots of 360 at the peaks). Giving every submitted task a full
+// taskRun in 4096-entry chunks, as the engine once did, allocates
+// about 678; a queued task holding a full taskRun instead of its plan
+// would add about 130. The bound leaves about 15% headroom.
+const maxSaturatedRunBytesPerTask = 400
+
+// TestSaturatedRunStateBudget guards run state sized by running tasks:
+// on a trace whose tasks mostly wait in the queue, a queued fresh task
+// may hold only its plan.
+func TestSaturatedRunStateBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("memory budget needs a full run")
+	}
+	full := trace.Generate(saturatedGen(3, 2000))
+	replay := full.BatchJobs()
+	est := trace.BuildEstimator(full, nil)
+	cfg := Config{Seed: 3, Policy: core.MNOFPolicy{}}
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunWithEstimatorContext(context.Background(), cfg, replay, est)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTask := float64(after.TotalAlloc-before.TotalAlloc) / float64(replay.NumTasks())
+	t.Logf("%d tasks, %d events: %.0f bytes per task", replay.NumTasks(), res.Events, perTask)
+	if perTask > maxSaturatedRunBytesPerTask {
+		t.Errorf("a saturated Run allocates %.0f bytes per task, budget %d — queued tasks hold more than their plans",
+			perTask, maxSaturatedRunBytesPerTask)
 	}
 }

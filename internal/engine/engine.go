@@ -181,20 +181,68 @@ func RunWithEstimatorContext(ctx context.Context, cfg Config, tr *trace.Trace, e
 }
 
 // The engine's working state is columnar: it reads the trace's own
-// handle-indexed columns, and all hot per-task state lives in
-// handle-indexed taskRun entries, in fixed-size chunks that materialize
-// on first submission and free when their last task completes. Results
-// are written once, at completion: each task's TaskOutcome goes into
-// its job's next slot of one run-long slab, so every job's records sit
-// in completion order, and the job's JobOutcome aggregates are written
-// when its last task completes. The event loop, dispatch queue, and
-// simulator callbacks carry only handles; string task/job IDs are never
-// hashed or compared, and are read only into the result records.
+// handle-indexed columns, and per-task state exists only while a task
+// is live. A submitted task gets a plan (what submission decides: its
+// checkpoint cost, planned length, spacing and interval count), and a
+// queued fresh task holds nothing else. At its first start the plan
+// moves into a taskRun slot, which the task holds until it completes.
+// Plans and slots live in pools of fixed blocks, so run state tracks
+// the peak number of queued and running tasks, not the trace, and a
+// live slot never moves: it points into itself (proc -> renewal ->
+// procRNG, pareto). Task events and in-flight write records carry slot
+// indices; pending-queue items are slot indices on the restart lane
+// and queuedPlan-tagged plan indices on the fresh lane. Results are
+// written once, at completion: each task's TaskOutcome goes into its
+// job's next entry of one run-long slab, so every job's records sit in
+// completion order, and the job's JobOutcome aggregates are written
+// when its last task completes. String task/job IDs are read only
+// into the result records and to order host-crash victims; the event
+// loop never hashes or compares them.
 const (
-	runChunkShift = 12
-	runChunkSize  = 1 << runChunkShift
-	runChunkMask  = runChunkSize - 1
+	poolBlockShift = 8
+	poolBlockSize  = 1 << poolBlockShift
+	poolBlockMask  = poolBlockSize - 1
 )
+
+// queuedPlan tags a fresh-lane queue item as a plan index.
+const queuedPlan = 1 << 31
+
+// pool holds entries in fixed blocks that stay put for the whole run,
+// and recycles freed entries LIFO, so an entry's index and address stay
+// valid while it is held and made counts the peak number held at once.
+type pool[T any] struct {
+	blocks [][]T
+	free   []uint32
+	made   uint32
+	// blockLen is every block's length: poolBlockSize, or the run's
+	// task count when that is smaller, so a small run does not allocate
+	// a full block.
+	blockLen int
+}
+
+func (p *pool[T]) at(i uint32) *T { return &p.blocks[i>>poolBlockShift][i&poolBlockMask] }
+
+// take returns the index of a zeroed entry.
+func (p *pool[T]) take() uint32 {
+	if n := len(p.free); n > 0 {
+		i := p.free[n-1]
+		p.free = p.free[:n-1]
+		return i
+	}
+	i := p.made
+	p.made++
+	if int(i>>poolBlockShift) == len(p.blocks) {
+		p.blocks = append(p.blocks, make([]T, p.blockLen))
+	}
+	return i
+}
+
+// put zeroes entry i and returns it to the pool.
+func (p *pool[T]) put(i uint32) {
+	var zero T
+	*p.at(i) = zero
+	p.free = append(p.free, i)
+}
 
 type engineState struct {
 	cfg    Config
@@ -207,24 +255,9 @@ type engineState struct {
 	queue  cluster.PendingQueue[uint32]
 	result *Result
 
-	// runChunks[h>>runChunkShift][h&runChunkMask] is task h's run state;
-	// chunkLive counts the submitted-but-unfinished runs per chunk so a
-	// drained chunk's backing is reclaimed mid-run. Drained chunks are
-	// all-zero (entries are zeroed at completion, untouched entries were
-	// never written), so freeChunks recycles them: steady-state run
-	// state costs O(max concurrent chunks) allocations, not O(trace).
-	runChunks  [][]taskRun
-	chunkLive  []int32
-	freeChunks [][]taskRun
-	// chunkLen is the length of every run chunk: runChunkSize, or the
-	// task count when the whole run fits one chunk, so a small run does
-	// not allocate and zero a full chunk.
-	chunkLen int
-	// freeTimes holds the recorded-times backings of completed tasks'
-	// renewal processes, handed to the next task that starts, so the
-	// failure draws of a run allocate O(max concurrent tasks) backings,
-	// not one per task.
-	freeTimes [][]float64
+	// plans holds queued fresh tasks' plans, slots started tasks' runs.
+	plans pool[plan]
+	slots pool[taskRun]
 	// jobSlot maps a replayed job's handle to its record's index in
 	// result.Jobs.
 	jobSlot []uint32
@@ -241,8 +274,8 @@ type engineState struct {
 	hostRNG *simeng.RNG
 
 	// The callbacks below are bound once per run; every steady-state
-	// event in the simulator carries one of them plus a handle, so the
-	// event loop schedules without allocating closures.
+	// event in the simulator carries one of them plus a slot or write
+	// index, so the event loop schedules without allocating closures.
 	dispatchFn  func()
 	fitsFn      func(uint32) bool
 	arriveFn    func(uint32)
@@ -250,10 +283,26 @@ type engineState struct {
 	writeFireFn func(uint32)
 }
 
-// run returns task h's slab entry; the task must be submitted and not
-// yet complete.
-func (e *engineState) run(h uint32) *taskRun {
-	return &e.runChunks[h>>runChunkShift][h&runChunkMask]
+// startRun moves plan p into a slot for its task's first start.
+func (e *engineState) startRun(p uint32) *taskRun {
+	s := e.slots.take()
+	r := e.slots.at(s)
+	pl := e.plans.at(p)
+	*r = taskRun{
+		plan:         *pl,
+		remaining:    pl.plannedLen,
+		waitingSince: pl.submitAt,
+		nextCkpt:     math.Inf(1),
+		slot:         s,
+		excludeHost:  -1,
+		writeHead:    -1,
+		writeTail:    -1,
+	}
+	if r.intervals > 1 {
+		r.nextCkpt = r.w0
+	}
+	e.plans.put(p)
+	return r
 }
 
 // armHostFailure schedules the next whole-host crash. The chain
@@ -280,24 +329,27 @@ func (e *engineState) crashHost(hostID int) {
 	e.cl.SetAlive(hostID, false)
 	now := e.sim.Now()
 	// Collect first: interrupt mutates placements via requeueing. Host
-	// crashes are rare, so the scan over live run chunks is off the hot
-	// path.
-	var victims []uint32
-	for _, chunk := range e.runChunks {
-		for i := range chunk {
-			r := &chunk[i]
-			if r.placement.Active() && r.placement.HostID == hostID {
-				victims = append(victims, r.h)
+	// crashes are rare, so the scan over the slots handed out is off the
+	// hot path; free slots are zeroed and hold no placement.
+	var victims []*taskRun
+	for _, block := range e.slots.blocks {
+		for i := range block {
+			if r := &block[i]; r.placement.Active() && r.placement.HostID == hostID {
+				victims = append(victims, r)
 			}
 		}
 	}
 	// Deterministic order, matching the pre-columnar engine: victims
-	// sorted by their task ID.
+	// sorted by their task ID (by handle among duplicate IDs).
 	sort.Slice(victims, func(i, j int) bool {
-		return e.tr.TaskID(victims[i]) < e.tr.TaskID(victims[j])
+		a, b := victims[i].h, victims[j].h
+		if ia, ib := e.tr.TaskID(a), e.tr.TaskID(b); ia != ib {
+			return ia < ib
+		}
+		return a < b
 	})
-	for _, h := range victims {
-		e.interrupt(e.run(h), now)
+	for _, r := range victims {
+		e.interrupt(r, now)
 	}
 	e.sim.Schedule(now+e.cfg.HostRepair, func() {
 		e.cl.SetAlive(hostID, true)
@@ -307,22 +359,18 @@ func (e *engineState) crashHost(hostID int) {
 
 func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *core.HistoryEstimator) (*Result, error) {
 	rng := simeng.NewRNG(cfg.Seed)
-	// Run state is indexed by handle, so it spans every task of the
-	// columns; chunks of unselected tasks are never materialized.
-	handles := len(tr.Len)
-	nChunks := (handles + runChunkSize - 1) / runChunkSize
 	nJobs := tr.NumJobs()
+	blockLen := min(poolBlockSize, tr.NumTasks())
 	e := &engineState{
-		cfg:       cfg,
-		sim:       simeng.NewSimulator(),
-		cl:        cluster.New(cfg.Hosts, cfg.HostMemMB),
-		est:       est,
-		tr:        tr,
-		runChunks: make([][]taskRun, nChunks),
-		chunkLive: make([]int32, nChunks),
-		chunkLen:  min(runChunkSize, handles),
-		jobSlot:   make([]uint32, len(tr.Arrival)),
-		result:    &Result{PolicyName: cfg.Policy.Name(), Jobs: make([]JobOutcome, nJobs)},
+		cfg:     cfg,
+		sim:     simeng.NewSimulator(),
+		cl:      cluster.New(cfg.Hosts, cfg.HostMemMB),
+		est:     est,
+		tr:      tr,
+		plans:   pool[plan]{blockLen: blockLen},
+		slots:   pool[taskRun]{blockLen: blockLen},
+		jobSlot: make([]uint32, len(tr.Arrival)),
+		result:  &Result{PolicyName: cfg.Policy.Name(), Jobs: make([]JobOutcome, nJobs)},
 	}
 	// Each job's Tasks is its window of one slab, with the job's task
 	// count as capacity: completion fills it in place, and a caller
@@ -348,8 +396,12 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 		e.dispatchPending = false
 		e.dispatch()
 	}
-	e.fitsFn = func(h uint32) bool {
-		return e.cl.AcquirePreview(e.tr.Mem[h], int(e.run(h).excludeHost))
+	e.fitsFn = func(v uint32) bool {
+		if v&queuedPlan != 0 {
+			return e.cl.AcquirePreview(e.tr.Mem[e.plans.at(v&^queuedPlan).h], -1)
+		}
+		r := e.slots.at(v)
+		return e.cl.AcquirePreview(e.tr.Mem[r.h], int(r.excludeHost))
 	}
 	e.arriveFn = e.jobArrive
 	e.taskFireFn = e.taskFire
@@ -404,6 +456,8 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 	}
 	e.result.Events = e.sim.Fired()
 	e.result.Queue = e.sim.Stats()
+	e.result.PeakLiveSlots = int(e.slots.made)
+	e.result.PeakQueuedPlans = int(e.plans.made)
 	return e.result, nil
 }
 
@@ -452,19 +506,9 @@ func (e *engineState) jobArrive(i uint32) {
 }
 
 func (e *engineState) submitTask(h uint32) {
-	c := h >> runChunkShift
-	if e.runChunks[c] == nil {
-		if n := len(e.freeChunks); n > 0 {
-			e.runChunks[c] = e.freeChunks[n-1]
-			e.freeChunks[n-1] = nil
-			e.freeChunks = e.freeChunks[:n-1]
-		} else {
-			e.runChunks[c] = make([]taskRun, e.chunkLen)
-		}
-	}
-	e.chunkLive[c]++
-	e.initRun(&e.runChunks[c][h&runChunkMask], h, e.sim.Now())
-	e.queue.PushFresh(h, e.tr.Mem[h])
+	p := e.plans.take()
+	e.initPlan(e.plans.at(p), h, e.sim.Now())
+	e.queue.PushFresh(p|queuedPlan, e.tr.Mem[h])
 	e.scheduleDispatch()
 }
 
@@ -492,15 +536,21 @@ func (e *engineState) dispatch() {
 		}
 		// The demand index narrows the scan to tasks that fit the best
 		// host; fitsFn re-checks the ones with a host to avoid.
-		h, ok := e.queue.PopFitting(maxFree, e.fitsFn)
+		v, ok := e.queue.PopFitting(maxFree, e.fitsFn)
 		if !ok {
 			return
 		}
-		r := e.run(h)
-		p := e.cl.AcquireExcluding(e.tr.Mem[h], int(r.excludeHost))
+		var r *taskRun
+		if v&queuedPlan != 0 {
+			r = e.startRun(v &^ queuedPlan)
+		} else {
+			r = e.slots.at(v)
+		}
+		mem := e.tr.Mem[r.h]
+		p := e.cl.AcquireExcluding(mem, int(r.excludeHost))
 		if p == nil {
 			// Lost a race within this dispatch pass; requeue and stop.
-			e.queue.PushRestart(h, e.tr.Mem[h])
+			e.queue.PushRestart(r.slot, mem)
 			return
 		}
 		e.start(r, p, e.sim.Now()+e.cfg.ScheduleDelay)
@@ -508,7 +558,7 @@ func (e *engineState) dispatch() {
 }
 
 // onTaskDone writes a completed task's outcome into its job's next
-// slot (and the job's aggregates after its last task), frees its run
+// record (and the job's aggregates after its last task), frees its
 // slot, advances ST chains, and triggers dispatch.
 func (e *engineState) onTaskDone(r *taskRun, now float64) {
 	h := r.h
@@ -527,25 +577,14 @@ func (e *engineState) onTaskDone(r *taskRun, now float64) {
 			e.submitTask(next)
 		}
 	}
-	// Release the run slot (dropping its process references, but keeping
-	// the failure-time backing for the next task to start) and recycle
-	// the whole chunk once its last live run completes.
-	if times := r.renewal.DetachTimes(); times != nil {
-		e.freeTimes = append(e.freeTimes, times)
-	}
-	*r = taskRun{}
-	c := h >> runChunkShift
-	if e.chunkLive[c]--; e.chunkLive[c] == 0 {
-		e.freeChunks = append(e.freeChunks, e.runChunks[c])
-		e.runChunks[c] = nil
-	}
+	e.slots.put(r.slot)
 	e.scheduleDispatch()
 }
 
 // newFailureProcess builds a standalone failure process for task h,
 // honoring a plugged-in failure model — the heap-allocating variant
-// used for oracle previews (the run's own process lives in its slab
-// entry; see start).
+// used for oracle previews (the run's own process lives in its slot;
+// see start).
 func (e *engineState) newFailureProcess(h uint32) failure.Process {
 	if e.cfg.FailureModel != nil {
 		return e.cfg.FailureModel(e.tr.Task(h))

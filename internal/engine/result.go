@@ -105,6 +105,12 @@ type Result struct {
 	// peak live queue depth, bucket geometry, worst single-bucket batch,
 	// and structural-maintenance counts (see simeng.QueueStats).
 	Queue simeng.QueueStats
+	// PeakLiveSlots is the most tasks holding run state at once (started
+	// and not yet complete); PeakQueuedPlans is the most fresh tasks
+	// queued at once, each holding only its checkpoint plan. Both are
+	// deterministic, so they size the engine's per-task memory.
+	PeakLiveSlots   int
+	PeakQueuedPlans int
 }
 
 // JobWPRs returns the per-job WPR values, optionally filtered.

@@ -55,7 +55,7 @@ const (
 	flagComputing
 	// flagShared: checkpoints go to the engine's shared backend.
 	flagShared
-	// flagRenewal: proc is the slab-resident renewal process, whose last
+	// flagRenewal: proc is the slot-resident renewal process, whose last
 	// answer failRel caches (see nextFailureAbs).
 	flagRenewal
 	// flagUsedShared: the chosen backend's images are restorable from
@@ -64,12 +64,29 @@ const (
 	flagUsedShared
 )
 
-// taskRun is the per-task execution state machine, stored in the
-// engine's handle-indexed chunk slabs (one entry per task, materialized
-// at submission, zeroed at completion). Its timeline mixes productive
-// progress with fault-tolerance overheads exactly as the paper's
-// Formula 1 decomposes wall-clock time: productive time, plus C per
-// checkpoint, plus (rollback + R) per failure, plus waiting.
+// plan is what submission decides for a task (Algorithm 1 lines 3-4):
+// its checkpoint backend, the planning constant C, the planned length
+// and the first equidistant plan. A queued fresh task holds only its
+// plan; its first start moves the plan into a taskRun, where planner
+// state keeps evolving.
+type plan struct {
+	submitAt   float64
+	ckptCost   float64 // planning constant C for the chosen backend
+	plannedLen float64 // predicted productive length (= LengthSec if exact)
+	w0         float64 // current checkpoint spacing (productive seconds)
+	h          uint32  // task handle
+	intervals  int32   // remaining interval count
+	// flags carries flagShared and flagUsedShared in a plan and every
+	// flag bit in a taskRun.
+	flags uint8
+}
+
+// taskRun is the per-task execution state machine, held in one of the
+// engine's slots from a task's first start to its completion. Its
+// timeline mixes productive progress with fault-tolerance overheads
+// exactly as the paper's Formula 1 decomposes wall-clock time:
+// productive time, plus C per checkpoint, plus (rollback + R) per
+// failure, plus waiting.
 //
 // Failures are exogenous: the task's failure process generates absolute
 // wall-clock offsets since the task first started, independent of what
@@ -81,7 +98,8 @@ const (
 // columns, the outcome accumulates in tot until completion writes it
 // out, and the default failure process lives in the entry itself
 // (renewal/procRNG/pareto), so running one task touches a handful of
-// adjacent cache lines instead of a scattered object graph.
+// adjacent cache lines instead of a scattered object graph. Because
+// proc points into the entry, a live slot never moves.
 type taskRun struct {
 	proc failure.Process
 	// cleanup releases an in-flight blocking checkpoint operation if the
@@ -95,10 +113,8 @@ type taskRun struct {
 
 	// planner state (the Algorithm 1 controller, generalized to any
 	// Policy; for MNOFPolicy it matches core.Adaptive step for step).
-	ckptCost   float64 // planning constant C for the chosen backend
-	plannedLen float64 // predicted productive length (= LengthSec if exact)
-	remaining  float64 // planned productive seconds left to the task end
-	w0         float64 // current checkpoint spacing (productive seconds)
+	plan
+	remaining float64 // planned productive seconds left to the task end
 
 	progress float64 // productive seconds completed since task entry
 	saved    float64 // productive seconds preserved by the last checkpoint
@@ -118,21 +134,17 @@ type taskRun struct {
 	startAt float64
 	failRel float64
 
-	h           uint32 // own handle
+	slot        uint32 // own slot index
 	excludeHost int32  // host to avoid on (re)placement, -1 = none
-	intervals   int32  // remaining interval count
 	// writeHead/writeTail delimit the task's in-flight non-blocking
 	// checkpoint records in the engine's write slab (-1 = none).
 	writeHead, writeTail int32
 	act                  action
-	flags                uint8
 
-	// Slab-resident storage for the default failure process: proc points
-	// at renewal (a renewal process over pareto driven by procRNG), whose
-	// recorded-times backing comes from the engine's free list, so
-	// starting a task allocates nothing once the run reaches its peak
-	// concurrency. Switching processes and plugged-in failure models
-	// fall back to the heap.
+	// Slot-resident storage for the default failure process: proc points
+	// at renewal (a renewal process over pareto driven by procRNG), so
+	// starting a task allocates nothing. Switching processes and
+	// plugged-in failure models fall back to the heap.
 	renewal failure.Renewal
 	procRNG simeng.RNG
 	pareto  dist.Pareto
@@ -142,10 +154,10 @@ type taskRun struct {
 	tot outcomeTotals
 }
 
-// outcomeTotals are a task's running TaskOutcome figures; the start
-// time is taskRun.startAt and the shared-storage bit flagUsedShared.
+// outcomeTotals are a task's running TaskOutcome figures; the submit
+// and start times are plan.submitAt and taskRun.startAt, and the
+// shared-storage bit flagUsedShared.
 type outcomeTotals struct {
-	submitAt     float64
 	wait         float64
 	rollbackLoss float64
 	ckptCost     float64 // blocking writes
@@ -169,7 +181,7 @@ func (e *engineState) writeOutcome(o *TaskOutcome, r *taskRun, now float64) {
 		Priority:                int(e.tr.Prio[h]),
 		LengthSec:               length,
 		MemMB:                   e.tr.Mem[h],
-		SubmitAt:                r.tot.submitAt,
+		SubmitAt:                r.submitAt,
 		StartAt:                 r.startAt,
 		DoneAt:                  now,
 		WallSec:                 wall,
@@ -194,7 +206,7 @@ type inflightWrite struct {
 	event      *simeng.Event
 	progressAt float64
 	cost       float64
-	task       uint32
+	slot       uint32 // the writing task's slot
 	next       int32
 	done       bool
 }
@@ -215,7 +227,7 @@ func (e *engineState) writeFire(idx uint32) {
 	w := &e.writes[idx]
 	w.done = true
 	w.release()
-	r := e.run(w.task)
+	r := e.slots.at(w.slot)
 	if w.progressAt > r.saved {
 		r.saved = w.progressAt
 		r.flags |= flagHasImage
@@ -286,13 +298,14 @@ func (e *engineState) backendOf(r *taskRun) storage.Backend {
 // event so an external interruption can cancel it.
 func (e *engineState) scheduleTask(r *taskRun, at float64, act action) {
 	r.act = act
-	r.pending = e.sim.ScheduleIndexed(at, 0, e.taskFireFn, r.h)
+	r.pending = e.sim.ScheduleIndexed(at, 0, e.taskFireFn, r.slot)
 }
 
-// taskFire executes the task's pending action. It is the engine-wide
-// callback every task event dispatches through.
-func (e *engineState) taskFire(h uint32) {
-	r := e.run(h)
+// taskFire executes the pending action of the task in slot s. It is the
+// engine-wide callback every task event dispatches through.
+func (e *engineState) taskFire(s uint32) {
+	r := e.slots.at(s)
+	h := r.h
 	act := r.act
 	r.act = actNone
 	switch act {
@@ -332,7 +345,7 @@ func (e *engineState) taskFire(h uint32) {
 	case actRequeue:
 		// The polling thread detected the interruption; the task
 		// re-enters the queue's restart lane.
-		e.queue.PushRestart(h, e.tr.Mem[h])
+		e.queue.PushRestart(s, e.tr.Mem[h])
 		e.scheduleDispatch()
 	}
 }
@@ -368,51 +381,50 @@ func (e *engineState) interrupt(r *taskRun, now float64) {
 	e.failAndRequeue(r, now)
 }
 
-// initRun initializes task h's slab entry at submission time (the
-// pre-slab engine's newTaskRun).
-func (e *engineState) initRun(r *taskRun, h uint32, now float64) {
+// initPlan plans task h at its submission time.
+func (e *engineState) initPlan(p *plan, h uint32, now float64) {
 	est := e.estimateFor(h, int(e.tr.Prio[h]))
-	r.tot.submitAt = now
-
-	r.h = h
-	r.excludeHost = -1
-	r.writeHead, r.writeTail = -1, -1
-	r.waitingSince = now
+	*p = plan{submitAt: now, h: h}
 	backend, shared := e.chooseBackend(h, est)
 	if shared {
-		r.flags |= flagShared
+		p.flags |= flagShared
 	}
 	if backend.Kind() != storage.KindLocal {
-		r.flags |= flagUsedShared
+		p.flags |= flagUsedShared
 	}
-	r.ckptCost = storage.PlannedCheckpointCost(backend, e.tr.Mem[h])
-	r.plannedLen = e.tr.Len[h]
+	p.ckptCost = storage.PlannedCheckpointCost(backend, e.tr.Mem[h])
+	p.plannedLen = e.tr.Len[h]
 	if e.cfg.Predictor != nil {
-		r.plannedLen = e.cfg.Predictor.Predict(e.tr.Task(h))
-		if r.plannedLen < 1 {
-			r.plannedLen = 1
+		p.plannedLen = e.cfg.Predictor.Predict(e.tr.Task(h))
+		if p.plannedLen < 1 {
+			p.plannedLen = 1
 		}
 	}
-	r.remaining = r.plannedLen
-	e.replan(r, est)
+	e.divide(p, p.plannedLen, est)
 }
 
-// replan recomputes the equidistant plan for the remaining workload from
-// the given estimate, the Algorithm 1 lines 3-4 / 10-12 step.
-func (e *engineState) replan(r *taskRun, est core.Estimate) {
+// divide sets p's equidistant plan for `remaining` planned productive
+// seconds from the given estimate, the Algorithm 1 lines 3-4 / 10-12
+// step.
+func (e *engineState) divide(p *plan, remaining float64, est core.Estimate) {
 	// Scale a whole-task estimate to the remaining planned workload.
 	scaled := est
-	if r.plannedLen > 0 {
-		scaled.MNOF = est.MNOF * r.remaining / r.plannedLen
+	if p.plannedLen > 0 {
+		scaled.MNOF = est.MNOF * remaining / p.plannedLen
 	}
-	x := e.cfg.Policy.Intervals(r.remaining, r.ckptCost, scaled)
-	x = core.ClampIntervals(x, r.remaining, r.ckptCost)
-	r.intervals = int32(x)
-	if r.remaining > 0 {
-		r.w0 = r.remaining / float64(x)
+	x := e.cfg.Policy.Intervals(remaining, p.ckptCost, scaled)
+	x = core.ClampIntervals(x, remaining, p.ckptCost)
+	p.intervals = int32(x)
+	if remaining > 0 {
+		p.w0 = remaining / float64(x)
 	} else {
-		r.w0 = 0
+		p.w0 = 0
 	}
+}
+
+// replan recomputes a running task's plan for its remaining workload.
+func (e *engineState) replan(r *taskRun, est core.Estimate) {
+	e.divide(&r.plan, r.remaining, est)
 	if r.intervals > 1 {
 		r.nextCkpt = r.progress + r.w0
 	} else {
@@ -432,11 +444,6 @@ func (e *engineState) start(r *taskRun, p *cluster.Placement, at float64) {
 		if e.cfg.FailureModel != nil {
 			r.proc = e.cfg.FailureModel(e.tr.Task(r.h))
 		} else {
-			if n := len(e.freeTimes); n > 0 {
-				r.renewal.AttachTimes(e.freeTimes[n-1])
-				e.freeTimes[n-1] = nil
-				e.freeTimes = e.freeTimes[:n-1]
-			}
 			h := r.h
 			r.proc = trace.InitFailureProcess(int(e.tr.Prio[h]), e.tr.Len[h], e.tr.Seed[h],
 				int(e.tr.ChangePrio[h]), e.tr.ChangeFrac[h], &r.renewal, &r.procRNG, &r.pareto)
@@ -462,7 +469,7 @@ func (e *engineState) nextFailureAbs(r *taskRun, now float64) float64 {
 	t := now - r.startAt
 	var rel float64
 	if r.flags&flagRenewal != 0 {
-		// Most tasks keep their priority, so proc is the slab-resident
+		// Most tasks keep their priority, so proc is the slot-resident
 		// renewal process. Its answer stays the first failure after t
 		// while t, which only moves forward, stays below it, and
 		// NextAfter draws only when t passes its cursor — so asking again
@@ -653,7 +660,7 @@ func (e *engineState) startAsyncCheckpoint(r *taskRun) {
 	e.purgeDoneWrites(r)
 	idx := e.allocWrite()
 	w := &e.writes[idx]
-	*w = inflightWrite{release: release, progressAt: r.progress, cost: cost, task: r.h, next: -1}
+	*w = inflightWrite{release: release, progressAt: r.progress, cost: cost, slot: r.slot, next: -1}
 	w.event = e.sim.ScheduleIndexed(now+cost, 0, e.writeFireFn, uint32(idx))
 	if r.writeTail >= 0 {
 		e.writes[r.writeTail].next = idx

@@ -31,20 +31,32 @@ type Process interface {
 // i.i.d. intervals drawn from Dist. The draw sequence is deterministic
 // given the RNG seed, so repeated runs (e.g. the same task under two
 // policies) see identical failure times.
+//
+// The process keeps only its last failure time and where that
+// interval began. Queries are near-monotone in practice (a task's
+// wall-clock only moves forward), and a query at or past the interval's
+// start is answered from those two; an earlier one replays the draws
+// from the stream's starting state on a copy. So a process holds no
+// per-failure memory and never allocates, and its answers do not
+// depend on query order.
 type Renewal struct {
-	dist   dist.Distribution
-	rng    *simeng.RNG
-	times  []float64
-	cursor float64
-	maxGen int
-	// hint caches the index NextAfter last returned from. Queries are
-	// near-monotone in practice (a task's wall-clock only moves forward),
-	// so the next answer is almost always at or just past the hint,
-	// turning the per-call binary search into one or two comparisons.
-	hint int
+	dist dist.Distribution
+	rng  *simeng.RNG
+	// origin is rng's state before the first draw.
+	origin simeng.RNG
+	// cursor is the last failure time drawn (0 before the first draw)
+	// and prev the start of its interval (-Inf before the first draw);
+	// n counts the draws.
+	prev, cursor float64
+	n            int
 }
 
-// NewRenewal returns a renewal process over d driven by rng.
+// maxDraws bounds the failures one process generates; past it the
+// process reports no further failure.
+const maxDraws = 1 << 20
+
+// NewRenewal returns a renewal process over d driven by rng. The
+// process owns rng: nothing else may draw from it.
 func NewRenewal(d dist.Distribution, rng *simeng.RNG) *Renewal {
 	r := &Renewal{}
 	r.Reset(d, rng)
@@ -54,83 +66,45 @@ func NewRenewal(d dist.Distribution, rng *simeng.RNG) *Renewal {
 // Reset (re)initializes the receiver in place to a fresh renewal
 // process over d driven by rng, exactly as NewRenewal would construct
 // it. It exists so callers that keep Renewal values in preallocated
-// slabs (e.g. the engine's per-task columnar state) can build processes
-// without a heap allocation per task; the recorded-times backing array
-// is reused when present.
+// slabs (e.g. the engine's per-task run state) can build processes
+// without a heap allocation per task.
 func (r *Renewal) Reset(d dist.Distribution, rng *simeng.RNG) {
 	if d == nil || rng == nil {
 		panic("failure: Renewal requires a distribution and an RNG")
 	}
-	if r.times == nil {
-		// Every consumer draws at least a few times; seeding the
-		// capacity skips the first rounds of append growth.
-		r.times = make([]float64, 0, 8)
-	} else {
-		r.times = r.times[:0]
-	}
-	r.dist, r.rng, r.cursor, r.maxGen = d, rng, 0, 1<<20
-	r.hint = 0
+	*r = Renewal{dist: d, rng: rng, origin: *rng, prev: math.Inf(-1)}
 }
-
-// DetachTimes returns the recorded-times backing array, emptied, and
-// leaves the receiver without one, so a caller that zeroes Renewal
-// values can pass the array on instead of dropping it.
-func (r *Renewal) DetachTimes() []float64 {
-	times := r.times[:0]
-	r.times = nil
-	return times
-}
-
-// AttachTimes makes times (from DetachTimes) the receiver's
-// recorded-times backing; the next Reset reuses it. The draws do not
-// depend on the backing, so a process is the same with or without it.
-func (r *Renewal) AttachTimes(times []float64) { r.times = times[:0] }
 
 // NextAfter implements Process.
 func (r *Renewal) NextAfter(t float64) float64 {
+	if t < r.prev {
+		// The answer is an earlier failure: redraw the sequence up to it.
+		rng := r.origin
+		at := r.draw(&rng)
+		for at <= t {
+			at += r.draw(&rng)
+		}
+		return at
+	}
 	for r.cursor <= t {
-		if len(r.times) >= r.maxGen {
+		if r.n >= maxDraws {
 			return math.Inf(1)
 		}
-		iv := r.dist.Sample(r.rng)
-		if iv < 0 {
-			iv = 0
-		}
-		// Guard against zero-length intervals stalling the process.
-		if iv < 1e-9 {
-			iv = 1e-9
-		}
-		r.cursor += iv
-		r.times = append(r.times, r.cursor)
-	}
-	// The answer is the first recorded time > t. Start from the cached
-	// hint: forward queries (the common case) advance it by at most a
-	// step or two; a backward query falls back to a full binary search.
-	lo := r.hint
-	if lo > len(r.times) {
-		lo = len(r.times)
-	}
-	if lo > 0 && r.times[lo-1] > t {
-		lo = 0
-		hi := len(r.times)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if r.times[mid] <= t {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-	} else {
-		for lo < len(r.times) && r.times[lo] <= t {
-			lo++
-		}
-	}
-	r.hint = lo
-	if lo < len(r.times) {
-		return r.times[lo]
+		r.prev = r.cursor
+		r.cursor += r.draw(r.rng)
+		r.n++
 	}
 	return r.cursor
+}
+
+// draw samples the next interval from rng, flooring it so zero-length
+// (or negative) intervals cannot stall the process.
+func (r *Renewal) draw(rng *simeng.RNG) float64 {
+	iv := r.dist.Sample(rng)
+	if iv < 1e-9 {
+		iv = 1e-9
+	}
+	return iv
 }
 
 // Switching wraps two processes and a switch time: failures before

@@ -57,34 +57,82 @@ func TestRenewalDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestRenewalReusesDetachedTimes: a process reset over a backing that
-// another process detached, still holding that process's times, draws
-// exactly what a fresh process draws, and the detached process keeps
-// no backing.
-func TestRenewalReusesDetachedTimes(t *testing.T) {
-	used := NewRenewal(dist.NewPareto(30, 1.1), simeng.NewRNG(7))
-	for x := 0.0; x < 5000; x = used.NextAfter(x) {
+// TestRenewalResetMatchesFresh: a process Reset after use draws
+// exactly what a fresh process draws, for forward and backward queries.
+func TestRenewalResetMatchesFresh(t *testing.T) {
+	reused := NewRenewal(dist.NewPareto(30, 1.1), simeng.NewRNG(7))
+	for x := 0.0; x < 5000; x = reused.NextAfter(x) {
 	}
-	times := used.DetachTimes()
-	if used.times != nil || len(times) != 0 || cap(times) == 0 {
-		t.Fatalf("DetachTimes left %d times behind and returned len %d cap %d", len(used.times), len(times), cap(times))
-	}
-	var reused Renewal
-	reused.AttachTimes(times)
 	reused.Reset(dist.NewPareto(30, 1.1), simeng.NewRNG(42))
 	fresh := NewRenewal(dist.NewPareto(30, 1.1), simeng.NewRNG(42))
 	a, b := 0.0, 0.0
 	for i := 0; i < 500; i++ {
 		a, b = reused.NextAfter(a), fresh.NextAfter(b)
 		if a != b {
-			t.Fatalf("reused backing diverged at failure %d: %v vs %v", i, a, b)
+			t.Fatalf("reset process diverged at failure %d: %v vs %v", i, a, b)
 		}
 	}
-	// Backward queries read the recorded times, which must be the
-	// reused process's own.
-	for _, q := range []float64{0, a / 3, a / 2} {
+	for _, q := range []float64{-1, 0, a / 3, a / 2} {
 		if x, y := reused.NextAfter(q), fresh.NextAfter(q); x != y {
-			t.Fatalf("NextAfter(%v) = %v over the reused backing, %v fresh", q, x, y)
+			t.Fatalf("NextAfter(%v) = %v after Reset, %v fresh", q, x, y)
+		}
+	}
+}
+
+// recordingRenewal is the reference renewal process: it records every
+// failure time it draws and answers each query by searching them.
+type recordingRenewal struct {
+	d     dist.Distribution
+	rng   *simeng.RNG
+	times []float64
+}
+
+func (r *recordingRenewal) NextAfter(t float64) float64 {
+	cursor := 0.0
+	if n := len(r.times); n > 0 {
+		cursor = r.times[n-1]
+	}
+	for cursor <= t {
+		iv := r.d.Sample(r.rng)
+		if iv < 1e-9 {
+			iv = 1e-9
+		}
+		cursor += iv
+		r.times = append(r.times, cursor)
+	}
+	for _, x := range r.times {
+		if x > t {
+			return x
+		}
+	}
+	return cursor
+}
+
+// TestRenewalMatchesRecordingReference: the renewal process answers
+// every query, in any order, exactly as a process that records every
+// failure time — including queries behind its last two failures, which
+// it answers by replaying its draws.
+func TestRenewalMatchesRecordingReference(t *testing.T) {
+	rng := simeng.NewRNG(11)
+	for trial := 0; trial < 20; trial++ {
+		d := dist.NewPareto(5+rng.Float64()*50, 1.05+rng.Float64())
+		seed := rng.Uint64()
+		got := NewRenewal(d, simeng.NewRNG(seed))
+		want := &recordingRenewal{d: d, rng: simeng.NewRNG(seed)}
+		q := 0.0
+		for op := 0; op < 400; op++ {
+			switch k := rng.Intn(10); {
+			case k < 6: // forward, the engine's pattern
+				q += rng.Float64() * 200
+			case k < 8: // repeat
+			case k < 9: // backward
+				q *= rng.Float64()
+			default: // before the first failure, or negative
+				q = rng.Float64()*2 - 1
+			}
+			if g, w := got.NextAfter(q), want.NextAfter(q); g != w {
+				t.Fatalf("trial %d op %d: NextAfter(%v) = %v, reference %v", trial, op, q, g, w)
+			}
 		}
 	}
 }

@@ -51,7 +51,8 @@ func (w Workload) GenConfig(seed uint64, defaultJobs int) trace.GenConfig {
 		jobs = defaultJobs
 	}
 	cfg := trace.DefaultGenConfig(seed, jobs)
-	if w.ArrivalRate > 0 {
+	// A NaN rate passes through too, for Validate to refuse.
+	if !(w.ArrivalRate <= 0) {
 		cfg.ArrivalRate = w.ArrivalRate
 	}
 	if w.BoTFraction != 0 {

@@ -93,12 +93,32 @@ func (cfg GenConfig) memBounds() (lo, hi float64) {
 		orDefault(cfg.MaxTaskMemMB, defaultMaxTaskMemMB)
 }
 
-// Validate reports the first of Generate's preconditions cfg breaks: a
-// positive Jobs and ArrivalRate, a BoTFraction in [0, 1], and task
-// length and memory bounds whose maximum exceeds their minimum once the
-// defaults replace zero fields. The error names the field and carries
-// no package prefix, so callers add their own context.
+// Validate reports the first of Generate's preconditions cfg breaks: no
+// NaN in any float field, a positive Jobs and ArrivalRate, a
+// BoTFraction in [0, 1], and task length and memory bounds whose
+// maximum exceeds their minimum once the defaults replace zero fields.
+// The error names the field and carries no package prefix, so callers
+// add their own context.
 func (cfg GenConfig) Validate() error {
+	// Every comparison with NaN is false, so the checks below would let
+	// one through.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"ArrivalRate", cfg.ArrivalRate},
+		{"BoTFraction", cfg.BoTFraction},
+		{"MaxTaskLengthSec", cfg.MaxTaskLengthSec},
+		{"MinTaskLengthSec", cfg.MinTaskLengthSec},
+		{"MaxTaskMemMB", cfg.MaxTaskMemMB},
+		{"MinTaskMemMB", cfg.MinTaskMemMB},
+		{"PriorityChangeFraction", cfg.PriorityChangeFraction},
+		{"ServiceFraction", cfg.ServiceFraction},
+	} {
+		if math.IsNaN(f.v) {
+			return fmt.Errorf("%s is NaN", f.name)
+		}
+	}
 	if cfg.Jobs <= 0 {
 		return fmt.Errorf("Jobs must be positive (got %d)", cfg.Jobs)
 	}

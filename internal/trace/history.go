@@ -175,9 +175,9 @@ func buildEstimator(tr *Trace, limits []float64, fanout int) *core.HistoryEstima
 
 // historyWalker replays tasks' failure processes in slab-resident state,
 // reinitialized per task: the common no-priority-change task then
-// replays without allocating (the recorded-times backing is reused),
-// exactly as the engine's runner slabs do. InitFailureProcess's draw
-// sequence matches NewFailureProcess bit for bit.
+// replays without allocating, exactly as the engine's run slots do.
+// InitFailureProcess's draw sequence matches NewFailureProcess bit for
+// bit.
 type historyWalker struct {
 	ren failure.Renewal
 	rng simeng.RNG

@@ -110,9 +110,8 @@ func NewFailureProcess(t Task) failure.Process {
 // driven by rng over the Pareto stored at par, and the draw sequence
 // matches NewFailureProcess bit for bit. changePrio is 0 for tasks
 // with no mid-run priority change; then the returned Process is ren
-// itself and the call performs no heap allocation beyond ren's
-// recorded-times backing. Switching tasks fall back to heap-allocating
-// the post-switch process.
+// itself and the call performs no heap allocation. Switching tasks
+// fall back to heap-allocating the post-switch process.
 func InitFailureProcess(priority int, lengthSec float64, seed uint64, changePrio int, changeFrac float64,
 	ren *failure.Renewal, rng *simeng.RNG, par *dist.Pareto) failure.Process {
 	var root simeng.RNG

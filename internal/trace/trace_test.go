@@ -211,6 +211,15 @@ func TestGeneratePanics(t *testing.T) {
 		{GenConfig{Jobs: 1, ArrivalRate: 1, MinTaskLengthSec: 7 * 3600}, "MaxTaskLengthSec"},
 		{GenConfig{Jobs: 1, ArrivalRate: 1, MinTaskMemMB: 500, MaxTaskMemMB: 100}, "MinTaskMemMB"},
 		{GenConfig{Jobs: 1, ArrivalRate: 1, MaxTaskMemMB: 5}, "MaxTaskMemMB"},
+		// NaN passes every comparison, so each float field is checked.
+		{GenConfig{Jobs: 3, ArrivalRate: math.NaN(), BoTFraction: 0.5}, "ArrivalRate"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, BoTFraction: math.NaN()}, "BoTFraction"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, MaxTaskLengthSec: math.NaN()}, "MaxTaskLengthSec"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, MinTaskLengthSec: math.NaN()}, "MinTaskLengthSec"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, MaxTaskMemMB: math.NaN()}, "MaxTaskMemMB"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, MinTaskMemMB: math.NaN()}, "MinTaskMemMB"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, PriorityChangeFraction: math.NaN()}, "PriorityChangeFraction"},
+		{GenConfig{Jobs: 1, ArrivalRate: 1, ServiceFraction: math.NaN()}, "ServiceFraction"},
 	} {
 		err := c.cfg.Validate()
 		if err == nil || !strings.Contains(err.Error(), c.field) {

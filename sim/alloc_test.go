@@ -11,17 +11,19 @@ import (
 
 // maxRunBytesPerTask bounds what one Simulation.Run allocates per
 // replayed task, trace generation and history estimation included. A
-// 10 000-job baseline-f3 Run on one processor allocates about 330 bytes
+// 10 000-job baseline-f3 Run on one processor allocates about 243 bytes
 // per task when the trace is generated straight into its columns, the
-// engine reads them in place and the Result hands out the engine's own
-// job records; copying every job record into a second slice, as the
-// facade once did, takes it to about 342. Generating Task objects and
+// engine reads them in place, holds run state only for live tasks and
+// keeps no failure-time history, and the Result hands out the engine's
+// own job records. Run state in 4096-task chunks and failure processes
+// that record every failure time, as the engine once had, take it to
+// about 330; copying every job record into a second slice as well, as
+// the facade once did, to about 342; generating Task objects and
 // copying their fields into a per-run column table, as the simulator
-// once did, takes it to about 538. The bound leaves about 15% headroom:
-// the per-run column copy alone (about 50 bytes per task) reaches it,
-// and a second copy of the trace (about 66) or of the task records
-// (144) exceeds it.
-const maxRunBytesPerTask = 380
+// once did, to about 538. The bound leaves about 10% headroom: a
+// per-run column copy (about 50 bytes per task), a second copy of the
+// trace (about 66) or of the task records (144) exceeds it.
+const maxRunBytesPerTask = 268
 
 // TestRunBytesPerTaskBudget regression-guards the facade's memory: the
 // public Run may not add a second copy of the trace or of the task

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -233,8 +235,9 @@ func TestRefusalsCarryOneSimPrefix(t *testing.T) {
 			return
 		}
 		msg := err.Error()
-		if !strings.HasPrefix(msg, "sim: ") || strings.Count(msg, "sim:") != 1 || !strings.Contains(msg, want) {
-			t.Errorf("%s: error %q, want one leading \"sim: \" and a mention of %q", name, msg, want)
+		if !strings.HasPrefix(msg, "sim: ") || strings.Count(msg, "sim:") != 1 || !strings.Contains(msg, want) ||
+			strings.Contains(msg, "\n") {
+			t.Errorf("%s: error %q, want one line with one leading \"sim: \" and a mention of %q", name, msg, want)
 		}
 	}
 	workloads := []struct {
@@ -248,6 +251,12 @@ func TestRefusalsCarryOneSimPrefix(t *testing.T) {
 		{sim.Workload{MinTaskLengthSec: 7 * 3600}, "MaxTaskLengthSec"},
 		{sim.Workload{MinTaskMemMB: 500, MaxTaskMemMB: 100}, "MinTaskMemMB"},
 		{sim.Workload{MaxTaskMemMB: 5}, "MaxTaskMemMB"},
+		{sim.Workload{BoTFraction: math.NaN()}, "BoTFraction"},
+		{sim.Workload{ArrivalRate: math.NaN()}, "ArrivalRate"},
+		{sim.Workload{MaxTaskLengthSec: math.NaN()}, "MaxTaskLengthSec"},
+		{sim.Workload{MinTaskMemMB: math.NaN()}, "MinTaskMemMB"},
+		{sim.Workload{PriorityChangeFraction: math.NaN()}, "PriorityChangeFraction"},
+		{sim.Workload{ServiceFraction: math.NaN()}, "ServiceFraction"},
 	}
 	options := []struct {
 		name string
@@ -298,6 +307,23 @@ func TestRefusalsCarryOneSimPrefix(t *testing.T) {
 	}
 	for _, c := range specs {
 		check("Validate "+c.name, c.sp.Validate(), c.want)
+	}
+
+	// Two refusals: one line, one prefix, each cause still reachable.
+	_, err := sim.New(sim.WithStorage(9), sim.WithJobs(-2))
+	check("New with two refusals", err, "WithStorage: unknown mode 9; WithJobs: negative count -2")
+	var joined interface{ Unwrap() []error }
+	if !errors.As(err, &joined) || len(joined.Unwrap()) != 2 {
+		t.Fatalf("two refusals do not unwrap to their two causes: %v", err)
+	}
+	for _, cause := range joined.Unwrap() {
+		if !errors.Is(err, cause) {
+			t.Errorf("errors.Is does not reach %q", cause)
+		}
+	}
+	if _, err := sim.GenerateTrace(sim.TraceConfig{Jobs: 3, ArrivalRate: math.NaN(), BoTFraction: 0.5}); err == nil ||
+		!strings.Contains(err.Error(), "ArrivalRate") {
+		t.Errorf("GenerateTrace with a NaN rate: %v, want a refusal naming ArrivalRate", err)
 	}
 }
 

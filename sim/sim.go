@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/scenario"
@@ -78,8 +79,14 @@ func New(opts ...Option) (*Simulation, error) {
 			cfg.errs = append(cfg.errs, err)
 		}
 	}
-	if err := errors.Join(cfg.errs...); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+	if len(cfg.errs) > 0 {
+		// One line, so a log line or a 400 body never splits mid-error;
+		// errors.Is and errors.As still reach each refusal.
+		causes := make([]any, len(cfg.errs))
+		for i, err := range cfg.errs {
+			causes[i] = err
+		}
+		return nil, fmt.Errorf("sim: %w"+strings.Repeat("; %w", len(causes)-1), causes...)
 	}
 	return &Simulation{cfg: cfg}, nil
 }
