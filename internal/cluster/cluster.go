@@ -6,7 +6,7 @@
 // on a different host than the one where they failed.
 //
 // Placement queries are served by a tournament tree over the hosts
-// (see hostTree), so Acquire/AcquirePreview/MaxFreeMem cost O(log
+// (see hostTree), so Acquire/AcquireExcluding/MaxFreeMem cost O(log
 // hosts) or less instead of a linear scan, while choosing exactly the
 // host the scan would have chosen. The package also provides the
 // simulator's PendingQueue (queue.go), demand-indexed for O(log queue)
@@ -130,16 +130,6 @@ func (c *Cluster) AcquireExcluding(memMB float64, excludeHost int) *Placement {
 		return p
 	}
 	return &Placement{HostID: h.ID, MemMB: memMB, seq: c.seq, active: true}
-}
-
-// AcquirePreview reports whether AcquireExcluding would succeed, without
-// reserving anything.
-func (c *Cluster) AcquirePreview(memMB float64, excludeHost int) bool {
-	if !(memMB > 0) {
-		return false
-	}
-	best := c.tree.bestExcluding(excludeHost)
-	return best >= 0 && c.tree.keys[best] >= memMB
 }
 
 // MaxFreeMem returns the largest free memory on any live host — the

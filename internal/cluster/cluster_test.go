@@ -116,9 +116,9 @@ func TestAcquireExcludingTieBreak(t *testing.T) {
 	}
 }
 
-// TestOnlyExcludedHostFits covers the preview/acquire pair in the case
-// the demand filter alone cannot decide: the cluster-wide maximum free
-// memory fits the request, but it sits entirely on the excluded host.
+// TestOnlyExcludedHostFits covers placement in the case the demand
+// filter alone cannot decide: the cluster-wide maximum free memory fits
+// the request, but it sits entirely on the excluded host.
 func TestOnlyExcludedHostFits(t *testing.T) {
 	c := New(3, 1000)
 	c.AcquireExcluding(900, -1) // host 0 -> 100 free
@@ -126,11 +126,8 @@ func TestOnlyExcludedHostFits(t *testing.T) {
 	if got := c.MaxFreeMem(); got != 1000 {
 		t.Fatalf("MaxFreeMem = %v, want 1000", got)
 	}
-	// 500 MB fits only on host 2. Excluding host 2 must fail both the
-	// preview and the acquire, even though MaxFreeMem says 1000.
-	if c.AcquirePreview(500, 2) {
-		t.Fatal("preview claims a fit with the only fitting host excluded")
-	}
+	// 500 MB fits only on host 2. Excluding host 2 must fail the
+	// acquire, even though MaxFreeMem says 1000.
 	if p := c.AcquireExcluding(500, 2); p != nil {
 		t.Fatalf("acquire placed on host %d with the only fitting host excluded", p.HostID)
 	}
@@ -220,8 +217,8 @@ func TestMaxFreeMemNoLiveHosts(t *testing.T) {
 	if got := c.MaxFreeMem(); !math.IsInf(got, -1) {
 		t.Fatalf("MaxFreeMem = %v with no live hosts, want -Inf", got)
 	}
-	if c.AcquirePreview(1, -1) {
-		t.Fatal("preview succeeded with no live hosts")
+	if p := c.Acquire(1); p != nil {
+		t.Fatalf("acquire placed on host %d with no live hosts", p.HostID)
 	}
 }
 

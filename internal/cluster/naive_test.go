@@ -49,19 +49,6 @@ func (c *NaiveCluster) AcquireExcluding(memMB float64, excludeHost int) int {
 	return best.ID
 }
 
-// AcquirePreview reports whether AcquireExcluding would succeed.
-func (c *NaiveCluster) AcquirePreview(memMB float64, excludeHost int) bool {
-	if !(memMB > 0) {
-		return false
-	}
-	for _, h := range c.hosts {
-		if h.alive && h.ID != excludeHost && h.FreeMem() >= memMB {
-			return true
-		}
-	}
-	return false
-}
-
 // MaxFreeMem returns the largest free memory on any live host, -Inf
 // when none is live.
 func (c *NaiveCluster) MaxFreeMem() float64 {

@@ -81,23 +81,19 @@ func (DalyPolicy) Intervals(te, c float64, est Estimate) int {
 //
 // The draw derives deterministically from the task parameters so that
 // repeated runs agree.
-type RandomPolicy struct {
-	// Spread widens the distribution; 0 means the default 0.5 (draws
-	// roughly within a factor of two of the optimum).
-	Spread float64
-}
+type RandomPolicy struct{}
+
+// randomSpread is RandomPolicy's log-normal spread: draws fall roughly
+// within a factor of two of the optimum.
+const randomSpread = 0.5
 
 // Name implements Policy.
-func (p RandomPolicy) Name() string { return "Random" }
+func (RandomPolicy) Name() string { return "Random" }
 
 // Intervals implements Policy.
-func (p RandomPolicy) Intervals(te, c float64, est Estimate) int {
+func (RandomPolicy) Intervals(te, c float64, est Estimate) int {
 	if te <= 0 || est.MNOF <= 0 {
 		return 1
-	}
-	spread := p.Spread
-	if spread == 0 {
-		spread = 0.5
 	}
 	opt := OptimalIntervals(te, est.MNOF, c)
 	// A deterministic pseudo-draw from the task parameters: hash the
@@ -113,7 +109,7 @@ func (p RandomPolicy) Intervals(te, c float64, est Estimate) int {
 	}
 	// Inverse-normal via the logit approximation is enough here.
 	z := math.Log(u/(1-u)) / 1.6
-	x := opt * math.Exp(spread*z)
+	x := opt * math.Exp(randomSpread*z)
 	if x < 1 {
 		return 1
 	}

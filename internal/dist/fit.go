@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // FitResult is one family's maximum-likelihood fit to a sample: the
@@ -109,14 +111,6 @@ func logLikelihood(d Distribution, xs []float64) float64 {
 	return sum
 }
 
-func sampleMean(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 func checkSample(xs []float64, needPositive bool) error {
 	if len(xs) < minFitSamples {
 		return fmt.Errorf("dist: need at least %d samples, have %d", minFitSamples, len(xs))
@@ -136,7 +130,7 @@ func fitExponential(xs []float64) (Distribution, error) {
 	if err := checkSample(xs, true); err != nil {
 		return nil, err
 	}
-	mean := sampleMean(xs)
+	mean := stats.Mean(xs)
 	if !(mean > 0) || math.IsInf(mean, 0) {
 		return nil, fmt.Errorf("dist: degenerate mean %v", mean)
 	}
@@ -169,7 +163,7 @@ func fitNormal(xs []float64) (Distribution, error) {
 	if err := checkSample(xs, false); err != nil {
 		return nil, err
 	}
-	mu := sampleMean(xs)
+	mu := stats.Mean(xs)
 	var ss float64
 	for _, x := range xs {
 		ss += (x - mu) * (x - mu)

@@ -96,7 +96,7 @@ func TestDispatchSaturatedAllocBudget(t *testing.T) {
 	perEvent := allocs / float64(events)
 	t.Logf("%.0f allocs over %d events = %.4f allocs/event", allocs, events, perEvent)
 	if perEvent > maxAllocsPerEvent {
-		t.Errorf("saturated dispatch allocates %.4f per event, budget %.2f — the dispatch pass is allocating again",
+		t.Errorf("saturated dispatch allocates %.4f per event, budget %.4f — the dispatch pass is allocating again",
 			perEvent, maxAllocsPerEvent)
 	}
 }

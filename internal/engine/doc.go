@@ -21,7 +21,13 @@
 // seams for tests and perfbench: the engine's own tests drive them with
 // fixed statistics, a never-failing process and constant-cost devices,
 // the inputs a reference model of the paper's single-task process
-// needs, and perfbench reads CustomEstimator. Defaults reproduce the
-// paper's testbed exactly; every seam, when left nil, keeps the
-// built-in behavior and the built-in random streams.
+// needs, and perfbench reads CustomEstimator. Every seam, when left
+// nil, keeps the built-in behavior and the built-in random streams.
+//
+// The paper's testbed is fixed, so it is a set of constants rather
+// than Config fields: 32 hosts backing 7 x 1 GB VMs each, a 0.5 s
+// failure-detection delay, a 0.2 s dispatch delay and a 600 s host
+// repair time. The engine keeps no branch a run cannot take; where
+// it relies on an invariant instead (a running task holds its
+// placement, no milestone lies behind progress), a comment says so.
 package engine

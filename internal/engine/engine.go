@@ -41,14 +41,27 @@ const (
 	EstimateOracle
 )
 
+// The paper's testbed (Di et al., SC'13): every run uses it.
+const (
+	// hosts and hostMemMB size the cluster: 32 hosts, each backing
+	// 7 x 1 GB VM instances.
+	hosts     = 32
+	hostMemMB = 7 * 1024
+	// detectionDelay is the failure-detection latency of the liveness
+	// polling threads (seconds).
+	detectionDelay = 0.5
+	// scheduleDelay is the dispatch overhead from queue head to running
+	// task (seconds).
+	scheduleDelay = 0.2
+	// hostRepair is the downtime before a crashed host rejoins
+	// (seconds).
+	hostRepair = 600
+)
+
 // Config parameterizes an engine run.
 type Config struct {
 	// Seed drives scheduling-independent randomness (storage jitter).
 	Seed uint64
-	// Hosts and HostMemMB size the cluster. Defaults: 32 hosts, 7168 MB
-	// of VM-backing memory each (7 x 1 GB VMs per host in the paper).
-	Hosts     int
-	HostMemMB float64
 	// Policy decides checkpoint interval counts. Required.
 	Policy core.Policy
 	// Dynamic enables Algorithm 1's adaptive MNOF handling on priority
@@ -65,14 +78,6 @@ type Config struct {
 	// Limits are the task-length limits for priority-based estimation;
 	// nil means trace.DefaultLengthLimits.
 	Limits []float64
-	// DetectionDelay is the failure-detection latency of the liveness
-	// polling threads (seconds).
-	DetectionDelay float64
-	// ScheduleDelay is the dispatch overhead from queue head to running
-	// task (seconds).
-	ScheduleDelay float64
-	// MaxSimSeconds aborts runaway simulations; 0 means no limit.
-	MaxSimSeconds float64
 	// HostMTBF enables whole-host failures: the cluster experiences one
 	// host crash on average every HostMTBF seconds (exponential
 	// inter-crash times, uniformly chosen victim). All tasks on the
@@ -80,9 +85,6 @@ type Config struct {
 	// most recent checkpoints, per the paper's liveness-thread design.
 	// 0 disables host failures.
 	HostMTBF float64
-	// HostRepair is the downtime before a crashed host rejoins
-	// (default 600 s).
-	HostRepair float64
 	// Predictor supplies the planned productive length per task (the
 	// paper's job-parser workload prediction). nil means exact lengths.
 	// Execution always uses the true length; only the checkpoint plan
@@ -136,26 +138,11 @@ func (c Config) NeedsHistory() bool {
 
 // withDefaults fills zero fields with the paper's testbed values.
 func (c Config) withDefaults() Config {
-	if c.Hosts == 0 {
-		c.Hosts = 32
-	}
-	if c.HostMemMB == 0 {
-		c.HostMemMB = 7 * 1024
-	}
 	if c.SharedKind == storage.KindLocal {
 		c.SharedKind = storage.KindDMNFS
 	}
 	if c.Limits == nil {
 		c.Limits = trace.DefaultLengthLimits
-	}
-	if c.DetectionDelay == 0 {
-		c.DetectionDelay = 0.5
-	}
-	if c.ScheduleDelay == 0 {
-		c.ScheduleDelay = 0.2
-	}
-	if c.HostRepair == 0 {
-		c.HostRepair = 600
 	}
 	return c
 }
@@ -268,6 +255,9 @@ type engineState struct {
 	writes     []inflightWrite
 	freeWrites []int32
 
+	// granted is the placement fitsFn acquired for the task it accepted
+	// last; dispatch starts that task on it.
+	granted *cluster.Placement
 	// dispatchPending coalesces dispatch passes within one event time.
 	dispatchPending bool
 	// hostRNG drives host-crash victim selection and inter-crash times.
@@ -283,8 +273,9 @@ type engineState struct {
 	writeFireFn func(uint32)
 }
 
-// startRun moves plan p into a slot for its task's first start.
-func (e *engineState) startRun(p uint32) *taskRun {
+// startRun moves plan p into a slot for its task's first start, where
+// work begins at `at`: the task's failure process starts there.
+func (e *engineState) startRun(p uint32, at float64) *taskRun {
 	s := e.slots.take()
 	r := e.slots.at(s)
 	pl := e.plans.at(p)
@@ -292,16 +283,25 @@ func (e *engineState) startRun(p uint32) *taskRun {
 		plan:         *pl,
 		remaining:    pl.plannedLen,
 		waitingSince: pl.submitAt,
-		nextCkpt:     math.Inf(1),
+		startAt:      at,
+		failRel:      math.Inf(-1),
 		slot:         s,
 		excludeHost:  -1,
 		writeHead:    -1,
 		writeTail:    -1,
 	}
-	if r.intervals > 1 {
-		r.nextCkpt = r.w0
-	}
+	r.planNext(0)
 	e.plans.put(p)
+	h := r.h
+	if e.cfg.FailureModel != nil {
+		r.proc = e.cfg.FailureModel(e.tr.Task(h))
+	} else {
+		r.proc = trace.InitFailureProcess(int(e.tr.Prio[h]), e.tr.Len[h], e.tr.Seed[h],
+			int(e.tr.ChangePrio[h]), e.tr.ChangeFrac[h], &r.renewal, &r.procRNG, &r.pareto)
+		if r.proc == &r.renewal {
+			r.flags |= flagRenewal
+		}
+	}
 	return r
 }
 
@@ -351,7 +351,7 @@ func (e *engineState) crashHost(hostID int) {
 	for _, r := range victims {
 		e.interrupt(r, now)
 	}
-	e.sim.Schedule(now+e.cfg.HostRepair, func() {
+	e.sim.Schedule(now+hostRepair, func() {
 		e.cl.SetAlive(hostID, true)
 		e.scheduleDispatch()
 	})
@@ -364,7 +364,7 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 	e := &engineState{
 		cfg:     cfg,
 		sim:     simeng.NewSimulator(),
-		cl:      cluster.New(cfg.Hosts, cfg.HostMemMB),
+		cl:      cluster.New(hosts, hostMemMB),
 		est:     est,
 		tr:      tr,
 		plans:   pool[plan]{blockLen: blockLen},
@@ -398,10 +398,12 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 	}
 	e.fitsFn = func(v uint32) bool {
 		if v&queuedPlan != 0 {
-			return e.cl.AcquirePreview(e.tr.Mem[e.plans.at(v&^queuedPlan).h], -1)
+			e.granted = e.cl.AcquireExcluding(e.tr.Mem[e.plans.at(v&^queuedPlan).h], -1)
+		} else {
+			r := e.slots.at(v)
+			e.granted = e.cl.AcquireExcluding(e.tr.Mem[r.h], int(r.excludeHost))
 		}
-		r := e.slots.at(v)
-		return e.cl.AcquirePreview(e.tr.Mem[r.h], int(r.excludeHost))
+		return e.granted != nil
 	}
 	e.arriveFn = e.jobArrive
 	e.taskFireFn = e.taskFire
@@ -421,7 +423,7 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 	case cfg.SharedKind == storage.KindNFS:
 		e.shared = storage.NewNFS(shared)
 	default:
-		e.shared = storage.NewDMNFS(shared, cfg.Hosts)
+		e.shared = storage.NewDMNFS(shared, hosts)
 	}
 
 	// Arrivals are scheduled lazily: one pending arrival event walks the
@@ -438,10 +440,6 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 
 	if err := e.drive(ctx); err != nil {
 		return nil, err
-	}
-	if cfg.MaxSimSeconds > 0 && e.sim.Pending() > 0 {
-		return nil, fmt.Errorf("engine: simulation exceeded %v seconds with %d events pending",
-			cfg.MaxSimSeconds, e.sim.Pending())
 	}
 
 	// Makespan is the last job completion; the raw event clock may run
@@ -470,12 +468,7 @@ func (e *engineState) drive(ctx context.Context) error {
 		stride = 65536
 	}
 	for {
-		var ran uint64
-		if e.cfg.MaxSimSeconds > 0 {
-			ran = e.sim.RunUntilLimit(e.cfg.MaxSimSeconds, stride)
-		} else {
-			ran = e.sim.RunLimit(stride)
-		}
+		ran := e.sim.RunLimit(stride)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -535,25 +528,22 @@ func (e *engineState) dispatch() {
 			return
 		}
 		// The demand index narrows the scan to tasks that fit the best
-		// host; fitsFn re-checks the ones with a host to avoid.
+		// host, and fitsFn places each one it tries: the task popped is
+		// the one granted the last placement.
 		v, ok := e.queue.PopFitting(maxFree, e.fitsFn)
 		if !ok {
 			return
 		}
+		// The fresh lane holds exactly the tasks that never started: a
+		// failed task requeues on the restart lane.
+		at := e.sim.Now() + scheduleDelay
 		var r *taskRun
 		if v&queuedPlan != 0 {
-			r = e.startRun(v &^ queuedPlan)
+			r = e.startRun(v&^queuedPlan, at)
 		} else {
 			r = e.slots.at(v)
 		}
-		mem := e.tr.Mem[r.h]
-		p := e.cl.AcquireExcluding(mem, int(r.excludeHost))
-		if p == nil {
-			// Lost a race within this dispatch pass; requeue and stop.
-			e.queue.PushRestart(r.slot, mem)
-			return
-		}
-		e.start(r, p, e.sim.Now()+e.cfg.ScheduleDelay)
+		e.start(r, e.granted, at)
 	}
 }
 

@@ -372,10 +372,3 @@ func TestFiltersAndAggregates(t *testing.T) {
 		_ = res.JobWPRs(ByPriority(p))
 	}
 }
-
-func TestMaxSimSecondsGuard(t *testing.T) {
-	tr := smallTrace(t, 15, 50)
-	if _, err := run(context.Background(), Config{Seed: 15, Policy: core.MNOFPolicy{}, MaxSimSeconds: 1}, tr); err == nil {
-		t.Fatal("1-second budget should abort a 50-job run")
-	}
-}

@@ -67,23 +67,6 @@ func TestHostFailuresAccountingStillHolds(t *testing.T) {
 	}
 }
 
-func TestSingleHostClusterSurvivesTaskFailures(t *testing.T) {
-	// With one host there is no "other host" to restart on; tasks must
-	// restart in place instead of deadlocking.
-	tr := smallTrace(t, 25, 20)
-	res := mustRun(t, Config{
-		Seed:      25,
-		Policy:    core.MNOFPolicy{},
-		Hosts:     1,
-		HostMemMB: 64 * 1024,
-	}, tr)
-	for i, jr := range res.Jobs {
-		if len(jr.Tasks) != jobTasks(tr, i) {
-			t.Fatalf("job %s incomplete on single-host cluster", jr.ID)
-		}
-	}
-}
-
 func TestCheckpointsMitigateHostCrashes(t *testing.T) {
 	// Under frequent host crashes, checkpointing must beat running bare.
 	tr := smallTrace(t, 26, 100)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/failure"
 	"repro/internal/simeng"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // action names the milestone a task's single pending event will execute
@@ -43,10 +42,8 @@ const (
 
 // taskRun flag bits.
 const (
-	// flagStarted: the task has received its first VM.
-	flagStarted uint8 = 1 << iota
 	// flagChangeFired: the mid-run priority change already happened.
-	flagChangeFired
+	flagChangeFired uint8 = 1 << iota
 	// flagHasImage: a completed checkpoint image exists.
 	flagHasImage
 	// flagComputing: the pending event ends a productive segment that
@@ -171,11 +168,8 @@ type outcomeTotals struct {
 func (e *engineState) writeOutcome(o *TaskOutcome, r *taskRun, now float64) {
 	h := r.h
 	length := e.tr.Len[h]
+	// wall > 0: the task computed its positive length since startAt.
 	wall := now - r.startAt
-	wpr := length / wall
-	if wall <= 0 {
-		wpr = 1
-	}
 	*o = TaskOutcome{
 		ID:                      e.tr.TaskID(h),
 		Priority:                int(e.tr.Prio[h]),
@@ -185,7 +179,7 @@ func (e *engineState) writeOutcome(o *TaskOutcome, r *taskRun, now float64) {
 		StartAt:                 r.startAt,
 		DoneAt:                  now,
 		WallSec:                 wall,
-		WPR:                     wpr,
+		WPR:                     length / wall,
 		Failures:                int(r.tot.failures),
 		Checkpoints:             int(r.tot.checkpoints),
 		RollbackLossSec:         r.tot.rollbackLoss,
@@ -422,44 +416,40 @@ func (e *engineState) divide(p *plan, remaining float64, est core.Estimate) {
 	}
 }
 
-// replan recomputes a running task's plan for its remaining workload.
-func (e *engineState) replan(r *taskRun, est core.Estimate) {
-	e.divide(&r.plan, r.remaining, est)
+// planNext places the task's next planned checkpoint one spacing past
+// base, or at +Inf on the plan's last interval (intervals <= 1), which
+// ends at the task's end, not at a checkpoint. It is the only writer
+// of nextCkpt, so a checkpoint milestone fires only while
+// intervals > 1.
+func (r *taskRun) planNext(base float64) {
 	if r.intervals > 1 {
-		r.nextCkpt = r.progress + r.w0
+		r.nextCkpt = base + r.w0
 	} else {
 		r.nextCkpt = math.Inf(1)
 	}
+}
+
+// replan recomputes a running task's plan for its remaining workload.
+func (e *engineState) replan(r *taskRun, est core.Estimate) {
+	e.divide(&r.plan, r.remaining, est)
+	r.planNext(r.progress)
 }
 
 // start begins (or resumes) execution on a granted placement at time
 // `at` (dispatch adds the scheduling delay before work begins).
 func (e *engineState) start(r *taskRun, p *cluster.Placement, at float64) {
 	r.placement = p
-	now := e.sim.Now()
-	r.tot.wait += now - r.waitingSince
-	if r.flags&flagStarted == 0 {
-		r.flags |= flagStarted
-		r.startAt, r.failRel = at, math.Inf(-1)
-		if e.cfg.FailureModel != nil {
-			r.proc = e.cfg.FailureModel(e.tr.Task(r.h))
-		} else {
-			h := r.h
-			r.proc = trace.InitFailureProcess(int(e.tr.Prio[h]), e.tr.Len[h], e.tr.Seed[h],
-				int(e.tr.ChangePrio[h]), e.tr.ChangeFrac[h], &r.renewal, &r.procRNG, &r.pareto)
-			if r.proc == &r.renewal {
-				r.flags |= flagRenewal
-			}
-		}
-	} else if r.flags&flagHasImage != 0 {
+	r.tot.wait += e.sim.Now() - r.waitingSince
+	if r.flags&flagHasImage != 0 {
 		// Restore from the checkpoint image: restart cost by migration
 		// type (Table 5 via the backend that holds the image).
 		restart := e.backendOf(r).RestartCost(e.tr.Mem[r.h])
 		r.tot.restartCost += restart
 		at += restart
 	}
-	// With no image yet the task relaunches from scratch (progress is
-	// already rolled back to zero); only the scheduling delay applies.
+	// With no image yet the task launches, or relaunches from scratch
+	// (progress is already rolled back to zero); only the scheduling
+	// delay applies.
 	e.scheduleTask(r, at, actStep)
 }
 
@@ -494,27 +484,20 @@ func (e *engineState) nextFailureAbs(r *taskRun, now float64) float64 {
 func (e *engineState) stepTask(r *taskRun) {
 	now := e.sim.Now()
 
-	// Next productive milestone.
-	length := e.tr.Len[r.h]
-	changeAt := e.changePoint(r)
-	ckptAt := r.nextCkpt
-	if r.intervals <= 1 {
-		ckptAt = math.Inf(1)
-	}
+	// Next productive milestone. No milestone lies behind progress:
+	// nextCkpt >= progress (planNext always adds a spacing to a position
+	// progress has reached), progress <= length, and progress <= the
+	// change point until the change fires, since every segment stops
+	// there and a rollback only moves progress back.
 	// Manual min instead of math.Min: these are positive or +Inf (never
 	// NaN or -0), so plain compares give the same result without the
 	// special-case branches on the hot path.
-	milestone := length
-	if changeAt < milestone {
+	milestone := e.tr.Len[r.h]
+	if changeAt := e.changePoint(r); changeAt < milestone {
 		milestone = changeAt
 	}
-	if ckptAt < milestone {
-		milestone = ckptAt
-	}
-	if milestone < r.progress {
-		// A missed milestone (e.g. change point behind current progress
-		// after a replan) fires immediately.
-		milestone = r.progress
+	if r.nextCkpt < milestone {
+		milestone = r.nextCkpt
 	}
 	eventAt := now + (milestone - r.progress)
 
@@ -551,29 +534,18 @@ func (e *engineState) failAndRequeue(r *taskRun, now float64) {
 	// rollback does not change, and Theorem 2 keeps the plan's spacing
 	// and positions fixed (the next position is re-derived from the
 	// preserved spacing) — nothing to recompute here.
-	if r.intervals > 1 {
-		r.nextCkpt = r.saved + r.w0
-	} else {
-		r.nextCkpt = math.Inf(1)
-	}
+	r.planNext(r.saved)
 
-	failedHost := -1
-	if r.placement != nil {
-		failedHost = r.placement.HostID
-		e.cl.Release(r.placement)
-		r.placement = nil
-	}
-	r.excludeHost = int32(failedHost)
-	if e.cl.Hosts() == 1 {
-		// With a single host there is no "other host"; allow same-host
-		// restart rather than deadlocking the task.
-		r.excludeHost = -1
-	}
-	r.waitingSince = now + e.cfg.DetectionDelay
+	// Only a running task fails, so it holds its placement. It restarts
+	// on another host: with hosts > 1 one always exists.
+	r.excludeHost = int32(r.placement.HostID)
+	e.cl.Release(r.placement)
+	r.placement = nil
+	r.waitingSince = now + detectionDelay
 
 	// The polling thread detects the interruption after the detection
 	// delay, then the task re-enters the queue's restart lane.
-	e.scheduleTask(r, now+e.cfg.DetectionDelay, actRequeue)
+	e.scheduleTask(r, now+detectionDelay, actRequeue)
 	e.scheduleDispatch()
 }
 
@@ -592,14 +564,11 @@ func (e *engineState) onPriorityChange(r *taskRun) {
 
 // beginCheckpoint writes a checkpoint image; a failure arriving before
 // the write finishes destroys the in-progress image and rolls back to
-// the previous one.
+// the previous one. A checkpointing task is running, so it holds its
+// placement.
 func (e *engineState) beginCheckpoint(r *taskRun) {
 	now := e.sim.Now()
-	hostID := 0
-	if r.placement != nil {
-		hostID = r.placement.HostID
-	}
-	cost, release := e.backendOf(r).Begin(hostID, e.tr.Mem[r.h])
+	cost, release := e.backendOf(r).Begin(r.placement.HostID, e.tr.Mem[r.h])
 	doneAt := now + cost
 	r.cleanup = release
 
@@ -623,23 +592,13 @@ func (e *engineState) finishCheckpoint(r *taskRun) {
 	r.tot.ckptCost += r.param
 	r.remaining = r.plannedLen - r.saved
 	if r.remaining < 0 {
-		// An under-predicting parser: the task has outrun its plan;
-		// keep checkpointing at the last spacing.
+		// An under-predicting parser: the task has outrun its plan.
 		r.remaining = r.w0
 	}
-	if r.intervals > 1 {
-		r.intervals--
-	} else if r.progress < e.tr.Len[r.h]-r.w0 {
-		// The plan is exhausted but real work remains (the predictor
-		// under-estimated): extend the plan by one interval at the
-		// current spacing.
-		r.intervals = 2
-	}
-	if r.intervals > 1 {
-		r.nextCkpt = r.saved + r.w0
-	} else {
-		r.nextCkpt = math.Inf(1)
-	}
+	// A checkpoint milestone fires only while intervals > 1 (planNext),
+	// so the plan has an interval to spend.
+	r.intervals--
+	r.planNext(r.saved)
 	e.stepTask(r)
 }
 
@@ -650,11 +609,7 @@ func (e *engineState) finishCheckpoint(r *taskRun) {
 // not blocked by the write.
 func (e *engineState) startAsyncCheckpoint(r *taskRun) {
 	now := e.sim.Now()
-	hostID := 0
-	if r.placement != nil {
-		hostID = r.placement.HostID
-	}
-	cost, release := e.backendOf(r).Begin(hostID, e.tr.Mem[r.h])
+	cost, release := e.backendOf(r).Begin(r.placement.HostID, e.tr.Mem[r.h])
 	// Purge completed records into the free list, then append the new
 	// one at the tail of the task's write list.
 	e.purgeDoneWrites(r)
@@ -670,25 +625,16 @@ func (e *engineState) startAsyncCheckpoint(r *taskRun) {
 	r.writeTail = idx
 
 	// Advance the plan exactly as the blocking path does.
-	if r.intervals > 1 {
-		r.intervals--
-	} else if r.progress < e.tr.Len[r.h]-r.w0 {
-		r.intervals = 2
-	}
-	if r.intervals > 1 {
-		r.nextCkpt = r.progress + r.w0
-	} else {
-		r.nextCkpt = math.Inf(1)
-	}
+	r.intervals--
+	r.planNext(r.progress)
 }
 
-// complete finishes the task.
+// complete finishes the task, which is running and so holds its
+// placement.
 func (e *engineState) complete(r *taskRun) {
 	// In-flight async writes are moot once the task has finished.
 	e.cancelWrites(r)
-	if r.placement != nil {
-		e.cl.Release(r.placement)
-		r.placement = nil
-	}
+	e.cl.Release(r.placement)
+	r.placement = nil
 	e.onTaskDone(r, e.sim.Now())
 }

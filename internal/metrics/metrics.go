@@ -52,8 +52,8 @@ func BootstrapMean(xs []float64, level float64, resamples int, seed uint64) (Int
 	alpha := (1 - level) / 2
 	return Interval{
 		Point:    stats.Mean(xs),
-		Lo:       quantileSorted(means, alpha),
-		Hi:       quantileSorted(means, 1-alpha),
+		Lo:       stats.QuantileSorted(means, alpha),
+		Hi:       stats.QuantileSorted(means, 1-alpha),
 		Level:    level,
 		Resample: resamples,
 	}, nil
@@ -118,19 +118,4 @@ func signTestP(wins, losses int) float64 {
 	}
 	// Two-sided tail of the standard normal.
 	return math.Erfc(z / math.Sqrt2)
-}
-
-func quantileSorted(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	h := p * float64(n-1)
-	lo := int(math.Floor(h))
-	hi := lo + 1
-	if hi >= n {
-		return sorted[n-1]
-	}
-	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

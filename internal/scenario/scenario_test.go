@@ -76,7 +76,6 @@ func TestEngineConfigCompiles(t *testing.T) {
 			Mode:                   engine.StorageShared,
 			HostMTBF:               500,
 			NonBlockingCheckpoints: true,
-			Hosts:                  8,
 		},
 	}
 	cfg, err := s.EngineConfig(42)
@@ -85,7 +84,7 @@ func TestEngineConfigCompiles(t *testing.T) {
 	}
 	if cfg.Seed != 42 || cfg.Policy.Name() != "Young" || !cfg.Dynamic ||
 		cfg.Mode != engine.StorageShared || cfg.HostMTBF != 500 ||
-		!cfg.NonBlockingCheckpoints || cfg.Hosts != 8 {
+		!cfg.NonBlockingCheckpoints {
 		t.Fatalf("config lost fields: %+v", cfg)
 	}
 	if s.Engine.Policy != nil || s.Engine.Seed != 3 {

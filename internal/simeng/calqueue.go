@@ -614,9 +614,8 @@ func (s *Simulator) discardCanceled() {
 }
 
 // popNext removes and returns the earliest live event, or nil when the
-// queue is empty or that event is due after deadline (it then stays
-// queued). Canceled entries met at the head are discarded.
-func (s *Simulator) popNext(deadline Time) *Event {
+// queue is empty. Canceled entries met at the head are discarded.
+func (s *Simulator) popNext() *Event {
 	for {
 		if s.canceled > 0 {
 			s.discardCanceled()
@@ -624,9 +623,6 @@ func (s *Simulator) popNext(deadline Time) *Event {
 		if s.curIdx < len(s.cur) {
 			q := &s.cur[s.curIdx]
 			if len(s.spill) == 0 || qless(*q, s.spill[0]) {
-				if q.at > deadline {
-					return nil
-				}
 				e := q.e
 				*q = qent{}
 				s.curIdx++
@@ -638,9 +634,6 @@ func (s *Simulator) popNext(deadline Time) *Event {
 				return nil
 			}
 			continue
-		}
-		if s.spill[0].at > deadline {
-			return nil
 		}
 		e := s.spill[0].e
 		s.spillPop()

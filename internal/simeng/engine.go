@@ -70,7 +70,7 @@ const eventBlock = 64
 
 // Simulator is a discrete-event simulation kernel. It is single-threaded:
 // event callbacks run sequentially in timestamp order on the goroutine
-// that calls RunLimit or RunUntilLimit.
+// that calls RunLimit.
 //
 // Pending events live in a ladder queue (see calqueue.go): rungs of
 // time buckets sorted on demand, an unsorted top list for events beyond
@@ -197,9 +197,10 @@ func (s *Simulator) recycle(e *Event) {
 	s.free = append(s.free, e)
 }
 
-// runCore is the event loop behind RunLimit and RunUntilLimit: it fires
-// live events due at or before deadline, at most limit of them, and
-// returns how many fired.
+// RunLimit is the event loop: it fires at most limit live events and
+// returns how many fired. Callers loop until it returns 0, interleaving
+// their own work — cancellation checks, progress reporting — between
+// chunks.
 //
 // Events at the same timestamp are dispatched as a batch: the clock
 // moves, and the inter-event gap is sampled for bucket-width tuning,
@@ -210,10 +211,10 @@ func (s *Simulator) recycle(e *Event) {
 // mid-batch lands in the spill heap and is picked up in (priority, seq)
 // position, exactly where a heap would have fired it. The fired-count
 // limit applies per event, so RunLimit can cut a batch mid-run.
-func (s *Simulator) runCore(deadline Time, limit uint64) uint64 {
+func (s *Simulator) RunLimit(limit uint64) uint64 {
 	var done uint64
 	for done < limit {
-		e := s.popNext(deadline)
+		e := s.popNext()
 		if e == nil {
 			break
 		}
@@ -235,26 +236,6 @@ func (s *Simulator) runCore(deadline Time, limit uint64) uint64 {
 		} else {
 			fn()
 		}
-	}
-	return done
-}
-
-// RunLimit executes at most n events; it returns the number executed.
-// Callers loop until it returns 0, interleaving their own work between
-// chunks, as with RunUntilLimit.
-func (s *Simulator) RunLimit(n uint64) uint64 {
-	return s.runCore(math.Inf(1), n)
-}
-
-// RunUntilLimit executes at most n events with timestamps <= deadline
-// and returns the number executed. When the sub-deadline queue drains
-// before the budget is spent, the clock advances to the deadline.
-// Callers loop until it returns 0, interleaving their own work —
-// cancellation checks, progress reporting — between chunks.
-func (s *Simulator) RunUntilLimit(deadline Time, n uint64) uint64 {
-	done := s.runCore(deadline, n)
-	if done < n && deadline > s.now {
-		s.now = deadline
 	}
 	return done
 }

@@ -115,29 +115,6 @@ func TestCancelNilIsNoOp(t *testing.T) {
 	e.Cancel() // must not panic
 }
 
-func TestRunUntil(t *testing.T) {
-	s := NewSimulator()
-	var got []Time
-	for _, at := range []Time{1, 2, 3, 4, 5} {
-		at := at
-		s.Schedule(at, func() { got = append(got, at) })
-	}
-	s.RunUntilLimit(3, math.MaxUint64)
-	if len(got) != 3 {
-		t.Fatalf("RunUntilLimit(3) fired %d events, want 3", len(got))
-	}
-	if s.Now() != 3 {
-		t.Fatalf("Now() = %v, want 3", s.Now())
-	}
-	s.RunUntilLimit(100, math.MaxUint64)
-	if len(got) != 5 {
-		t.Fatalf("after RunUntilLimit(100), fired %d events, want 5", len(got))
-	}
-	if s.Now() != 100 {
-		t.Fatalf("Now() = %v, want clock advanced to 100", s.Now())
-	}
-}
-
 func TestRunLimit(t *testing.T) {
 	s := NewSimulator()
 	count := 0

@@ -56,11 +56,11 @@ func Summarize(xs []float64) Summary {
 		Max:    sorted[len(sorted)-1],
 		Mean:   mean,
 		Std:    math.Sqrt(variance),
-		Median: quantileSorted(sorted, 0.5),
-		P25:    quantileSorted(sorted, 0.25),
-		P75:    quantileSorted(sorted, 0.75),
-		P05:    quantileSorted(sorted, 0.05),
-		P95:    quantileSorted(sorted, 0.95),
+		Median: QuantileSorted(sorted, 0.5),
+		P25:    QuantileSorted(sorted, 0.25),
+		P75:    QuantileSorted(sorted, 0.75),
+		P05:    QuantileSorted(sorted, 0.05),
+		P95:    QuantileSorted(sorted, 0.95),
 	}
 }
 
@@ -76,10 +76,12 @@ func Quantile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, p)
+	return QuantileSorted(sorted, p)
 }
 
-func quantileSorted(sorted []float64, p float64) float64 {
+// QuantileSorted is Quantile of an already sorted sample, without
+// Quantile's copy or checks.
+func QuantileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 1 {
 		return sorted[0]
@@ -132,7 +134,7 @@ func (e *ECDF) Quantile(p float64) float64 {
 	if len(e.sorted) == 0 {
 		panic("stats: Quantile of empty ECDF")
 	}
-	return quantileSorted(e.sorted, p)
+	return QuantileSorted(e.sorted, p)
 }
 
 // Points returns up to n evenly spaced (x, F(x)) pairs spanning the

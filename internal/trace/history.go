@@ -176,8 +176,6 @@ func buildEstimator(tr *Trace, limits []float64, fanout int) *core.HistoryEstima
 // historyWalker replays tasks' failure processes in slab-resident state,
 // reinitialized per task: the common no-priority-change task then
 // replays without allocating, exactly as the engine's run slots do.
-// InitFailureProcess's draw sequence matches NewFailureProcess bit for
-// bit.
 type historyWalker struct {
 	ren failure.Renewal
 	rng simeng.RNG
@@ -236,19 +234,18 @@ func EstimateFor(est *core.HistoryEstimator, priority int, lengthSec float64, li
 	return e
 }
 
-// FailureIntervalSamples replays every task's failure process over its
-// observation window and returns the uninterrupted-interval samples,
-// optionally filtered to a maximum interval value — the dataset behind
-// Figures 4 and 5.
+// FailureIntervalSamples returns the uninterrupted-interval samples the
+// history estimator sees (each task's first maxIntervalsPerTask over
+// its observation window, by the estimator's own replay), optionally
+// filtered to a maximum interval value — the dataset behind Figures 4
+// and 5.
 func FailureIntervalSamples(tr *Trace, maxInterval float64) []float64 {
 	var out []float64
+	var w historyWalker
+	var hist taskHistory
 	for h := range tr.Tasks() {
-		proc := NewFailureProcess(tr.Task(h))
-		ivs := failure.IntervalsIn(proc, observationWindow(tr.Len[h]))
-		if len(ivs) > maxIntervalsPerTask {
-			ivs = ivs[:maxIntervalsPerTask]
-		}
-		for _, iv := range ivs {
+		w.replay(tr, h, &hist)
+		for _, iv := range hist.intervals[:hist.n] {
 			if maxInterval <= 0 || iv <= maxInterval {
 				out = append(out, iv)
 			}

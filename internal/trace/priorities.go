@@ -69,15 +69,10 @@ func lengthFactor(lengthSec float64) float64 {
 	return math.Pow(lengthSec/refTaskLength, lengthExponent)
 }
 
-// IntervalDistForTask returns the failure-interval distribution of a
-// task with the given priority and productive length.
-func IntervalDistForTask(priority int, lengthSec float64) dist.Distribution {
-	return IntervalParetoForTask(priority, lengthSec)
-}
-
-// IntervalParetoForTask is IntervalDistForTask returning the concrete
-// Pareto value, so slab-resident callers can store it unboxed and hand
-// the interface a pointer into their own storage.
+// IntervalParetoForTask returns the failure-interval distribution of a
+// task with the given priority and productive length, as a concrete
+// value, so slab-resident callers can store it unboxed and hand the
+// interface a pointer into their own storage.
 func IntervalParetoForTask(priority int, lengthSec float64) dist.Pareto {
 	if priority < 1 || priority > 12 {
 		panic("trace: priority outside 1..12")
@@ -86,32 +81,20 @@ func IntervalParetoForTask(priority int, lengthSec float64) dist.Pareto {
 	return dist.NewPareto(p.xm*lengthFactor(lengthSec), p.alpha)
 }
 
-// NewFailureProcess builds the failure process for a task: a renewal
+// InitFailureProcess builds the failure process for a task: a renewal
 // process over the task's priority interval distribution, seeded from
-// the task's FailureSeed; if the task carries a priority change, the
+// the task's failure seed; if the task carries a priority change, the
 // process switches distributions at the corresponding point of the
 // task's productive timeline (approximated in wall-clock by the same
 // offset, as the paper does when flipping priorities mid-run).
-func NewFailureProcess(t Task) failure.Process {
-	rng := simeng.NewRNG(t.FailureSeed)
-	before := failure.NewRenewal(IntervalDistForTask(t.Priority, t.LengthSec), rng.Split())
-	if !t.Change.Active() {
-		return before
-	}
-	after := failure.NewRenewal(IntervalDistForTask(t.Change.NewPriority, t.LengthSec), rng.Split())
-	switchAt := t.LengthSec * t.Change.AtFraction
-	return failure.NewSwitching(before, after, switchAt)
-}
-
-// InitFailureProcess is NewFailureProcess building the common-case
-// process into caller-provided slab storage, taking the task's fields
-// as scalars so columnar callers read them straight from the trace's
-// columns: ren becomes the (initial) renewal process,
-// driven by rng over the Pareto stored at par, and the draw sequence
-// matches NewFailureProcess bit for bit. changePrio is 0 for tasks
-// with no mid-run priority change; then the returned Process is ren
-// itself and the call performs no heap allocation. Switching tasks
-// fall back to heap-allocating the post-switch process.
+//
+// It builds into caller-provided storage and takes the task's fields
+// as scalars, so columnar callers read them straight from the trace's
+// columns and keep the process in their own slabs: ren becomes the
+// (initial) renewal process, driven by rng over the Pareto stored at
+// par. changePrio is 0 for tasks with no mid-run priority change; then
+// the returned Process is ren itself and the call performs no heap
+// allocation. Switching tasks heap-allocate the post-switch process.
 func InitFailureProcess(priority int, lengthSec float64, seed uint64, changePrio int, changeFrac float64,
 	ren *failure.Renewal, rng *simeng.RNG, par *dist.Pareto) failure.Process {
 	var root simeng.RNG
@@ -122,8 +105,15 @@ func InitFailureProcess(priority int, lengthSec float64, seed uint64, changePrio
 	if changePrio == 0 {
 		return ren
 	}
-	after := failure.NewRenewal(IntervalDistForTask(changePrio, lengthSec), root.Split())
+	after := failure.NewRenewal(IntervalParetoForTask(changePrio, lengthSec), root.Split())
 	return failure.NewSwitching(ren, after, lengthSec*changeFrac)
+}
+
+// NewFailureProcess is InitFailureProcess on heap storage: task t's
+// failure process, standing alone.
+func NewFailureProcess(t Task) failure.Process {
+	return InitFailureProcess(t.Priority, t.LengthSec, t.FailureSeed, t.Change.NewPriority, t.Change.AtFraction,
+		new(failure.Renewal), new(simeng.RNG), new(dist.Pareto))
 }
 
 // PriorityOrder lists the priorities in the order the paper's figures

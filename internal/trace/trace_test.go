@@ -468,6 +468,41 @@ func TestFailureIntervalSamplesShape(t *testing.T) {
 	}
 }
 
+// TestFailureIntervalSamplesMatchReference checks the samples against a
+// walk of their own: on a trace whose tasks switch failure processes
+// mid-run, FailureIntervalSamples must return, bit for bit and in task
+// order, each task's first maxIntervalsPerTask intervals of a freshly
+// built process over its observation window, with and without the
+// interval filter.
+func TestFailureIntervalSamplesMatchReference(t *testing.T) {
+	cfg := DefaultGenConfig(5, 400)
+	cfg.PriorityChangeFraction = 0.3
+	tr := Generate(cfg)
+	var all, short []float64
+	changed := 0
+	for h := range tr.Tasks() {
+		if tr.ChangePrio[h] != 0 {
+			changed++
+		}
+		ivs := failure.IntervalsIn(NewFailureProcess(tr.Task(h)), observationWindow(tr.Len[h]))
+		for _, iv := range ivs[:min(len(ivs), maxIntervalsPerTask)] {
+			all = append(all, iv)
+			if iv <= 1000 {
+				short = append(short, iv)
+			}
+		}
+	}
+	if changed == 0 {
+		t.Fatal("trace has no priority changes")
+	}
+	if got := FailureIntervalSamples(tr, 0); !reflect.DeepEqual(got, all) {
+		t.Errorf("%d samples differ from the reference walk's %d", len(got), len(all))
+	}
+	if got := FailureIntervalSamples(tr, 1000); !reflect.DeepEqual(got, short) {
+		t.Errorf("%d filtered samples differ from the reference walk's %d", len(got), len(short))
+	}
+}
+
 func TestFailureIntervalsByPriority(t *testing.T) {
 	byP := FailureIntervalsByPriority(42, 100000, 500)
 	if len(byP) != 12 {

@@ -168,7 +168,7 @@ func (o *recordingObserver) RunFinished(_ sim.RunInfo, out sim.Outcome) {
 // tight progress stride yields streaming progress callbacks.
 func TestObserverStreamsEvents(t *testing.T) {
 	obs := &recordingObserver{}
-	s, err := sim.New(sim.WithSeed(13), sim.WithJobs(100))
+	s, err := sim.New(sim.WithSeed(13), sim.WithJobs(100), sim.WithProgressEvery(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +178,9 @@ func TestObserverStreamsEvents(t *testing.T) {
 		runs[i] = sim.Run{Sim: s}
 	}
 	if _, err := sim.RunSweep(context.Background(), runs, sim.SweepOptions{
-		BaseSeed:      4,
-		Workers:       2,
-		Observer:      obs,
-		ProgressEvery: 512,
+		BaseSeed: 4,
+		Workers:  2,
+		Observer: obs,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -212,7 +212,8 @@ func WithObserver(o Observer) Option {
 }
 
 // WithProgressEvery sets the fired-event stride between Observer
-// progress events (0 keeps the engine default of 65536).
+// progress events (0 keeps the engine default of 65536). A sweep runs
+// every run at the first nonzero stride among its runs.
 func WithProgressEvery(events uint64) Option {
 	return func(c *config) { c.progressEvery = events }
 }

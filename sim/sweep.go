@@ -73,7 +73,7 @@ type Progress struct {
 
 // Observer receives streaming per-run events. RunStarted fires when a
 // worker picks the run up, RunProgress periodically from inside the
-// event loop (stride set by WithProgressEvery / SweepOptions), and
+// event loop (stride set by WithProgressEvery), and
 // RunFinished with the completed outcome. During sweeps, callbacks are
 // invoked concurrently from worker goroutines and must be safe for
 // concurrent use; none may block for long or the pool stalls.
@@ -126,10 +126,6 @@ type SweepOptions struct {
 	// progress events, in addition to each Simulation's own WithObserver
 	// observer (see Observer for concurrency caveats).
 	Observer Observer
-	// ProgressEvery is the fired-event stride between progress events;
-	// 0 falls back to the first WithProgressEvery among the runs, then
-	// to the engine default.
-	ProgressEvery uint64
 	// OnlyIndices, when non-empty, restricts the sweep to exactly the
 	// listed run indices and skips every other slot — the resume and
 	// remote-claim hook. Seeds, traces, and results stay addressed by
@@ -195,7 +191,7 @@ func RunSweep(ctx context.Context, runs []Run, opts SweepOptions) ([]Outcome, er
 	// that owns the run and read only after the pool drains).
 	observers := make([][]Observer, n)
 	anyObserver := false
-	progressEvery := opts.ProgressEvery
+	var progressEvery uint64
 	for i, r := range runs {
 		if opts.Observer != nil {
 			observers[i] = append(observers[i], opts.Observer)
