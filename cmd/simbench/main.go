@@ -10,6 +10,7 @@
 //	simbench -scale full -runs 3      # adds the 100k-job scale, best of 3
 //	simbench -scenarios baseline-f3,spot-market -scales 500,5000
 //	simbench -scale smoke -cpuprofile prof   # prof/<scenario>@<jobs>.pprof
+//	GOGC=400 GOMEMLIMIT=2GiB simbench        # GC tuning, recorded in the report
 //
 // The report records, per (scenario, scale) cell: ns/op, allocs/op,
 // bytes/op, fired events and events/sec, peak heap, trace-generation
@@ -40,8 +41,6 @@ func main() {
 		extra     = flag.String("extra", "", "comma-separated scenario@jobs cells measured after the matrix (e.g. baseline-f3@1000000)")
 		seed      = flag.Uint64("seed", 20130601, "workload seed; identical seeds reproduce the simulated anchors exactly")
 		runs      = flag.Int("runs", 1, "repetitions per cell; the report keeps the fastest")
-		gogc      = flag.Int("gogc", 0, "GC target percentage applied via debug.SetGCPercent (0 = leave the runtime default; recorded in the report)")
-		memlimit  = flag.Int64("memlimit", 0, "soft memory limit in bytes applied via debug.SetMemoryLimit (0 = leave unlimited; recorded in the report)")
 		out       = flag.String("out", "", `report path (default BENCH_<yyyy-mm-dd>.json; "-" for stdout)`)
 		noBase    = flag.Bool("skip-baseline", false, "skip the dedicated 10k-job allocation-budget cell")
 		cpuprof   = flag.String("cpuprofile", "", "directory for one CPU profile per cell, <scenario>@<jobs>.pprof (read with go tool pprof)")
@@ -58,8 +57,6 @@ func main() {
 		Seed:          *seed,
 		Runs:          *runs,
 		SkipBaseline:  *noBase,
-		GOGCPercent:   *gogc,
-		MemLimitBytes: *memlimit,
 		CPUProfileDir: *cpuprof,
 		Progress: func(label string) {
 			fmt.Fprintf(os.Stderr, "simbench: measuring %s\n", label)

@@ -21,10 +21,11 @@ package benchkit
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
+	"runtime/metrics"
 	"runtime/pprof"
 	"sort"
 	"time"
@@ -80,14 +81,6 @@ type Config struct {
 	// run as a full matrix tier — e.g. a single 1M-job cell — and feed
 	// the derived metrics like any matrix cell.
 	ExtraCells []Cell
-	// GOGCPercent, when non-zero, is applied via debug.SetGCPercent for
-	// the duration of the run (and restored afterwards), so memory-layout
-	// wins can be separated from GC tuning. Recorded in the report.
-	GOGCPercent int
-	// MemLimitBytes, when non-zero, is applied via debug.SetMemoryLimit
-	// for the duration of the run (and restored afterwards). Recorded in
-	// the report.
-	MemLimitBytes int64
 	// CPUProfileDir, when non-empty, names an existing directory that
 	// receives one CPU profile per cell, covering the cell's timed
 	// replays: <scenario>@<jobs>.pprof, and
@@ -258,8 +251,11 @@ type Report struct {
 	Seed          uint64 `json:"seed"`
 	Runs          int    `json:"runs"`
 	Scales        []int  `json:"scales"`
-	// GOGC and MemLimitBytes record explicit GC tuning applied for the
-	// run (absent when the runtime defaults were in effect).
+	// GOGC and MemLimitBytes record the GC tuning in effect for the run
+	// (the GOGC and GOMEMLIMIT environment variables, or
+	// debug.SetGCPercent and debug.SetMemoryLimit), so memory-layout wins
+	// can be told from GC tuning. Each is absent at its runtime default
+	// (100, no limit); GOGC=off records -1.
 	GOGC          int   `json:"gogc,omitempty"`
 	MemLimitBytes int64 `json:"mem_limit_bytes,omitempty"`
 	// Baseline is present unless Config.SkipBaseline suppressed it and
@@ -312,15 +308,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Scales:        scales,
 		Results:       make([]Measurement, 0, len(scs)*len(scales)+len(cfg.ExtraCells)),
 	}
-	if cfg.GOGCPercent != 0 {
-		rep.GOGC = cfg.GOGCPercent
-		prev := debug.SetGCPercent(cfg.GOGCPercent)
-		defer debug.SetGCPercent(prev)
+	gc := []metrics.Sample{{Name: "/gc/gogc:percent"}, {Name: "/gc/gomemlimit:bytes"}}
+	metrics.Read(gc)
+	if v := int(int64(gc[0].Value.Uint64())); v != 100 {
+		rep.GOGC = v
 	}
-	if cfg.MemLimitBytes != 0 {
-		rep.MemLimitBytes = cfg.MemLimitBytes
-		prev := debug.SetMemoryLimit(cfg.MemLimitBytes)
-		defer debug.SetMemoryLimit(prev)
+	if v := int64(gc[1].Value.Uint64()); v != math.MaxInt64 {
+		rep.MemLimitBytes = v
 	}
 
 	// budgetIdx indexes the allocation-budget cell in rep.Results (-1 =

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 )
 
@@ -45,6 +47,29 @@ func TestRunSmallMatrix(t *testing.T) {
 	}
 	if rep.Baseline != nil {
 		t.Error("SkipBaseline did not suppress the budget cell")
+	}
+}
+
+// TestReportRecordsGCSettings: the report records the GC settings in
+// effect, however they were set, and omits them at the defaults.
+func TestReportRecordsGCSettings(t *testing.T) {
+	cfg := Config{Scenarios: []string{"baseline-f3"}, Scales: []int{50}, Seed: 11, SkipBaseline: true}
+	prev := debug.SetGCPercent(400)
+	defer debug.SetGCPercent(prev)
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(math.MaxInt64))
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GOGC != 400 || rep.MemLimitBytes != 0 {
+		t.Errorf("under GOGC 400 the report records gogc %d, mem_limit_bytes %d; want 400, 0", rep.GOGC, rep.MemLimitBytes)
+	}
+	debug.SetGCPercent(100)
+	if rep, err = Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if rep.GOGC != 0 {
+		t.Errorf("at the default GOGC the report records gogc %d, want it omitted", rep.GOGC)
 	}
 }
 

@@ -70,9 +70,9 @@ type Config struct {
 	Dynamic bool
 	// Mode selects checkpoint storage (see StorageMode).
 	Mode StorageMode
-	// SharedKind selects the shared backend: storage.KindNFS or
-	// storage.KindDMNFS (the paper's default testbed uses DM-NFS).
-	SharedKind storage.Kind
+	// SharedNFS selects a single NFS server as the built-in shared
+	// backend; false keeps the paper's DM-NFS, one server per host.
+	SharedNFS bool
 	// Estimates selects the statistics source (see EstimateMode).
 	Estimates EstimateMode
 	// Limits are the task-length limits for priority-based estimation;
@@ -109,7 +109,10 @@ type Config struct {
 	FailureModel func(t trace.Task) failure.Process
 	// LocalBackend / SharedBackend, when non-nil, replace the built-in
 	// checkpoint storage devices (Mode still decides which one each task
-	// uses). Backends are driven from the simulation goroutine only.
+	// uses). The planner reads C and R through the device's Backend
+	// methods, and a task on the shared slot reports UsedSharedStorage
+	// whatever device sits there. Backends are driven from the
+	// simulation goroutine only.
 	LocalBackend  storage.Backend
 	SharedBackend storage.Backend
 	// Progress, when non-nil, is invoked from the simulation goroutine
@@ -136,11 +139,8 @@ func (c Config) NeedsHistory() bool {
 	return c.Estimates == EstimatePriority && c.CustomEstimator == nil
 }
 
-// withDefaults fills zero fields with the paper's testbed values.
+// withDefaults fills a nil Limits with trace.DefaultLengthLimits.
 func (c Config) withDefaults() Config {
-	if c.SharedKind == storage.KindLocal {
-		c.SharedKind = storage.KindDMNFS
-	}
 	if c.Limits == nil {
 		c.Limits = trace.DefaultLengthLimits
 	}
@@ -420,7 +420,7 @@ func runWithEstimator(ctx context.Context, cfg Config, tr *trace.Trace, est *cor
 	switch {
 	case cfg.SharedBackend != nil:
 		e.shared = cfg.SharedBackend
-	case cfg.SharedKind == storage.KindNFS:
+	case cfg.SharedNFS:
 		e.shared = storage.NewNFS(shared)
 	default:
 		e.shared = storage.NewDMNFS(shared, hosts)
@@ -642,10 +642,10 @@ func (e *engineState) chooseBackend(h uint32, est core.Estimate) (storage.Backen
 	}
 	mem, length := e.tr.Mem[h], e.tr.Len[h]
 	costs := core.StorageCosts{
-		Cl: storage.PlannedCheckpointCost(e.local, mem),
-		Rl: storage.PlannedRestartCost(e.local, mem),
-		Cs: storage.PlannedCheckpointCost(e.shared, mem),
-		Rs: storage.PlannedRestartCost(e.shared, mem),
+		Cl: e.local.CheckpointCost(mem),
+		Rl: e.local.RestartCost(mem),
+		Cs: e.shared.CheckpointCost(mem),
+		Rs: e.shared.RestartCost(mem),
 	}
 	mnof := est.MNOF
 	if mnof <= 0 && est.MTBF > 0 {

@@ -1,13 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -275,14 +275,18 @@ func TestStorageModesRun(t *testing.T) {
 	}
 }
 
+// TestNFSBackendRuns: SharedNFS puts a single NFS server in the shared
+// slot, whose congested writes price the run differently from DM-NFS.
 func TestNFSBackendRuns(t *testing.T) {
 	tr := smallTrace(t, 10, 40)
-	res := mustRun(t, Config{
-		Seed: 10, Policy: core.MNOFPolicy{},
-		Mode: StorageShared, SharedKind: storage.KindNFS,
-	}, tr)
+	cfg := Config{Seed: 10, Policy: core.MNOFPolicy{}, Mode: StorageShared, SharedNFS: true}
+	res := mustRun(t, cfg, tr)
 	if len(res.Jobs) != 40 {
 		t.Fatalf("%d jobs", len(res.Jobs))
+	}
+	cfg.SharedNFS = false
+	if bytes.Equal(marshal(t, res), marshal(t, mustRun(t, cfg, tr))) {
+		t.Fatal("NFS and DM-NFS runs are identical; SharedNFS reached no device")
 	}
 }
 

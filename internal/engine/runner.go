@@ -50,15 +50,12 @@ const (
 	// started at wall time segWall, so an external interruption can
 	// account the partial work correctly.
 	flagComputing
-	// flagShared: checkpoints go to the engine's shared backend.
+	// flagShared: checkpoints go to the engine's shared backend
+	// (TaskOutcome.UsedSharedStorage).
 	flagShared
 	// flagRenewal: proc is the slot-resident renewal process, whose last
 	// answer failRel caches (see nextFailureAbs).
 	flagRenewal
-	// flagUsedShared: the chosen backend's images are restorable from
-	// any host (TaskOutcome.UsedSharedStorage). A plugged-in backend
-	// decides this for itself, so it can differ from flagShared.
-	flagUsedShared
 )
 
 // plan is what submission decides for a task (Algorithm 1 lines 3-4):
@@ -73,8 +70,8 @@ type plan struct {
 	w0         float64 // current checkpoint spacing (productive seconds)
 	h          uint32  // task handle
 	intervals  int32   // remaining interval count
-	// flags carries flagShared and flagUsedShared in a plan and every
-	// flag bit in a taskRun.
+	// flags carries flagShared in a plan and every flag bit in a
+	// taskRun.
 	flags uint8
 }
 
@@ -153,7 +150,7 @@ type taskRun struct {
 
 // outcomeTotals are a task's running TaskOutcome figures; the submit
 // and start times are plan.submitAt and taskRun.startAt, and the
-// shared-storage bit flagUsedShared.
+// shared-storage bit flagShared.
 type outcomeTotals struct {
 	wait         float64
 	rollbackLoss float64
@@ -187,7 +184,7 @@ func (e *engineState) writeOutcome(o *TaskOutcome, r *taskRun, now float64) {
 		HiddenCheckpointCostSec: r.tot.hiddenCost,
 		RestartCostSec:          r.tot.restartCost,
 		WaitSec:                 r.tot.wait,
-		UsedSharedStorage:       r.flags&flagUsedShared != 0,
+		UsedSharedStorage:       r.flags&flagShared != 0,
 	}
 }
 
@@ -383,10 +380,7 @@ func (e *engineState) initPlan(p *plan, h uint32, now float64) {
 	if shared {
 		p.flags |= flagShared
 	}
-	if backend.Kind() != storage.KindLocal {
-		p.flags |= flagUsedShared
-	}
-	p.ckptCost = storage.PlannedCheckpointCost(backend, e.tr.Mem[h])
+	p.ckptCost = backend.CheckpointCost(e.tr.Mem[h])
 	p.plannedLen = e.tr.Len[h]
 	if e.cfg.Predictor != nil {
 		p.plannedLen = e.cfg.Predictor.Predict(e.tr.Task(h))

@@ -18,30 +18,26 @@ import (
 // constant-cost devices, a fixed failure process, fixed statistics.
 
 // constBackend is a checkpoint device with constant costs that counts
-// the engine's calls to it. Its CostModel hands the planner the same
-// constants it charges.
+// the engine's calls to it. It hands the planner the C its writes
+// charge; restarts counts every read of R, which the automatic storage
+// rule also makes when it plans.
 type constBackend struct {
 	ckpt, restart float64
-	kind          storage.Kind
 
 	begins, restarts int
 }
-
-func (b *constBackend) Kind() storage.Kind { return b.kind }
 
 func (b *constBackend) Begin(int, float64) (float64, func()) {
 	b.begins++
 	return b.ckpt, func() {}
 }
 
+func (b *constBackend) CheckpointCost(float64) float64 { return b.ckpt }
+
 func (b *constBackend) RestartCost(float64) float64 {
 	b.restarts++
 	return b.restart
 }
-
-func (b *constBackend) PlannedCheckpointCost(float64) float64 { return b.ckpt }
-
-func (b *constBackend) PlannedRestartCost(float64) float64 { return b.restart }
 
 // costPolicy plans four intervals per task and records every
 // checkpoint cost C the planner hands it.
@@ -64,18 +60,18 @@ func marshal(t *testing.T, res *Result) []byte {
 }
 
 // TestCustomStorageBackends: with constant-cost devices in both slots,
-// the storage mode picks a slot per task, the slot's CostModel is the
-// planner's C, every blocking write costs what its Begin returned, a
-// restart from an image costs the slot's RestartCost, and the device's
-// Kind sets UsedSharedStorage. The local device checkpoints cheaply but
+// the storage mode picks a slot per task, the slot's CheckpointCost is
+// the planner's C, every blocking write costs what its Begin returned,
+// a restart from an image costs the slot's RestartCost, and the slot
+// sets UsedSharedStorage. The local device checkpoints cheaply but
 // restarts dearly and the shared one the other way round, so the
 // automatic rule must use both. One seed reproduces the same JSON bytes.
 func TestCustomStorageBackends(t *testing.T) {
 	tr := smallTrace(t, 31, 80)
 	run := func(mode StorageMode) (*Result, *constBackend, *constBackend, *costPolicy) {
 		t.Helper()
-		local := &constBackend{ckpt: 1, restart: 60, kind: storage.KindLocal}
-		shared := &constBackend{ckpt: 4, restart: 2, kind: storage.KindDMNFS}
+		local := &constBackend{ckpt: 1, restart: 60}
+		shared := &constBackend{ckpt: 4, restart: 2}
 		pol := &costPolicy{costs: map[float64]int{}}
 		res := mustRun(t, Config{
 			Seed: 31, Policy: pol, Mode: mode,

@@ -209,25 +209,18 @@ type SimultaneousResult struct {
 	Rows map[string][]SimultaneousRow
 }
 
-// batchBackend is a checkpoint device that can start fully-overlapping
-// writes: the built-in devices' BeginBatch.
+// batchBackend is a checkpoint device that prices fully-overlapping
+// writes: the built-in devices' BatchCosts.
 type batchBackend interface {
-	BeginBatch(hostIDs []int, memMB float64) (costs []float64, release func())
+	BatchCosts(k int, memMB float64) []float64
 }
 
 func measureSimultaneous(b batchBackend, degrees, reps int, memMB float64) []SimultaneousRow {
 	out := make([]SimultaneousRow, 0, degrees)
-	hostIDs := make([]int, 0, degrees)
 	for d := 1; d <= degrees; d++ {
-		hostIDs = append(hostIDs[:0], make([]int, d)...)
-		for i := range hostIDs {
-			hostIDs[i] = i
-		}
 		var costs []float64
 		for rep := 0; rep < reps; rep++ {
-			batch, release := b.BeginBatch(hostIDs, memMB)
-			costs = append(costs, batch...)
-			release()
+			costs = append(costs, b.BatchCosts(d, memMB)...)
 		}
 		minV, meanV, maxV := stats.MinMaxMean(costs)
 		out = append(out, SimultaneousRow{Degree: d, Min: minV, Avg: meanV, Max: maxV})

@@ -9,15 +9,15 @@
 // formulas, a policy ladder, a crash-rate sweep) fan out across cores
 // while remaining byte-identical to a serial run.
 //
-// The registry maps experiment ids ("fig9", "table6", ...) to runners
-// so the cloudsim CLI and the benchmark harness share one entry point.
+// The registry lists experiment ids ("fig9", "table6", ...) with their
+// runners, in paper order, so the cloudsim CLI and the benchmark
+// harness share one entry point.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/scenario"
@@ -58,78 +58,61 @@ func (o Opts) jobs(def int) int {
 // Runner executes one experiment.
 type Runner func(Opts) (fmt.Stringer, error)
 
-// Registry maps experiment ids to runners.
-var Registry = map[string]Runner{
-	"fig4":   func(o Opts) (fmt.Stringer, error) { return Fig4(o) },
-	"fig5":   func(o Opts) (fmt.Stringer, error) { return Fig5(o) },
-	"fig7":   func(o Opts) (fmt.Stringer, error) { return Fig7(o) },
-	"fig8":   func(o Opts) (fmt.Stringer, error) { return Fig8(o) },
-	"fig9":   func(o Opts) (fmt.Stringer, error) { return Fig9(o) },
-	"fig10":  func(o Opts) (fmt.Stringer, error) { return Fig10(o) },
-	"fig11":  func(o Opts) (fmt.Stringer, error) { return Fig11(o) },
-	"fig12":  func(o Opts) (fmt.Stringer, error) { return Fig12(o) },
-	"fig13":  func(o Opts) (fmt.Stringer, error) { return Fig13(o) },
-	"fig14":  func(o Opts) (fmt.Stringer, error) { return Fig14(o) },
-	"table2": func(o Opts) (fmt.Stringer, error) { return Table2(o) },
-	"table3": func(o Opts) (fmt.Stringer, error) { return Table3(o) },
-	"table4": func(o Opts) (fmt.Stringer, error) { return Table4(o) },
-	"table5": func(o Opts) (fmt.Stringer, error) { return Table5(o) },
-	"table6": func(o Opts) (fmt.Stringer, error) { return Table6(o) },
-	"table7": func(o Opts) (fmt.Stringer, error) { return Table7(o) },
-
-	"ablation-daly":        func(o Opts) (fmt.Stringer, error) { return AblationDaly(o) },
-	"ablation-storage":     func(o Opts) (fmt.Stringer, error) { return AblationStorage(o) },
-	"ablation-theorem2":    func(o Opts) (fmt.Stringer, error) { return AblationTheorem2(o) },
-	"ablation-prediction":  func(o Opts) (fmt.Stringer, error) { return AblationPrediction(o) },
-	"ablation-hostfail":    func(o Opts) (fmt.Stringer, error) { return AblationHostFailures(o) },
-	"ablation-nonblocking": func(o Opts) (fmt.Stringer, error) { return AblationNonBlocking(o) },
-}
-
-// registryOrder lists the experiment ids in the paper's presentation
-// order: the Section 4 characterization first (trace analyses, then the
+// registry lists every experiment in the paper's presentation order:
+// the Section 4 characterization first (trace analyses, then the
 // BLCR/storage micro-benchmarks), the Section 5 evaluation next, and
 // this repository's ablations — which have no paper counterpart — last.
-var registryOrder = []string{
-	"fig4", "fig5", "fig7", "fig8",
-	"table2", "table3", "table4", "table5",
-	"fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
-	"table6", "table7",
-	"ablation-daly", "ablation-storage", "ablation-theorem2",
-	"ablation-prediction", "ablation-hostfail", "ablation-nonblocking",
+var registry = []struct {
+	id  string
+	run Runner
+}{
+	{"fig4", func(o Opts) (fmt.Stringer, error) { return Fig4(o) }},
+	{"fig5", func(o Opts) (fmt.Stringer, error) { return Fig5(o) }},
+	{"fig7", func(o Opts) (fmt.Stringer, error) { return Fig7(o) }},
+	{"fig8", func(o Opts) (fmt.Stringer, error) { return Fig8(o) }},
+	{"table2", func(o Opts) (fmt.Stringer, error) { return Table2(o) }},
+	{"table3", func(o Opts) (fmt.Stringer, error) { return Table3(o) }},
+	{"table4", func(o Opts) (fmt.Stringer, error) { return Table4(o) }},
+	{"table5", func(o Opts) (fmt.Stringer, error) { return Table5(o) }},
+	{"fig9", func(o Opts) (fmt.Stringer, error) { return Fig9(o) }},
+	{"fig10", func(o Opts) (fmt.Stringer, error) { return Fig10(o) }},
+	{"fig11", func(o Opts) (fmt.Stringer, error) { return Fig11(o) }},
+	{"fig12", func(o Opts) (fmt.Stringer, error) { return Fig12(o) }},
+	{"fig13", func(o Opts) (fmt.Stringer, error) { return Fig13(o) }},
+	{"fig14", func(o Opts) (fmt.Stringer, error) { return Fig14(o) }},
+	{"table6", func(o Opts) (fmt.Stringer, error) { return Table6(o) }},
+	{"table7", func(o Opts) (fmt.Stringer, error) { return Table7(o) }},
+
+	{"ablation-daly", func(o Opts) (fmt.Stringer, error) { return AblationDaly(o) }},
+	{"ablation-storage", func(o Opts) (fmt.Stringer, error) { return AblationStorage(o) }},
+	{"ablation-theorem2", func(o Opts) (fmt.Stringer, error) { return AblationTheorem2(o) }},
+	{"ablation-prediction", func(o Opts) (fmt.Stringer, error) { return AblationPrediction(o) }},
+	{"ablation-hostfail", func(o Opts) (fmt.Stringer, error) { return AblationHostFailures(o) }},
+	{"ablation-nonblocking", func(o Opts) (fmt.Stringer, error) { return AblationNonBlocking(o) }},
 }
 
-// Names returns the registered experiment ids in the paper's order
-// (figures and tables as presented, ablations last); ids registered
-// outside registryOrder append alphabetically.
+// Names returns the experiment ids in the paper's order (figures and
+// tables as presented, ablations last).
 func Names() []string {
-	out := make([]string, 0, len(Registry))
-	seen := make(map[string]bool, len(Registry))
-	for _, id := range registryOrder {
-		if _, ok := Registry[id]; ok {
-			out = append(out, id)
-			seen[id] = true
-		}
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.id
 	}
-	var extra []string
-	for id := range Registry {
-		if !seen[id] {
-			extra = append(extra, id)
-		}
-	}
-	sort.Strings(extra)
-	return append(out, extra...)
+	return out
 }
 
 // Run executes a registered experiment by id.
 func Run(id string, o Opts) (fmt.Stringer, error) {
-	r, ok := Registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, Names())
+	for _, e := range registry {
+		if e.id != id {
+			continue
+		}
+		if err := o.ctx().Err(); err != nil {
+			return nil, err
+		}
+		return e.run(o)
 	}
-	if err := o.ctx().Err(); err != nil {
-		return nil, err
-	}
-	return r(o)
+	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, Names())
 }
 
 // runSweep executes scenario runs through the sweep worker pool sized

@@ -13,15 +13,19 @@
 //   - DM-NFS:         flat (load spreads across many servers), staying
 //     within ~2 s even with simultaneous checkpoints.
 //
-// Backends sit on the engine's per-checkpoint hot path, so the built-in
-// implementations recycle their in-flight operation records (and the
-// release closures bound to them) through per-backend pools — see the
-// Backend contract for what that implies for release calls.
+// Backend is the one place a device states its costs: Begin prices a
+// write under contention, CheckpointCost and RestartCost give the
+// planning constants C and R. Each built-in device returns its BLCR
+// curve (Figure 7, Table 5): the local ramdisk Figure 7(a) with
+// migration type A, NFS and DM-NFS Figure 7(b) with migration type B.
+//
+// Backends sit on the engine's per-checkpoint hot path. A write needs
+// no state of its own once it is priced, so each built-in device binds
+// its releases once, at construction: the local ramdisk shares one
+// no-op, NFS has one closure and DM-NFS one per server.
 //
 // Other backends plug in through engine.Config.LocalBackend /
 // SharedBackend, a seam for tests (a constant-cost device, say, as a
-// reference model of the paper's single-task process needs);
-// implementing the optional CostModel interface lets the planner see
-// their own checkpoint/restart constants instead of the BLCR-derived
-// curves.
+// reference model of the paper's single-task process needs); the
+// planner reads their constants through the same Backend methods.
 package storage

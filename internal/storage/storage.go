@@ -7,47 +7,28 @@ import (
 	"repro/internal/simeng"
 )
 
-// Kind identifies a storage configuration.
-type Kind int
-
-const (
-	// KindLocal is the per-VM local ramdisk.
-	KindLocal Kind = iota
-	// KindNFS is a single shared NFS server.
-	KindNFS
-	// KindDMNFS is the paper's distributively-managed NFS.
-	KindDMNFS
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindLocal:
-		return "local-ramdisk"
-	case KindNFS:
-		return "nfs"
-	default:
-		return "dm-nfs"
-	}
-}
-
-// Backend is a checkpoint storage device. Begin starts one checkpoint
-// operation and returns its wall-clock cost (seconds) plus a release
-// function the caller must invoke when the operation's time has elapsed;
-// contention-sensitive backends charge concurrent operations more.
+// Backend is a checkpoint storage device, described by what the paper
+// measures of one: a write's cost under contention (Tables 2-3), the
+// uncontended per-checkpoint cost C (Figure 7, Table 4) and the restart
+// cost R (Table 5).
 //
-// Release functions from the built-in backends are pooled: calling one
-// is idempotent until the backend re-issues the underlying operation,
-// so a caller must invoke each release exactly once (an immediate
-// double call is tolerated but must not race a later Begin).
+// Begin starts one checkpoint write and returns its wall-clock cost
+// (seconds) plus a release the caller must call exactly once, when the
+// write's time has elapsed; contention-sensitive devices charge
+// concurrent writes more. The built-in devices bind their releases once,
+// at construction, so a write allocates nothing; an NFS or DM-NFS
+// release panics when no write is in flight.
 //
 // Backends are not safe for concurrent use by multiple goroutines; the
 // discrete-event engine drives them from a single goroutine.
 type Backend interface {
-	Kind() Kind
 	// Begin starts a checkpoint of memMB megabytes issued by hostID.
 	Begin(hostID int, memMB float64) (cost float64, release func())
+	// CheckpointCost returns the steady-state (uncontended) cost of one
+	// checkpoint of memMB: the planning constant C.
+	CheckpointCost(memMB float64) float64
 	// RestartCost returns the cost of restarting a task of memMB from
-	// this backend onto any host (Table 5 semantics).
+	// this device onto any host: the constant R.
 	RestartCost(memMB float64) float64
 }
 
@@ -78,45 +59,12 @@ func jittered(r *simeng.RNG, cost, j float64) float64 {
 	return cost * (1 - j + 2*j*r.Float64())
 }
 
-// op is one in-flight checkpoint operation. Its release closure is
-// built once, when the op is first allocated, and reused across pool
-// recycles, so the engine's per-checkpoint Begin/release churn
-// allocates nothing in steady state.
-type op struct {
-	released bool
-	server   int // DM-NFS: chosen server index
-	fn       func()
-}
-
-// opPool recycles ops for one backend instance (single-goroutine use,
-// like the backends themselves).
-type opPool struct {
-	free []*op
-}
-
-// take returns a pooled op reset for reuse, or nil when the pool is
-// empty and the caller must allocate one (binding its release closure).
-func (p *opPool) take() *op {
-	n := len(p.free)
-	if n == 0 {
-		return nil
-	}
-	o := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	o.released = false
-	return o
-}
-
-func (p *opPool) put(o *op) { p.free = append(p.free, o) }
-
 // LocalRamdisk models per-VM ramdisk checkpoint storage. Checkpoint
 // costs follow Figure 7(a) and do not grow with parallel degree
 // (Table 2, upper half); restarting requires migration type A.
 type LocalRamdisk struct {
 	rng    *simeng.RNG
 	jitter float64
-	ops    opPool
 }
 
 // NewLocalRamdisk returns a local-ramdisk backend. rng may be nil for
@@ -125,47 +73,30 @@ func NewLocalRamdisk(rng *simeng.RNG) *LocalRamdisk {
 	return &LocalRamdisk{rng: rng, jitter: 0.06}
 }
 
-// Kind implements Backend.
-func (l *LocalRamdisk) Kind() Kind { return KindLocal }
+// noRelease is the local ramdisk's release: a local write holds no
+// shared resource.
+func noRelease() {}
 
 // Begin implements Backend; local writes do not contend.
 func (l *LocalRamdisk) Begin(hostID int, memMB float64) (float64, func()) {
-	cost := jittered(l.rng, blcr.CheckpointCostLocal(memMB), l.jitter)
-	o := l.ops.take()
-	if o == nil {
-		o = &op{}
-		o.fn = l.releaseFn(o)
-	}
-	return cost, o.fn
+	return jittered(l.rng, l.CheckpointCost(memMB), l.jitter), noRelease
 }
 
-// releaseFn binds an op's reusable release closure; it runs on every
-// issuance of the op, not just the first.
-func (l *LocalRamdisk) releaseFn(o *op) func() {
-	return func() {
-		if !o.released {
-			o.released = true
-			l.ops.put(o)
-		}
+// BatchCosts returns the costs of k checkpoints of memMB that overlap
+// fully in time (the simultaneous-checkpointing methodology of Tables
+// 2-3). Local writes never contend, so each costs what a lone Begin
+// would.
+func (l *LocalRamdisk) BatchCosts(k int, memMB float64) []float64 {
+	costs := make([]float64, k)
+	for i := range costs {
+		costs[i] = jittered(l.rng, l.CheckpointCost(memMB), l.jitter)
 	}
+	return costs
 }
 
-// BeginBatch starts len(hostIDs) checkpoints that overlap fully in
-// time (the paper's simultaneous-checkpointing methodology of Tables
-// 2-3) and returns their costs and one release that ends all of them.
-// Local writes never contend, so the batch is equivalent to independent
-// Begins.
-func (l *LocalRamdisk) BeginBatch(hostIDs []int, memMB float64) ([]float64, func()) {
-	costs := make([]float64, len(hostIDs))
-	releases := make([]func(), len(hostIDs))
-	for i, h := range hostIDs {
-		costs[i], releases[i] = l.Begin(h, memMB)
-	}
-	return costs, func() {
-		for _, r := range releases {
-			r()
-		}
-	}
+// CheckpointCost implements Backend (Figure 7(a)).
+func (l *LocalRamdisk) CheckpointCost(memMB float64) float64 {
+	return blcr.CheckpointCostLocal(memMB)
 }
 
 // RestartCost implements Backend (migration type A).
@@ -180,62 +111,48 @@ type NFS struct {
 	rng      *simeng.RNG
 	jitter   float64
 	inFlight int
-	ops      opPool
+	release  func()
 }
 
 // NewNFS returns a plain shared-NFS backend. rng may be nil for
 // deterministic costs.
 func NewNFS(rng *simeng.RNG) *NFS {
-	return &NFS{rng: rng, jitter: 0.10}
+	n := &NFS{rng: rng, jitter: 0.10}
+	n.release = func() {
+		if n.inFlight == 0 {
+			panic("storage: NFS release with no write in flight")
+		}
+		n.inFlight--
+	}
+	return n
 }
-
-// Kind implements Backend.
-func (n *NFS) Kind() Kind { return KindNFS }
 
 // Begin implements Backend; the cost reflects the parallel degree at
-// issue time (this operation included).
+// issue time (this write included).
 func (n *NFS) Begin(hostID int, memMB float64) (float64, func()) {
 	n.inFlight++
-	base := blcr.CheckpointCostNFS(memMB)
-	cost := jittered(n.rng, base*congestion(n.inFlight), n.jitter)
-	o := n.ops.take()
-	if o == nil {
-		o = &op{}
-		o.fn = n.releaseFn(o)
-	}
-	return cost, o.fn
+	return n.cost(n.inFlight, memMB), n.release
 }
 
-// releaseFn binds an op's reusable release closure (see LocalRamdisk).
-func (n *NFS) releaseFn(o *op) func() {
-	return func() {
-		if !o.released {
-			o.released = true
-			n.inFlight--
-			n.ops.put(o)
-		}
-	}
-}
-
-// BeginBatch is LocalRamdisk.BeginBatch on NFS: all operations in the
-// batch overlap fully, so each one pays the congestion of the total
-// degree (existing in-flight operations plus the whole batch).
-func (n *NFS) BeginBatch(hostIDs []int, memMB float64) ([]float64, func()) {
-	k := len(hostIDs)
-	n.inFlight += k
-	degree := n.inFlight
-	base := blcr.CheckpointCostNFS(memMB)
+// BatchCosts is LocalRamdisk.BatchCosts on NFS: every write in the
+// batch pays the congestion of the total degree, the writes already in
+// flight plus the whole batch.
+func (n *NFS) BatchCosts(k int, memMB float64) []float64 {
 	costs := make([]float64, k)
 	for i := range costs {
-		costs[i] = jittered(n.rng, base*congestion(degree), n.jitter)
+		costs[i] = n.cost(n.inFlight+k, memMB)
 	}
-	released := false
-	return costs, func() {
-		if !released {
-			released = true
-			n.inFlight -= k
-		}
-	}
+	return costs
+}
+
+// cost draws the cost of one write at the given parallel degree.
+func (n *NFS) cost(degree int, memMB float64) float64 {
+	return jittered(n.rng, n.CheckpointCost(memMB)*congestion(degree), n.jitter)
+}
+
+// CheckpointCost implements Backend (Figure 7(b)).
+func (n *NFS) CheckpointCost(memMB float64) float64 {
+	return blcr.CheckpointCostNFS(memMB)
 }
 
 // RestartCost implements Backend (migration type B).
@@ -252,7 +169,8 @@ type DMNFS struct {
 	rng       *simeng.RNG
 	jitter    float64
 	perServer []int
-	ops       opPool
+	// releases[s] ends one write on server s.
+	releases []func()
 }
 
 // NewDMNFS returns a DM-NFS backend with the given number of servers
@@ -265,118 +183,55 @@ func NewDMNFS(rng *simeng.RNG, servers int) *DMNFS {
 	if rng == nil {
 		panic("storage: DM-NFS requires an RNG for random server selection")
 	}
-	return &DMNFS{rng: rng, jitter: 0.08, perServer: make([]int, servers)}
+	d := &DMNFS{rng: rng, jitter: 0.08, perServer: make([]int, servers), releases: make([]func(), servers)}
+	for s := range d.releases {
+		d.releases[s] = func() {
+			if d.perServer[s] == 0 {
+				panic(fmt.Sprintf("storage: DM-NFS server %d release with no write in flight", s))
+			}
+			d.perServer[s]--
+		}
+	}
+	return d
 }
 
-// Kind implements Backend.
-func (d *DMNFS) Kind() Kind { return KindDMNFS }
-
 // Begin implements Backend: one server is selected at random and the
-// congestion multiplier reflects only that server's outstanding
-// operations.
+// congestion multiplier reflects only that server's outstanding writes.
 func (d *DMNFS) Begin(hostID int, memMB float64) (float64, func()) {
 	s := d.rng.Intn(len(d.perServer))
 	d.perServer[s]++
-	base := blcr.CheckpointCostNFS(memMB)
-	cost := jittered(d.rng, base*congestion(d.perServer[s]), d.jitter)
-	o := d.ops.take()
-	if o == nil {
-		o = &op{}
-		o.fn = d.releaseFn(o)
-	}
-	o.server = s
-	return cost, o.fn
+	return d.cost(d.perServer[s], memMB), d.releases[s]
 }
 
-// releaseFn binds an op's reusable release closure; the op records the
-// chosen server so the closure can decrement the right counter on every
-// issuance.
-func (d *DMNFS) releaseFn(o *op) func() {
-	return func() {
-		if !o.released {
-			o.released = true
-			d.perServer[o.server]--
-			d.ops.put(o)
-		}
-	}
-}
-
-// BeginBatch is LocalRamdisk.BeginBatch on DM-NFS: servers are
-// assigned up front, then every operation pays the congestion of its
-// own server's final degree.
-func (d *DMNFS) BeginBatch(hostIDs []int, memMB float64) ([]float64, func()) {
-	k := len(hostIDs)
+// BatchCosts is LocalRamdisk.BatchCosts on DM-NFS: servers are drawn
+// up front, then every write pays the congestion of its own server's
+// degree, the writes already in flight there plus the batch's.
+func (d *DMNFS) BatchCosts(k int, memMB float64) []float64 {
 	servers := make([]int, k)
+	degree := append([]int(nil), d.perServer...)
 	for i := range servers {
-		s := d.rng.Intn(len(d.perServer))
-		servers[i] = s
-		d.perServer[s]++
+		servers[i] = d.rng.Intn(len(d.perServer))
+		degree[servers[i]]++
 	}
-	base := blcr.CheckpointCostNFS(memMB)
 	costs := make([]float64, k)
 	for i, s := range servers {
-		costs[i] = jittered(d.rng, base*congestion(d.perServer[s]), d.jitter)
+		costs[i] = d.cost(degree[s], memMB)
 	}
-	released := false
-	return costs, func() {
-		if !released {
-			released = true
-			for _, s := range servers {
-				d.perServer[s]--
-			}
-		}
-	}
+	return costs
+}
+
+// cost draws the cost of one write at its server's degree.
+func (d *DMNFS) cost(degree int, memMB float64) float64 {
+	return jittered(d.rng, d.CheckpointCost(memMB)*congestion(degree), d.jitter)
+}
+
+// CheckpointCost implements Backend: an uncontended server writes at
+// the NFS cost (Figure 7(b)).
+func (d *DMNFS) CheckpointCost(memMB float64) float64 {
+	return blcr.CheckpointCostNFS(memMB)
 }
 
 // RestartCost implements Backend (migration type B).
 func (d *DMNFS) RestartCost(memMB float64) float64 {
 	return blcr.RestartCost(memMB, blcr.MigrationB)
-}
-
-// CheckpointCost returns the steady-state (uncontended) per-checkpoint
-// cost a policy should plan with for the given backend kind and memory
-// size — the constant C of the paper's model.
-func CheckpointCost(kind Kind, memMB float64) float64 {
-	if kind == KindLocal {
-		return blcr.CheckpointCostLocal(memMB)
-	}
-	return blcr.CheckpointCostNFS(memMB)
-}
-
-// RestartCostFor returns the constant R for the given backend kind and
-// memory size.
-func RestartCostFor(kind Kind, memMB float64) float64 {
-	if kind == KindLocal {
-		return blcr.RestartCost(memMB, blcr.MigrationA)
-	}
-	return blcr.RestartCost(memMB, blcr.MigrationB)
-}
-
-// CostModel is an optional Backend extension: backends that implement
-// it supply their own planning constants C and R instead of the
-// BLCR-derived curves keyed by Kind. Third-party backends plugged in
-// through the public API implement it so the planner sees their real
-// costs.
-type CostModel interface {
-	PlannedCheckpointCost(memMB float64) float64
-	PlannedRestartCost(memMB float64) float64
-}
-
-// PlannedCheckpointCost returns the planning constant C for a backend:
-// its own cost model when it has one, the kind-keyed BLCR curve
-// otherwise.
-func PlannedCheckpointCost(b Backend, memMB float64) float64 {
-	if cm, ok := b.(CostModel); ok {
-		return cm.PlannedCheckpointCost(memMB)
-	}
-	return CheckpointCost(b.Kind(), memMB)
-}
-
-// PlannedRestartCost returns the planning constant R for a backend (see
-// PlannedCheckpointCost).
-func PlannedRestartCost(b Backend, memMB float64) float64 {
-	if cm, ok := b.(CostModel); ok {
-		return cm.PlannedRestartCost(memMB)
-	}
-	return RestartCostFor(b.Kind(), memMB)
 }

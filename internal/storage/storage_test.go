@@ -8,21 +8,14 @@ import (
 	"repro/internal/stats"
 )
 
-// measureParallel issues `degree` simultaneous checkpoints of memMB on
-// the backend and returns their costs, repeated reps times (the paper
-// runs each case 25 times).
+// measureParallel prices `degree` simultaneous checkpoints of memMB on
+// the backend, repeated reps times (the paper runs each case 25 times).
 func measureParallel(b interface {
-	BeginBatch(hostIDs []int, memMB float64) ([]float64, func())
+	BatchCosts(k int, memMB float64) []float64
 }, degree, reps int, memMB float64) []float64 {
 	var costs []float64
-	hostIDs := make([]int, degree)
-	for i := range hostIDs {
-		hostIDs[i] = i
-	}
 	for rep := 0; rep < reps; rep++ {
-		batch, release := b.BeginBatch(hostIDs, memMB)
-		costs = append(costs, batch...)
-		release()
+		costs = append(costs, b.BatchCosts(degree, memMB)...)
 	}
 	return costs
 }
@@ -119,38 +112,75 @@ func TestCongestionReleaseRestoresCost(t *testing.T) {
 	}
 }
 
-func TestReleaseIdempotent(t *testing.T) {
-	l, n, d := NewLocalRamdisk(nil), NewNFS(nil), NewDMNFS(simeng.NewRNG(9), 4)
+// TestReleaseWithoutWriteInFlightPanics: each release ends exactly one
+// write, so a second call of the same release, with no write left in
+// flight, is a caller bug the contended devices refuse loudly.
+func TestReleaseWithoutWriteInFlightPanics(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		b    Backend
-		pool *opPool
-	}{{"local-ramdisk", l, &l.ops}, {"nfs", n, &n.ops}, {"dm-nfs", d, &d.ops}} {
+	}{{"nfs", NewNFS(nil)}, {"dm-nfs", NewDMNFS(simeng.NewRNG(9), 4)}} {
 		_, release := c.b.Begin(0, 100)
 		release()
-		release() // double release must not pool the op twice
-		if got := len(c.pool.free); got != 1 {
-			t.Errorf("%s: %d pooled ops after double release, want 1", c.name, got)
-		}
-	}
-	if n.InFlight() != 0 || d.InFlight() != 0 {
-		t.Errorf("inFlight = %d (nfs), %d (dm-nfs) after double release, want 0", n.InFlight(), d.InFlight())
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a release with no write in flight did not panic", c.name)
+				}
+			}()
+			release()
+		}()
 	}
 }
 
-// TestImageHostSemantics pins where each backend's images live, which
-// its Kind tells the engine: only local-ramdisk images stay on the
-// writer's host; NFS and DM-NFS images are reachable from any host.
-func TestImageHostSemantics(t *testing.T) {
-	if k := NewLocalRamdisk(nil).Kind(); k != KindLocal {
-		t.Errorf("local ramdisk Kind = %v, want the writer-bound %v", k, KindLocal)
+// TestWarmWriteAllocFree: a device binds its releases once, so a write
+// begun and released after the first allocates nothing.
+func TestWarmWriteAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		b    Backend
+	}{
+		{"local-ramdisk", NewLocalRamdisk(simeng.NewRNG(1))},
+		{"nfs", NewNFS(simeng.NewRNG(2))},
+		{"dm-nfs", NewDMNFS(simeng.NewRNG(3), 32)},
+	} {
+		write := func() {
+			_, release := c.b.Begin(0, 160)
+			release()
+		}
+		write()
+		if n := testing.AllocsPerRun(1000, write); n != 0 {
+			t.Errorf("%s: a warm Begin plus release allocates %v times", c.name, n)
+		}
 	}
-	if k := NewNFS(nil).Kind(); k != KindNFS {
-		t.Errorf("NFS Kind = %v, want shared %v", k, KindNFS)
+}
+
+// TestBatchCostsReserveNothing: a batch pays for the writes already in
+// flight as well as its own, and leaves no write in flight behind.
+func TestBatchCostsReserveNothing(t *testing.T) {
+	n := NewNFS(nil)
+	_, release := n.Begin(0, 160)
+	for _, c := range n.BatchCosts(2, 160) {
+		if want := n.CheckpointCost(160) * congestion(3); c != want {
+			t.Errorf("NFS batch of 2 beside 1 in flight costs %v, want degree 3's %v", c, want)
+		}
 	}
-	if k := NewDMNFS(simeng.NewRNG(10), 4).Kind(); k != KindDMNFS {
-		t.Errorf("DM-NFS Kind = %v, want shared %v", k, KindDMNFS)
+	if n.InFlight() != 1 {
+		t.Errorf("NFS: %d writes in flight after a batch, want 1", n.InFlight())
 	}
+	release()
+
+	d := NewDMNFS(simeng.NewRNG(11), 1)
+	_, release = d.Begin(0, 160)
+	for _, c := range d.BatchCosts(4, 160) {
+		if lo := d.CheckpointCost(160) * congestion(5) * (1 - d.jitter); c < lo {
+			t.Errorf("one-server DM-NFS batch of 4 beside 1 in flight costs %v, below degree 5's %v", c, lo)
+		}
+	}
+	if d.InFlight() != 1 {
+		t.Errorf("DM-NFS: %d writes in flight after a batch, want 1", d.InFlight())
+	}
+	release()
 }
 
 func TestRestartCostMatchesMigrationTypes(t *testing.T) {
@@ -171,20 +201,15 @@ func TestRestartCostMatchesMigrationTypes(t *testing.T) {
 }
 
 func TestCheckpointCostHelpers(t *testing.T) {
-	if CheckpointCost(KindLocal, 160) >= CheckpointCost(KindNFS, 160) {
+	l, n, d := NewLocalRamdisk(nil), NewNFS(nil), NewDMNFS(simeng.NewRNG(10), 4)
+	if l.CheckpointCost(160) >= n.CheckpointCost(160) {
 		t.Error("planning cost: local must be cheaper than NFS")
 	}
-	if CheckpointCost(KindDMNFS, 160) != CheckpointCost(KindNFS, 160) {
+	if d.CheckpointCost(160) != n.CheckpointCost(160) {
 		t.Error("DM-NFS planning cost should equal the uncontended NFS cost")
 	}
-	if RestartCostFor(KindLocal, 160) <= RestartCostFor(KindNFS, 160) {
+	if l.RestartCost(160) <= d.RestartCost(160) {
 		t.Error("planning restart: local (migration A) must be dearer")
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if KindLocal.String() != "local-ramdisk" || KindNFS.String() != "nfs" || KindDMNFS.String() != "dm-nfs" {
-		t.Fatal("Kind.String mismatch")
 	}
 }
 

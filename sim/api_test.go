@@ -53,25 +53,43 @@ func TestRunMatchesInternalSweep(t *testing.T) {
 	}
 }
 
+// runJSON runs a Simulation built from opts and marshals its Result.
+func runJSON(t *testing.T, opts ...sim.Option) []byte {
+	t.Helper()
+	s, err := sim.New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestRunDeterminism: identical Simulations marshal to identical JSON.
 func TestRunDeterminism(t *testing.T) {
-	run := func() []byte {
-		s, err := sim.New(sim.WithSeed(5), sim.WithJobs(120))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if a, b := run(), run(); !bytes.Equal(a, b) {
+	opts := []sim.Option{sim.WithSeed(5), sim.WithJobs(120)}
+	if a, b := runJSON(t, opts...), runJSON(t, opts...); !bytes.Equal(a, b) {
 		t.Fatal("two runs with the same seed produced different JSON")
+	}
+}
+
+// TestSharedStorageSelectsDevice: SharedDMNFS is the default shared
+// device, and SharedNFS swaps in a single server that prices the run's
+// writes differently.
+func TestSharedStorageSelectsDevice(t *testing.T) {
+	opts := []sim.Option{sim.WithSeed(6), sim.WithJobs(60), sim.WithStorage(sim.StorageShared)}
+	def := runJSON(t, opts...)
+	if !bytes.Equal(def, runJSON(t, append(opts, sim.WithSharedStorage(sim.SharedDMNFS))...)) {
+		t.Error("SharedDMNFS is not the default shared device")
+	}
+	if bytes.Equal(def, runJSON(t, append(opts, sim.WithSharedStorage(sim.SharedNFS))...)) {
+		t.Error("SharedNFS ran the default shared device")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/scenario"
-	"repro/internal/storage"
 )
 
 // StorageMode selects how each task's checkpoint storage is chosen.
@@ -187,14 +186,11 @@ func WithStorage(mode StorageMode) Option {
 // SharedDMNFS).
 func WithSharedStorage(kind SharedStorage) Option {
 	return func(c *config) {
-		switch kind {
-		case SharedDMNFS:
-			c.sc.Engine.SharedKind = storage.KindDMNFS
-		case SharedNFS:
-			c.sc.Engine.SharedKind = storage.KindNFS
-		default:
+		if kind != SharedDMNFS && kind != SharedNFS {
 			c.errs = append(c.errs, fmt.Errorf("WithSharedStorage: unknown kind %d", kind))
+			return
 		}
+		c.sc.Engine.SharedNFS = kind == SharedNFS
 	}
 }
 
