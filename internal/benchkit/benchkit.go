@@ -255,15 +255,30 @@ type Report struct {
 	// (the GOGC and GOMEMLIMIT environment variables, or
 	// debug.SetGCPercent and debug.SetMemoryLimit), so memory-layout wins
 	// can be told from GC tuning. Each is absent at its runtime default
-	// (100, no limit); GOGC=off records -1.
-	GOGC          int   `json:"gogc,omitempty"`
-	MemLimitBytes int64 `json:"mem_limit_bytes,omitempty"`
+	// (100, no limit) and present at any other value, 0 included;
+	// GOGC=off records -1.
+	GOGC          *int   `json:"gogc,omitempty"`
+	MemLimitBytes *int64 `json:"mem_limit_bytes,omitempty"`
 	// Baseline is present unless Config.SkipBaseline suppressed it and
 	// the matrix did not cover the pinned cell.
 	Baseline *AllocBaseline `json:"alloc_baseline,omitempty"`
 	Results  []Measurement  `json:"results"`
 	// Derived holds the report's health metrics (see Derived).
 	Derived *Derived `json:"derived,omitempty"`
+}
+
+// gcSettings reads the GC percent and memory limit in effect, each nil
+// at its runtime default.
+func gcSettings() (gogc *int, memLimit *int64) {
+	gc := []metrics.Sample{{Name: "/gc/gogc:percent"}, {Name: "/gc/gomemlimit:bytes"}}
+	metrics.Read(gc)
+	if v := int(int64(gc[0].Value.Uint64())); v != 100 {
+		gogc = &v
+	}
+	if v := int64(gc[1].Value.Uint64()); v != math.MaxInt64 {
+		memLimit = &v
+	}
+	return gogc, memLimit
 }
 
 // Run executes the matrix and assembles the report. Individual cell
@@ -308,14 +323,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Scales:        scales,
 		Results:       make([]Measurement, 0, len(scs)*len(scales)+len(cfg.ExtraCells)),
 	}
-	gc := []metrics.Sample{{Name: "/gc/gogc:percent"}, {Name: "/gc/gomemlimit:bytes"}}
-	metrics.Read(gc)
-	if v := int(int64(gc[0].Value.Uint64())); v != 100 {
-		rep.GOGC = v
-	}
-	if v := int64(gc[1].Value.Uint64()); v != math.MaxInt64 {
-		rep.MemLimitBytes = v
-	}
+	rep.GOGC, rep.MemLimitBytes = gcSettings()
 
 	// budgetIdx indexes the allocation-budget cell in rep.Results (-1 =
 	// none yet); an index stays valid across the later appends, where a

@@ -61,16 +61,38 @@ func TestReportRecordsGCSettings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.GOGC != 400 || rep.MemLimitBytes != 0 {
-		t.Errorf("under GOGC 400 the report records gogc %d, mem_limit_bytes %d; want 400, 0", rep.GOGC, rep.MemLimitBytes)
+	if rep.GOGC == nil || *rep.GOGC != 400 || rep.MemLimitBytes != nil {
+		t.Errorf("under GOGC 400 the report records gogc %v, mem_limit_bytes %v; want 400 and no limit", show(rep.GOGC), show(rep.MemLimitBytes))
 	}
 	debug.SetGCPercent(100)
 	if rep, err = Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if rep.GOGC != 0 {
-		t.Errorf("at the default GOGC the report records gogc %d, want it omitted", rep.GOGC)
+	if rep.GOGC != nil {
+		t.Errorf("at the default GOGC the report records gogc %v, want it omitted", *rep.GOGC)
 	}
+}
+
+// TestGCSettingsRecordZero: GOGC=0 and GOMEMLIMIT=0 are recorded as 0,
+// not omitted as the defaults are. No cell runs while they are set: a
+// zero percent or limit collects continuously.
+func TestGCSettingsRecordZero(t *testing.T) {
+	prevPercent := debug.SetGCPercent(0)
+	prevLimit := debug.SetMemoryLimit(0)
+	gogc, limit := gcSettings()
+	debug.SetMemoryLimit(prevLimit)
+	debug.SetGCPercent(prevPercent)
+	if gogc == nil || *gogc != 0 || limit == nil || *limit != 0 {
+		t.Errorf("under GOGC=0 and GOMEMLIMIT=0 the report records gogc %v, mem_limit_bytes %v; want 0 and 0", show(gogc), show(limit))
+	}
+}
+
+// show prints an optional setting, "omitted" when it is nil.
+func show[T any](p *T) string {
+	if p == nil {
+		return "omitted"
+	}
+	return fmt.Sprint(*p)
 }
 
 // TestCPUProfilePerCell: with CPUProfileDir set, a run leaves exactly

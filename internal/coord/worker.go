@@ -373,7 +373,7 @@ func (p *publisher) RunFinished(info sim.RunInfo, out sim.Outcome) {
 			return
 		}
 	}
-	data, err := json.Marshal(out.Result)
+	data, err := out.Result.AppendJSON(nil)
 	if err == nil {
 		err = p.w.publishRun(context.Background(), p.cl, info.Index, data)
 	}

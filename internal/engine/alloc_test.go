@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -38,6 +39,25 @@ const maxBytesPerEvent = 6.4
 // outcome slab. A regression past
 // this budget means the working set re-inflated.
 const maxPeakHeapBytes = 1_425_000
+
+// TestOutcomeRecordBudget pins the result records' sizes on 64-bit
+// platforms, where one TaskOutcome per replayed task and one JobOutcome
+// per job are most of a finished run's live heap. A record stores only
+// what its run decided: TaskOutcome derives WallSec and WPR and packs
+// its int8 priority beside UsedSharedStorage (144 bytes when both were
+// stored and the priority was an int), and JobOutcome derives WallSec
+// (104 bytes when stored).
+func TestOutcomeRecordBudget(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("record sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(TaskOutcome{}); got != 120 {
+		t.Errorf("TaskOutcome is %d bytes, want 120", got)
+	}
+	if got := unsafe.Sizeof(JobOutcome{}); got != 96 {
+		t.Errorf("JobOutcome is %d bytes, want 96", got)
+	}
+}
 
 // TestRunAllocBudget regression-guards the event loop: a full engine
 // run over the default workload must stay under maxAllocsPerEvent.
@@ -179,13 +199,13 @@ func TestSmallRunBytesBudget(t *testing.T) {
 // maxSaturatedRunBytesPerTask bounds what one Run of the saturated
 // dispatch-storm regime allocates per replayed task. At 2000 jobs
 // (23 977 tasks) most tasks wait queued at once: a Run allocates about
-// 344 bytes per task, of which 144 are the task's outcome record and
+// 319 bytes per task, of which 120 are the task's outcome record and
 // about 70 its share of plans and slots (10 267 plans of 48 bytes and
 // 3 191 slots of 360 at the peaks). Giving every submitted task a full
 // taskRun in 4096-entry chunks, as the engine once did, allocates
 // about 678; a queued task holding a full taskRun instead of its plan
 // would add about 130. The bound leaves about 15% headroom.
-const maxSaturatedRunBytesPerTask = 400
+const maxSaturatedRunBytesPerTask = 368
 
 // TestSaturatedRunStateBudget guards run state sized by running tasks:
 // on a trace whose tasks mostly wait in the queue, a queued fresh task

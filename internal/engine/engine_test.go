@@ -74,7 +74,7 @@ func TestRunDeterministic(t *testing.T) {
 			a.MakespanSec, b.MakespanSec, a.Events, b.Events)
 	}
 	for i := range a.Jobs {
-		if a.Jobs[i].WPR != b.Jobs[i].WPR || a.Jobs[i].WallSec != b.Jobs[i].WallSec {
+		if a.Jobs[i].WPR != b.Jobs[i].WPR || a.Jobs[i].WallSec() != b.Jobs[i].WallSec() {
 			t.Fatalf("job %d differs between identical runs", i)
 		}
 	}
@@ -87,7 +87,7 @@ func TestTaskAccountingIdentity(t *testing.T) {
 		for _, tres := range jr.Tasks {
 			overheads := tres.LengthSec + tres.CheckpointCostSec +
 				tres.RestartCostSec + tres.RollbackLossSec
-			wall := tres.WallSec
+			wall := tres.WallSec()
 			// Wall includes additionally detection delays, restart queue
 			// waits, and per-restart scheduling delays — all non-negative.
 			if wall < overheads-1e-6 {
@@ -117,7 +117,7 @@ func TestWPRNeverExceedsOne(t *testing.T) {
 				t.Fatalf("%s: job %s WPR = %v", policy.Name(), jr.ID, w)
 			}
 			for _, tres := range jr.Tasks {
-				if w := tres.WPR; w > 1+1e-9 || w <= 0 {
+				if w := tres.WPR(); w > 1+1e-9 || w <= 0 {
 					t.Fatalf("%s: task %s WPR = %v", policy.Name(), tres.ID, w)
 				}
 			}
@@ -138,9 +138,9 @@ func TestFailureFreeTaskHasCleanWall(t *testing.T) {
 				if tres.Checkpoints != 0 {
 					t.Fatalf("NoCheckpointPolicy took %d checkpoints", tres.Checkpoints)
 				}
-				if math.Abs(tres.WallSec-tres.LengthSec) > 1e-6 {
+				if math.Abs(tres.WallSec()-tres.LengthSec) > 1e-6 {
 					t.Fatalf("failure-free task wall %v != length %v",
-						tres.WallSec, tres.LengthSec)
+						tres.WallSec(), tres.LengthSec)
 				}
 			}
 		}
@@ -173,9 +173,9 @@ func TestFixedCountPolicyTakesExactCheckpoints(t *testing.T) {
 					tres.ID, tres.Checkpoints)
 			}
 			wantCost := tres.CheckpointCostSec
-			if math.Abs(tres.WallSec-(tres.LengthSec+wantCost)) > 1e-6 {
+			if math.Abs(tres.WallSec()-(tres.LengthSec+wantCost)) > 1e-6 {
 				t.Fatalf("task %s wall %v != length %v + ckpt cost %v",
-					tres.ID, tres.WallSec, tres.LengthSec, wantCost)
+					tres.ID, tres.WallSec(), tres.LengthSec, wantCost)
 			}
 		}
 	}
@@ -345,7 +345,7 @@ func TestIdenticalFailuresAcrossPolicies(t *testing.T) {
 			if ta == nil {
 				t.Fatal("task missing in paired run")
 			}
-			if tb.Failures == 0 && ta.WallSec <= tb.WallSec+1e-9 && ta.Failures != 0 {
+			if tb.Failures == 0 && ta.WallSec() <= tb.WallSec()+1e-9 && ta.Failures != 0 {
 				t.Fatalf("task %s: %d failures under F3 within a window that was failure-free under None",
 					tb.ID, ta.Failures)
 			}

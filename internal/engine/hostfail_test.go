@@ -54,14 +54,14 @@ func TestHostFailuresAccountingStillHolds(t *testing.T) {
 	res := mustRun(t, Config{Seed: 24, Policy: core.MNOFPolicy{}, HostMTBF: 1200}, tr)
 	for _, jr := range res.Jobs {
 		for _, tres := range jr.Tasks {
-			if w := tres.WPR; w > 1+1e-9 || w <= 0 {
+			if w := tres.WPR(); w > 1+1e-9 || w <= 0 {
 				t.Fatalf("task %s WPR = %v under host failures", tres.ID, w)
 			}
 			overheads := tres.LengthSec + tres.CheckpointCostSec +
 				tres.RestartCostSec + tres.RollbackLossSec
-			if tres.WallSec < overheads-1e-6 {
+			if tres.WallSec() < overheads-1e-6 {
 				t.Fatalf("task %s wall %v below accounted overheads %v",
-					tres.ID, tres.WallSec, overheads)
+					tres.ID, tres.WallSec(), overheads)
 			}
 		}
 	}

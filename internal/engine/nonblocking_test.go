@@ -61,11 +61,11 @@ func TestNonBlockingFailureLosesInFlightImage(t *testing.T) {
 	for _, jr := range res.Jobs {
 		for _, tres := range jr.Tasks {
 			overheads := tres.LengthSec + tres.RestartCostSec + tres.RollbackLossSec
-			if tres.WallSec < overheads-1e-6 {
+			if tres.WallSec() < overheads-1e-6 {
 				t.Fatalf("task %s wall %v below overheads %v: an unfinished image must have been restored",
-					tres.ID, tres.WallSec, overheads)
+					tres.ID, tres.WallSec(), overheads)
 			}
-			if w := tres.WPR; w > 1+1e-9 {
+			if w := tres.WPR(); w > 1+1e-9 {
 				t.Fatalf("task %s WPR %v > 1", tres.ID, w)
 			}
 		}

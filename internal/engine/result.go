@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"repro/internal/jsonenc"
 	"repro/internal/simeng"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -15,17 +16,12 @@ import (
 // same records out in its public Result.
 type TaskOutcome struct {
 	ID        string  `json:"id"`
-	Priority  int     `json:"priority"`
 	LengthSec float64 `json:"length_sec"`
 	MemMB     float64 `json:"mem_mb"`
 	// SubmitAt / StartAt / DoneAt are simulated timestamps (seconds).
 	SubmitAt float64 `json:"submit_at"`
 	StartAt  float64 `json:"start_at"`
 	DoneAt   float64 `json:"done_at"`
-	// WallSec is DoneAt-StartAt; WPR is LengthSec/WallSec (the paper's
-	// task-level workload-processing ratio).
-	WallSec float64 `json:"wall_sec"`
-	WPR     float64 `json:"wpr"`
 	// Failures counts failure events; Checkpoints counts completed
 	// checkpoint images.
 	Failures    int `json:"failures"`
@@ -41,9 +37,50 @@ type TaskOutcome struct {
 	HiddenCheckpointCostSec float64 `json:"hidden_checkpoint_cost_sec,omitempty"`
 	RestartCostSec          float64 `json:"restart_cost_sec"`
 	WaitSec                 float64 `json:"wait_sec"`
-	// UsedSharedStorage reports whether checkpoints went to the shared
-	// backend.
+	// Priority is the trace's 1..12; it shares a word with
+	// UsedSharedStorage, which reports whether checkpoints went to the
+	// shared backend.
+	Priority          int8 `json:"priority"`
 	UsedSharedStorage bool `json:"used_shared_storage"`
+}
+
+// WallSec is the task's wall-clock time Tw, DoneAt-StartAt.
+func (t TaskOutcome) WallSec() float64 { return t.DoneAt - t.StartAt }
+
+// WPR is the task-level workload-processing ratio Te/Tw of Formula 9,
+// LengthSec/WallSec.
+func (t TaskOutcome) WPR() float64 { return t.LengthSec / t.WallSec() }
+
+// MarshalJSON writes the record as one JSON object, the derived
+// wall_sec and wpr after done_at. Its receiver is a value, so a record
+// json.Marshal cannot address writes them too.
+func (t TaskOutcome) MarshalJSON() ([]byte, error) {
+	var e jsonenc.Encoder
+	t.appendJSON(&e)
+	return e.Buf, e.Err
+}
+
+func (t *TaskOutcome) appendJSON(e *jsonenc.Encoder) {
+	e.String(`{"id":`, t.ID)
+	e.Int(`,"priority":`, int(t.Priority))
+	e.Float(`,"length_sec":`, t.LengthSec)
+	e.Float(`,"mem_mb":`, t.MemMB)
+	e.Float(`,"submit_at":`, t.SubmitAt)
+	e.Float(`,"start_at":`, t.StartAt)
+	e.Float(`,"done_at":`, t.DoneAt)
+	e.Float(`,"wall_sec":`, t.WallSec())
+	e.Float(`,"wpr":`, t.WPR())
+	e.Int(`,"failures":`, t.Failures)
+	e.Int(`,"checkpoints":`, t.Checkpoints)
+	e.Float(`,"rollback_loss_sec":`, t.RollbackLossSec)
+	e.Float(`,"checkpoint_cost_sec":`, t.CheckpointCostSec)
+	if t.HiddenCheckpointCostSec != 0 {
+		e.Float(`,"hidden_checkpoint_cost_sec":`, t.HiddenCheckpointCostSec)
+	}
+	e.Float(`,"restart_cost_sec":`, t.RestartCostSec)
+	e.Float(`,"wait_sec":`, t.WaitSec)
+	e.Bool(`,"used_shared_storage":`, t.UsedSharedStorage)
+	e.Raw(`}`)
 }
 
 // JobOutcome is one job's execution record. The engine writes it once,
@@ -56,18 +93,69 @@ type JobOutcome struct {
 	Priority   int     `json:"priority"`
 	ArrivalSec float64 `json:"arrival_sec"`
 	DoneAt     float64 `json:"done_at"`
-	// WallSec is submission-to-completion; WPR is the job's
-	// Workload-Processing Ratio (Formula 9 aggregated over tasks).
-	WallSec  float64       `json:"wall_sec"`
+	// WPR is the job's Workload-Processing Ratio (Formula 9 aggregated
+	// over tasks).
 	WPR      float64       `json:"wpr"`
 	Failures int           `json:"failures"`
 	Tasks    []TaskOutcome `json:"tasks"`
 }
 
+// WallSec is the job's time from submission to final completion,
+// DoneAt-ArrivalSec — the denominator of the paper's Formula 9 for
+// makespan plots (Figures 12-13).
+func (j JobOutcome) WallSec() float64 { return j.DoneAt - j.ArrivalSec }
+
+// MarshalJSON writes the record as one JSON object, the derived
+// wall_sec after done_at. Its receiver is a value, so a record
+// json.Marshal cannot address writes it too.
+func (j JobOutcome) MarshalJSON() ([]byte, error) {
+	var e jsonenc.Encoder
+	j.appendJSON(&e)
+	return e.Buf, e.Err
+}
+
+func (j *JobOutcome) appendJSON(e *jsonenc.Encoder) {
+	e.String(`{"id":`, j.ID)
+	e.String(`,"structure":`, j.Structure)
+	e.Int(`,"priority":`, j.Priority)
+	e.Float(`,"arrival_sec":`, j.ArrivalSec)
+	e.Float(`,"done_at":`, j.DoneAt)
+	e.Float(`,"wall_sec":`, j.WallSec())
+	e.Float(`,"wpr":`, j.WPR)
+	e.Int(`,"failures":`, j.Failures)
+	if j.Tasks == nil {
+		e.Raw(`,"tasks":null}`)
+		return
+	}
+	e.Raw(`,"tasks":[`)
+	for i := range j.Tasks {
+		if i > 0 {
+			e.Raw(",")
+		}
+		j.Tasks[i].appendJSON(e)
+	}
+	e.Raw("]}")
+}
+
+// AppendJobsJSON appends jobs as json.Marshal writes the slice: null
+// when it is nil, else an array of the records' MarshalJSON documents.
+func AppendJobsJSON(e *jsonenc.Encoder, jobs []JobOutcome) {
+	if jobs == nil {
+		e.Raw("null")
+		return
+	}
+	e.Raw("[")
+	for i := range jobs {
+		if i > 0 {
+			e.Raw(",")
+		}
+		jobs[i].appendJSON(e)
+	}
+	e.Raw("]")
+}
+
 // finish writes the job's aggregates once its last task has completed
-// at now. WallSec runs from submission to final completion — the
-// denominator of the paper's Formula 9 for makespan plots (Figures
-// 12-13). WPR is the job's processed workload over the wall-clock
+// at now. WPR is the job's processed workload over the wall-clock
 // lengths of its tasks,
 //
 //	WPR(J) = sum_t Te(t) / sum_t Tw(t),
@@ -78,12 +166,11 @@ type JobOutcome struct {
 // BoT WPR values stay below 1. Failures is the tasks' total.
 func (j *JobOutcome) finish(now float64) {
 	j.DoneAt = now
-	j.WallSec = now - j.ArrivalSec
 	var te, tw float64
 	for i := range j.Tasks {
 		t := &j.Tasks[i]
 		te += t.LengthSec
-		tw += t.WallSec
+		tw += t.WallSec()
 		j.Failures += t.Failures
 	}
 	j.WPR = 1
@@ -129,7 +216,7 @@ func (r *Result) JobWalls(keep func(*JobOutcome) bool) []float64 {
 	var out []float64
 	for i := range r.Jobs {
 		if j := &r.Jobs[i]; keep == nil || keep(j) {
-			out = append(out, j.WallSec)
+			out = append(out, j.WallSec())
 		}
 	}
 	return out

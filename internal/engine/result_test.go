@@ -8,7 +8,7 @@ import (
 
 // TestJobOutcomeAggregatesMatchTasks: the engine writes each job's
 // aggregates once, after its last task, so every JobOutcome's DoneAt,
-// WallSec, WPR and Failures equal their recomputation from its own
+// WPR and Failures equal their recomputation from its own
 // finished Tasks — for ST and BoT jobs, under task failures, host
 // crashes and non-blocking checkpoint writes. A record written before
 // its job's last task would miss that task.
@@ -46,17 +46,17 @@ func TestJobOutcomeAggregatesMatchTasks(t *testing.T) {
 				task := &jo.Tasks[k]
 				doneAt = max(doneAt, task.DoneAt)
 				te += task.LengthSec
-				tw += task.WallSec
+				tw += task.WallSec()
 				failures += task.Failures
 			}
 			wpr := 1.0
 			if tw > 0 {
 				wpr = te / tw
 			}
-			if jo.DoneAt != doneAt || jo.WallSec != doneAt-jo.ArrivalSec || jo.WPR != wpr || jo.Failures != failures {
-				t.Fatalf("%s: job %s (%s, %d tasks) records done %v wall %v WPR %v failures %d; its tasks give %v, %v, %v, %d",
-					c.name, jo.ID, jo.Structure, len(jo.Tasks), jo.DoneAt, jo.WallSec, jo.WPR, jo.Failures,
-					doneAt, doneAt-jo.ArrivalSec, wpr, failures)
+			if jo.DoneAt != doneAt || jo.WPR != wpr || jo.Failures != failures {
+				t.Fatalf("%s: job %s (%s, %d tasks) records done %v WPR %v failures %d; its tasks give %v, %v, %d",
+					c.name, jo.ID, jo.Structure, len(jo.Tasks), jo.DoneAt, jo.WPR, jo.Failures,
+					doneAt, wpr, failures)
 			}
 			if len(jo.Tasks) > 1 && failures > 0 {
 				failingMulti[jo.Structure]++

@@ -161,22 +161,18 @@ type outcomeTotals struct {
 	checkpoints  int32
 }
 
-// writeOutcome fills o with the finished task's record.
+// writeOutcome fills o with the finished task's record. Its WallSec,
+// now-startAt, is positive — the task computed its positive length
+// since startAt — so its WPR is finite.
 func (e *engineState) writeOutcome(o *TaskOutcome, r *taskRun, now float64) {
 	h := r.h
-	length := e.tr.Len[h]
-	// wall > 0: the task computed its positive length since startAt.
-	wall := now - r.startAt
 	*o = TaskOutcome{
 		ID:                      e.tr.TaskID(h),
-		Priority:                int(e.tr.Prio[h]),
-		LengthSec:               length,
+		LengthSec:               e.tr.Len[h],
 		MemMB:                   e.tr.Mem[h],
 		SubmitAt:                r.submitAt,
 		StartAt:                 r.startAt,
 		DoneAt:                  now,
-		WallSec:                 wall,
-		WPR:                     length / wall,
 		Failures:                int(r.tot.failures),
 		Checkpoints:             int(r.tot.checkpoints),
 		RollbackLossSec:         r.tot.rollbackLoss,
@@ -184,6 +180,7 @@ func (e *engineState) writeOutcome(o *TaskOutcome, r *taskRun, now float64) {
 		HiddenCheckpointCostSec: r.tot.hiddenCost,
 		RestartCostSec:          r.tot.restartCost,
 		WaitSec:                 r.tot.wait,
+		Priority:                e.tr.Prio[h],
 		UsedSharedStorage:       r.flags&flagShared != 0,
 	}
 }

@@ -395,9 +395,9 @@ func Fig12(o Opts) (*Fig12Result, error) {
 			if !keep(p[0]) && !keep(p[1]) {
 				continue
 			}
-			wallsF3 = append(wallsF3, p[0].WallSec)
-			wallsYoung = append(wallsYoung, p[1].WallSec)
-			incr = append(incr, p[1].WallSec-p[0].WallSec)
+			wallsF3 = append(wallsF3, p[0].WallSec())
+			wallsYoung = append(wallsYoung, p[1].WallSec())
+			incr = append(incr, p[1].WallSec()-p[0].WallSec())
 		}
 		if len(incr) == 0 {
 			continue
@@ -468,7 +468,7 @@ func Fig13(o Opts) (*Fig13Result, error) {
 		if p[0].Failures == 0 && p[1].Failures == 0 {
 			continue
 		}
-		wf3, wy := p[0].WallSec, p[1].WallSec
+		wf3, wy := p[0].WallSec(), p[1].WallSec()
 		if wy <= 0 {
 			continue
 		}
@@ -563,7 +563,7 @@ func Fig14(o Opts) (*Fig14Result, error) {
 			continue
 		}
 		total++
-		ratio := p[0].WallSec / p[1].WallSec
+		ratio := p[0].WallSec() / p[1].WallSec()
 		switch {
 		case ratio > 0.98 && ratio < 1.02:
 			similar++

@@ -31,7 +31,8 @@ func NewCache(dir string) (*Cache, error) {
 
 // canonical returns a published result document in the form every cache
 // entry takes, or an error for anything json.Valid rejects. The local
-// path needs no call: it caches json.Marshal output.
+// path needs no call: it caches sim.Result.AppendJSON output, which is
+// json.Marshal's.
 func canonical(doc []byte) ([]byte, error) {
 	return json.Marshal(json.RawMessage(doc))
 }

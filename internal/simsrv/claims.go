@@ -168,7 +168,7 @@ func (s *Server) handleClaimComplete(w http.ResponseWriter, r *http.Request) {
 // handlePublishRun accepts one run's result document from the claim
 // holder. A zombie claim is fenced with 410 and a body that is not JSON
 // gets 400, both before anything is written; then persist stores the
-// body in canonical form, as the local path stores json.Marshal output,
+// body in canonical form, as the local path stores AppendJSON output,
 // and the ledger completion comes last — a crash or lost lease between
 // any two steps heals on the next claim via the cache probe, and the
 // checkpoint log records each index at most once.

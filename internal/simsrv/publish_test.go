@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/coord"
@@ -170,6 +173,61 @@ func TestPublishRejectsNonJSON(t *testing.T) {
 	waitState(t, ts, id, "done", 60*time.Second)
 	if got := getResult(t, ts, id); !bytes.Equal(got, want) {
 		t.Errorf("merged report differs from the direct run's:\n got %.200s\nwant %.200s", got, want)
+	}
+}
+
+// fill is an endless body of one byte.
+type fill byte
+
+func (b fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestPublishDeclaredOverCap: a publish body's declared length sizes
+// nothing, so a client cannot make the server hold a buffer of the cap
+// by claiming one. A body declared at twice the cap whose connection
+// drops after a few bytes gets 400, charges nothing and allocates far
+// less than the cap; a body that runs past the cap is refused and
+// charges the index an attempt.
+func TestPublishDeclaredOverCap(t *testing.T) {
+	srv := startServer(t, Config{})
+	h := srv.Handler()
+	id, cl := leaseRuns(t, h, `{"scenario":"baseline-f3","jobs":10,"runs":1,"seed":6,"distributed":true}`, 1)
+	attempts := func() int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/claims", nil))
+		var lv coord.LedgerView
+		if err := json.Unmarshal(rec.Body.Bytes(), &lv); err != nil {
+			t.Fatalf("claims view: status %d: %v", rec.Code, err)
+		}
+		n := 0
+		for _, tr := range lv.Troubled {
+			n += tr.Attempts
+		}
+		return n
+	}
+	publish := func(body io.Reader) int {
+		req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/v1/jobs/%s/runs/0?claim=%s", id, cl.ClaimID), body)
+		req.ContentLength = 2 * maxResultBytes
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := publish(io.MultiReader(strings.NewReader(`{"events":1`), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	runtime.ReadMemStats(&after)
+	if code != http.StatusBadRequest || attempts() != 0 {
+		t.Fatalf("dropped body declared over the cap: status %d, %d attempts charged; want 400 and none", code, attempts())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxResultBytes/8 {
+		t.Fatalf("dropped body declared over the cap allocated %d bytes; the declared length must size nothing", grew)
+	}
+	if code := publish(fill(' ')); code != http.StatusBadRequest || attempts() != 1 {
+		t.Fatalf("body past the cap: status %d, %d attempts charged; want 400 and one", code, attempts())
 	}
 }
 

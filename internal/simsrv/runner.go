@@ -251,7 +251,7 @@ func (p *runPersister) RunFinished(info sim.RunInfo, out sim.Outcome) {
 	if out.Err != nil || out.Result == nil {
 		return
 	}
-	data, err := json.Marshal(out.Result)
+	data, err := out.Result.AppendJSON(nil)
 	if err == nil {
 		err = p.srv.persist(p.job, info.Index, p.keys[info.Index], data)
 	}

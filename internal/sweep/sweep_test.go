@@ -54,7 +54,7 @@ func fingerprint(r *engine.Result) []string {
 			ck += tr.Checkpoints
 		}
 		out = append(out, fmt.Sprintf("%s|%v|%v|%d|%d",
-			jr.ID, jr.WPR, jr.WallSec, jr.Failures, ck))
+			jr.ID, jr.WPR, jr.WallSec(), jr.Failures, ck))
 	}
 	return out
 }

@@ -11,19 +11,21 @@ import (
 
 // maxRunBytesPerTask bounds what one Simulation.Run allocates per
 // replayed task, trace generation and history estimation included. A
-// 10 000-job baseline-f3 Run on one processor allocates about 243 bytes
+// 10 000-job baseline-f3 Run on one processor allocates about 218 bytes
 // per task when the trace is generated straight into its columns, the
 // engine reads them in place, holds run state only for live tasks and
-// keeps no failure-time history, and the Result hands out the engine's
-// own job records. Run state in 4096-task chunks and failure processes
-// that record every failure time, as the engine once had, take it to
-// about 330; copying every job record into a second slice as well, as
-// the facade once did, to about 342; generating Task objects and
-// copying their fields into a per-run column table, as the simulator
-// once did, to about 538. The bound leaves about 10% headroom: a
-// per-run column copy (about 50 bytes per task), a second copy of the
-// trace (about 66) or of the task records (144) exceeds it.
-const maxRunBytesPerTask = 268
+// keeps no failure-time history, the Result hands out the engine's own
+// job records, and a task record stores no value it derives (120 bytes
+// instead of 144). Storing a record's WallSec and WPR again takes it to
+// about 243; run state in 4096-task chunks and failure processes that
+// record every failure time, as the engine once had, to about 330;
+// copying every job record into a second slice as well, as the facade
+// once did, to about 342; generating Task objects and copying their
+// fields into a per-run column table, as the simulator once did, to
+// about 538. The bound leaves about 10% headroom: a per-run column copy
+// (about 50 bytes per task), a second copy of the trace (about 66) or
+// of the task records (120) exceeds it.
+const maxRunBytesPerTask = 240
 
 // TestRunBytesPerTaskBudget regression-guards the facade's memory: the
 // public Run may not add a second copy of the trace or of the task

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"slices"
+
 	"repro/internal/engine"
+	"repro/internal/jsonenc"
 	"repro/internal/stats"
 )
 
@@ -36,7 +39,8 @@ type ResultSummary struct {
 }
 
 // Result is the stable outcome of one simulation run. It marshals to
-// JSON as-is, so results can feed non-Go tooling directly.
+// JSON as-is, so results can feed non-Go tooling directly; AppendJSON
+// writes the same bytes without encoding/json.
 type Result struct {
 	// EngineVersion is the sim.Version the run executed under, stamped
 	// so archived results declare which engine produced them.
@@ -50,6 +54,41 @@ type Result struct {
 	Summary ResultSummary `json:"summary"`
 	Jobs    []JobOutcome  `json:"jobs"`
 }
+
+// AppendJSON appends the result's JSON document to dst: the bytes
+// json.Marshal writes for it, with each record's derived wall_sec and
+// wpr, and an error where json.Marshal fails (a NaN or infinite value).
+func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
+	// Grow dst once for the whole document: a task record takes 400-460
+	// bytes and a job's own fields about 180, so the estimate errs high.
+	tasks := 0
+	for i := range r.Jobs {
+		tasks += len(r.Jobs[i].Tasks)
+	}
+	e := jsonenc.Encoder{Buf: slices.Grow(dst, 256+192*len(r.Jobs)+448*tasks)}
+	e.String(`{"engine_version":`, r.EngineVersion)
+	e.String(`,"policy":`, r.Policy)
+	e.Float(`,"makespan_sec":`, r.MakespanSec)
+	e.Uint(`,"events":`, r.Events)
+	s := &r.Summary
+	e.Int(`,"summary":{"jobs":`, s.Jobs)
+	e.Int(`,"tasks":`, s.Tasks)
+	e.Float(`,"mean_wpr":`, s.MeanWPR)
+	e.Float(`,"mean_wpr_failing":`, s.MeanWPRFailing)
+	e.Int(`,"failing_jobs":`, s.FailingJobs)
+	e.Int(`,"failures":`, s.Failures)
+	e.Int(`,"checkpoints":`, s.Checkpoints)
+	e.Float(`,"checkpoint_cost_sec":`, s.CheckpointCostSec)
+	e.Float(`,"restart_cost_sec":`, s.RestartCostSec)
+	e.Float(`,"rollback_loss_sec":`, s.RollbackLossSec)
+	e.Raw(`},"jobs":`)
+	engine.AppendJobsJSON(&e, r.Jobs)
+	e.Raw("}")
+	return e.Buf, e.Err
+}
+
+// MarshalJSON returns AppendJSON(nil).
+func (r *Result) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
 // newResult wraps an engine result in the public form. The job and
 // task records are the engine's own, handed out as they are.

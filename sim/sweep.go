@@ -2,9 +2,9 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
+	"repro/internal/jsonenc"
 	"repro/internal/sweep"
 )
 
@@ -39,18 +39,28 @@ type Outcome struct {
 	Skipped bool
 }
 
-// MarshalJSON renders the outcome with the error as a plain string.
+// MarshalJSON renders the outcome with the error as a plain string:
+// the bytes json.Marshal writes for {name, seed, result, error}, the
+// last two omitted when empty. The result is appended in place by
+// Result.AppendJSON, so encoding/json compacts its bytes at most once,
+// in the caller's encoder.
 func (o Outcome) MarshalJSON() ([]byte, error) {
-	var errText string
-	if o.Err != nil {
-		errText = o.Err.Error()
+	var e jsonenc.Encoder
+	e.String(`{"name":`, o.Name)
+	e.Uint(`,"seed":`, o.Seed)
+	if o.Result != nil {
+		var err error
+		if e.Buf, err = o.Result.AppendJSON(append(e.Buf, `,"result":`...)); err != nil {
+			return nil, err
+		}
 	}
-	return json.Marshal(struct {
-		Name   string  `json:"name"`
-		Seed   uint64  `json:"seed"`
-		Result *Result `json:"result,omitempty"`
-		Error  string  `json:"error,omitempty"`
-	}{o.Name, o.Seed, o.Result, errText})
+	if o.Err != nil {
+		if text := o.Err.Error(); text != "" {
+			e.String(`,"error":`, text)
+		}
+	}
+	e.Raw("}")
+	return e.Buf, nil
 }
 
 // RunInfo identifies a sweep run in Observer events.
