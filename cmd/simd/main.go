@@ -36,6 +36,17 @@ import (
 	"repro/sim"
 )
 
+// The server bounds how long a connection may sit without a request:
+// readHeaderTimeout for a request's headers, idleTimeout between the
+// requests of a kept-alive connection, above the 90 s after which the
+// workers' transport drops an idle connection itself. Reading a body
+// and writing a response stay unbounded, since a job's events stream
+// and a 64 MiB publish may each take as long as they need.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	storeDir := flag.String("store", "simd-data", "durable job store directory")
@@ -77,7 +88,7 @@ func run(addr, storeDir string, jobs, sweepWorkers int, drainTimeout, lease time
 	// can discover a port-0 address.
 	fmt.Printf("simd listening on %s (store %s, engine %s)\n", ln.Addr(), storeDir, sim.Version)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	srv.Start()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -318,4 +319,33 @@ func TestSIGTERMDrainsGracefully(t *testing.T) {
 	// The next process must see the job queued (or already resumed).
 	p2 := startSimd(t, store)
 	waitDone(t, p2.base, v.ID, 4*time.Minute)
+}
+
+// TestStalledRequestLineIsClosed: a client that sends half a request
+// line and then nothing has its connection closed once the header
+// timeout passes, instead of holding the connection and its handler
+// goroutine for as long as it likes.
+func TestStalledRequestLineIsClosed(t *testing.T) {
+	p := startSimd(t, t.TempDir())
+	conn, err := net.Dial("tcp", strings.TrimPrefix(p.base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/jobs HT")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(conn)
+	elapsed := time.Since(start).Round(time.Millisecond)
+	if err != nil {
+		t.Fatalf("after %s: %v; want the server to close the connection", elapsed, err)
+	}
+	if elapsed < readHeaderTimeout/2 {
+		t.Fatalf("closed after %s, before the %s header timeout: %q", elapsed, readHeaderTimeout, reply)
+	}
+	t.Logf("closed after %s with %q", elapsed, bytes.SplitN(reply, []byte("\r\n"), 2)[0])
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -38,5 +39,26 @@ func TestValuesMatchMarshal(t *testing.T) {
 	e.Raw("}")
 	if e.Err == nil || string(e.Buf) != `{"a":,"b":-3,"c":18446744073709551615,"d":true}` {
 		t.Errorf("after a NaN: %s, err %v; want the later pairs appended and the error kept", e.Buf, e.Err)
+	}
+}
+
+// TestCanonicalDepth: nesting at the scan's bound is kept, one level
+// past it goes through json.Marshal with the same bytes, and past
+// encoding/json's own bound of 10 000 Canonical fails as json.Marshal
+// fails.
+func TestCanonicalDepth(t *testing.T) {
+	for _, depth := range []int{canonicalDepth, canonicalDepth + 1, 10000, 10001} {
+		doc := append(bytes.Repeat([]byte("["), depth), bytes.Repeat([]byte("]"), depth)...)
+		got, err := Canonical(doc)
+		want, wantErr := json.Marshal(json.RawMessage(doc))
+		if !bytes.Equal(got, want) || !reflect.DeepEqual(err, wantErr) {
+			t.Fatalf("depth %d: Canonical = %.20q…, %v; json.Marshal = %.20q…, %v", depth, got, err, want, wantErr)
+		}
+		if kept := err == nil && &got[0] == &doc[0]; kept != (depth <= canonicalDepth) {
+			t.Errorf("depth %d: returned the input itself = %v", depth, kept)
+		}
+		if (err != nil) != (depth > 10000) {
+			t.Errorf("depth %d: err %v", depth, err)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package simsrv
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,7 +15,12 @@ import (
 //
 // The cache holds the only copy of a run's result, and every entry is
 // canonical: the compact, HTML-escaped form encoding/json emits, so a
-// report embeds entries as is (see writeReport).
+// report embeds entries as is (see writeReport). The local path caches
+// sim.Result.AppendJSON output, which is json.Marshal's; the publish
+// route caches jsonenc.Canonical of the body, which is the body itself
+// when it is already canonical and json.Marshal's re-encoding of it
+// otherwise, so either way an entry holds the bytes
+// json.Marshal(json.RawMessage(body)) writes.
 type Cache struct {
 	dir string
 }
@@ -27,14 +31,6 @@ func NewCache(dir string) (*Cache, error) {
 		return nil, fmt.Errorf("simsrv: cache: %w", err)
 	}
 	return &Cache{dir: dir}, nil
-}
-
-// canonical returns a published result document in the form every cache
-// entry takes, or an error for anything json.Valid rejects. The local
-// path needs no call: it caches sim.Result.AppendJSON output, which is
-// json.Marshal's.
-func canonical(doc []byte) ([]byte, error) {
-	return json.Marshal(json.RawMessage(doc))
 }
 
 // path shards entries by the first two hash bytes to keep directories

@@ -1,6 +1,7 @@
 package simsrv
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,14 +9,27 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 
 	"repro/internal/coord"
 	"repro/internal/jobstore"
+	"repro/internal/jsonenc"
 	"repro/sim"
 )
 
 // maxResultBytes bounds one published run result document.
 const maxResultBytes = 64 << 20
+
+// publishBufs holds the buffers publish bodies are read into. A buffer
+// grows only with the bytes a body delivers, never from the declared
+// Content-Length, which any client may set; one grown past
+// maxPooledPublish is dropped instead of pooled, so the pool never pins
+// a body near maxResultBytes.
+var publishBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledPublish bounds a pooled publish buffer at about 20 times a
+// 20-job result.
+const maxPooledPublish = 1 << 20
 
 // dist returns the claim-serving state of a distributed job, when it is
 // currently accepting claims, and a release func the caller must call
@@ -171,7 +185,9 @@ func (s *Server) handleClaimComplete(w http.ResponseWriter, r *http.Request) {
 // body in canonical form, as the local path stores AppendJSON output,
 // and the ledger completion comes last — a crash or lost lease between
 // any two steps heals on the next claim via the cache probe, and the
-// checkpoint log records each index at most once.
+// checkpoint log records each index at most once. A body already
+// canonical, as every AppendJSON output is, is stored as received; any
+// other is stored as json.Marshal re-encodes it.
 func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 	id, claim := r.PathValue("id"), r.URL.Query().Get("claim")
 	index, err := strconv.Atoi(r.PathValue("index"))
@@ -182,11 +198,19 @@ func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 	// The body is read before the lookup, so a slow upload never holds
 	// up a coordinator waiting for its handlers. A body the server could
 	// not finish reading says nothing about the run and charges nothing.
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxResultBytes+1))
-	if err != nil {
+	// The buffer goes back to the pool once persist has written it.
+	buf := publishBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledPublish {
+			buf.Reset()
+			publishBufs.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxResultBytes+1)); err != nil {
 		writeError(w, http.StatusBadRequest, "reading result: %v", err)
 		return
 	}
+	data := buf.Bytes()
 	d, release := s.dist(id)
 	if d == nil {
 		s.noCoordinator(w, id)
@@ -209,7 +233,7 @@ func (s *Server) handlePublishRun(w http.ResponseWriter, r *http.Request) {
 	// run whose result is always refused fails the job with the
 	// quarantine diagnosis instead of being claimed and recomputed forever.
 	if len(data) <= maxResultBytes {
-		data, err = canonical(data)
+		data, err = jsonenc.Canonical(data)
 	}
 	if len(data) > maxResultBytes || err != nil {
 		reason := fmt.Sprintf("result refused: not a JSON document of at most %d bytes", maxResultBytes)

@@ -359,3 +359,67 @@ func FuzzClaimRoutes(f *testing.F) {
 		}
 	})
 }
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// maxPublishBytes bounds the bytes one publish of a 20-job baseline-f3
+// result (47 203 bytes) allocates, request and recorder included, at
+// about half the body. With the body read into a pooled buffer and kept as
+// received, a publish allocates 10.2 KB, and up to 14.5 KB in 55 runs
+// when the handler's goroutine changes processors and misses its pooled
+// buffer; reading the body with io.ReadAll and re-encoding it with
+// json.Marshal allocated 271 KB, and one copy of it per publish would
+// exceed the bound.
+const maxPublishBytes = 24 << 10
+
+// TestPublishAllocBudget publishes a real 20-job baseline-f3 result to
+// 60 fresh indices through the handler, after a warm-up, and bounds the
+// bytes allocated per publish well below the body's size, so the
+// publish route keeps neither a per-request copy of the body nor a
+// buffer regrown from 512 bytes.
+func TestPublishAllocBudget(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation budget needs a full run without the race detector, which drops pooled buffers at random")
+	}
+	const warm, measured = 10, 60
+	s, err := sim.ScenarioByName("baseline-f3", sim.WithJobs(20), sim.WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := res.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One index stays unpublished, so the job is still running and its
+	// coordinator idle while the publishes are measured.
+	spec := fmt.Sprintf(`{"scenario":"baseline-f3","jobs":20,"runs":%d,"seed":11,"distributed":true}`, warm+measured+1)
+	srv := startServer(t, Config{Lease: time.Hour})
+	h := srv.Handler()
+	id, cl := leaseRuns(t, h, spec, warm+measured+1)
+	publish := func(index int) {
+		if rec := post(h, fmt.Sprintf("/v1/jobs/%s/runs/%d?claim=%s", id, index, cl.ClaimID), body); rec.Code != http.StatusOK {
+			t.Fatalf("publish %d: status %d: %s", index, rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		publish(i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+measured; i++ {
+		publish(i)
+	}
+	runtime.ReadMemStats(&after)
+	bytesPer := (after.TotalAlloc - before.TotalAlloc) / measured
+	objsPer := (after.Mallocs - before.Mallocs) / measured
+	t.Logf("%d B and %d objects per publish of a %d-byte result", bytesPer, objsPer, len(body))
+	if bytesPer > maxPublishBytes {
+		t.Errorf("a publish allocates %d B, budget %d B (body %d B)", bytesPer, maxPublishBytes, len(body))
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/jsonenc"
 	"repro/sim"
 )
 
@@ -48,9 +49,9 @@ func FuzzReport(f *testing.F) {
 			if !json.Valid(doc) {
 				continue
 			}
-			entry, err := canonical(doc)
+			entry, err := jsonenc.Canonical(doc)
 			if err != nil {
-				t.Fatalf("canonical(%q): %v", doc, err)
+				t.Fatalf("Canonical(%q): %v", doc, err)
 			}
 			key := fmt.Sprintf("run%d", len(keys))
 			if err := cache.Put(key, entry); err != nil {
